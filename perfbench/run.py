@@ -7,8 +7,10 @@ From the repository root::
 Workloads: ``paper-sweep``, ``functional``, ``fleet-cold`` (see
 ``workloads.py`` and ``BENCHMARK.json``).  The run sets the program
 up several times (``setup_s`` is the median), builds the known answers
-for the seed, then runs whole sweeps until ``--seconds`` have passed,
-checking every record of every sweep against the known answers.
+for the seed, then runs whole sweeps until ``--seconds`` have passed
+(and, untraced, at least ``MIN_SWEEPS``), checking every record of
+every sweep against the known answers.  The verdict percentiles are
+taken over each input's median latency across the sweeps.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
@@ -31,6 +33,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
@@ -47,9 +50,9 @@ WORK_ROOT = ROOT / ".perfbench_work"
 WORKLOAD_NAMES = ("paper-sweep", "functional", "fleet-cold")
 #: set-up is measured this many times per run; setup_s is the median
 SETUP_REPS = 7
-#: keep sweeping until the verdict latencies hold this many samples, so
-#: p99 has more than 30 samples beyond it
-MIN_VERDICT_SAMPLES = 3000
+#: untraced runs sweep at least this often, so every verdict input has
+#: this many latencies to take its median of
+MIN_SWEEPS = 5
 #: host-speed probes per sweep (see hostspeed.py)
 PROBES_PER_SWEEP = 100
 #: never start another sweep after this many seconds
@@ -174,7 +177,7 @@ def run_sweeps(workload, reference, seconds: float, trace: bool,
             break
         if elapsed < seconds or (trace and index % 2 == 1):
             continue
-        if trace or len(workload.samples) >= MIN_VERDICT_SAMPLES:
+        if trace or index >= MIN_SWEEPS:
             break
     return {
         "walls": walls, "traced_walls": traced_walls, "raw_walls": raw_walls,
@@ -184,9 +187,22 @@ def run_sweeps(workload, reference, seconds: float, trace: bool,
     }
 
 
+def input_latencies(workload, host) -> list[float]:
+    """Each verdict input's median scaled latency over the run's sweeps.
+
+    Every sweep evaluates the same inputs afresh.  A pause that lands in
+    one evaluation - a collector pass, the host taking the core away -
+    moves one of that input's samples but not its median, so percentiles
+    over these medians describe the inputs rather than the pauses.
+    """
+    by_input = defaultdict(list)
+    for key, moment, seconds in workload.samples:
+        by_input[key].append(seconds * host.scale_at(moment))
+    return [statistics.median(values) for values in by_input.values()]
+
+
 def end_to_end_metrics(workload, reference, runs, setup_s, host) -> dict:
-    latencies = [seconds * host.scale_at(moment)
-                 for moment, seconds in workload.samples]
+    latencies = input_latencies(workload, host)
     per_sweep = [len(reference) / wall for wall in runs["walls"]]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
@@ -219,7 +235,16 @@ def benchmark(name: str, seed: int, seconds: float, trace: bool,
     reference = workload.reference()
     host.every_jobs = max(1, len(workload.plan.jobs) // PROBES_PER_SWEEP)
     workload.progress = host.progress
-    runs = run_sweeps(workload, reference, seconds, trace, host)
+    # Every full collection in the sweeps would otherwise rescan what is
+    # alive now - the reference records, the loaded program, what the
+    # set-up repetitions left - and on functional those pauses (some 15
+    # a sweep, ~20 ms each) set verdict_p99_ms instead of the inputs.
+    gc.collect()
+    gc.freeze()
+    try:
+        runs = run_sweeps(workload, reference, seconds, trace, host)
+    finally:
+        gc.unfreeze()
     failed = runs["errors"] + runs["mismatches"]
     failed_share = failed / runs["attempted"]
     if trace:
@@ -239,6 +264,7 @@ def benchmark(name: str, seed: int, seconds: float, trace: bool,
         f"# {name} seed={seed} sweeps={runs['sweeps']} "
         f"records_per_sweep={len(reference)} "
         f"verdict_samples={len(workload.samples)} "
+        f"verdict_inputs={len({key for key, _, _ in workload.samples})} "
         f"job_errors={runs['errors']} "
         f"verdict_mismatches={runs['mismatches']} "
         f"failed_share={failed_share} records_digest={runs['digest']} "

@@ -45,7 +45,8 @@ class LatencyProbe(Evaluator):
     """An evaluator that times every call the in-memory cache missed.
 
     Those calls are fresh evaluations, or verdict-store reads when a
-    warm store answers them; ``samples`` collects (start, seconds).
+    warm store answers them; ``samples`` collects (input, start,
+    seconds), the input being the problem number and completion text.
     """
 
     def __init__(self, samples: list, **kwargs):
@@ -58,7 +59,8 @@ class LatencyProbe(Evaluator):
         result = super().evaluate(problem, completion, level)
         elapsed = perf_counter() - started
         if self.cache_hits == hits:
-            self.samples.append((started, elapsed))
+            self.samples.append(((problem.number, completion), started,
+                                 elapsed))
         return result
 
 
@@ -118,7 +120,7 @@ class Workload:
         self.seed = seed
         self.workdir = workdir
         self.config = config or self.CONFIG
-        self.samples: list[tuple[float, float]] = []
+        self.samples: list[tuple[tuple[int, str], float, float]] = []
         #: Session progress callback for the sweeps (the host-speed probe)
         self.progress = None
 
