@@ -3,27 +3,26 @@
 The netlist→closure engine (:mod:`repro.verilog.codegen`) makes two
 promises this script prices:
 
-* **the sim stage gets fast** — on the simulation-heavy tail of the
-  problem set the compiled engine must run the bench simulation at
-  least ``--min-speedup`` times (default 3x) faster than the
-  tree-walking interpreter, gated on the **minimum** per-problem
-  paired ratio (scheduler noise only ever slows a run, so the minimum
-  is the honest bound);
+* **the engine pays for itself** — on the simulation-heavy tail of the
+  problem set, building the engine *plus* running the bench simulation
+  on it must be at least ``--min-speedup`` times faster than the
+  tree-walking interpreter's simulation loop, gated on the **minimum**
+  per-problem ratio (scheduler noise only ever slows a run, so the
+  minimum is the honest bound);
 * **verdicts don't move** — a full sweep with ``compile_sim=True``
   must produce records byte-identical to the interpreted sweep.
 
-The speedup gate measures ``report.sim_seconds`` (the simulate loop
-alone, excluding parse/elaborate and engine construction) because that
-is the stage the engine replaces.  End-to-end evaluation wall time is
-measured and reported alongside but *not* gated: once simulation is
-compiled, parsing the ~100-line bench source dominates a single
-evaluation (Amdahl), so the whole-pipeline ratio is far smaller than
-the sim-stage ratio.  Both numbers land in ``BENCH_sim_speed.json``
-next to this script::
+Engine construction is part of every compiled evaluation, so the gate
+charges it to the compiled side; parse and elaboration are shared by
+both engines and stay out of both.  The sim-loop-only ratio is
+reported but not gated, and so is end-to-end sweep wall time: once
+simulation is compiled, parsing the ~100-line bench source dominates a
+single evaluation (Amdahl).  Every number lands in
+``BENCH_sim_speed.json`` next to this script::
 
     PYTHONPATH=src python benchmarks/bench_sim_speed.py
     PYTHONPATH=src python benchmarks/bench_sim_speed.py \
-        --problems 15,16,17 --repeats 5 --min-speedup 3.0
+        --problems 15,16,17 --repeats 5 --min-speedup 1.3
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import time
 from repro.api import Session
 from repro.eval import SweepConfig
 from repro.problems import ALL_PROBLEMS, PromptLevel
-from repro.verilog import run_simulation
+from repro.verilog import simulate
 from repro.verilog.codegen import CompiledEngine
 from repro.verilog.compile import compile_design
 
@@ -52,46 +51,51 @@ def bench_sources(problem_numbers):
     }
 
 
-def measure_sim_stage(sources, repeats):
-    """Per-problem best-of-``repeats`` sim-stage seconds, both engines.
+def _elaborated(source):
+    report = compile_design(source, top="tb")
+    assert report.ok, report.errors
+    return report.design
 
-    Runs are paired (interpreted then compiled, back to back) so slow
-    drift on a shared runner cancels within a repeat; taking the best
-    of the repeats per engine discards one-off scheduler stalls.
+
+def measure_sim_stage(sources, repeats):
+    """Per-problem best-of-``repeats`` seconds, both engines.
+
+    Each repeat times the interpreter's simulation loop, then engine
+    build and the compiled simulation loop on a fresh elaboration, back
+    to back, so slow drift on a shared runner cancels within a repeat;
+    taking the best of the repeats discards one-off scheduler stalls.
     """
     rows = {}
     for number, source in sources.items():
-        interpreted = compiled = None
-        engine_build = None
+        interpreted = compiled = build = total = float("inf")
         for _ in range(repeats):
-            report, sim = run_simulation(source, top="tb")
-            assert report.ok and sim is not None, report.errors
-            interpreted = (report.sim_seconds if interpreted is None
-                           else min(interpreted, report.sim_seconds))
+            design = _elaborated(source)
+            started = time.perf_counter()
+            sim = simulate(design)
+            interpreted = min(interpreted, time.perf_counter() - started)
             baseline = (sim.finished, sim.time, tuple(sim.output))
 
-            report, sim = run_simulation(source, top="tb", compile_sim=True)
-            assert report.ok and sim is not None, report.errors
-            assert report.sim_engine is not None, "engine failed to build"
-            assert report.sim_engine["fallbacks"] == [], (
+            design = _elaborated(source)
+            started = time.perf_counter()
+            engine = CompiledEngine(design)
+            built = time.perf_counter()
+            sim = simulate(design, engine=engine)
+            finished = time.perf_counter()
+            assert engine.fallbacks == [], (
                 f"p{number:02d} hit interpreter fallbacks: "
-                f"{report.sim_engine['fallbacks']}"
+                f"{engine.fallbacks}"
             )
             assert (sim.finished, sim.time, tuple(sim.output)) == baseline
-            compiled = (report.sim_seconds if compiled is None
-                        else min(compiled, report.sim_seconds))
-
-            built = compile_design(source, top="tb")
-            started = time.perf_counter()
-            CompiledEngine(built.design)
-            build_seconds = time.perf_counter() - started
-            engine_build = (build_seconds if engine_build is None
-                            else min(engine_build, build_seconds))
+            build = min(build, built - started)
+            compiled = min(compiled, finished - built)
+            total = min(total, finished - started)
         rows[number] = {
             "interpreted_sim_seconds": round(interpreted, 6),
             "compiled_sim_seconds": round(compiled, 6),
-            "engine_build_seconds": round(engine_build, 6),
-            "speedup": round(interpreted / compiled, 3),
+            "engine_build_seconds": round(build, 6),
+            "build_plus_sim_seconds": round(total, 6),
+            "sim_loop_speedup": round(interpreted / compiled, 3),
+            "speedup": round(interpreted / total, 3),
         }
     return rows
 
@@ -120,9 +124,10 @@ def main(argv=None) -> int:
                              "(default: 4)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="paired runs per measurement; best is kept")
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="fail when any problem's sim-stage speedup "
-                             "is below this ratio (default: 3.0)")
+    parser.add_argument("--min-speedup", type=float, default=1.3,
+                        help="fail when any problem's interpreted sim "
+                             "over compiled build+sim ratio is below this "
+                             "(default: 1.3)")
     parser.add_argument("--output", default=None,
                         help="artifact path (default: BENCH_sim_speed.json "
                              "next to this script)")
@@ -149,13 +154,14 @@ def main(argv=None) -> int:
     parity = (compiled_result.sweep.records
               == interpreted_result.sweep.records)
 
-    print(f"sim-stage speedups (best of {args.repeats} paired repeats, "
-          f"sim loop only):")
+    print(f"interpreted sim -> compiled engine build + sim (best of "
+          f"{args.repeats} paired repeats):")
     for number, row in sorted(rows.items()):
         print(f"  p{number:02d}: {row['interpreted_sim_seconds'] * 1000:7.2f}"
-              f" ms -> {row['compiled_sim_seconds'] * 1000:6.2f} ms  "
-              f"({row['speedup']:.2f}x; engine build "
-              f"{row['engine_build_seconds'] * 1000:.2f} ms)")
+              f" ms -> {row['engine_build_seconds'] * 1000:5.2f} + "
+              f"{row['compiled_sim_seconds'] * 1000:5.2f} ms  "
+              f"({row['speedup']:.2f}x; sim loop alone "
+              f"{row['sim_loop_speedup']:.2f}x)")
     records = len(compiled_result.sweep.records)
     print(f"end-to-end sweep ({records} records): "
           f"{interpreted_wall * 1000:.1f} ms interpreted -> "
@@ -192,12 +198,12 @@ def main(argv=None) -> int:
         print("FAIL: compiled sweep records differ from interpreted sweep")
         failed = True
     if worst < args.min_speedup:
-        print(f"FAIL: min sim-stage speedup {worst:.2f}x < "
+        print(f"FAIL: min build+sim speedup {worst:.2f}x < "
               f"{args.min_speedup:.1f}x gate")
         failed = True
     if failed:
         return 1
-    print(f"OK: min sim-stage speedup {worst:.2f}x >= "
+    print(f"OK: min build+sim speedup {worst:.2f}x >= "
           f"{args.min_speedup:.1f}x, records identical")
     return 0
 

@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
     print(f"-- finished={result.finished} at t={result.time}")
     if report.sim_engine is not None:
         plan = report.sim_engine
-        print(f"-- engine=compiled two_state={plan['two_state']} "
+        print("-- engine=compiled "
               f"processes={plan['compiled']}/{plan['processes']} "
               f"fallbacks={len(plan['fallbacks'])}")
     if result.vcd is not None and result.vcd_file:
@@ -842,44 +842,24 @@ def _cmd_store(args) -> int:
         print(f"error: {args.dir!r} is not a verdict store directory")
         return 2
     store = VerdictStore(args.dir)
-    # the attached compiled-sim plan cache (simcache/) shares every
-    # maintenance path; None when the store has never cached a plan
-    sim_cache = store.sim_cache(create=False)
     if args.action == "pack":
         packed = store.pack()
         stats = store.stats()
         print(f"packed {packed} verdict file(s) into {store.pack_path} "
               f"({stats['entries']} entries total)")
-        if sim_cache is not None:
-            packed = sim_cache.pack()
-            print(f"packed {packed} sim plan(s) into "
-                  f"{sim_cache.pack_path} ({len(sim_cache)} plans total)")
     elif args.action == "compact":
         removed = store.compact()
         stats = store.stats()
         print(f"compacted {store.pack_path}: dropped {removed} dead "
               f"line(s) ({stats['packed']} packed entries remain)")
-        if sim_cache is not None:
-            removed = sim_cache.compact()
-            print(f"compacted {sim_cache.pack_path}: dropped {removed} "
-                  f"dead line(s)")
     elif args.action == "unpack":
         restored = store.unpack()
         print(f"unpacked {restored} verdict(s) back into {store.path} "
               f"({len(store)} entries total)")
-        if sim_cache is not None:
-            restored = sim_cache.unpack()
-            print(f"unpacked {restored} sim plan(s) back into "
-                  f"{sim_cache.path}")
     else:  # info
         stats = store.stats()
         print(f"store {store.path}: {stats['entries']} entries "
               f"({stats['files']} files, {stats['packed']} packed)")
-        if sim_cache is not None:
-            sim_stats = sim_cache.stats()
-            print(f"simcache {sim_cache.path}: {sim_stats['entries']} "
-                  f"plan(s) ({sim_stats['files']} files, "
-                  f"{sim_stats['packed']} packed)")
     return 0
 
 

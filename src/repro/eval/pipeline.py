@@ -98,8 +98,7 @@ class Evaluator:
         #: run bench simulations on the netlist→closure engine
         #: (:mod:`repro.verilog.codegen`); verdicts are identical to the
         #: interpreter's by construction, so the flag never enters cache
-        #: keys.  When a VerdictStore is attached, compile plans persist
-        #: in its ``simcache/`` subdirectory keyed by bench-source hash.
+        #: keys.
         self.compile_sim = compile_sim
         #: run the netlist static-analysis pass (and lint counters)
         #: between elaboration and simulation; error findings reject the
@@ -192,24 +191,11 @@ class Evaluator:
         # in which case the bench simulation attributes its wall time to
         # netlist constructs and publishes one `profile` frame per run.
         profiler = maybe_sim_profiler()
-        sim_cache = bench_hash = plan = None
-        if self.compile_sim and self.store is not None:
-            sim_cache = self.store.sim_cache()
-        if sim_cache is not None:
-            bench_hash = stable_hash(bench)
-            plan = sim_cache.get(bench_hash)
-            if plan is not None:
-                REGISTRY.inc("sim_compile_cache_hits_total")
         bench_report, sim = run_simulation(
             bench, top="tb", max_time=self.max_time,
             max_steps=self.max_steps, profiler=profiler,
             compile_sim=self.compile_sim,
-            analysis_findings=findings if findings else None,
-            compile_plan=plan,
         )
-        if (sim_cache is not None and plan is None
-                and bench_report.sim_engine is not None):
-            sim_cache.put(bench_hash, bench_report.sim_engine)
         self._observe_report(problem, bench_report, design=False)
         if profiler is not None:
             record_profile(

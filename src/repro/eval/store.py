@@ -1,4 +1,4 @@
-"""Cross-process on-disk caches: verdicts and compiled-sim plans.
+"""Cross-process on-disk verdict cache.
 
 The in-memory :class:`~repro.eval.pipeline.Evaluator` cache collapses
 duplicate completions within one process, but every process-pool worker
@@ -10,22 +10,13 @@ so any evaluator pointed at the same path — a later run, a sibling
 worker process, a pull-based coordinator worker — skips the compile and
 simulation entirely.
 
-Both stores share one engine, :class:`KeyedJsonStore` — a
-directory-backed ``key -> JSON payload`` map with atomic file writes, a
-JSONL pack format, and compaction:
-
-* :class:`VerdictStore` — ``p<problem>_<hash>.json`` files holding
-  full :class:`~repro.eval.report.CompletionEvaluation` codecs;
-* :class:`CompileSimCache` — ``s_<source-hash>.json`` files in a
-  ``simcache/`` subdirectory holding the netlist→closure compiler's
-  plan summary (:meth:`repro.verilog.codegen.CompiledEngine.plan`)
-  keyed by bench-source hash, so repeat evaluations of a seen source
-  skip the two-state proof and reuse recorded compile decisions.
-
-The two stores are invisible to each other: entry filenames must match
-the store's key pattern, so the simcache subdirectory and any foreign
-``.json`` files are never counted, packed, or deleted by the verdict
-store (and vice versa).
+The store is a :class:`KeyedJsonStore` — a directory-backed
+``key -> JSON payload`` map with atomic file writes, a JSONL pack
+format, and compaction — holding ``p<problem>_<hash>.json`` files with
+full :class:`~repro.eval.report.CompletionEvaluation` codecs.  Entry
+filenames must match the store's key pattern, so foreign ``.json``
+files and subdirectories (such as the ``simcache/`` directory older
+versions left behind) are never counted, packed, or deleted.
 
 Concurrency model: writes go through a per-process temp file renamed
 into place (``os.replace`` is atomic on POSIX and Windows), so readers
@@ -47,12 +38,10 @@ cycles leave shadowed duplicate lines behind —
 key (atomic replace, idempotent; safe against readers and file
 writers, but do not run it while another process is packing the same
 store).  :meth:`KeyedJsonStore.unpack` reverses packing.  The CLI
-drives all three — ``python -m repro store {pack,compact,unpack} DIR``
-— and applies pack/compact/clear to the verdict store and its attached
-simcache together, so eviction shares one maintenance path.
+drives all three — ``python -m repro store {pack,compact,unpack} DIR``.
 
-The stores are picklable (they carry only their path), so
-:class:`~repro.service.process.ProcessPoolSweepExecutor` ships them to
+The store is picklable (it carries only its path), so
+:class:`~repro.service.process.ProcessPoolSweepExecutor` ships it to
 workers the same way it ships the backend.
 """
 
@@ -71,9 +60,6 @@ _ENTRY_RE = re.compile(r"^p\d{2,}_[0-9a-f]{16,}\.json$")
 
 #: compiled-sim plan entry filenames: s_<16-hex-digit source hash>
 _SIM_ENTRY_RE = re.compile(r"^s_[0-9a-f]{16,}\.json$")
-
-#: subdirectory of a verdict store holding its compiled-sim plan cache
-SIM_CACHE_DIRNAME = "simcache"
 
 
 class KeyedJsonStore:
@@ -377,15 +363,9 @@ class KeyedJsonStore:
         return f"{type(self).__name__}({self.path!r}, entries={len(self)})"
 
 
+# No caller in the package; perfbench's traced runs still wrap its get/put.
 class CompileSimCache(KeyedJsonStore):
-    """On-disk ``source hash -> compiled-sim plan`` cache.
-
-    Lives in a ``simcache/`` subdirectory next to a
-    :class:`VerdictStore`'s verdict files.  A plan is the JSON summary
-    from :meth:`repro.verilog.codegen.CompiledEngine.plan`; a hit lets
-    the evaluator rebuild the engine without re-running the two-state
-    proof and counts into ``sim_compile_cache_hits_total``.
-    """
+    """Retired ``source hash -> compiled-sim plan`` cache (``simcache/``)."""
 
     ENTRY_RE = _SIM_ENTRY_RE
     PAYLOAD_FIELD = "plan"
@@ -433,28 +413,6 @@ class VerdictStore(KeyedJsonStore):
     def put(self, problem: int, completion_hash: int, evaluation) -> None:
         self.put_key(self._key(problem, completion_hash), evaluation)
 
-    # ------------------------------------------------------------------
-    # Attached compiled-sim plan cache
-    # ------------------------------------------------------------------
-    @property
-    def sim_cache_path(self) -> str:
-        return os.path.join(self.path, SIM_CACHE_DIRNAME)
-
-    def sim_cache(self, create: bool = True) -> "CompileSimCache | None":
-        """The store's compiled-sim plan cache (``simcache/`` subdir).
-
-        With ``create=False``, returns ``None`` unless the subdirectory
-        already exists — the read-only view ``store info`` and the
-        maintenance commands use, so inspecting a store never mutates
-        it.
-        """
-        if not create and not os.path.isdir(self.sim_cache_path):
-            return None
-        try:
-            return CompileSimCache(self.sim_cache_path)
-        except OSError:
-            return None
-
 
 def resolve_store(store: "VerdictStore | str | None") -> "VerdictStore | None":
     """Coerce a store argument: instance passes through, a string is a
@@ -466,8 +424,6 @@ def resolve_store(store: "VerdictStore | str | None") -> "VerdictStore | None":
 
 __all__ = [
     "PACK_FILENAME",
-    "SIM_CACHE_DIRNAME",
-    "CompileSimCache",
     "KeyedJsonStore",
     "VerdictStore",
     "resolve_store",

@@ -36,7 +36,7 @@ from .errors import (
 from .lexer import Token, tokenize
 from .parser import parse
 from .lint import LintWarning, lint_module, lint_source_unit
-from .codegen import CompiledEngine, prove_two_state
+from .codegen import CompiledEngine
 from .sim import SimResult, Simulator, simulate
 from .values import Vec
 from .vcd import VcdRecorder
@@ -73,7 +73,6 @@ __all__ = [
     "infer_top",
     "parse",
     "CompiledEngine",
-    "prove_two_state",
     "run_simulation",
     "lint_module",
     "lint_source_unit",

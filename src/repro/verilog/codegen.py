@@ -12,16 +12,7 @@ lowers each process to Python closures:
   concat splits precomputed (mirroring ``store_to_lvalue``);
 * sensitivity lists become persistent ``_SenseEntry`` objects with the
   waiter-registration signal list and a fast re-eval closure attached,
-  so suspension no longer re-runs ``collect_reads`` + scope resolution;
-* on top of the four-state closures, a **two-state fast path**
-  (:func:`_compile2`) evaluates side-effect-free trees over plain masked
-  Python ints, guarded per leaf: any x/z bit bails out to the four-state
-  closure of the whole tree, so results are bit-identical always.  The
-  dual lowering is emitted when :func:`prove_two_state` shows the design
-  never manufactures x/z after initialization (no x/z literals feeding
-  the dataflow, no never-initialized registers per the analyzer's x-prop
-  check) — the guards keep either mode exact, the proof just avoids
-  paying for closures that would always bail.
+  so suspension no longer re-runs ``collect_reads`` + scope resolution.
 
 Compiled processes are plain generators speaking the interpreter's
 suspension protocol (``("delay", ticks)`` / ``("wait", entries)``), so
@@ -40,8 +31,6 @@ already unsupported upstream — signals carry run state.)
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import ast, values
 from .elaborate import Design, ProcessSpec, Scope, Signal
 from .errors import ElaborationError, SimulationError
@@ -50,7 +39,6 @@ from .eval import (
     _COMPARE_OPS,
     _CONTEXT_OPS,
     _CONTEXT_UNARY,
-    _LOGICAL_OPS,
     _SHIFT_OPS,
     _UNARY_FUNCS,
     _string_to_vec,
@@ -61,15 +49,11 @@ from .eval import (
 from .sim import _FinishSim, _SenseEntry, render_value
 from .values import Vec
 
-__all__ = ["CompiledEngine", "prove_two_state"]
+__all__ = ["CompiledEngine"]
 
 
 class _Unsupported(Exception):
     """Raised at compile time: lower this process via the interpreter."""
-
-
-class _NoFastPath(Exception):
-    """Raised at compile time: no two-state lowering for this tree."""
 
 
 # ----------------------------------------------------------------------
@@ -192,10 +176,6 @@ def _signal_of(base: ast.Expr, scope: Scope) -> Signal | None:
         if resolved and resolved[0] == "signal":
             return resolved[1]
     return None
-
-
-def _node_count(expr: ast.Expr) -> int:
-    return 1 + sum(_node_count(child) for child in _children_of(expr))
 
 
 # ----------------------------------------------------------------------
@@ -546,653 +526,19 @@ def _compile4_function_call(expr: ast.FunctionCall, scope: Scope):
 
 
 # ----------------------------------------------------------------------
-# Two-state lowering (masked-int fast path with per-leaf x/z guards)
-# ----------------------------------------------------------------------
-# ``fn2(sim) -> int | None``: the unsigned masked value at the static
-# width, or None ("bail") when any consumed bit is x/z — the caller then
-# re-runs the four-state closure of the whole tree.  Eligible trees are
-# side-effect-free ($random and function calls are excluded), so the
-# bail-and-recompute never double-runs an effect.
-
-_VEC_NEW = Vec.__new__
-_SET = object.__setattr__
-
-
-def _box(width: int, aval: int, signed: bool) -> Vec:
-    """Build a fully-known Vec without re-running field validation."""
-    vec = _VEC_NEW(Vec)
-    _SET(vec, "width", width)
-    _SET(vec, "aval", aval)
-    _SET(vec, "bval", 0)
-    _SET(vec, "signed", signed)
-    return vec
-
-
-def _ext2(fn, from_w: int, to_w: int, signed: bool):
-    """Extend a masked int from ``from_w`` to ``to_w`` bits, mirroring
-    ``Vec.resize`` extension (sign-fill iff the source is signed)."""
-    if from_w >= to_w:
-        return fn
-    if not signed:
-        return fn  # zero extension of a masked value is the identity
-    sign_bit = 1 << (from_w - 1)
-    fill = ((1 << (to_w - from_w)) - 1) << from_w
-
-    def run(sim):
-        value = fn(sim)
-        if value is None or not value & sign_bit:
-            return value
-        return value | fill
-
-    return run
-
-
-def _to_signed(value: int, width: int) -> int:
-    return value - (1 << width) if value >> (width - 1) else value
-
-
-def _compile2(expr: ast.Expr, scope: Scope, width: int | None):
-    """Two-state lowering; returns ``(fn2, width, signed)`` or raises
-    :class:`_NoFastPath`/:class:`_Unsupported`."""
-    if isinstance(expr, ast.Number):
-        vec = Vec.from_bits(expr.value_bits, expr.signed)
-        if vec.bval:
-            raise _NoFastPath("x/z literal")
-        aval = vec.aval
-        return (lambda sim: aval), vec.width, expr.signed
-    if isinstance(expr, ast.StringLit):
-        vec = _string_to_vec(expr.text)
-        aval = vec.aval
-        return (lambda sim: aval), vec.width, False
-    if isinstance(expr, ast.Identifier):
-        resolved = scope.resolve(expr.name)
-        if resolved is None:
-            raise _Unsupported(f"undeclared identifier {expr.name!r}")
-        kind, payload = resolved
-        if kind == "param":
-            if payload.bval:
-                raise _NoFastPath("x/z parameter")
-            aval = payload.aval
-            return (lambda sim: aval), payload.width, payload.signed
-        if kind != "signal" or payload.memory is not None:
-            raise _NoFastPath("not a plain signal")
-        signal = payload
-
-        def run_signal(sim):
-            value = signal.value
-            if value.bval:
-                return None
-            return value.aval
-
-        return run_signal, signal.width, signal.signed
-    if isinstance(expr, ast.Unary):
-        return _compile2_unary(expr, scope, width)
-    if isinstance(expr, ast.Binary):
-        return _compile2_binary(expr, scope, width)
-    if isinstance(expr, ast.Ternary):
-        return _compile2_ternary(expr, scope, width)
-    if isinstance(expr, ast.Concat):
-        parts = [_compile2(part, scope, None) for part in expr.parts]
-        total = sum(part_w for _, part_w, _ in parts)
-
-        def run_concat(sim):
-            aval = 0
-            for fn, part_w, _ in parts:
-                piece = fn(sim)
-                if piece is None:
-                    return None
-                aval = (aval << part_w) | piece
-            return aval
-
-        return run_concat, total, False
-    if isinstance(expr, ast.Replicate):
-        if not _is_param_const(expr.count, scope):
-            raise _NoFastPath("dynamic replication count")
-        count = eval_expr(expr.count, scope).to_unsigned()
-        if count is None or count < 1:
-            raise _Unsupported("constant bad replication count")
-        fn, part_w, _ = _compile2(expr.value, scope, None)
-
-        def run_repl(sim):
-            piece = fn(sim)
-            if piece is None:
-                return None
-            aval = 0
-            for _ in range(count):
-                aval = (aval << part_w) | piece
-            return aval
-
-        return run_repl, count * part_w, False
-    if isinstance(expr, ast.BitSelect):
-        return _compile2_bit_select(expr, scope)
-    if isinstance(expr, ast.PartSelect):
-        return _compile2_part_select(expr, scope)
-    if isinstance(expr, ast.IndexedPartSelect):
-        return _compile2_indexed(expr, scope)
-    if isinstance(expr, ast.SystemCall):
-        return _compile2_system_call(expr, scope)
-    raise _NoFastPath(type(expr).__name__)
-
-
-def _compile2_unary(expr: ast.Unary, scope: Scope, width: int | None):
-    op = expr.op
-    if op in _CONTEXT_UNARY:
-        inner = max(width or 0, _static_size(expr.operand, scope))
-        fn, operand_w, signed = _compile2(expr.operand, scope, inner)
-        fn = _ext2(fn, operand_w, inner, signed)
-        if op == "+":
-            return fn, inner, signed
-        mask = (1 << inner) - 1
-        if op == "-":
-            def run_neg(sim):
-                value = fn(sim)
-                return None if value is None else (-value) & mask
-
-            return run_neg, inner, signed
-
-        def run_not(sim):
-            value = fn(sim)
-            return None if value is None else ~value & mask
-
-        return run_not, inner, False
-    fn, operand_w, _ = _compile2(expr.operand, scope, None)
-    mask = (1 << operand_w) - 1
-    if op == "!":
-        def run_lnot(sim):
-            value = fn(sim)
-            if value is None:
-                return None
-            return 0 if value else 1
-
-        return run_lnot, 1, False
-    if op in ("&", "~&"):
-        hit = 1 if op == "&" else 0
-
-        def run_rand(sim):
-            value = fn(sim)
-            if value is None:
-                return None
-            return hit if value == mask else 1 - hit
-
-        return run_rand, 1, False
-    if op in ("|", "~|"):
-        hit = 1 if op == "|" else 0
-
-        def run_ror(sim):
-            value = fn(sim)
-            if value is None:
-                return None
-            return hit if value else 1 - hit
-
-        return run_ror, 1, False
-    if op in ("^", "~^", "^~"):
-        odd = 1 if op == "^" else 0
-
-        def run_rxor(sim):
-            value = fn(sim)
-            if value is None:
-                return None
-            return odd if value.bit_count() & 1 else 1 - odd
-
-        return run_rxor, 1, False
-    raise _NoFastPath(f"unary {op!r}")
-
-
-def _compile2_binary(expr: ast.Binary, scope: Scope, width: int | None):
-    op = expr.op
-    if op in _CONTEXT_OPS:
-        context = max(width or 0, _static_size(expr.lhs, scope),
-                      _static_size(expr.rhs, scope))
-        lf, lw, ls = _compile2(expr.lhs, scope, context)
-        rf, rw, rs = _compile2(expr.rhs, scope, context)
-        lf = _ext2(lf, lw, context, ls)
-        rf = _ext2(rf, rw, context, rs)
-        mask = (1 << context) - 1
-        signed = ls and rs
-        if op in ("+", "-", "*"):
-            flip = {"+": lambda a, b: a + b,
-                    "-": lambda a, b: a - b,
-                    "*": lambda a, b: a * b}[op]
-
-            def run_arith(sim):
-                a = lf(sim)
-                if a is None:
-                    return None
-                b = rf(sim)
-                if b is None:
-                    return None
-                return flip(a, b) & mask
-
-            return run_arith, context, signed
-        if op in ("&", "|", "^", "~^", "^~"):
-            if op == "&":
-                combine = lambda a, b: a & b  # noqa: E731
-            elif op == "|":
-                combine = lambda a, b: a | b  # noqa: E731
-            elif op == "^":
-                combine = lambda a, b: a ^ b  # noqa: E731
-            else:
-                combine = lambda a, b: ~(a ^ b) & mask  # noqa: E731
-
-            def run_bits(sim):
-                a = lf(sim)
-                if a is None:
-                    return None
-                b = rf(sim)
-                if b is None:
-                    return None
-                return combine(a, b)
-
-            return run_bits, context, False
-        if op in ("/", "%"):
-            def run_divmod(sim):
-                a = lf(sim)
-                if a is None:
-                    return None
-                b = rf(sim)
-                if b is None or b == 0:
-                    return None  # division by zero: x result, bail
-                if signed:
-                    a = _to_signed(a, context)
-                    b = _to_signed(b, context)
-                if op == "/":
-                    result = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        result = -result
-                else:
-                    result = abs(a) % abs(b)
-                    if a < 0:
-                        result = -result
-                return result & mask
-
-            return run_divmod, context, signed
-        raise _NoFastPath(f"context op {op!r}")
-    if op in _COMPARE_OPS:
-        context = max(_static_size(expr.lhs, scope),
-                      _static_size(expr.rhs, scope))
-        lf, lw, ls = _compile2(expr.lhs, scope, context)
-        rf, rw, rs = _compile2(expr.rhs, scope, context)
-        lf = _ext2(lf, lw, context, ls)
-        rf = _ext2(rf, rw, context, rs)
-        signed = ls and rs
-        if op in ("==", "!=", "===", "!=="):
-            hit = 1 if op in ("==", "===") else 0
-
-            def run_eq(sim):
-                a = lf(sim)
-                if a is None:
-                    return None
-                b = rf(sim)
-                if b is None:
-                    return None
-                return hit if a == b else 1 - hit
-
-            return run_eq, 1, False
-        compare = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-                   ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}[op]
-
-        def run_rel(sim):
-            a = lf(sim)
-            if a is None:
-                return None
-            b = rf(sim)
-            if b is None:
-                return None
-            if signed:
-                a = _to_signed(a, context)
-                b = _to_signed(b, context)
-            return 1 if compare(a, b) else 0
-
-        return run_rel, 1, False
-    if op in _SHIFT_OPS:
-        return _compile2_shift(expr, scope, width)
-    if op in _LOGICAL_OPS:
-        lf, _, _ = _compile2(expr.lhs, scope, None)
-        rf, _, _ = _compile2(expr.rhs, scope, None)
-        # Eligible trees are side-effect-free, so short-circuiting a
-        # known-dominant operand is observationally identical.
-        if op == "&&":
-            def run_and(sim):
-                a = lf(sim)
-                if a == 0:
-                    return 0
-                b = rf(sim)
-                if b == 0:
-                    return 0
-                if a is None or b is None:
-                    return None
-                return 1
-
-            return run_and, 1, False
-
-        def run_or(sim):
-            a = lf(sim)
-            if a is not None and a != 0:
-                return 1
-            b = rf(sim)
-            if b is not None and b != 0:
-                return 1
-            if a is None or b is None:
-                return None
-            return 0
-
-        return run_or, 1, False
-    raise _NoFastPath(f"binary {op!r}")
-
-
-def _compile2_shift(expr: ast.Binary, scope: Scope, width: int | None):
-    op = expr.op
-    context = max(width or 0, _static_size(expr.lhs, scope))
-    lf, lw, ls = _compile2(expr.lhs, scope, context)
-    lf = _ext2(lf, lw, context, ls)
-    rf, rw, rs = _compile2(expr.rhs, scope, None)
-    mask = (1 << context) - 1
-    if op in ("<<", "<<<"):
-        def run_shl(sim):
-            a = lf(sim)
-            if a is None:
-                return None
-            amount = rf(sim)
-            if amount is None:
-                return None
-            if amount >= context:
-                return 0
-            return (a << amount) & mask
-
-        return run_shl, context, ls
-    if op == ">>":
-        def run_shr(sim):
-            a = lf(sim)
-            if a is None:
-                return None
-            amount = rf(sim)
-            if amount is None:
-                return None
-            return a >> amount
-
-        return run_shr, context, ls
-    if op == ">>>":
-        if not ls:
-            def run_sshr_u(sim):
-                a = lf(sim)
-                if a is None:
-                    return None
-                amount = rf(sim)
-                if amount is None:
-                    return None
-                return a >> amount
-
-            return run_sshr_u, context, ls
-        sign_bit = 1 << (context - 1)
-
-        def run_sshr(sim):
-            a = lf(sim)
-            if a is None:
-                return None
-            amount = rf(sim)
-            if amount is None:
-                return None
-            amount = min(amount, context)
-            fill = (((1 << amount) - 1) << (context - amount)
-                    if amount else 0)
-            shifted = a >> amount
-            return shifted | fill if a & sign_bit else shifted
-
-        return run_sshr, context, ls
-    # ** — values.power re-unifies widths and signedness itself
-    result_w = max(context, rw)
-    lf = _ext2(lf, context, result_w, ls)
-    rf2 = _ext2(rf, rw, result_w, rs)
-    signed = ls and rs
-    mask = (1 << result_w) - 1
-
-    def run_pow(sim):
-        a = lf(sim)
-        if a is None:
-            return None
-        b = rf2(sim)
-        if b is None:
-            return None
-        if signed:
-            a = _to_signed(a, result_w)
-            b = _to_signed(b, result_w)
-        if b < 0:
-            if a in (1, -1):
-                return ((a ** (-b & 1)) if a == -1 else 1) & mask
-            return 0
-        return pow(a, b) & mask
-
-    return run_pow, result_w, signed
-
-
-def _compile2_ternary(expr: ast.Ternary, scope: Scope, width: int | None):
-    context = max(width or 0, _static_size(expr.if_true, scope),
-                  _static_size(expr.if_false, scope))
-    cond_fn, _, _ = _compile2(expr.cond, scope, None)
-    tf, tw, ts = _compile2(expr.if_true, scope, context)
-    ff, fw, fs = _compile2(expr.if_false, scope, context)
-    if ts != fs:
-        # the chosen arm decides result signedness at runtime
-        raise _NoFastPath("ternary arms disagree on signedness")
-    tf = _ext2(tf, tw, context, ts)
-    ff = _ext2(ff, fw, context, fs)
-
-    def run(sim):
-        chooser = cond_fn(sim)
-        if chooser is None:
-            return None  # ambiguous: four-state merge path
-        return tf(sim) if chooser else ff(sim)
-
-    return run, context, ts
-
-
-def _compile2_bit_select(expr: ast.BitSelect, scope: Scope):
-    signal = _signal_of(expr.base, scope)
-    if signal is None:
-        raise _NoFastPath("bit-select on non-signal")
-    if signal.memory is not None:
-        lo_addr, hi_addr = signal.array_lo, signal.array_hi
-        memory = signal.memory
-        if _is_param_const(expr.index, scope):
-            address = eval_expr(expr.index, scope).to_int()
-            if address is None or not lo_addr <= address <= hi_addr:
-                raise _NoFastPath("constant out-of-range word address")
-
-            def run_const_word(sim):
-                word = memory.get(address)
-                if word is None or word.bval:
-                    return None
-                return word.aval
-
-            return run_const_word, signal.width, signal.signed
-        index_fn, index_w, index_s = _compile2(expr.index, scope, None)
-
-        def run_word(sim):
-            address = index_fn(sim)
-            if address is None:
-                return None
-            if index_s:
-                address = _to_signed(address, index_w)
-            if not lo_addr <= address <= hi_addr:
-                return None  # x word, bail
-            word = memory.get(address)
-            if word is None or word.bval:
-                return None
-            return word.aval
-
-        return run_word, signal.width, signal.signed
-    if _is_param_const(expr.index, scope):
-        offset = signal.bit_offset(eval_expr(expr.index, scope).to_int())
-        if offset is None:
-            raise _NoFastPath("constant out-of-range bit index")
-        bit = 1 << offset
-
-        def run_const_bit(sim):
-            value = signal.value
-            if value.bval & bit:
-                return None
-            return 1 if value.aval & bit else 0
-
-        return run_const_bit, 1, False
-    index_fn, index_w, index_s = _compile2(expr.index, scope, None)
-    msb_decl, lsb_decl, sig_w = signal.msb, signal.lsb, signal.width
-
-    def run_bit(sim):
-        index = index_fn(sim)
-        if index is None:
-            return None
-        if index_s:
-            index = _to_signed(index, index_w)
-        offset = (index - lsb_decl if msb_decl >= lsb_decl
-                  else lsb_decl - index)
-        if not 0 <= offset < sig_w:
-            return None  # out of range reads x, bail
-        value = signal.value
-        if (value.bval >> offset) & 1:
-            return None
-        return (value.aval >> offset) & 1
-
-    return run_bit, 1, False
-
-
-def _compile2_part_select(expr: ast.PartSelect, scope: Scope):
-    signal = _signal_of(expr.base, scope)
-    if signal is None or signal.memory is not None:
-        raise _NoFastPath("part-select needs a plain signal")
-    if not (_is_param_const(expr.msb, scope)
-            and _is_param_const(expr.lsb, scope)):
-        raise _NoFastPath("dynamic part-select bounds")
-    msb = eval_expr(expr.msb, scope).to_int()
-    lsb = eval_expr(expr.lsb, scope).to_int()
-    if msb is None or lsb is None:
-        raise _Unsupported("x/z part-select bounds")
-    hi, lo = signal.bit_offset(msb), signal.bit_offset(lsb)
-    if hi is None or lo is None:
-        raise _NoFastPath("out-of-range part-select")
-    if hi < lo:
-        hi, lo = lo, hi
-    width = hi - lo + 1
-    mask = (1 << width) - 1
-
-    def run(sim):
-        value = signal.value
-        if (value.bval >> lo) & mask:
-            return None
-        return (value.aval >> lo) & mask
-
-    return run, width, False
-
-
-def _compile2_indexed(expr: ast.IndexedPartSelect, scope: Scope):
-    signal = _signal_of(expr.base, scope)
-    if signal is None or signal.memory is not None:
-        raise _NoFastPath("indexed part-select needs a plain signal")
-    if not _is_param_const(expr.width, scope):
-        raise _NoFastPath("dynamic indexed part-select width")
-    width = eval_expr(expr.width, scope).to_int()
-    if width is None or width < 1:
-        raise _Unsupported("bad indexed part-select width")
-    start_fn, start_w, start_s = _compile2(expr.start, scope, None)
-    ascending = expr.ascending
-    msb_decl, lsb_decl, sig_w = signal.msb, signal.lsb, signal.width
-    mask = (1 << width) - 1
-
-    def run(sim):
-        start = start_fn(sim)
-        if start is None:
-            return None
-        if start_s:
-            start = _to_signed(start, start_w)
-        lo_index = start if ascending else start - width + 1
-        lo = (lo_index - lsb_decl if msb_decl >= lsb_decl
-              else lsb_decl - lo_index)
-        if not 0 <= lo <= sig_w - width:
-            return None  # any out-of-range bit reads x, bail
-        value = signal.value
-        if (value.bval >> lo) & mask:
-            return None
-        return (value.aval >> lo) & mask
-
-    return run, width, False
-
-
-def _compile2_system_call(expr: ast.SystemCall, scope: Scope):
-    name = expr.name
-    if name in ("$signed", "$unsigned"):
-        if not expr.args:
-            raise _Unsupported(f"{name} without arguments")
-        fn, arg_w, _ = _compile2(expr.args[0], scope, None)
-        return fn, arg_w, name == "$signed"
-    if name == "$clog2":
-        if not expr.args:
-            raise _Unsupported("$clog2 without arguments")
-        fn, _, _ = _compile2(expr.args[0], scope, None)
-
-        def run_clog2(sim):
-            operand = fn(sim)
-            if operand is None:
-                return None
-            bits = 0
-            while (1 << bits) < operand:
-                bits += 1
-            return bits
-
-        return run_clog2, 32, True
-    if name in ("$time", "$stime", "$realtime"):
-        mask = (1 << 64) - 1
-        return (lambda sim: sim.now & mask), 64, False
-    # $random advances LCG state: never safe to bail-and-recompute
-    raise _NoFastPath(f"system function {name!r}")
-
-
-# ----------------------------------------------------------------------
-# Dual lowering combinators
+# Statement and process lowering
 # ----------------------------------------------------------------------
 class _ProcessCompiler:
     """Compiles one :class:`ProcessSpec` into a generator factory."""
 
-    def __init__(self, design: Design, two_state: bool):
+    def __init__(self, design: Design):
         self.design = design
-        self.two_state = two_state
 
     # -- expressions ---------------------------------------------------
-    def value_fn(self, expr: ast.Expr, scope: Scope, width: int | None):
-        """``fn(sim) -> Vec`` with the two-state fast path when proven."""
-        four, _ = _compile4(expr, scope, width)
-        if not self.two_state or _node_count(expr) < 2:
-            return four
-        try:
-            fast, fast_w, fast_s = _compile2(expr, scope, width)
-        except _NoFastPath:
-            return four
-        if fast_s is None:
-            return four
-
-        def run(sim):
-            value = fast(sim)
-            if value is None:
-                return four(sim)
-            return _box(fast_w, value, fast_s)
-
-        return run
-
     def cond_fn(self, expr: ast.Expr, scope: Scope):
         """``fn(sim) -> bool`` mirroring ``eval_expr(cond).truthy()``."""
-        four, _ = _compile4(expr, scope, None)
-        if self.two_state:
-            try:
-                fast, _, _ = _compile2(expr, scope, None)
-            except _NoFastPath:
-                fast = None
-            if fast is not None:
-                def run(sim):
-                    value = fast(sim)
-                    if value is None:
-                        return four(sim).truthy()
-                    return value != 0
-
-                return run
-        return lambda sim: four(sim).truthy()
+        fn, _ = _compile4(expr, scope, None)
+        return lambda sim: fn(sim).truthy()
 
     def delay_fn(self, expr: ast.Expr | None, scope: Scope):
         """Mirror of ``Simulator._eval_delay``."""
@@ -1426,7 +772,7 @@ class _ProcessCompiler:
     def _compile_assign(self, stmt: ast.Assign, scope: Scope, bump):
         target_width = self.lvalue_width(stmt.target, scope)
         context = max(target_width, _static_size(stmt.value, scope))
-        value_fn = self.value_fn(stmt.value, scope, context)
+        value_fn, _ = _compile4(stmt.value, scope, context)
         store = self.store_fn(stmt.target, scope)
         if stmt.nonblocking:
             has_delay = stmt.delay is not None
@@ -1500,11 +846,10 @@ class _ProcessCompiler:
 
     def _compile_case(self, stmt: ast.Case, scope: Scope, bump):
         kind = stmt.kind
-        subject4, _ = _compile4(stmt.subject, scope, None)
-        slow_items = []  # (label_fns, body_index) in source order
+        subject_fn, _ = _compile4(stmt.subject, scope, None)
+        items = []  # (label_fns, body_index) in source order
         bodies = []
         default_index = -1
-        const_labels = []  # per non-default item: list of Vec or None
         for item in stmt.items:
             body_index = len(bodies)
             bodies.append(self.stmt_item(item.body, scope))
@@ -1514,32 +859,13 @@ class _ProcessCompiler:
             label_fns = tuple(
                 _compile4(label, scope, None)[0] for label in item.exprs
             )
-            slow_items.append((label_fns, body_index))
-            folded = []
-            for label in item.exprs:
-                if not _is_param_const(label, scope):
-                    folded = None
-                    break
-                folded.append(eval_expr(label, scope))
-            const_labels.append(folded)
-        fast_items = self._case_fast_items(
-            stmt, scope, kind, slow_items, const_labels
-        )
-        slow_items = tuple(slow_items)
+            items.append((label_fns, body_index))
+        items = tuple(items)
 
         def select(sim) -> int:
             """Index of the body to run, or -1 (mirrors _exec_case)."""
-            if fast_items is not None:
-                subject2, match_items = fast_items
-                subject = subject2(sim)
-                if subject is not None:
-                    for matchers, body_index in match_items:
-                        for match in matchers:
-                            if match(subject):
-                                return body_index
-                    return default_index
-            subject = subject4(sim)
-            for label_fns, body_index in slow_items:
+            subject = subject_fn(sim)
+            for label_fns, body_index in items:
                 for label_fn in label_fns:
                     if case_matches(kind, subject, label_fn(sim)):
                         return body_index
@@ -1565,45 +891,6 @@ class _ProcessCompiler:
             return (yield from body_gens[chosen](sim))
 
         return "gen", gen
-
-    def _case_fast_items(self, stmt, scope, kind, slow_items, const_labels):
-        """Precompute int matchers for a fully-constant plain ``case``."""
-        if not self.two_state or kind != "case":
-            return None
-        if any(folded is None for folded in const_labels):
-            return None
-        try:
-            subject2, subject_w, subject_s = _compile2(
-                stmt.subject, scope, None
-            )
-        except _NoFastPath:
-            return None
-        if subject_s is None:
-            return None
-        match_items = []
-        for (_, body_index), folded in zip(slow_items, const_labels):
-            matchers = []
-            for label in folded:
-                width = max(subject_w, label.width)
-                resized = label.resize(width)  # own-signed extension
-                if resized.bval:
-                    return None  # x/z label: four-state matching only
-                target = resized.aval
-                if width == subject_w or not subject_s:
-                    matchers.append(
-                        lambda s, target=target: s == target
-                    )
-                else:
-                    sign_bit = 1 << (subject_w - 1)
-                    fill = (((1 << (width - subject_w)) - 1)
-                            << subject_w)
-                    matchers.append(
-                        lambda s, target=target, sign_bit=sign_bit,
-                        fill=fill:
-                        (s | fill if s & sign_bit else s) == target
-                    )
-            match_items.append((tuple(matchers), body_index))
-        return subject2, tuple(match_items)
 
     def _compile_for(self, stmt: ast.For, scope: Scope, bump):
         init_item = self.stmt_item(stmt.init, scope)
@@ -1803,7 +1090,6 @@ class _ProcessCompiler:
         return "gen", gen
 
     def _compile_wait(self, stmt: ast.Wait, scope: Scope, bump):
-        cond = self.cond_fn(stmt.cond, scope)
         cond4, _ = _compile4(stmt.cond, scope, None)
         entry = _SenseEntry(
             expr=stmt.cond, scope=scope, edge=None, last=Vec.unknown(1),
@@ -1815,7 +1101,7 @@ class _ProcessCompiler:
 
         def gen(sim):
             bump(sim)
-            while not cond(sim):
+            while not cond4(sim).truthy():
                 entry.last = cond4(sim)
                 yield ("wait", [entry])
             if body_sync:
@@ -1955,7 +1241,7 @@ class _ProcessCompiler:
         target_scope = spec.target_scope or spec.scope
         target_width = self.lvalue_width(spec.target, target_scope)
         context = max(target_width, _static_size(spec.value, spec.scope))
-        value_fn = self.value_fn(spec.value, spec.scope, context)
+        value_fn, _ = _compile4(spec.value, spec.scope, context)
         store = self.store_fn(spec.target, target_scope)
         entries: list[_SenseEntry] = []
         refresh = []
@@ -2071,78 +1357,6 @@ def _to_gen(item):
     return gen
 
 
-
-
-
-# ----------------------------------------------------------------------
-# Two-state proof
-# ----------------------------------------------------------------------
-_XZ_CHARS = frozenset("xXzZ?")
-
-
-def _node_has_xz(node: object) -> bool:
-    """Does any executable literal in this AST subtree carry x/z bits?
-
-    Case-item labels and ``===``/``!==`` literal operands are exempt:
-    they *compare against* x/z without injecting it into design state,
-    and are the idiomatic testbench way to check for unknowns.
-    """
-    if isinstance(node, ast.Number):
-        return bool(_XZ_CHARS.intersection(node.value_bits))
-    if isinstance(node, ast.Binary) and node.op in ("===", "!=="):
-        return any(
-            _node_has_xz(side)
-            for side in (node.lhs, node.rhs)
-            if not isinstance(side, ast.Number)
-        )
-    if isinstance(node, ast.Case):
-        if _node_has_xz(node.subject):
-            return True
-        for item in node.items:
-            if any(_node_has_xz(label) for label in item.exprs
-                   if not isinstance(label, ast.Number)):
-                return True
-            if _node_has_xz(item.body):
-                return True
-        return False
-    if not dataclasses.is_dataclass(node):
-        return False
-    for field_info in dataclasses.fields(node):
-        value = getattr(node, field_info.name)
-        if isinstance(value, (list, tuple)):
-            if any(
-                dataclasses.is_dataclass(child) and _node_has_xz(child)
-                for child in value
-            ):
-                return True
-        elif dataclasses.is_dataclass(value) and _node_has_xz(value):
-            return True
-    return False
-
-
-def prove_two_state(design: Design, findings=None) -> bool:
-    """Decide whether the two-state (plain-int) lowering is worth emitting.
-
-    The dual lowering is *always* observationally safe — every compiled
-    leaf guards on x/z bits and bails to the four-state recomputation —
-    so this is a heuristic about profit, not soundness.  We decline when
-    the design executes x/z literals (its state provably sees unknowns)
-    or when the netlist analyzer reported an ``x-prop`` finding (an
-    uninitialized register's x can circulate indefinitely, making the
-    guards bail forever).
-    """
-    if findings is not None and any(
-        getattr(finding, "code", None) == "x-prop" for finding in findings
-    ):
-        return False
-    for spec in design.processes:
-        if spec.value is not None and _node_has_xz(spec.value):
-            return False
-        if spec.body is not None and _node_has_xz(spec.body):
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -2161,15 +1375,14 @@ class CompiledEngine:
     gets a fresh design + engine pair.
     """
 
-    def __init__(self, design: Design, findings=None,
-                 two_state: bool | None = None) -> None:
+    #: one four-state lowering; perfbench's tracer still reads this flag
+    two_state = False
+
+    def __init__(self, design: Design) -> None:
         self.design = design
-        if two_state is None:
-            two_state = prove_two_state(design, findings)
-        self.two_state = bool(two_state)
         self.fallbacks: list[tuple[str, int, str]] = []
         self._factories: dict[int, object] = {}
-        compiler = _ProcessCompiler(design, self.two_state)
+        compiler = _ProcessCompiler(design)
         compiled = 0
         for spec in design.processes:
             try:
@@ -2196,10 +1409,9 @@ class CompiledEngine:
         return self._factories.get(id(spec))
 
     def plan(self) -> dict:
-        """JSON-serializable summary (what the on-disk cache stores)."""
+        """JSON-serializable summary (``CompileReport.sim_engine``)."""
         return {
             "version": 1,
-            "two_state": self.two_state,
             "processes": len(self.design.processes),
             "compiled": self.compiled_count,
             "fallbacks": [

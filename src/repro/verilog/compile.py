@@ -132,8 +132,6 @@ def run_simulation(
     max_steps: int = 2_000_000,
     profiler=None,
     compile_sim: bool = False,
-    analysis_findings=None,
-    compile_plan: dict | None = None,
 ) -> tuple[CompileReport, SimResult | None]:
     """Compile then simulate; returns (compile report, sim result or None).
 
@@ -146,11 +144,7 @@ def run_simulation(
     engine; processes the compiler can't cover fall back per process to
     the interpreter, and any engine-construction failure falls back to
     fully interpreted execution — verdicts are identical either way.
-    ``analysis_findings`` (PR 8 netlist findings, when the caller already
-    ran the analyzer) feed the two-state proof; the engine's plan summary
-    lands in ``report.sim_engine``.  A ``compile_plan`` from a previous
-    run of the same source (the on-disk plan cache) pins the two-state
-    decision so the proof is skipped.
+    The engine's plan summary lands in ``report.sim_engine``.
     """
     report = compile_design(source, top)
     if not report.ok:
@@ -160,16 +154,8 @@ def run_simulation(
     if compile_sim:
         from .codegen import CompiledEngine
 
-        two_state = None
-        if compile_plan is not None:
-            cached = compile_plan.get("two_state")
-            if isinstance(cached, bool):
-                two_state = cached
         try:
-            engine = CompiledEngine(
-                report.design, findings=analysis_findings,
-                two_state=two_state,
-            )
+            engine = CompiledEngine(report.design)
         except Exception:
             engine = None  # fully interpreted run; behavior unchanged
         else:

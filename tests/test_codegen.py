@@ -6,8 +6,8 @@ design, running with ``compile_sim=True`` must produce byte-identical
 stages/lines/messages, and identical verdicts.  These tests enforce the
 contract differentially over the reference designs, their curated wrong
 variants, and seeded mutation perturbations, then pin down the engine's
-own mechanics (two-state proof, per-process fallback, plan cache,
-profiler attribution).
+own mechanics (per-process fallback, plan summary, profiler
+attribution).
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import random
 import pytest
 
 from repro.eval.pipeline import Evaluator
-from repro.eval.store import CompileSimCache, VerdictStore
 from repro.models import mutations
-from repro.obs import REGISTRY
 from repro.obs.profile import SimProfiler, profile_frame
 from repro.problems import ALL_PROBLEMS, PromptLevel
-from repro.verilog import CompiledEngine, prove_two_state, run_simulation
+from repro.verilog import CompiledEngine, run_simulation
 from repro.verilog.compile import compile_design
 
 
@@ -67,7 +65,6 @@ class TestReferenceParity:
         assert plan is not None
         assert plan["fallbacks"] == []
         assert plan["compiled"] == plan["processes"] > 0
-        assert plan["two_state"] is True
 
     @pytest.mark.parametrize(
         "problem", ALL_PROBLEMS, ids=[f"p{p.number:02d}" for p in ALL_PROBLEMS]
@@ -83,7 +80,7 @@ class TestReferenceParity:
 
         Mutated completions exercise the paths a clean reference never
         reaches — parse/elaborate rejections, x/z propagation through
-        the two-state guards, simulations that die mid-bench.
+        x/z values, simulations that die mid-bench.
         """
         rng = random.Random(0xC0DE6E)
         for problem in ALL_PROBLEMS:
@@ -155,10 +152,10 @@ class TestRuntimeErrorParity:
 # ----------------------------------------------------------------------
 # Engine mechanics
 # ----------------------------------------------------------------------
-def _engine_for(source: str, top: str = "tb", **kwargs) -> CompiledEngine:
+def _engine_for(source: str, top: str = "tb") -> CompiledEngine:
     report = compile_design(source, top=top)
     assert report.ok, report.errors
-    return CompiledEngine(report.design, **kwargs)
+    return CompiledEngine(report.design)
 
 
 class TestEngine:
@@ -180,38 +177,7 @@ class TestEngine:
             assert plan["compiled"] < plan["processes"]
             assert any("Disable" in f["reason"] for f in plan["fallbacks"])
 
-    def test_two_state_veto_on_xz_literal(self):
-        source = (
-            "module tb;\n"
-            "  reg [3:0] q;\n"
-            "  initial q = 4'bxx01;\n"
-            "endmodule\n"
-        )
-        report = compile_design(source, top="tb")
-        assert prove_two_state(report.design) is False
-
-    def test_two_state_allows_case_eq_x_checks(self):
-        source = (
-            "module tb;\n"
-            "  reg [3:0] q;\n"
-            "  initial if (q !== 4'bxxxx) $display(\"known\");\n"
-            "endmodule\n"
-        )
-        report = compile_design(source, top="tb")
-        assert prove_two_state(report.design) is True
-
-    def test_two_state_veto_from_xprop_finding(self):
-        class Finding:
-            code = "x-prop"
-
-        source = "module tb;\n  reg a;\n  initial a = 0;\nendmodule\n"
-        report = compile_design(source, top="tb")
-        assert prove_two_state(report.design) is True
-        assert prove_two_state(report.design, findings=[Finding()]) is False
-
-    def test_forced_two_state_still_exact_on_x_design(self):
-        """The guards, not the proof, carry correctness: forcing the
-        fast path onto an x-manufacturing design must still match."""
+    def test_x_heavy_design_parity(self):
         source = (
             "module tb;\n"
             "  reg [3:0] q, r;\n"
@@ -223,17 +189,8 @@ class TestEngine:
             "  end\n"
             "endmodule\n"
         )
-        from repro.verilog import simulate
-
-        report = compile_design(source, top="tb")
-        baseline = simulate(report.design)
-        fresh = compile_design(source, top="tb")
-        engine = CompiledEngine(fresh.design, two_state=True)
-        assert engine.two_state is True
-        result = simulate(fresh.design, engine=engine)
-        assert result.output == baseline.output
-        assert (result.finished, result.time) == \
-            (baseline.finished, baseline.time)
+        report = assert_parity(source, top="tb")
+        assert report.sim_engine["fallbacks"] == []
 
     def test_plan_shape(self):
         engine = _engine_for(
@@ -242,7 +199,7 @@ class TestEngine:
         plan = engine.plan()
         assert plan["version"] == 1
         assert set(plan) == {
-            "version", "two_state", "processes", "compiled", "fallbacks"
+            "version", "processes", "compiled", "fallbacks"
         }
 
     def test_memory_and_wait_constructs_parity(self):
@@ -265,72 +222,6 @@ class TestEngine:
             "endmodule\n"
         )
         assert_parity(source, top="tb")
-
-
-# ----------------------------------------------------------------------
-# Compiled-plan cache
-# ----------------------------------------------------------------------
-class TestCompileSimCache:
-    def test_round_trip_and_store_attachment(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "store"))
-        cache = store.sim_cache()
-        assert isinstance(cache, CompileSimCache)
-        plan = {"version": 1, "two_state": True, "processes": 3,
-                "compiled": 3, "fallbacks": []}
-        cache.put(0xDEADBEEF, plan)
-        assert cache.get(0xDEADBEEF) == plan
-        assert cache.get(0x12345678) is None
-        # plans are invisible to the verdict store's own accounting
-        assert len(store) == 0
-
-    def test_pack_and_compact_shared_path(self, tmp_path):
-        cache = CompileSimCache(str(tmp_path / "simcache"))
-        for index in range(4):
-            cache.put(index, {"version": 1, "two_state": False,
-                              "processes": index, "compiled": 0,
-                              "fallbacks": []})
-        assert cache.pack() == 4
-        assert cache.stats()["files"] == 0
-        assert cache.stats()["packed"] == 4
-        cache.put(0, {"version": 1, "two_state": True, "processes": 0,
-                      "compiled": 0, "fallbacks": []})
-        assert cache.pack() == 1
-        assert cache.compact() == 1  # the shadowed line dies
-        assert cache.get(0)["two_state"] is True
-
-    def test_sim_cache_absent_until_created(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "store"))
-        assert store.sim_cache(create=False) is None
-        store.sim_cache()  # creates simcache/
-        assert store.sim_cache(create=False) is not None
-
-    def test_evaluator_populates_and_hits(self, tmp_path):
-        problem = ALL_PROBLEMS[0]
-        store = VerdictStore(str(tmp_path / "store"))
-        before = _cache_hits()
-        Evaluator(store=store).evaluate(problem, problem.canonical_body)
-        cache = store.sim_cache(create=False)
-        assert cache is not None and len(cache) == 1
-        assert _cache_hits() == before
-        # a fresh evaluator (cold in-memory cache, cleared verdicts)
-        # rebuilds the engine from the cached plan and counts the hit
-        store.clear()
-        Evaluator(store=store).evaluate(problem, problem.canonical_body)
-        assert _cache_hits() == before + 1
-
-    def test_no_cache_without_store(self):
-        evaluator = Evaluator(compile_sim=True)
-        problem = ALL_PROBLEMS[0]
-        before = _cache_hits()
-        evaluator.evaluate(problem, problem.canonical_body)
-        assert _cache_hits() == before
-
-
-def _cache_hits() -> float:
-    for counter in REGISTRY.snapshot()["counters"]:
-        if counter["name"] == "sim_compile_cache_hits_total":
-            return counter["value"]
-    return 0.0
 
 
 # ----------------------------------------------------------------------
@@ -381,17 +272,6 @@ class TestCli:
         assert main(["simulate", str(path), "--no-compile-sim"]) == 0
         out = capsys.readouterr().out
         assert "hi" in out and "engine=compiled" not in out
-
-    def test_store_info_reports_simcache(self, tmp_path, capsys):
-        from repro.cli import main
-
-        store = VerdictStore(str(tmp_path))
-        cache = store.sim_cache()
-        cache.put(1, {"version": 1, "two_state": True, "processes": 1,
-                      "compiled": 1, "fallbacks": []})
-        assert main(["store", "info", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "simcache" in out and "1 plan(s)" in out
 
     def test_sweep_accepts_compile_sim_flags(self):
         from repro.cli import build_parser

@@ -315,18 +315,36 @@ class TestPackedFormat:
         assert cold.uncached_calls == 0  # verdict came from the pack
         assert cold.store_hits == 1
 
-    def test_pack_spares_foreign_files(self, tmp_path):
+    def test_pack_spares_foreign_files(self, tmp_path, capsys):
         import json
         import os
 
-        store = VerdictStore(str(tmp_path / "verdicts"))
-        self._seed(store, count=2)
-        foreign = os.path.join(store.path, "notes.json")
-        with open(foreign, "w", encoding="utf-8") as handle:
-            json.dump({"todo": "not a verdict"}, handle)
-        assert store.pack() == 2  # only the real verdicts folded
-        assert os.path.exists(foreign)  # foreign file left untouched
-        assert "notes" not in store.keys()
+        from repro.cli import main
+
+        # a stray note, and the simcache/ plan directory older versions
+        # left inside verdict stores
+        foreign_inputs = {
+            "notes": ("notes.json", {"todo": "not a verdict"}),
+            "simcache": (os.path.join("simcache", "s_" + "0" * 16 + ".json"),
+                         {"version": 1, "two_state": True}),
+        }
+        for name, (relpath, payload) in foreign_inputs.items():
+            store = VerdictStore(str(tmp_path / name))
+            self._seed(store, count=2)
+            foreign = os.path.join(store.path, relpath)
+            os.makedirs(os.path.dirname(foreign), exist_ok=True)
+            with open(foreign, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            assert store.pack() == 2  # only the real verdicts folded
+            assert os.path.exists(foreign)  # foreign file left untouched
+            assert len(store) == 2
+            assert main(["store", "info", store.path]) == 0
+            out = capsys.readouterr().out
+            assert out.splitlines() == [
+                f"store {store.path}: 2 entries (0 files, 2 packed)"
+            ]
+            assert store.clear() == 2  # verdicts only
+            assert os.path.exists(foreign)
 
     def test_unpack_keeps_pack_on_partial_failure(self, tmp_path, monkeypatch):
         import os
