@@ -20,7 +20,7 @@ from .metrics import mean, pass_fraction
 from .pipeline import Evaluator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRecord:
     """One evaluated completion."""
 

@@ -24,16 +24,18 @@ from ..problems import PASS_MARKER, Problem, PromptLevel
 from ..verilog import (
     AnalysisError,
     Finding,
+    SourceUnit,
     analyze_design,
+    check_syntax,
     compile_design,
     error_findings,
     lint_source_unit,
-    run_simulation,
+    simulate_unit,
 )
 from .truncate import truncate_completion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionEvaluation:
     """Verdict for one completion.
 
@@ -73,7 +75,9 @@ class Evaluator:
     shared across a :class:`~repro.eval.jobs.SweepExecutor` worker pool.
     Two workers racing on the same uncached key may both evaluate it
     (evaluation is pure, so both compute the identical verdict); the
-    lock only protects the cache dict and the hit/miss counters.
+    lock only protects the cache dict and the hit/miss counters.  The
+    parsed test benches are shared the same way: racing workers may
+    both parse one, and either copy serves.
 
     ``store`` is an optional :class:`~repro.eval.store.VerdictStore`
     consulted between the in-memory cache and a real compile+simulate:
@@ -109,6 +113,9 @@ class Evaluator:
         #: structured JobError with stage/code/path
         self.strict_analysis = strict_analysis
         self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
+        #: parsed test benches by (problem number, first line); see
+        #: :meth:`_run_bench`
+        self._benches: dict[tuple[int, int], SourceUnit] = {}
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -186,16 +193,11 @@ class Evaluator:
                     stage="analysis", error_line=first.line,
                     findings=findings,
                 )
-        bench = problem.bench_source(truncated, level)
         # None unless profiling is enabled AND a trace sink is installed,
         # in which case the bench simulation attributes its wall time to
         # netlist constructs and publishes one `profile` frame per run.
         profiler = maybe_sim_profiler()
-        bench_report, sim = run_simulation(
-            bench, top="tb", max_time=self.max_time,
-            max_steps=self.max_steps, profiler=profiler,
-            compile_sim=self.compile_sim,
-        )
+        bench_report, sim = self._run_bench(problem, report.unit, profiler)
         self._observe_report(problem, bench_report, design=False)
         if profiler is not None:
             record_profile(
@@ -220,6 +222,35 @@ class Evaluator:
             compiled=True, passed=passed, sim_finished=sim.finished,
             stage="" if passed else "testbench",
             findings=findings,
+        )
+
+    def _run_bench(self, problem: Problem, unit: SourceUnit, profiler):
+        """Simulate the completion's parsed ``unit`` under the test bench.
+
+        Equivalent to ``run_simulation(problem.bench_source(...))``
+        without parsing the completion again: the bench source is the
+        completion's source, a newline and ``problem.testbench``, so the
+        bench's modules are the completion's followed by the test
+        bench's, parsed from the line after the completion's last.
+        That line depends on the completion, so parsed test benches are
+        kept per (problem, first line).
+        """
+        first_line = unit.eof_line + 1
+        key = (problem.number, first_line)
+        bench = self._benches.get(key)
+        parse_seconds = 0.0
+        if bench is None:
+            parsed = check_syntax(problem.testbench, first_line)
+            if not parsed.ok:
+                return parsed, None
+            bench, parse_seconds = parsed.unit, parsed.parse_seconds
+            self._benches[key] = bench
+        combined = SourceUnit(modules=unit.modules + bench.modules,
+                              eof_line=bench.eof_line)
+        return simulate_unit(
+            combined, top="tb", max_time=self.max_time,
+            max_steps=self.max_steps, profiler=profiler,
+            compile_sim=self.compile_sim, parse_seconds=parse_seconds,
         )
 
     def _analyze(self, problem: Problem, report) -> tuple[Finding, ...]:
@@ -252,9 +283,10 @@ class Evaluator:
         """Always-on per-problem stage timers off a CompileReport.
 
         Design compiles profile as ``parse``/``elaborate``; the bench
-        run's compile side profiles as ``testbench`` (constructing the
-        self-checking harness) and its simulate side as ``sim`` — the
-        four-way split the sim-compile roadmap item needs.
+        run profiles its compile side as ``testbench`` (parsing the test
+        bench when no parsed copy was kept, and elaborating it with the
+        completion), the compiled engine's construction as ``engine``
+        and the simulation as ``sim``.
         """
         number = problem.number
         if design:
@@ -268,6 +300,8 @@ class Evaluator:
             bench_compile = report.parse_seconds + report.elaborate_seconds
             if bench_compile:
                 observe_stage("testbench", bench_compile, problem=number)
+            if report.engine_seconds:
+                observe_stage("engine", report.engine_seconds, problem=number)
             if report.sim_seconds:
                 observe_stage("sim", report.sim_seconds, problem=number)
 

@@ -82,7 +82,8 @@ from .trace import (
     tracing_active,
 )
 
-STAGES = ("generate", "parse", "elaborate", "analysis", "sim", "testbench")
+STAGES = ("generate", "parse", "elaborate", "analysis", "sim", "testbench",
+          "engine")
 """Leaf stage names the per-stage timers emit (see ``stage_seconds``)."""
 
 

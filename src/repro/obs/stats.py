@@ -33,7 +33,7 @@ TRACE_SUFFIXES = (".trace", ".ndjson")
 
 #: span names counted as leaf stages in the time-split table
 STAGE_NAMES = ("generate", "parse", "elaborate", "analysis", "sim",
-               "testbench")
+               "testbench", "engine")
 
 
 class TraceFormatError(ValueError):

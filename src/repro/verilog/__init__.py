@@ -23,7 +23,14 @@ from .analyze import (
     finding_to_dict,
     infer_top,
 )
-from .compile import CompileReport, check_syntax, compile_design, run_simulation
+from .ast import SourceUnit
+from .compile import (
+    CompileReport,
+    check_syntax,
+    compile_design,
+    run_simulation,
+    simulate_unit,
+)
 from .elaborate import Design, Scope, Signal, elaborate
 from .errors import (
     AnalysisError,
@@ -55,6 +62,7 @@ __all__ = [
     "Scope",
     "SimResult",
     "SimulationError",
+    "SourceUnit",
     "Signal",
     "Simulator",
     "Token",
@@ -74,6 +82,7 @@ __all__ = [
     "parse",
     "CompiledEngine",
     "run_simulation",
+    "simulate_unit",
     "lint_module",
     "lint_source_unit",
     "simulate",

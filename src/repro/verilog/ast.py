@@ -2,6 +2,7 @@
 
 Nodes are plain dataclasses; the parser builds them and the elaborator /
 simulator consume them.  Every node carries a source line for diagnostics.
+They are slotted: an evaluator keeps many parsed test benches alive.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from dataclasses import dataclass, field
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class Expr:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Number(Expr):
     """A literal; width/base resolved at parse time."""
 
@@ -27,30 +28,30 @@ class Number(Expr):
     sized: bool = False  # explicit size given (8'hFF) vs bare decimal
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     text: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Identifier(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class BitSelect(Expr):
     base: Expr | None = None
     index: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PartSelect(Expr):
     base: Expr | None = None
     msb: Expr | None = None
     lsb: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexedPartSelect(Expr):
     """``base[start +: width]`` / ``base[start -: width]``."""
 
@@ -60,44 +61,44 @@ class IndexedPartSelect(Expr):
     ascending: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str = ""
     operand: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str = ""
     lhs: Expr | None = None
     rhs: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary(Expr):
     cond: Expr | None = None
     if_true: Expr | None = None
     if_false: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Concat(Expr):
     parts: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Replicate(Expr):
     count: Expr | None = None
     value: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionCall(Expr):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class SystemCall(Expr):
     """``$signed(...)``, ``$unsigned(...)``, ``$time``, ``$random``..."""
 
@@ -108,12 +109,12 @@ class SystemCall(Expr):
 # ----------------------------------------------------------------------
 # Statements
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     """``begin ... end`` (optionally named)."""
 
@@ -121,7 +122,7 @@ class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     """Procedural assignment, blocking (=) or nonblocking (<=)."""
 
@@ -131,27 +132,27 @@ class Assign(Stmt):
     delay: Expr | None = None  # intra-assignment delay  #d a = b
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr | None = None
     then_stmt: Stmt | None = None
     else_stmt: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseItem:
     exprs: list[Expr] = field(default_factory=list)  # empty => default
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Case(Stmt):
     kind: str = "case"  # case | casez | casex
     subject: Expr | None = None
     items: list[CaseItem] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: Stmt | None = None
     cond: Expr | None = None
@@ -159,24 +160,24 @@ class For(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr | None = None
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Repeat(Stmt):
     count: Expr | None = None
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Forever(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DelayStmt(Stmt):
     """``#delay stmt_or_null``."""
 
@@ -184,7 +185,7 @@ class DelayStmt(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EventControl(Stmt):
     """``@(...) stmt`` or ``@* stmt``."""
 
@@ -192,30 +193,30 @@ class EventControl(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Wait(Stmt):
     cond: Expr | None = None
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SysTaskCall(Stmt):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskCall(Stmt):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class NullStmt(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Disable(Stmt):
     target: str = ""
 
@@ -223,7 +224,7 @@ class Disable(Stmt):
 # ----------------------------------------------------------------------
 # Module items
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class SenseItem:
     """One entry of a sensitivity list."""
 
@@ -231,7 +232,7 @@ class SenseItem:
     expr: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Range:
     """``[msb:lsb]`` — both bounds constant expressions."""
 
@@ -239,7 +240,7 @@ class Range:
     lsb: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NetDecl:
     """wire/reg/integer declaration (one name per decl after parsing)."""
 
@@ -252,7 +253,7 @@ class NetDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Port:
     direction: str = "input"  # input | output | inout
     name: str = ""
@@ -262,7 +263,7 @@ class Port:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamDecl:
     name: str = ""
     value: Expr | None = None
@@ -270,32 +271,32 @@ class ParamDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinuousAssign:
     target: Expr | None = None
     value: Expr | None = None
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AlwaysBlock:
     body: Stmt | None = None
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class InitialBlock:
     body: Stmt | None = None
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PortConnection:
     name: str | None = None  # None for positional
     expr: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     module_name: str = ""
     instance_name: str = ""
@@ -304,7 +305,7 @@ class Instance:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDecl:
     """A Verilog ``function`` (single return value, no timing controls)."""
 
@@ -317,7 +318,7 @@ class FunctionDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Module:
     name: str = ""
     ports: list[Port] = field(default_factory=list)
@@ -331,11 +332,17 @@ class Module:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceUnit:
-    """A parsed compilation unit (one or more modules)."""
+    """A parsed compilation unit (one or more modules).
+
+    ``eof_line`` is the line of the lexer's end-of-source token, so
+    text appended after ``source + "\n"`` starts on line
+    ``eof_line + 1``.
+    """
 
     modules: list[Module] = field(default_factory=list)
+    eof_line: int = 0
 
     def module(self, name: str) -> Module | None:
         for mod in self.modules:

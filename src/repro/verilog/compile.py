@@ -6,7 +6,10 @@ same two entry points over our own frontend:
 
 * :func:`check_syntax` — lex + parse only (fast structural gate);
 * :func:`compile_design` — lex + parse + elaborate a top module;
-* :func:`run_simulation` — compile and simulate, returning printed output.
+* :func:`run_simulation` — compile and simulate, returning printed output;
+* :func:`simulate_unit` — the same from an already parsed unit, so a
+  caller that parsed the design and the test bench separately (the
+  evaluator) elaborates and runs them without parsing again.
 
 Failure reports carry the *stage* that rejected the design ("parse",
 "elaborate" or "sim") and the first diagnostic's source line, so
@@ -15,10 +18,10 @@ fields, the agentic repair loop's re-prompts) never scrape the message
 strings.
 
 Every report also carries per-stage wall clock (``parse_seconds``,
-``elaborate_seconds``, ``sim_seconds``) measured here, at the stage
-boundary, so the evaluator's always-on profile (:mod:`repro.obs`) reads
-timings off the report instead of re-wrapping the frontend — the
-verilog layer itself stays observability-free.
+``elaborate_seconds``, ``engine_seconds``, ``sim_seconds``) measured
+here, at the stage boundary, so the evaluator's always-on profile
+(:mod:`repro.obs`) reads timings off the report instead of re-wrapping
+the frontend — the verilog layer itself stays observability-free.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class CompileReport:
     line: int = 0
     parse_seconds: float = 0.0
     elaborate_seconds: float = 0.0
+    engine_seconds: float = 0.0
     sim_seconds: float = 0.0
     #: Compiled-engine plan summary when ``run_simulation`` ran with
     #: ``compile_sim=True`` and engine construction succeeded; None on
@@ -61,11 +65,15 @@ class CompileReport:
         return "\n".join(self.errors)
 
 
-def check_syntax(source: str) -> CompileReport:
-    """Parse-only check, the cheapest 'does it compile' gate."""
+def check_syntax(source: str, first_line: int = 1) -> CompileReport:
+    """Parse-only check, the cheapest 'does it compile' gate.
+
+    ``first_line`` numbers the source's first line (see
+    :func:`~repro.verilog.lexer.tokenize`).
+    """
     started = time.perf_counter()
     try:
-        unit = parse(source)
+        unit = parse(source, first_line)
     except VerilogError as exc:
         return CompileReport(
             ok=False, errors=[str(exc)], stage="parse", line=exc.line,
@@ -92,35 +100,41 @@ def compile_design(source: str, top: str | None = None) -> CompileReport:
     if not report.ok:
         return report
     assert report.unit is not None
+    return _elaborate_unit(report.unit, top, report.parse_seconds)
+
+
+def _elaborate_unit(
+    unit: SourceUnit, top: str | None, parse_seconds: float
+) -> CompileReport:
     if top is None:
-        top = report.unit.modules[-1].name
+        top = unit.modules[-1].name
     started = time.perf_counter()
     try:
-        design = elaborate(report.unit, top)
+        design = elaborate(unit, top)
     except VerilogError as exc:
         return CompileReport(
             ok=False,
             errors=[str(exc)],
-            unit=report.unit,
+            unit=unit,
             stage="elaborate",
             line=exc.line,
-            parse_seconds=report.parse_seconds,
+            parse_seconds=parse_seconds,
             elaborate_seconds=time.perf_counter() - started,
         )
     except RecursionError:
         return CompileReport(
             ok=False,
             errors=["elaboration recursion limit"],
-            unit=report.unit,
+            unit=unit,
             stage="elaborate",
-            parse_seconds=report.parse_seconds,
+            parse_seconds=parse_seconds,
             elaborate_seconds=time.perf_counter() - started,
         )
     return CompileReport(
         ok=True,
-        unit=report.unit,
+        unit=unit,
         design=design,
-        parse_seconds=report.parse_seconds,
+        parse_seconds=parse_seconds,
         elaborate_seconds=time.perf_counter() - started,
     )
 
@@ -135,18 +149,46 @@ def run_simulation(
 ) -> tuple[CompileReport, SimResult | None]:
     """Compile then simulate; returns (compile report, sim result or None).
 
-    ``profiler`` is passed through to the simulator untouched (see
-    :class:`repro.obs.profile.SimProfiler`); this keeps the injection
-    point at the same stage boundary as the timing fields.
+    Parses ``source`` and hands the unit to :func:`simulate_unit`, which
+    documents the other arguments.
+    """
+    report = check_syntax(source)
+    if not report.ok:
+        return report, None
+    assert report.unit is not None
+    return simulate_unit(
+        report.unit, top, max_time=max_time, max_steps=max_steps,
+        profiler=profiler, compile_sim=compile_sim,
+        parse_seconds=report.parse_seconds,
+    )
+
+
+def simulate_unit(
+    unit: SourceUnit,
+    top: str | None = None,
+    max_time: int = 1_000_000,
+    max_steps: int = 2_000_000,
+    profiler=None,
+    compile_sim: bool = False,
+    parse_seconds: float = 0.0,
+) -> tuple[CompileReport, SimResult | None]:
+    """Elaborate a parsed unit and simulate it; returns (compile report,
+    sim result or None), as :func:`run_simulation` does.
+
+    ``parse_seconds`` is what parsing ``unit`` cost, copied into the
+    report.  ``profiler`` is passed through to the simulator untouched
+    (see :class:`repro.obs.profile.SimProfiler`); this keeps the
+    injection point at the same stage boundary as the timing fields.
 
     ``compile_sim=True`` lowers the elaborated design to closures first
-    (:class:`repro.verilog.codegen.CompiledEngine`) and runs the fast
-    engine; processes the compiler can't cover fall back per process to
-    the interpreter, and any engine-construction failure falls back to
-    fully interpreted execution — verdicts are identical either way.
-    The engine's plan summary lands in ``report.sim_engine``.
+    (:class:`repro.verilog.codegen.CompiledEngine`, timed as
+    ``engine_seconds``) and runs the fast engine; processes the compiler
+    can't cover fall back per process to the interpreter, and any
+    engine-construction failure falls back to fully interpreted
+    execution — verdicts are identical either way.  The engine's plan
+    summary lands in ``report.sim_engine``.
     """
-    report = compile_design(source, top)
+    report = _elaborate_unit(unit, top, parse_seconds)
     if not report.ok:
         return report, None
     assert report.design is not None
@@ -154,32 +196,24 @@ def run_simulation(
     if compile_sim:
         from .codegen import CompiledEngine
 
+        started = time.perf_counter()
         try:
             engine = CompiledEngine(report.design)
         except Exception:
             engine = None  # fully interpreted run; behavior unchanged
         else:
             report.sim_engine = engine.plan()
+        report.engine_seconds = time.perf_counter() - started
     started = time.perf_counter()
     try:
         result = simulate(report.design, max_time=max_time,
                           max_steps=max_steps, profiler=profiler,
                           engine=engine)
     except VerilogError as exc:
-        return (
-            CompileReport(
-                ok=True,
-                errors=[f"runtime: {exc}"],
-                unit=report.unit,
-                design=report.design,
-                stage="sim",
-                line=exc.line,
-                parse_seconds=report.parse_seconds,
-                elaborate_seconds=report.elaborate_seconds,
-                sim_seconds=time.perf_counter() - started,
-                sim_engine=report.sim_engine,
-            ),
-            None,
-        )
+        report.errors = [f"runtime: {exc}"]
+        report.stage = "sim"
+        report.line = exc.line
+        report.sim_seconds = time.perf_counter() - started
+        return report, None
     report.sim_seconds = time.perf_counter() - started
     return report, result

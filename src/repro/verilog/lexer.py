@@ -6,11 +6,20 @@ string literals, system identifiers (``$display``), escaped identifiers,
 and compiler directives (```timescale`` and friends are consumed to end of
 line, ```define``-free sources are assumed — the problem set and corpus
 use none).
+
+One master regular expression matches each token (or newline, comment
+or error) in turn, with the blanks that follow it; its ``lastgroup``
+names what matched.  Columns are ``pos - line_start + 1``.  Two
+conventions of the original character-at-a-time scanner are kept, so
+token streams and errors stay identical to its: a ``//`` comment or
+directive that runs to the end of the source leaves the EOF column
+where it started, and a backslash-escaped newline inside a string
+literal does not advance the line count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import LexError
 
@@ -24,7 +33,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, longest first so maximal munch works.
+# Multi-character operators first; the regex alternation tries them in
+# this order, so maximal munch works.
 OPERATORS = [
     "<<<", ">>>", "===", "!==", "+:", "-:",
     "**", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -34,230 +44,182 @@ OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     kind is one of: ID, KEYWORD, NUMBER, BASED_NUMBER, STRING, SYSID, OP, EOF.
-    For BASED_NUMBER, ``text`` keeps the literal (e.g. ``8'hFF``) and the
-    parsed fields live in ``meta`` as (size_or_None, base_char, digits,
-    signed_flag).
+    For NUMBER, ``meta`` is ``(value,)``.  For BASED_NUMBER, ``text``
+    keeps the literal (e.g. ``8'hFF``) and the parsed fields live in
+    ``meta`` as (size_or_None, base_char, digits, signed_flag).
+    Tokens are values: treat them as immutable.
     """
 
-    kind: str
-    text: str
-    line: int
-    column: int
-    meta: tuple | None = None
+    __slots__ = ("kind", "text", "line", "column", "meta")
+
+    def __init__(self, kind: str, text: str, line: int, column: int,
+                 meta: tuple | None = None):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self.meta = meta
+
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.line, self.column, self.meta)
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:  # compact for parser error messages
         return f"{self.kind}({self.text!r}@{self.line}:{self.column})"
 
 
-_ID_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ID_CHARS = _ID_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
+_BASED = (
+    r"(?:[0-9][0-9_]*[ \t]*)?'[sS]?"
+    r"(?:[bB][01xXzZ?_]*|[oO][0-7xXzZ?_]*|[dD][0-9xXzZ?_]*"
+    r"|[hH][0-9a-fA-FxXzZ?_]*)"
+)
 
-_BASE_DIGITS = {
-    "b": frozenset("01xXzZ?_"),
-    "o": frozenset("01234567xXzZ?_"),
-    "d": frozenset("0123456789xXzZ?_"),
-    "h": frozenset("0123456789abcdefABCDEFxXzZ?_"),
-}
+#: group name -> pattern, in the order the alternation tries them.  The
+#: common single-character punctuation is tried before the operator
+#: list; none of it begins a longer operator.
+_GROUPS = (
+    ("word", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("punct", r"[;,()\[\]{}@#]"),
+    ("newline", r"\n"),
+    ("line_comment", r"//[^\n]*|`[^\n]*"),
+    ("block_comment", r"/\*[\s\S]*?\*/"),
+    ("open_comment", r"/\*"),
+    ("op", "|".join(re.escape(op) for op in OPERATORS)),
+    ("based", _BASED),
+    ("bad_based", r"[0-9][0-9_]*[ \t]*'"),
+    ("number", r"[0-9][0-9_]*"),
+    ("string", r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'),
+    ("sysid", r"\$[A-Za-z0-9_$]+"),
+    ("escaped_id", r"\\\S*"),
+    ("blank", r"[ \t\r\f]+"),
+    ("unmatched", r"[\s\S]"),
+)
+
+#: Every match is one group plus the blanks after it, and ``unmatched``
+#: takes any character nothing else does, so consecutive matches cover
+#: the source.
+_TOKEN = re.compile(
+    "(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _GROUPS)
+    + r")[ \t\r\f]*"
+)
 
 
-class Lexer:
-    """Single-pass tokenizer; call :meth:`tokenize` once."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-
-    # ------------------------------------------------------------------
-    def tokenize(self) -> list[Token]:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch in " \t\r\f":
-                self._advance(1)
-            elif ch == "\n":
-                self._newline()
-            elif self.source.startswith("//", self.pos):
-                self._skip_line()
-            elif self.source.startswith("/*", self.pos):
-                self._skip_block_comment()
-            elif ch == "`":
-                self._skip_line()  # directives are consumed, not interpreted
-            elif ch == '"':
-                self._lex_string()
-            elif ch == "$":
-                self._lex_sysid()
-            elif ch == "\\":
-                self._lex_escaped_id()
-            elif ch in _ID_START:
-                self._lex_identifier()
-            elif ch in _DIGITS or (ch == "'" and self._peek_base()):
-                self._lex_number()
-            else:
-                self._lex_operator()
-        self.tokens.append(Token("EOF", "", self.line, self.column))
-        return self.tokens
-
-    # ------------------------------------------------------------------
-    def _advance(self, count: int) -> None:
-        self.pos += count
-        self.column += count
-
-    def _newline(self) -> None:
-        self.pos += 1
-        self.line += 1
-        self.column = 1
-
-    def _skip_line(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos] != "\n":
-            self.pos += 1
-
-    def _skip_block_comment(self) -> None:
-        end = self.source.find("*/", self.pos + 2)
-        if end < 0:
-            raise LexError("unterminated block comment", self.line, self.column)
-        for ch in self.source[self.pos : end + 2]:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos = end + 2
-
-    def _emit(self, kind: str, text: str, meta: tuple | None = None) -> None:
-        self.tokens.append(Token(kind, text, self.line, self.column, meta))
-        self._advance(len(text))
-
-    # ------------------------------------------------------------------
-    def _lex_string(self) -> None:
-        start = self.pos + 1
-        index = start
-        while index < len(self.source):
-            ch = self.source[index]
-            if ch == "\\":
-                index += 2
-                continue
-            if ch == '"':
-                break
-            if ch == "\n":
-                raise LexError("newline in string literal", self.line, self.column)
-            index += 1
-        else:
-            raise LexError("unterminated string literal", self.line, self.column)
-        text = self.source[start:index]
-        self._emit("STRING", f'"{text}"')
-
-    def _lex_sysid(self) -> None:
-        index = self.pos + 1
-        while index < len(self.source) and self.source[index] in _ID_CHARS:
-            index += 1
-        if index == self.pos + 1:
-            raise LexError("bare '$'", self.line, self.column)
-        self._emit("SYSID", self.source[self.pos : index])
-
-    def _lex_escaped_id(self) -> None:
-        index = self.pos + 1
-        while index < len(self.source) and not self.source[index].isspace():
-            index += 1
-        text = self.source[self.pos : index]
-        token = Token("ID", text[1:], self.line, self.column)
-        self.tokens.append(token)
-        self._advance(len(text))
-
-    def _lex_identifier(self) -> None:
-        index = self.pos
-        while index < len(self.source) and self.source[index] in _ID_CHARS:
-            index += 1
-        text = self.source[self.pos : index]
-        kind = "KEYWORD" if text in KEYWORDS else "ID"
-        self._emit(kind, text)
-
-    # ------------------------------------------------------------------
-    def _peek_base(self) -> bool:
-        """True when the current ``'`` begins an unsized based literal."""
-        nxt = self.source[self.pos + 1 : self.pos + 3].lower()
-        if not nxt:
-            return False
-        if nxt[0] == "s" and len(nxt) > 1:
-            return nxt[1] in _BASE_DIGITS
-        return nxt[0] in _BASE_DIGITS
-
-    def _lex_number(self) -> None:
-        start = self.pos
-        index = self.pos
-        size_digits = ""
-        while index < len(self.source) and self.source[index] in _DIGITS | {"_"}:
-            index += 1
-        size_digits = self.source[start:index].replace("_", "")
-        # Look ahead past whitespace for a base marker 'b/'h/...
-        probe = index
-        while probe < len(self.source) and self.source[probe] in " \t":
-            probe += 1
-        if probe < len(self.source) and self.source[probe] == "'":
-            self._lex_based_number(start, size_digits or None, probe)
-            return
-        if size_digits == "" and self.source[start] == "'":
-            self._lex_based_number(start, None, start)
-            return
-        # Plain decimal (reject reals with a digit.digit form by lexing the
-        # integer part only; the subset does not use real literals).
-        text = self.source[start:index]
-        token = Token("NUMBER", text, self.line, self.column, (int(size_digits),))
-        self.tokens.append(token)
-        self._advance(index - start)
-
-    def _lex_based_number(
-        self, start: int, size: str | None, quote_pos: int
-    ) -> None:
-        index = quote_pos + 1
-        signed = False
-        if index < len(self.source) and self.source[index] in "sS":
-            signed = True
-            index += 1
-        if index >= len(self.source) or self.source[index].lower() not in _BASE_DIGITS:
-            raise LexError("malformed based literal", self.line, self.column)
-        base = self.source[index].lower()
+def _string_error(source: str, pos: int, line: int, column: int) -> LexError:
+    """Why the string literal opening at ``pos`` did not match."""
+    index = pos + 1
+    while index < len(source):
+        ch = source[index]
+        if ch == "\\":
+            index += 2
+            continue
+        if ch == "\n":
+            return LexError("newline in string literal", line, column)
         index += 1
-        digit_start = index
-        allowed = _BASE_DIGITS[base]
-        while index < len(self.source) and self.source[index] in allowed:
-            index += 1
-        digits = self.source[digit_start:index].replace("_", "")
-        if not digits:
-            raise LexError("based literal has no digits", self.line, self.column)
-        text = self.source[start:index]
-        meta = (int(size) if size else None, base, digits, signed)
-        token = Token("BASED_NUMBER", text, self.line, self.column, meta)
-        self.tokens.append(token)
-        # advance manually: text may contain internal spaces
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos = index
-
-    # ------------------------------------------------------------------
-    def _lex_operator(self) -> None:
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._emit("OP", op)
-                return
-        raise LexError(
-            f"unexpected character {self.source[self.pos]!r}",
-            self.line,
-            self.column,
-        )
+    return LexError("unterminated string literal", line, column)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize Verilog source, raising :class:`LexError` on bad input."""
-    return Lexer(source).tokenize()
+def _error(kind: str, source: str, pos: int, line: int,
+           column: int) -> LexError:
+    """The error for a match of ``kind`` at ``pos``, where no token starts."""
+    if kind == "open_comment":
+        return LexError("unterminated block comment", line, column)
+    if kind == "bad_based":
+        return LexError("malformed based literal", line, column)
+    ch = source[pos]
+    if ch == '"':
+        return _string_error(source, pos, line, column)
+    if ch == "$":
+        return LexError("bare '$'", line, column)
+    return LexError(f"unexpected character {ch!r}", line, column)
+
+
+def _based_token(text: str, line: int, column: int) -> Token:
+    quote = text.index("'")
+    size = text[:quote].rstrip(" \t").replace("_", "")
+    index = quote + 1
+    signed = text[index] in "sS"
+    if signed:
+        index += 1
+    digits = text[index + 1:].replace("_", "")
+    if not digits:
+        raise LexError("based literal has no digits", line, column)
+    try:
+        width = int(size) if size else None
+    except ValueError:
+        raise LexError("literal size too long", line, column) from None
+    meta = (width, text[index].lower(), digits, signed)
+    return Token("BASED_NUMBER", text, line, column, meta)
+
+
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """Tokenize Verilog source, raising :class:`LexError` on bad input.
+
+    ``first_line`` numbers the source's first line, so a source that
+    continues another one reports the lines of the whole.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    line = first_line
+    line_start = 0
+    eof_column = 0
+    for found in _TOKEN.finditer(source):
+        kind = found.lastgroup
+        if kind == "word":
+            text = found.group(kind)
+            append(Token("KEYWORD" if text in keywords else "ID", text,
+                         line, found.start() - line_start + 1))
+        elif kind == "punct" or kind == "op":
+            append(Token("OP", found.group(kind), line,
+                         found.start() - line_start + 1))
+        elif kind == "newline":
+            line += 1
+            line_start = found.start() + 1
+        elif kind == "blank":
+            pass
+        elif kind == "number":
+            text = found.group(kind)
+            column = found.start() - line_start + 1
+            try:
+                value = int(text.replace("_", ""))
+            except ValueError:
+                raise LexError("decimal literal too long", line,
+                               column) from None
+            append(Token("NUMBER", text, line, column, (value,)))
+        elif kind == "based":
+            append(_based_token(found.group(kind), line,
+                                found.start() - line_start + 1))
+        elif kind == "line_comment":
+            if found.end() == len(source):
+                eof_column = found.start() - line_start + 1
+        elif kind == "block_comment":
+            text = found.group(kind)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = found.start() + text.rfind("\n") + 1
+        elif kind == "string":
+            append(Token("STRING", found.group(kind), line,
+                         found.start() - line_start + 1))
+        elif kind == "sysid":
+            append(Token("SYSID", found.group(kind), line,
+                         found.start() - line_start + 1))
+        elif kind == "escaped_id":
+            append(Token("ID", found.group(kind)[1:], line,
+                         found.start() - line_start + 1))
+        else:
+            pos = found.start()
+            raise _error(kind, source, pos, line, pos - line_start + 1)
+    append(Token("EOF", "", line, eof_column or len(source) - line_start + 1))
+    return tokens

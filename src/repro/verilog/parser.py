@@ -81,29 +81,35 @@ class Parser:
         return self.tokens[index]
 
     def _advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind != "EOF":
             self.pos += 1
         return token
 
     def _check(self, kind: str, text: str | None = None) -> bool:
-        token = self.current
+        token = self.tokens[self.pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def _check_op(self, text: str) -> bool:
-        return self._check("OP", text)
+        token = self.tokens[self.pos]
+        return token.kind == "OP" and token.text == text
 
     def _check_kw(self, text: str) -> bool:
-        return self._check("KEYWORD", text)
+        token = self.tokens[self.pos]
+        return token.kind == "KEYWORD" and token.text == text
 
     def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
+        token = self.tokens[self.pos]
+        if token.kind == kind and (text is None or token.text == text):
+            if kind != "EOF":
+                self.pos += 1
+            return token
         return None
 
     def _expect(self, kind: str, text: str | None = None) -> Token:
-        if self._check(kind, text):
-            return self._advance()
+        token = self._accept(kind, text)
+        if token is not None:
+            return token
         want = text if text is not None else kind
         raise ParseError(
             f"expected {want!r}, found {self.current.text!r}",
@@ -128,6 +134,7 @@ class Parser:
                 )
         if not unit.modules:
             raise ParseError("source contains no modules", 1, 1)
+        unit.eof_line = self.current.line
         return unit
 
     # ------------------------------------------------------------------
@@ -726,20 +733,20 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            token = self.current
+            token = self.tokens[self.pos]
             if token.kind != "OP":
                 return lhs
             precedence = _BINARY_PRECEDENCE.get(token.text)
             if precedence is None or precedence < min_precedence:
                 return lhs
-            op = self._advance().text
+            self.pos += 1
             rhs = self._parse_binary(precedence + 1)
-            lhs = ast.Binary(op=op, lhs=lhs, rhs=rhs, line=token.line)
+            lhs = ast.Binary(op=token.text, lhs=lhs, rhs=rhs, line=token.line)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "OP" and token.text in _UNARY_OPS:
-            self._advance()
+            self.pos += 1
             operand = self._parse_unary()
             return ast.Unary(op=token.text, operand=operand, line=token.line)
         return self._parse_postfix()
@@ -811,7 +818,12 @@ class Parser:
         if token.kind == "BASED_NUMBER":
             self._advance()
             size, base, digits, signed = token.meta
-            bits = _based_digits_to_bits(base, digits)
+            try:
+                bits = _based_digits_to_bits(base, digits)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    "decimal literal too long", token.line, token.column
+                ) from None
             width = size if size is not None else max(32, 1)
             return ast.Number(
                 value_bits=_sized_bits(bits, width),
@@ -857,6 +869,10 @@ class Parser:
         raise self._error(f"unexpected token {token.text!r} in expression")
 
 
-def parse(source: str) -> ast.SourceUnit:
-    """Parse Verilog source text into an AST (lex + parse)."""
-    return Parser(tokenize(source)).parse()
+def parse(source: str, first_line: int = 1) -> ast.SourceUnit:
+    """Parse Verilog source text into an AST (lex + parse).
+
+    ``first_line`` numbers the source's first line (see
+    :func:`~repro.verilog.lexer.tokenize`).
+    """
+    return Parser(tokenize(source, first_line)).parse()

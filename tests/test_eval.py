@@ -132,6 +132,20 @@ class TestEvaluator:
         evaluator.evaluate(get_problem(2), "assign out = a & b;\nendmodule")
         assert evaluator.cache_info["misses"] == 2
 
+    @pytest.mark.parametrize("literal", [
+        "9" * 5000,
+        "5000'd" + "9" * 5000,
+        "9" * 5000 + "'d1",
+    ], ids=["decimal", "sized-decimal-digits", "size"])
+    def test_over_long_literal_is_a_parse_error(self, literal):
+        problem = get_problem(1)
+        completion = f"assign out = {literal};"
+        outcome = Evaluator().evaluate(problem, completion)
+        assert outcome.verdict == "compile-error"
+        assert outcome.stage == "parse"
+        assert outcome.error_line == len(
+            problem.full_source(completion).splitlines())
+
     def test_level_does_not_change_verdict(self):
         problem = get_problem(3)
         evaluator = Evaluator()

@@ -43,7 +43,7 @@ from repro.obs import (
     tracing_active,
 )
 from repro.obs.profile import construct_path, profile_frame, record_profile
-from repro.problems import PromptLevel
+from repro.problems import PromptLevel, get_problem
 
 TINY = SweepConfig(
     temperatures=(0.1,),
@@ -289,6 +289,21 @@ class TestStageTimers:
             row for row in snap["histograms"] if row["name"] == "job_seconds"
         ]
         assert job_rows and job_rows[0]["count"] == 2  # one job per problem
+
+    @pytest.mark.parametrize("compile_sim", [True, False],
+                             ids=["compiled", "interpreted"])
+    def test_engine_build_has_its_own_stage(self, compile_sim):
+        problem = get_problem(1)
+        Evaluator(compile_sim=compile_sim).evaluate(
+            problem, problem.canonical_body)
+
+        def count(stage):
+            return REGISTRY.histogram_snapshot(
+                "stage_seconds", stage=stage, problem=1)["count"]
+
+        assert count("engine") == (1 if compile_sim else 0)
+        assert count("testbench") == count("sim") == 1
+        assert "engine" in STAGES
 
     def test_observe_stage_spans_only_when_tracing(self):
         seen = []

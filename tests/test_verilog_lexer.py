@@ -168,3 +168,67 @@ class TestRealWorld:
     def test_token_count_stable(self):
         source = "assign out = sel ? b : a;"
         assert len(tokenize(source)) == 10  # 9 tokens + EOF
+
+
+class TestTokenValues:
+    def test_equality_and_hash(self):
+        first = tokenize("a = 8'hFF;")
+        second = tokenize("a = 8'hFF;")
+        assert first == second
+        assert {*first} == {*second}
+        assert first[0] != tokenize("b")[0]
+        assert first[0] != ("ID", "a", 1, 1, None)
+
+    def test_repr(self):
+        assert repr(tokenize("  foo")[0]) == "ID('foo'@1:3)"
+
+
+class TestFirstLine:
+    def test_lines_start_at_first_line(self):
+        tokens = tokenize("a\n  b", first_line=10)
+        assert [(t.line, t.column) for t in tokens] == [
+            (10, 1), (11, 3), (11, 4),
+        ]
+
+    def test_errors_report_offset_lines(self):
+        with pytest.raises(LexError) as info:
+            tokenize("a\n\n  $ b", first_line=5)
+        assert (info.value.line, info.value.column) == (7, 3)
+
+
+class TestScannerConventions:
+    def test_eof_column_after_trailing_line_comment(self):
+        assert tokenize("a  // note")[-1].column == 4
+
+    def test_escaped_newline_in_string_keeps_line(self):
+        tokens = tokenize('"a\\\nb" c\nd')
+        assert [(t.text, t.line) for t in tokens[:-1]] == [
+            ('"a\\\nb"', 1), ("c", 1), ("d", 2),
+        ]
+        assert tokens[1].column == 8
+
+    def test_quote_without_base_is_unexpected(self):
+        with pytest.raises(LexError, match="unexpected character \"'\""):
+            tokenize("a = 'q;")
+
+    def test_literal_errors_at_literal_start(self):
+        for source in ("x = 12  'q;", "x = 12 'h;"):
+            with pytest.raises(LexError) as info:
+                tokenize(source)
+            assert (info.value.line, info.value.column) == (1, 5)
+
+
+class TestOverLongLiterals:
+    def test_plain_decimal(self):
+        with pytest.raises(LexError, match="decimal literal too long") as info:
+            tokenize("x = " + "9" * 5000 + ";")
+        assert (info.value.line, info.value.column) == (1, 5)
+
+    def test_size(self):
+        with pytest.raises(LexError, match="literal size too long") as info:
+            tokenize("\nx = " + "9" * 5000 + "'d1;")
+        assert (info.value.line, info.value.column) == (2, 5)
+
+    def test_long_digits_of_a_sized_literal_still_lex(self):
+        token = tokenize("5000'd" + "9" * 5000)[0]
+        assert token.meta == (5000, "d", "9" * 5000, False)

@@ -381,3 +381,25 @@ class TestFunctions:
         """
         mod = parse(source).modules[0]
         assert len(mod.functions[0].decls) == 1
+
+
+class TestLiteralLimits:
+    def test_decimal_digits_beyond_int_conversion(self):
+        with pytest.raises(ParseError, match="decimal literal too long") as info:
+            parse_module("\nassign b = 5000'd" + "9" * 5000 + ";")
+        assert (info.value.line, info.value.column) == (3, 12)
+
+    def test_long_binary_digits_parse(self):
+        module = parse_module("assign b = 4'b" + "1" * 5000 + ";")
+        assert module.assigns[0].value.value_bits == "1111"
+
+
+class TestFirstLine:
+    def test_unit_lines_start_at_first_line(self):
+        unit = parse("\nmodule m;\nendmodule\n", first_line=20)
+        assert unit.modules[0].line == 21
+        assert unit.eof_line == 23
+
+    def test_eof_line_ignores_escaped_newline_in_string(self):
+        unit = parse('module m;\ninitial $display("a\\\nb");\nendmodule\n')
+        assert unit.eof_line == 4
