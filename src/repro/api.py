@@ -305,22 +305,11 @@ class Session:
     # Distributed entrypoints (repro.service)
     # ------------------------------------------------------------------
     def serve(self, host: str = "127.0.0.1", port: int = 8076):
-        """An :class:`~repro.service.server.EvalService` over this session.
-
-        Not yet listening: call ``start()`` (background thread) or
-        ``serve_forever()`` (blocking, the CLI path) on the result.
-        """
-        from .service.server import EvalService
-
-        return EvalService(self, host=host, port=port)
-
-    def serve_async(self, host: str = "127.0.0.1", port: int = 8076):
         """An :class:`~repro.service.aio.server.AsyncEvalService` over
-        this session: the same JSON routes as :meth:`serve` plus the
-        NDJSON streaming ones (``POST /sweep/stream``,
-        ``GET /shard/status/stream``).  Not yet listening — use
-        ``start()``/``stop()`` (daemon thread), ``serve_forever()``
-        (blocking), or ``start_async()`` inside an event loop.
+        this session: the JSON routes plus the NDJSON streaming ones
+        (``POST /sweep/stream``, ``GET /shard/status/stream``).  Not
+        yet listening — use ``start()``/``stop()`` (daemon thread) or
+        ``start_async()`` inside an event loop.
         """
         from .service.aio import AsyncEvalService
 
@@ -389,10 +378,11 @@ class Session:
     ):
         """Plan a sweep, split it, and serve the shards to pull workers.
 
-        Returns an :class:`~repro.service.server.EvalService` whose app
-        carries a :class:`~repro.service.coordinator.ShardCoordinator`
-        (reachable as ``service.coordinator``).  Not yet listening —
-        call ``start()``/``serve_forever()``; point workers at the URL
+        Returns an :class:`~repro.service.aio.server.AsyncEvalService`
+        whose app carries a
+        :class:`~repro.service.coordinator.ShardCoordinator` (reachable
+        as ``service.coordinator``).  Not yet listening — call
+        ``start()``; point workers at the URL
         with :meth:`work` (or ``python -m repro work --url ...``), and
         read the streamed-merge result from
         ``service.coordinator.result()`` once ``coordinator.done``.
@@ -401,15 +391,17 @@ class Session:
         lease consecutive ranges of at most N jobs instead of whole
         shards, so one straggler re-balances finely.
         """
+        from .service.aio import AsyncEvalService
         from .service.coordinator import ShardCoordinator
-        from .service.server import EvalService
 
         coordinator = ShardCoordinator(
             self.plan_shards(num_shards, config, models=models),
             lease_seconds=lease_seconds,
             lease_jobs=lease_jobs,
         )
-        return EvalService(self, host=host, port=port, coordinator=coordinator)
+        return AsyncEvalService(
+            self, host=host, port=port, coordinator=coordinator
+        )
 
     def work(
         self,
@@ -432,8 +424,8 @@ class Session:
         (:func:`~repro.service.aio.client.run_worker_async`): up to
         ``max_leases`` units in flight on an async executor (the
         session's ``workers`` bounds in-flight jobs per unit), each
-        submitted over the streamed-upload route when the coordinator
-        supports it.  Must be called from sync code — inside a running
+        submitted over the streamed-upload route as its jobs finish.
+        Must be called from sync code — inside a running
         event loop, await ``run_worker_async`` directly.
         """
         if aio:

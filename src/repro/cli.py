@@ -26,12 +26,12 @@ Commands:
   when re-prompted with their error);
 * ``merge SHARD.json ... [--export PATH]`` — recombine executed shard
   files into one serial-order result;
-* ``serve [--backend B] [--host H] [--port P] [--workers W] [--aio]``
-  — expose the session over HTTP (the eval service); ``--aio`` serves
-  it on the asyncio server with the NDJSON streaming routes; point
-  other machines at it with ``--backend service --url http://host:port``;
+* ``serve [--backend B] [--host H] [--port P] [--workers W]`` — expose
+  the session over HTTP (the eval service, JSON routes plus the NDJSON
+  streaming ones); point other machines at it with
+  ``--backend service --url http://host:port``;
 * ``coordinate --shards K [--lease-jobs N] [--lease-seconds S]
-  [--checkpoint FILE [--checkpoint-every N]] [--aio] [--export PATH]
+  [--checkpoint FILE [--checkpoint-every N]] [--export PATH]
   ...`` — plan a sweep, split it, and serve work units to pull-based
   workers over HTTP, merging results as they stream in (no per-worker
   index bookkeeping; expired leases are re-served); ``--lease-jobs N``
@@ -436,8 +436,8 @@ def _cmd_sweep(args) -> int:
     shard_mode = args.shard_index is not None
     if args.stream:
         if not args.url:
-            print("error: --stream needs --url (an AsyncEvalService "
-                  "endpoint from `repro serve --aio`)")
+            print("error: --stream needs --url (an eval service "
+                  "endpoint from `repro serve`)")
             return 2
         if shard_mode or args.shards > 1:
             print("error: --stream runs the whole plan server-side; "
@@ -608,33 +608,18 @@ def _cmd_merge(args) -> int:
 def _cmd_serve(args) -> int:
     import time as _time
 
+    from .service import AsyncEvalService
+
     session = _session(args)
-    backend_name = session.backend.name
-    if args.aio:
-        from .service import AsyncEvalService
-
-        service = AsyncEvalService(session, host=args.host, port=args.port)
-        # the daemon-thread loop resolves port 0 and keeps this thread
-        # free to catch Ctrl-C; streaming routes are live immediately
-        url = service.start()
-        print(f"async eval service on {url} (backend={backend_name}, "
-              f"workers={args.workers}, +/sweep/stream) — Ctrl-C to stop")
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("\nstopped")
-        finally:
-            service.stop()
-        return 0
-    from .service import EvalService
-
-    service = EvalService(session, host=args.host, port=args.port)
-    service.bind()  # resolve port 0 before announcing the URL
-    print(f"eval service on {service.url} (backend={backend_name}, "
-          f"workers={args.workers}) — Ctrl-C to stop")
+    service = AsyncEvalService(session, host=args.host, port=args.port)
+    # the daemon-thread loop resolves port 0 and keeps this thread free
+    # to catch Ctrl-C; streaming routes are live immediately
+    url = service.start()
+    print(f"eval service on {url} (backend={session.backend.name}, "
+          f"workers={args.workers}, +/sweep/stream) — Ctrl-C to stop")
     try:
-        service.serve_forever()
+        while True:
+            _time.sleep(3600)
     except KeyboardInterrupt:
         print("\nstopped")
     finally:
@@ -689,20 +674,12 @@ def _cmd_coordinate(args) -> int:
             lease_seconds=args.lease_seconds,
             lease_jobs=args.lease_jobs,
         )
-    if args.aio:
-        from .service import AsyncEvalService
+    from .service import AsyncEvalService
 
-        service = AsyncEvalService(
-            session, host=args.host, port=args.port, coordinator=coordinator
-        )
-        service.start()  # daemon-thread loop; resolves port 0
-    else:
-        from .service import EvalService
-
-        service = EvalService(
-            session, host=args.host, port=args.port, coordinator=coordinator
-        )
-        service.bind()
+    service = AsyncEvalService(
+        session, host=args.host, port=args.port, coordinator=coordinator
+    )
+    service.start()  # daemon-thread loop; resolves port 0
     granularity = (
         f"{coordinator.num_units} job-range units "
         f"(<= {coordinator.lease_jobs} jobs each)"
@@ -711,11 +688,9 @@ def _cmd_coordinate(args) -> int:
     )
     print(f"shard coordinator on {service.url}: {granularity}, "
           f"lease {coordinator.lease_seconds:.0f}s — point workers at it with "
-          f"`python -m repro work --url {service.url}`"
-          + (" (live status: GET /shard/status/stream, streamed submit: "
-             "POST /shard/result/stream)" if args.aio else ""))
-    if not args.aio:
-        service.start()
+          f"`python -m repro work --url {service.url}` (live status: "
+          "GET /shard/status/stream, streamed submit: "
+          "POST /shard/result/stream)")
     checkpoint_last = coordinator.status()["done"]
     if args.checkpoint and not _os.path.exists(args.checkpoint):
         save_checkpoint(coordinator, args.checkpoint)  # resumable from t=0
@@ -1107,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="consecutive same-model jobs per generate_batch call")
     p.add_argument("--stream", action="store_true",
                    help="run the sweep on a remote streaming service "
-                        "(--url, from `repro serve --aio`) and render "
+                        "(--url, from `repro serve`) and render "
                         "progress live as NDJSON events arrive")
     p.add_argument("--no-analysis", action="store_true",
                    help="skip the netlist static-analysis gate "
@@ -1147,10 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8076,
                    help="listening port (0 = pick a free one)")
-    p.add_argument("--aio", action="store_true",
-                   help="serve on the asyncio server, adding the NDJSON "
-                        "streaming routes (POST /sweep/stream, "
-                        "GET /shard/status/stream)")
     _add_service_flags(p)
 
     p = sub.add_parser(
@@ -1184,9 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=_positive_int, default=1,
                    help="checkpoint after this many newly merged shards "
                         "(default: every shard)")
-    p.add_argument("--aio", action="store_true",
-                   help="serve the coordinator on the asyncio server so "
-                        "GET /shard/status/stream observes it live")
     _add_trace_flag(p)
     # no executor/worker/store flags: the coordinator plans and serves
     # shards but never executes jobs — those belong on `repro work`
@@ -1230,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "in flight on an async executor (--workers bounds "
                         "in-flight jobs per unit; --executor is ignored), "
                         "submitting over POST /shard/result/stream as jobs "
-                        "finish when the coordinator supports it")
+                        "finish")
     p.add_argument("--max-leases", type=_positive_int, default=2,
                    help="leases held concurrently with --aio (default: 2)")
     _add_trace_flag(p)

@@ -11,7 +11,7 @@ polling.  Three consumers share the code:
 * :func:`run_top` — the ``repro top`` loop (``--once`` renders a single
   frame for CI and piping);
 * :func:`dashboard_html` — a self-contained HTML page (inline JS, no
-  external assets) served as ``GET /dashboard`` by both HTTP servers,
+  external assets) served as ``GET /dashboard`` by the eval service,
   polling the same two routes from the browser.
 """
 

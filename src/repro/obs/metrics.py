@@ -241,7 +241,7 @@ def render_prometheus(registry: "MetricsRegistry | None" = None) -> str:
 
     Histograms render as summaries: ``{quantile="..."}`` series plus
     ``_count`` / ``_sum``.  Series are sorted, so the output is stable
-    for a given registry state (the CI parity check diffs both servers).
+    for a given registry state.
     """
     registry = registry if registry is not None else REGISTRY
     lines: list[str] = []

@@ -3,9 +3,8 @@
 The subsystem that takes the job-based sweep stack of
 :mod:`repro.eval.jobs` off a single machine:
 
-* :mod:`repro.service.server` — a stdlib HTTP eval service
-  (:class:`EvalService`) exposing the Session/job API as JSON routes,
-  with a transport-free :class:`ServiceApp` core;
+* :mod:`repro.service.server` — :class:`ServiceApp`, the transport-free
+  route table exposing the Session/job API as JSON routes;
 * :mod:`repro.service.client` — :class:`ServiceBackend`, the registered
   ``"service"`` backend that makes a remote server look local, with an
   injectable transport (:func:`in_process_transport` for offline tests);
@@ -18,13 +17,14 @@ The subsystem that takes the job-based sweep stack of
 * :mod:`repro.service.process` — :class:`ProcessPoolSweepExecutor`, the
   GIL-free executor variant for CPU-bound sweeps (point it at a shared
   :class:`~repro.eval.store.VerdictStore` to pool verdicts on disk);
-* :mod:`repro.service.aio` — the asyncio-native sibling:
+* :mod:`repro.service.aio` — the asyncio half:
+  :class:`AsyncEvalService`, the one HTTP server (``ServiceApp``'s JSON
+  routes plus the NDJSON streaming routes ``POST /sweep/stream`` and
+  ``GET /shard/status/stream``, consumed by
+  :func:`iter_sweep_events`/:func:`stream_sweep`),
   :class:`AsyncSweepExecutor` (coroutine concurrency behind the same
-  ``Executor`` interface), async backend adapters
-  (:func:`to_async`/:func:`from_async`, :class:`AsyncServiceBackend`),
-  and :class:`AsyncEvalService` with NDJSON streaming routes
-  (``POST /sweep/stream``, ``GET /shard/status/stream``) consumed by
-  :func:`iter_sweep_events`/:func:`stream_sweep`.
+  ``Executor`` interface), and async backend adapters
+  (:func:`to_async`/:func:`from_async`, :class:`AsyncServiceBackend`).
 """
 
 from .aio import (
@@ -40,7 +40,6 @@ from .aio import (
     iter_sweep_events,
     result_to_frames,
     run_worker_async,
-    serve_async,
     stream_sweep,
     submit_result_stream,
     to_async,
@@ -62,7 +61,7 @@ from .coordinator import (
     save_checkpoint,
 )
 from .process import ProcessPoolSweepExecutor
-from .server import EvalService, ServiceApp, serve
+from .server import ServiceApp
 from .sharding import (
     PlanShard,
     ShardPlanner,
@@ -85,7 +84,6 @@ __all__ = [
     "AsyncServiceBackend",
     "AsyncSweepExecutor",
     "DEFAULT_URL",
-    "EvalService",
     "StreamProtocolError",
     "assemble_stream_result",
     "from_async",
@@ -93,7 +91,6 @@ __all__ = [
     "iter_sweep_events",
     "result_to_frames",
     "run_worker_async",
-    "serve_async",
     "stream_sweep",
     "submit_result_stream",
     "to_async",
@@ -118,7 +115,6 @@ __all__ = [
     "merge_shard_files",
     "merge_shard_results",
     "save_shard_result",
-    "serve",
     "shard_from_dict",
     "shard_manifest_to_json",
     "shard_to_dict",

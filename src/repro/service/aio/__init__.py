@@ -1,8 +1,9 @@
-"""Asyncio-native sweep service: async executor, streaming HTTP, events.
+"""Asyncio-native sweep service: async executor, the HTTP server, events.
 
-The asyncio sibling of the thread/process service stack.  Everything
-blocking in :mod:`repro.service` has a non-blocking twin here, sharing
-the same wire schemas and the same parity guarantees:
+The asyncio half of the service stack.  It serves the
+:class:`~repro.service.server.ServiceApp` routes over HTTP, and gives
+the blocking pieces of :mod:`repro.service` non-blocking twins that
+share the same wire schemas and the same parity guarantees:
 
 * :mod:`~repro.service.aio.backends` — :class:`AsyncBackend` protocol,
   the :func:`to_async`/:func:`from_async` bridge for existing sync
@@ -15,10 +16,11 @@ the same wire schemas and the same parity guarantees:
 * :mod:`~repro.service.aio.events` — the NDJSON frame codec
   (``job_started``/``record``/``skip``/``job_error``/``progress``/
   ``done``) and lossless stream reassembly;
-* :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`:
-  ``ServiceApp`` routing over ``asyncio.start_server`` plus the
-  streaming routes ``POST /sweep/stream`` and
-  ``GET /shard/status/stream``;
+* :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`, the
+  eval service's one HTTP server: ``ServiceApp`` routing over
+  ``asyncio.start_server`` plus the streaming routes
+  ``POST /sweep/stream``, ``GET /shard/status/stream`` and
+  ``POST /shard/result/stream``;
 * :mod:`~repro.service.aio.client` — :func:`iter_sweep_events` /
   :func:`stream_sweep` (sync) and their async twins;
 * :mod:`~repro.service.aio.transport` — raw non-blocking HTTP/JSON
@@ -55,7 +57,7 @@ from .events import (
     span_frame,
 )
 from .executor import AsyncSweepExecutor
-from .server import AsyncEvalService, serve_async
+from .server import AsyncEvalService
 from .transport import (
     AsyncTransport,
     async_chat_transport,
@@ -93,7 +95,6 @@ __all__ = [
     "request_json",
     "result_to_frames",
     "run_worker_async",
-    "serve_async",
     "span_frame",
     "stream_sweep",
     "submit_result_stream",

@@ -305,7 +305,6 @@ async def _run_leased_unit(
     session,
     response: dict,
     concurrency: int,
-    stream_results: bool,
     summary: dict,
     timeout: float,
     poll_seconds: float,
@@ -315,10 +314,10 @@ async def _run_leased_unit(
     Streamed submission is attempted first — frames reach the
     coordinator as jobs finish, so ``/shard/status`` shows the unit's
     partial progress — with every frame also buffered locally.  If the
-    upload route is missing (a non-aio coordinator) or the connection
-    dies mid-stream, the buffer reassembles into a result and falls
-    back to the blocking ``/shard/result`` submit with blip retries:
-    executed work is never thrown away.
+    upload is refused or the connection dies mid-stream, the buffer
+    reassembles into a result and falls back to the blocking
+    ``/shard/result`` submit with blip retries: executed work is never
+    thrown away.
     """
     from ..sharding import shard_from_dict
     from ...eval.export import sweep_result_to_dict
@@ -332,14 +331,12 @@ async def _run_leased_unit(
         retry=session.retry,
         batch_size=session.batch_size,
     )
-    upload = None
-    if stream_results:
-        try:
-            upload = await open_upload(
-                "POST", _submit_stream_url(url, lease_id), timeout
-            )
-        except (BackendError, OSError):
-            upload = None
+    try:
+        upload = await open_upload(
+            "POST", _submit_stream_url(url, lease_id), timeout
+        )
+    except (BackendError, OSError):
+        upload = None
     buffered: list[dict] = []
     ack = None
     try:
@@ -361,8 +358,8 @@ async def _run_leased_unit(
                 ack = await read_upload_response(upload[0], url, timeout)
                 summary["streamed"] += 1
             except (BackendError, ServiceUnreachableError):
-                # 404 from a coordinator without the route, or a hang-up
-                # right at the terminal: the blocking fallback answers it
+                # the upload was refused, or hung up right at the
+                # terminal: the blocking fallback answers it
                 ack = None
     finally:
         # executor failures and task cancellation must not leak the
@@ -424,7 +421,6 @@ async def run_worker_async(
     concurrency: int | None = None,
     poll_seconds: float = 0.5,
     max_idle_polls: int | None = None,
-    stream_results: bool = True,
     timeout: float = 300.0,
     telemetry_seconds: float | None = 2.0,
 ) -> dict:
@@ -435,12 +431,11 @@ async def run_worker_async(
     executed on an :class:`AsyncSweepExecutor` (``concurrency`` bounds
     in-flight jobs per unit; defaults to the session's ``workers``) —
     the shape that pays off against a remote generation service, where
-    a unit's wall-clock is mostly waiting.  With ``stream_results``
-    (default) each unit's frames upload to ``/shard/result/stream`` as
-    its jobs finish, so the coordinator sees partial progress and can
-    detect a broken worker before the lease expires; against a
-    coordinator without the route the worker falls back to the blocking
-    submit automatically.
+    a unit's wall-clock is mostly waiting.  Each unit's frames upload to
+    ``/shard/result/stream`` as its jobs finish, so the coordinator sees
+    partial progress and can detect a broken worker before the lease
+    expires; if the upload is refused or breaks, the worker falls back
+    to the blocking submit automatically.
 
     Returns the same summary dict as the sync worker, plus
     ``streamed`` (how many submissions went over the stream route).
@@ -519,8 +514,8 @@ async def run_worker_async(
                 in_flight.add(
                     asyncio.create_task(
                         _run_leased_unit(
-                            url, session, response, width, stream_results,
-                            summary, timeout, poll_seconds,
+                            url, session, response, width, summary,
+                            timeout, poll_seconds,
                         )
                     )
                 )

@@ -1,12 +1,12 @@
-"""Asyncio eval service: the ServiceApp routes plus NDJSON streaming.
+"""The eval service: ServiceApp's JSON routes plus NDJSON streaming.
 
-:class:`AsyncEvalService` is the ``asyncio.start_server`` sibling of
-:class:`~repro.service.server.EvalService`.  Routing, validation and
-serialization are the *same* :class:`~repro.service.server.ServiceApp`
-— every JSON route (``/health`` … ``/shard/status``) answers identically
-— but blocking handlers run on the loop's thread pool so one process
-keeps answering health checks mid-sweep, and three routes exist only
-here because they need a connection that stays open:
+:class:`AsyncEvalService` serves a :class:`~repro.api.Session` over
+``asyncio.start_server``.  Routing, validation and serialization of
+every JSON route (``/health`` … ``/shard/status``) are
+:class:`~repro.service.server.ServiceApp`'s; blocking handlers run on
+the loop's thread pool so one process keeps answering health checks
+mid-sweep.  Three routes need a connection that stays open and are
+served here directly:
 
 * ``POST /sweep/stream``        — plan server-side, execute on an
   :class:`~repro.service.aio.executor.AsyncSweepExecutor`, and emit
@@ -25,10 +25,10 @@ The HTTP dialect is deliberately minimal: one request per connection,
 responses are close-delimited ``application/x-ndjson``.  Both the sync
 ``urllib`` client and the asyncio transport speak it.
 
-Lifecycle mirrors ``EvalService``: ``start()``/``stop()`` bridge the
-loop onto a daemon thread for sync callers and tests (``port=0`` picks
-a free port), ``serve_forever()`` blocks (the CLI ``serve --aio``
-path), and ``start_async()``/``stop_async()`` embed in a caller's loop.
+``start()``/``stop()`` run the loop on a daemon thread for sync callers
+(the CLI, tests, ``Session.serve``/``Session.coordinate``; ``port=0``
+picks a free port), and ``start_async()``/``stop_async()`` embed the
+server in a caller's loop.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ from .transport import STREAM_LIMIT, close_writer
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
              500: "Internal Server Error"}
 
+#: default seconds between ``/shard/status/stream`` polls (``?poll=``
+#: overrides it per request)
+STATUS_POLL_SECONDS = 0.2
+
 
 class AsyncEvalService:
     """A Session served over asyncio; ``port=0`` picks a free port."""
@@ -65,12 +69,10 @@ class AsyncEvalService:
         host: str = "127.0.0.1",
         port: int = 8076,
         coordinator=None,
-        status_poll_seconds: float = 0.2,
     ):
         self.app = ServiceApp(session, coordinator=coordinator)
         self.host = host
         self.port = port
-        self.status_poll_seconds = status_poll_seconds
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -166,18 +168,6 @@ class AsyncEvalService:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (CLI path)."""
-
-        async def main() -> None:
-            await self.start_async()
-            try:
-                await asyncio.Event().wait()  # until cancelled/interrupted
-            finally:
-                await self.stop_async()
-
-        asyncio.run(main())
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
@@ -241,6 +231,8 @@ class AsyncEvalService:
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length") or 0)
+            if length < 0:
+                raise ValueError
         except ValueError:
             raise _BadRequest(
                 f"bad Content-Length {headers.get('content-length')!r}"
@@ -252,6 +244,11 @@ class AsyncEvalService:
                 payload = json.loads(body.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 raise _BadRequest(f"invalid JSON body: {exc}") from None
+            if not isinstance(payload, dict):
+                raise _BadRequest(
+                    "the JSON body must be an object, "
+                    f"not {type(payload).__name__}"
+                )
         path, _, query_text = target.partition("?")
         query = {
             key: values[-1]
@@ -512,7 +509,7 @@ class AsyncEvalService:
                 "(start one with Session.coordinate / `repro coordinate`)"
             )
         try:
-            poll = float(query.get("poll") or self.status_poll_seconds)
+            poll = float(query.get("poll") or STATUS_POLL_SECONDS)
         except ValueError:
             raise _BadRequest(f"bad poll value {query.get('poll')!r}") from None
         poll = min(max(poll, 0.02), 10.0)
@@ -529,18 +526,4 @@ class _BadRequest(ValueError):
     """Route-level 400 with a client-visible message."""
 
 
-def serve_async(
-    backend=None,
-    workers: int = 1,
-    host: str = "127.0.0.1",
-    port: int = 8076,
-) -> AsyncEvalService:
-    """Build an AsyncEvalService over a fresh Session (not yet started)."""
-    from ...api import Session
-
-    return AsyncEvalService(
-        Session(backend=backend, workers=workers), host, port
-    )
-
-
-__all__ = ["AsyncEvalService", "serve_async"]
+__all__ = ["AsyncEvalService"]

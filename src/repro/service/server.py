@@ -1,7 +1,7 @@
-"""HTTP eval service: the Session/job API over JSON.
+"""The eval service's route table: the Session/job API over JSON.
 
-The service exposes a :class:`~repro.api.Session` to the network with
-nothing but the standard library:
+:class:`ServiceApp` exposes a :class:`~repro.api.Session` as JSON
+routes:
 
 * ``GET  /health``          — liveness + backend identity;
 * ``GET  /models``          — served model variants;
@@ -17,21 +17,19 @@ nothing but the standard library:
   exposition format.
 
 When a :class:`~repro.service.coordinator.ShardCoordinator` is attached
-(``ServiceApp(session, coordinator=...)`` or ``EvalService(...,
-coordinator=...)``, the ``Session.coordinate`` path), three more routes
-serve shards to pull-based workers:
+(``ServiceApp(session, coordinator=...)``, the ``Session.coordinate``
+path), three more routes serve shards to pull-based workers:
 
 * ``POST /shard/next``    — lease the next pending shard;
 * ``POST /shard/result``  — submit one executed shard (merged inline);
 * ``GET  /shard/status``  — coordination progress.
 
-:class:`ServiceApp` is the transport-free core — ``handle(method, path,
-payload) -> (status, body)`` — so tests (and
+The app is transport-free — ``handle(method, path, payload) -> (status,
+body)`` — so tests (and
 :func:`~repro.service.client.in_process_transport`) drive the exact
 routing/validation/serialization code without opening a socket.
-:class:`EvalService` wraps it in a ``ThreadingHTTPServer`` for real
-deployments; agent-style callers then point any HTTP client (or a
-:class:`~repro.service.client.ServiceBackend`) at the port.
+:class:`~repro.service.aio.server.AsyncEvalService` serves it over
+HTTP, adding the NDJSON streaming routes.
 
 The wire schema reuses the job/skip/error codecs of
 :mod:`repro.eval.export`, so a remote sweep result deserializes
@@ -40,10 +38,6 @@ record-for-record identical to a local run.
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from ..backends.base import BackendError
 from ..eval.export import config_from_dict, sweep_result_to_dict
 from ..models.base import GenerationConfig
@@ -51,7 +45,7 @@ from ..obs import REGISTRY
 from ..obs.collect import TelemetryHub, render_fleet_prometheus
 from ..obs.dashboard import dashboard_html
 
-#: reserved body key: the HTTP shims serve this raw instead of as JSON
+#: reserved body key: the HTTP server serves this raw instead of as JSON
 RAW_TEXT_KEY = "_raw_text"
 
 
@@ -96,6 +90,11 @@ class ServiceApp:
             REGISTRY.inc("http_requests", route="unmatched")
             return 404, {"error": f"no route {method.upper()} {path}"}
         REGISTRY.inc("http_requests", route=f"{route[0]} {route[1]}")
+        if payload is not None and not isinstance(payload, dict):
+            return 400, {
+                "error": "bad request: the JSON body must be an object, "
+                         f"not {type(payload).__name__}"
+            }
         try:
             return 200, handler(payload or {})
         except BackendError as exc:
@@ -237,151 +236,3 @@ class ServiceApp:
 
     def _shard_status(self, _payload: dict) -> dict:
         return self._require_coordinator().status()
-
-
-# ----------------------------------------------------------------------
-# HTTP layer
-# ----------------------------------------------------------------------
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Thin JSON shim between http.server and the ServiceApp."""
-
-    protocol_version = "HTTP/1.1"
-
-    def _respond(self, status: int, body: dict) -> None:
-        if RAW_TEXT_KEY in body:
-            data = body[RAW_TEXT_KEY].encode("utf-8")
-            content_type = body.get("content_type", "text/plain")
-        else:
-            data = json.dumps(body).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _payload(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return None
-        return json.loads(self.rfile.read(length).decode("utf-8"))
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            payload = self._payload()
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._respond(400, {"error": f"invalid JSON body: {exc}"})
-            return
-        status, body = self.server.app.handle(method, self.path, payload)
-        self._respond(status, body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        self._dispatch("POST")
-
-    def log_message(self, *args) -> None:  # silence per-request stderr spam
-        pass
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int], app: ServiceApp):
-        super().__init__(address, _ServiceRequestHandler)
-        self.app = app
-
-
-class EvalService:
-    """A Session served over HTTP; ``port=0`` picks a free port.
-
-    Use :meth:`start`/:meth:`stop` (or the context manager) to run the
-    server on a background thread for tests and embedding, or
-    :meth:`serve_forever` to block (the CLI ``serve`` command).
-    """
-
-    def __init__(
-        self,
-        session,
-        host: str = "127.0.0.1",
-        port: int = 8076,
-        coordinator=None,
-    ):
-        self.app = ServiceApp(session, coordinator=coordinator)
-        self.host = host
-        self.port = port
-        self._httpd: _ServiceHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._serving = False
-
-    # ------------------------------------------------------------------
-    def _ensure_server(self) -> _ServiceHTTPServer:
-        if self._httpd is None:
-            self._httpd = _ServiceHTTPServer((self.host, self.port), self.app)
-            self.port = self._httpd.server_address[1]
-        return self._httpd
-
-    @property
-    def coordinator(self):
-        return self.app.coordinator
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def bind(self) -> str:
-        """Bind the listening socket (resolves ``port=0``) without serving."""
-        self._ensure_server()
-        return self.url
-
-    def start(self) -> str:
-        """Serve on a daemon thread; returns the service URL."""
-        httpd = self._ensure_server()
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=httpd.serve_forever, name="eval-service", daemon=True
-            )
-            self._thread.start()
-        return self.url
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        httpd = self._ensure_server()
-        self._serving = True
-        httpd.serve_forever()
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            # shutdown() blocks on the serve loop's exit event, which is
-            # only ever set once serve_forever has run — skip it for a
-            # server that was bound but never served
-            if self._serving:
-                self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        self._serving = False
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "EvalService":
-        self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-
-def serve(
-    backend=None,
-    workers: int = 1,
-    host: str = "127.0.0.1",
-    port: int = 8076,
-) -> EvalService:
-    """Build an EvalService over a fresh Session (not yet started)."""
-    from ..api import Session
-
-    return EvalService(Session(backend=backend, workers=workers), host, port)

@@ -284,6 +284,20 @@ class TestRequestHygiene:
         assert b"400" in response.split(b"\r\n", 1)[0]
         assert b"Content-Length" in response
 
+    def test_negative_content_length_gets_400(self, service):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /generate HTTP/1.1\r\n"
+                b"Host: x\r\nContent-Length: -5\r\n\r\n"
+            )
+            response = sock.recv(4096)
+        assert b"400" in response.split(b"\r\n", 1)[0]
+        assert b"bad Content-Length '-5'" in response
+
     def test_stream_cli_notes_ignored_local_flags(self, service, capsys):
         from repro.cli import main
 
@@ -340,15 +354,21 @@ class TestStreamedShardSubmission:
         assert merged.skipped == serial.skipped
         assert merged.errors == serial.errors
 
-    def test_async_worker_falls_back_on_sync_coordinator(self):
-        # a coordinator served by the *sync* EvalService has no stream
-        # route: the worker's buffered frames submit blockingly instead,
-        # and no executed work is lost
-        from repro.service import EvalService, run_worker_async
+    def test_async_worker_falls_back_when_stream_upload_refused(self):
+        # a coordinator that refuses the streamed upload: the worker's
+        # buffered frames submit blockingly instead, and no executed
+        # work is lost
+        from repro.service import run_worker_async
+        from repro.service.aio.server import _BadRequest
 
         serial = Session(backend="stub-canonical").run_sweep(SMALL)
         session, coordinator = self._coordinated(lease_jobs=3)
-        svc = EvalService(session, port=0, coordinator=coordinator)
+        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
+
+        async def refuse_upload(reader, writer, query):
+            raise _BadRequest("streamed submit refused")
+
+        svc._stream_submit = refuse_upload
         url = svc.start()
         try:
             summary = asyncio.run(

@@ -68,6 +68,17 @@ class TestParser:
         assert args.port == 8076
         assert args.backend == "zoo"
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--aio"], ["coordinate", "--shards", "2", "--aio"],
+    ])
+    def test_servers_take_no_aio_flag(self, argv):
+        # one HTTP server; only the worker has an asyncio variant
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert build_parser().parse_args(
+            ["work", "--url", "http://h:1", "--aio"]
+        ).aio
+
     def test_executor_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--executor", "psychic"])
@@ -457,7 +468,7 @@ class TestCoordinateAndWorkCommands:
 
 
 class TestStreamingAndStoreCLI:
-    """PR 4 surfaces: sweep --stream, serve --aio, coordinate
+    """Streaming and store surfaces: sweep --stream, coordinate
     --checkpoint, and the store pack/unpack command."""
 
     def test_new_flags_parse(self):
@@ -465,15 +476,12 @@ class TestStreamingAndStoreCLI:
             ["sweep", "--stream", "--url", "http://h:1"]
         )
         assert args.stream and args.url == "http://h:1"
-        args = build_parser().parse_args(["serve", "--aio"])
-        assert args.aio
         args = build_parser().parse_args([
             "coordinate", "--shards", "2",
             "--checkpoint", "state.json", "--checkpoint-every", "3",
         ])
         assert args.checkpoint == "state.json"
         assert args.checkpoint_every == 3
-        assert args.aio is False
         args = build_parser().parse_args(["store", "pack", "dir"])
         assert args.action == "pack" and args.dir == "dir"
         args = build_parser().parse_args(
@@ -512,7 +520,7 @@ class TestStreamingAndStoreCLI:
 
         from repro.api import Session
 
-        service = Session(backend="stub-canonical").serve_async(port=0)
+        service = Session(backend="stub-canonical").serve(port=0)
         url = service.start()
         streamed_path = tmp_path / "streamed.json"
         serial_path = tmp_path / "serial.json"

@@ -481,7 +481,7 @@ class TestStreamFrames:
 
 
 # ----------------------------------------------------------------------
-# /metrics routes on both servers
+# /metrics routes on the service
 # ----------------------------------------------------------------------
 class TestMetricsRoutes:
     def test_service_app_metrics_json(self):
@@ -517,30 +517,28 @@ class TestMetricsRoutes:
                 response.read().decode("utf-8"),
             )
 
-    def test_routes_over_both_http_servers(self):
-        """The stdlib and asyncio servers expose identical metrics
-        routes: JSON snapshot at /metrics, Prometheus text at
-        /metrics/prom with the exposition content type."""
-        from repro.service import AsyncEvalService, EvalService
+    def test_routes_over_http(self):
+        """The service exposes both metrics routes over HTTP: JSON
+        snapshot at /metrics, Prometheus text at /metrics/prom with the
+        exposition content type."""
+        from repro.service import AsyncEvalService
 
-        REGISTRY.inc("served_counter", flavor="both")
-        with EvalService(Session(backend="zoo"), port=0) as stdlib_svc, \
-                AsyncEvalService(Session(backend="zoo"), port=0) as aio_svc:
-            for url in (stdlib_svc.url, aio_svc.url):
-                status, ctype, text = self._fetch(url + "/metrics")
-                assert status == 200
-                assert ctype.startswith("application/json")
-                names = [
-                    row["name"]
-                    for row in json.loads(text)["metrics"]["counters"]
-                ]
-                assert "served_counter" in names
+        REGISTRY.inc("served_counter", flavor="http")
+        with AsyncEvalService(Session(backend="zoo"), port=0) as svc:
+            status, ctype, text = self._fetch(svc.url + "/metrics")
+            assert status == 200
+            assert ctype.startswith("application/json")
+            names = [
+                row["name"]
+                for row in json.loads(text)["metrics"]["counters"]
+            ]
+            assert "served_counter" in names
 
-                status, ctype, text = self._fetch(url + "/metrics/prom")
-                assert status == 200
-                assert ctype == "text/plain; version=0.0.4"
-                assert 'served_counter{flavor="both"} 1.0' in text
-                assert "# TYPE served_counter counter" in text
+            status, ctype, text = self._fetch(svc.url + "/metrics/prom")
+            assert status == 200
+            assert ctype == "text/plain; version=0.0.4"
+            assert 'served_counter{flavor="http"} 1.0' in text
+            assert "# TYPE served_counter counter" in text
 
 
 # ----------------------------------------------------------------------
@@ -1260,30 +1258,28 @@ class TestTelemetryRoutes:
         with urllib.request.urlopen(request, timeout=5) as response:
             return response.status, json.loads(response.read())
 
-    def test_fleet_routes_over_both_http_servers(self):
-        """Both servers ingest pushes from two workers and expose the
+    def test_fleet_routes_over_http(self):
+        """The service ingests pushes from two workers and exposes the
         merged, worker-labelled fleet view on one scrape."""
-        from repro.service import AsyncEvalService, EvalService
+        from repro.service import AsyncEvalService
 
-        with EvalService(Session(backend="zoo"), port=0) as stdlib_svc, \
-                AsyncEvalService(Session(backend="zoo"), port=0) as aio_svc:
-            for url in (stdlib_svc.url, aio_svc.url):
-                for worker in ("w-a", "w-b"):
-                    status, ack = self._post_json(
-                        url + "/telemetry", self._payload(worker)
-                    )
-                    assert status == 200 and ack["ok"]
-                with urllib.request.urlopen(
-                    url + "/metrics/prom", timeout=5
-                ) as response:
-                    text = response.read().decode("utf-8")
-                assert 'worker_records_submitted{worker="w-a"} 4.0' in text
-                assert 'worker_records_submitted{worker="w-b"} 4.0' in text
-                with urllib.request.urlopen(
-                    url + "/dashboard", timeout=5
-                ) as response:
-                    assert response.headers.get_content_type() == "text/html"
-                    assert b"repro dashboard" in response.read()
+        with AsyncEvalService(Session(backend="zoo"), port=0) as svc:
+            for worker in ("w-a", "w-b"):
+                status, ack = self._post_json(
+                    svc.url + "/telemetry", self._payload(worker)
+                )
+                assert status == 200 and ack["ok"]
+            with urllib.request.urlopen(
+                svc.url + "/metrics/prom", timeout=5
+            ) as response:
+                text = response.read().decode("utf-8")
+            assert 'worker_records_submitted{worker="w-a"} 4.0' in text
+            assert 'worker_records_submitted{worker="w-b"} 4.0' in text
+            with urllib.request.urlopen(
+                svc.url + "/dashboard", timeout=5
+            ) as response:
+                assert response.headers.get_content_type() == "text/html"
+                assert b"repro dashboard" in response.read()
 
 
 class TestWorkerTelemetryEndToEnd:
@@ -1437,9 +1433,9 @@ class TestDashboardRender:
         assert split[0]["share"] == pytest.approx(0.75)
 
     def test_run_top_once_against_live_service(self, capsys):
-        from repro.service import EvalService
+        from repro.service import AsyncEvalService
 
-        with EvalService(Session(backend="zoo"), port=0) as svc:
+        with AsyncEvalService(Session(backend="zoo"), port=0) as svc:
             assert main(["top", "--url", svc.url, "--once"]) == 0
         out = capsys.readouterr().out
         assert "repro top" in out

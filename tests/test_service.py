@@ -9,12 +9,11 @@ from repro.eval import SweepConfig, SweepExecutor, SweepPlanner
 from repro.problems import PromptLevel
 from repro.models import GenerationConfig
 from repro.service import (
-    EvalService,
+    AsyncEvalService,
     ProcessPoolSweepExecutor,
     ServiceApp,
     ServiceBackend,
     in_process_transport,
-    serve,
 )
 
 SMALL = SweepConfig(
@@ -119,6 +118,12 @@ class TestServiceApp:
     def test_missing_field_400(self, app):
         status, body = app.handle("POST", "/generate", {"model": "x"})
         assert status == 400
+
+    @pytest.mark.parametrize("payload", [[1, 2], "model", 7])
+    def test_non_object_body_400(self, app, payload):
+        status, body = app.handle("POST", "/generate", payload)
+        assert status == 400
+        assert "must be an object" in body["error"]
 
     def test_trailing_slash_tolerated(self, app):
         status, _ = app.handle("GET", "/models/")
@@ -342,7 +347,7 @@ class TestGenerateBatch:
 class TestEvalServiceHTTP:
     def test_real_http_round_trip(self):
         session = Session(backend="zoo")
-        with EvalService(session, port=0) as service:
+        with AsyncEvalService(session, port=0) as service:
             backend = ServiceBackend(url=service.url)
             assert backend.health()["status"] == "ok"
             local = Session(backend="zoo").run_sweep(
@@ -354,18 +359,29 @@ class TestEvalServiceHTTP:
         assert remote.sweep.records == local.sweep.records
 
     def test_http_error_status(self):
-        with EvalService(Session(backend="zoo"), port=0) as service:
+        with AsyncEvalService(Session(backend="zoo"), port=0) as service:
             backend = ServiceBackend(url=service.url)
             with pytest.raises(BackendError, match="400"):
                 backend.capabilities("gpt-9")
 
-    def test_serve_helper_builds_unstarted_service(self):
-        service = serve(backend="stub", workers=2, port=0)
-        assert isinstance(service, EvalService)
-        assert service.app.session.backend.name == "stub"
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"model"', b"7"])
+    def test_non_object_body_400_over_http(self, body):
+        import json
+        import urllib.error
+        import urllib.request
+
+        with AsyncEvalService(Session(backend="zoo"), port=0) as service:
+            request = urllib.request.Request(
+                service.url + "/generate", data=body,
+                headers={"Content-Type": "application/json"}, method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert "must be an object" in json.loads(excinfo.value.read())["error"]
 
     def test_stop_is_idempotent(self):
-        service = EvalService(Session(backend="stub"), port=0)
+        service = AsyncEvalService(Session(backend="stub"), port=0)
         service.start()
         service.stop()
         service.stop()
@@ -434,10 +450,14 @@ class TestSessionServiceEntrypoints:
 
     def test_session_serve_returns_service(self):
         service = Session(backend="stub").serve(port=0)
-        assert isinstance(service, EvalService)
-        url = service.bind()
-        assert url.startswith("http://127.0.0.1:")
-        service.stop()
+        assert isinstance(service, AsyncEvalService)
+        assert service.app.session.backend.name == "stub"
+        url = service.start()
+        try:
+            assert url.startswith("http://127.0.0.1:")
+            assert ServiceBackend(url=url).health()["status"] == "ok"
+        finally:
+            service.stop()
 
     def test_session_plan_shards(self):
         shards = Session(backend="zoo").plan_shards(
