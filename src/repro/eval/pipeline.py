@@ -8,14 +8,20 @@ for the pass marker.
 Evaluations are cached by (problem, truncated completion text): the paper
 notes LLMs "tend to provide similar responses when several completions
 per prompt are requested", so the cache collapses most of the sweep's
-work, exactly like memoizing ``iverilog`` runs on identical files.
+work, exactly like memoizing ``iverilog`` runs on identical files.  The
+prompt level stays out of the key: the MEDIUM and HIGH prompts are the
+LOW prompt plus comment lines, so the verdict is the same and only the
+source lines past the prompt move.  Cached and stored evaluations keep
+LOW-prompt line numbers, and :meth:`Evaluator.evaluate` shifts them to
+the requested level's numbering on the way out.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..models.base import stable_hash
 from ..obs import REGISTRY, observe_stage
@@ -66,6 +72,43 @@ class CompletionEvaluation:
         if not self.compiled:
             return "compile-error"
         return "pass" if self.passed else "test-fail"
+
+
+#: the source line a compile error or finding string starts with
+_LINE_PREFIX = re.compile(r"^((?:runtime: )?line )(\d+)")
+
+
+def _shift_lines(evaluation: CompletionEvaluation, after: int,
+                 delta: int) -> CompletionEvaluation:
+    """``evaluation`` with every source line past ``after`` moved by
+    ``delta``: ``error_line``, the ``line N`` of each compile error and
+    each finding's line."""
+    line = evaluation.error_line
+    errors, findings = evaluation.compile_errors, evaluation.findings
+    if not delta or (line <= after and not errors and not findings):
+        return evaluation
+
+    def move(match: re.Match) -> str:
+        number = int(match.group(2))
+        return match.group(1) + str(
+            number + delta if number > after else number)
+
+    return CompletionEvaluation(
+        compiled=evaluation.compiled, passed=evaluation.passed,
+        compile_errors=tuple(_LINE_PREFIX.sub(move, error, count=1)
+                             for error in errors),
+        sim_finished=evaluation.sim_finished, stage=evaluation.stage,
+        error_line=line + delta if line > after else line,
+        findings=tuple(replace(finding, line=finding.line + delta)
+                       if finding.line > after else finding
+                       for finding in findings),
+    )
+
+
+def _prompt_lines(problem: Problem, level: PromptLevel) -> int:
+    """How many source lines ``level``'s prompt takes in
+    :meth:`Problem.full_source`."""
+    return problem.prompts[level].rstrip("\n").count("\n") + 1
 
 
 class Evaluator:
@@ -129,18 +172,22 @@ class Evaluator:
     ) -> CompletionEvaluation:
         """Evaluate one completion against ``problem``.
 
-        ``level`` selects the prompt the completion is appended to; the
-        cache key ignores it because the three prompts differ only in
-        comments and cannot change the verdict.
+        ``level`` selects the prompt the completion is appended to, and
+        the returned line numbers are those of that level's
+        ``problem.full_source``.  The cache key ignores the level: the
+        three prompts differ only in comments, so cached evaluations
+        keep LOW-prompt line numbers and are shifted per level.
         """
         truncated = truncate_completion(completion)
         key = (problem.number, stable_hash(truncated))
+        low_lines = _prompt_lines(problem, PromptLevel.LOW)
+        delta = _prompt_lines(problem, level) - low_lines
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 REGISTRY.inc("evaluator_cache", result="hit")
-                return cached
+                return _shift_lines(cached, low_lines, delta)
         if self.store is not None:
             stored = self.store.get(*key)
             if stored is not None:
@@ -148,15 +195,16 @@ class Evaluator:
                     self.store_hits += 1
                     self._cache[key] = stored
                 REGISTRY.inc("evaluator_cache", result="store_hit")
-                return stored
+                return _shift_lines(stored, low_lines, delta)
         with self._lock:
             self.cache_misses += 1
         REGISTRY.inc("evaluator_cache", result="miss")
         result = self._evaluate_uncached(problem, truncated, level)
+        low = _shift_lines(result, low_lines + delta, -delta)
         with self._lock:
-            self._cache[key] = result
+            self._cache[key] = low
         if self.store is not None:
-            self.store.put(*key, result)
+            self.store.put(*key, low)
         return result
 
     def _evaluate_uncached(

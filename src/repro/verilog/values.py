@@ -17,6 +17,14 @@ so ``b`` is the "unknown" plane and ``a`` distinguishes 1 from 0 (and x
 from z).  Both planes are stored as arbitrary-precision Python ints masked
 to ``width`` bits, which keeps all bitwise operations O(1) Python ops.
 
+Simulation makes and drops values at a high rate, so :class:`Vec` is a
+plain ``__slots__`` object rather than a dataclass: immutable (assigning
+a field raises :class:`AttributeError`), equal and hashed by (width,
+planes, sign), picklable.  Values are shared freely; ``resize`` to the
+same width and sign returns the value itself rather than a copy.  Part
+selects and writes, edge classification and reductions work on whole
+planes with masks and shifts, never bit by bit.
+
 Semantics follow IEEE 1364-2005 where it matters for the paper's problem
 set: x-propagation in arithmetic and relational operators, per-bit
 dominance rules for ``&``/``|``, two's-complement interpretation for
@@ -25,14 +33,18 @@ signed vectors, and LRM edge classification for ``posedge``/``negedge``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-@dataclass(frozen=True)
+#: bit-string character -> its a-plane / b-plane bit (see the table above)
+_A_PLANE = str.maketrans("01xXzZ?", "0111000")
+_B_PLANE = str.maketrans("01xXzZ?", "0011111")
+#: deletes every valid bit character, leaving only the invalid ones
+_DROP_BITS = str.maketrans("", "", "01xXzZ?")
+
+
 class Vec:
     """An immutable four-state Verilog vector.
 
@@ -41,19 +53,44 @@ class Vec:
         aval: the "a" plane (1/x distinguishing bits), masked to width.
         bval: the "b" plane (unknown bits), masked to width.
         signed: whether the vector is interpreted as two's complement.
+
+    Two vectors are equal iff width, both planes and signedness are; a
+    vector never equals an object of another type.
     """
 
-    width: int
-    aval: int
-    bval: int
-    signed: bool = False
+    __slots__ = ("width", "aval", "bval", "signed")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"vector width must be >= 1, got {self.width}")
-        m = _mask(self.width)
-        object.__setattr__(self, "aval", self.aval & m)
-        object.__setattr__(self, "bval", self.bval & m)
+    def __init__(self, width: int, aval: int, bval: int,
+                 signed: bool = False) -> None:
+        if width < 1:
+            raise ValueError(f"vector width must be >= 1, got {width}")
+        m = (1 << width) - 1
+        _set_width(self, width)
+        _set_aval(self, aval & m)
+        _set_bval(self, bval & m)
+        _set_signed(self, signed)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Vec:
+            return NotImplemented
+        return (self.aval == other.aval and self.bval == other.bval
+                and self.width == other.width and self.signed == other.signed)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.aval, self.bval, self.signed))
+
+    def __repr__(self) -> str:
+        return (f"Vec(width={self.width!r}, aval={self.aval!r}, "
+                f"bval={self.bval!r}, signed={self.signed!r})")
+
+    def __reduce__(self):
+        return Vec, (self.width, self.aval, self.bval, self.signed)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -61,7 +98,9 @@ class Vec:
     @staticmethod
     def from_int(value: int, width: int, signed: bool = False) -> "Vec":
         """Build a fully-known vector from a Python int (two's complement)."""
-        return Vec(width, value & _mask(width), 0, signed)
+        if width < 1:
+            raise ValueError(f"vector width must be >= 1, got {width}")
+        return _vec(width, value & ((1 << width) - 1), 0, signed)
 
     @staticmethod
     def unknown(width: int, signed: bool = False) -> "Vec":
@@ -79,20 +118,11 @@ class Vec:
         """Build from a bit string, MSB first, e.g. ``"10xz"``."""
         if not bits:
             raise ValueError("empty bit string")
-        aval = bval = 0
-        for ch in bits:
-            aval <<= 1
-            bval <<= 1
-            if ch == "1":
-                aval |= 1
-            elif ch == "x" or ch == "X":
-                aval |= 1
-                bval |= 1
-            elif ch == "z" or ch == "Z" or ch == "?":
-                bval |= 1
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return Vec(len(bits), aval, bval, signed)
+        bad = bits.translate(_DROP_BITS)
+        if bad:
+            raise ValueError(f"invalid bit character {bad[0]!r}")
+        return _vec(len(bits), int(bits.translate(_A_PLANE), 2),
+                    int(bits.translate(_B_PLANE), 2), signed)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -142,33 +172,35 @@ class Vec:
         """Truncate or extend to ``width``.
 
         Extension is sign extension when the source is signed, otherwise
-        zero extension; x/z in the MSB extends as x/z per the LRM.
+        zero extension; x/z in the MSB extends as x/z per the LRM.  When
+        neither width nor signedness changes the result is ``self``.
         """
-        signed = self.signed if signed is None else signed
-        if width == self.width:
+        if signed is None:
+            signed = self.signed
+        own = self.width
+        if width == own:
+            if signed == self.signed:
+                return self
+            return _vec(width, self.aval, self.bval, signed)
+        if width < own:
             return Vec(width, self.aval, self.bval, signed)
-        if width < self.width:
-            return Vec(width, self.aval, self.bval, signed)
-        ext = width - self.width
-        msb_a = (self.aval >> (self.width - 1)) & 1
-        msb_b = (self.bval >> (self.width - 1)) & 1
-        if self.signed or msb_b:
-            fill_a = _mask(ext) if msb_a else 0
-            fill_b = _mask(ext) if msb_b else 0
-        else:
-            fill_a = fill_b = 0
-        return Vec(
+        top = own - 1
+        msb_b = (self.bval >> top) & 1
+        if not (self.signed or msb_b):
+            return _vec(width, self.aval, self.bval, signed)
+        fill = _mask(width - own) << own
+        return _vec(
             width,
-            self.aval | (fill_a << self.width),
-            self.bval | (fill_b << self.width),
+            self.aval | fill if (self.aval >> top) & 1 else self.aval,
+            self.bval | fill if msb_b else self.bval,
             signed,
         )
 
     def as_signed(self) -> "Vec":
-        return Vec(self.width, self.aval, self.bval, True)
+        return self.resize(self.width, True)
 
     def as_unsigned(self) -> "Vec":
-        return Vec(self.width, self.aval, self.bval, False)
+        return self.resize(self.width, False)
 
     # ------------------------------------------------------------------
     # Truthiness (for if/while/ternary conditions)
@@ -182,9 +214,29 @@ class Vec:
         return self.aval == 0 and self.bval == 0
 
 
+_set_width = Vec.width.__set__
+_set_aval = Vec.aval.__set__
+_set_bval = Vec.bval.__set__
+_set_signed = Vec.signed.__set__
+_new_vec = object.__new__
+
+
+def _vec(width: int, aval: int, bval: int, signed: bool = False) -> Vec:
+    """A :class:`Vec` from planes already masked to ``width`` >= 1; skips
+    the constructor's check and masking."""
+    vec = _new_vec(Vec)
+    _set_width(vec, width)
+    _set_aval(vec, aval)
+    _set_bval(vec, bval)
+    _set_signed(vec, signed)
+    return vec
+
+
 ZERO1 = Vec.from_int(0, 1)
 ONE1 = Vec.from_int(1, 1)
 X1 = Vec.unknown(1)
+#: the four unsigned 1-bit vectors, indexed by ``a | b << 1``
+_BITS1 = (ZERO1, ONE1, Vec.high_z(1), X1)
 
 
 def _bool_vec(value: bool) -> Vec:
@@ -203,7 +255,7 @@ def bit_and(lhs: Vec, rhs: Vec) -> Vec:
     one = (a.aval & ~a.bval) & (b.aval & ~b.bval)
     unknown = ~zero & ~one
     m = _mask(width)
-    return Vec(width, (one | unknown) & m, unknown & m)
+    return _vec(width, (one | unknown) & m, unknown & m)
 
 
 def bit_or(lhs: Vec, rhs: Vec) -> Vec:
@@ -214,7 +266,7 @@ def bit_or(lhs: Vec, rhs: Vec) -> Vec:
     zero = (~a.aval & ~a.bval) & (~b.aval & ~b.bval)
     unknown = ~zero & ~one
     m = _mask(width)
-    return Vec(width, (one | unknown) & m, unknown & m)
+    return _vec(width, (one | unknown) & m, unknown & m)
 
 
 def bit_xor(lhs: Vec, rhs: Vec) -> Vec:
@@ -223,8 +275,7 @@ def bit_xor(lhs: Vec, rhs: Vec) -> Vec:
     a, b = lhs.resize(width), rhs.resize(width)
     unknown = a.bval | b.bval
     value = (a.aval ^ b.aval) & ~unknown
-    m = _mask(width)
-    return Vec(width, (value | unknown) & m, unknown & m)
+    return _vec(width, value | unknown, unknown)
 
 
 def bit_xnor(lhs: Vec, rhs: Vec) -> Vec:
@@ -236,7 +287,7 @@ def bit_not(operand: Vec) -> Vec:
     m = _mask(operand.width)
     unknown = operand.bval
     value = (~operand.aval) & m & ~unknown
-    return Vec(operand.width, (value | unknown) & m, unknown)
+    return _vec(operand.width, value | unknown, unknown)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +313,7 @@ def reduce_or(operand: Vec) -> Vec:
 def reduce_xor(operand: Vec) -> Vec:
     if operand.bval:
         return X1
-    return _bool_vec(bin(operand.aval).count("1") % 2 == 1)
+    return _bool_vec(operand.aval.bit_count() & 1)
 
 
 def reduce_nand(operand: Vec) -> Vec:
@@ -320,15 +371,30 @@ def logical_not(operand: Vec) -> Vec:
 # Arithmetic (whole-vector x poisoning, per LRM)
 # ----------------------------------------------------------------------
 def _arith_operands(lhs: Vec, rhs: Vec) -> tuple[int, int, int, bool] | None:
-    """Common width/sign resolution; None when either operand has x/z."""
+    """Common width/sign resolution; None when either operand has x/z.
+
+    The integers are what ``resize(width, signed).to_int()`` gives each
+    operand, computed without building the resized vectors.
+    """
     if lhs.bval or rhs.bval:
         return None
-    width = max(lhs.width, rhs.width)
-    signed = lhs.signed and rhs.signed
-    a = lhs.resize(width, signed).to_int()
-    b = rhs.resize(width, signed).to_int()
-    assert a is not None and b is not None
-    return a, b, width, signed
+    lw, rw = lhs.width, rhs.width
+    a, b = lhs.aval, rhs.aval
+    if lhs.signed and rhs.signed:
+        if a >> (lw - 1):
+            a -= 1 << lw
+        if b >> (rw - 1):
+            b -= 1 << rw
+        return a, b, max(lw, rw), True
+    if lw == rw:
+        return a, b, lw, False
+    width = max(lw, rw)
+    # an unsigned result still sign-extends a narrower signed operand
+    if lhs.signed and a >> (lw - 1):
+        a |= _mask(width) ^ _mask(lw)
+    if rhs.signed and b >> (rw - 1):
+        b |= _mask(width) ^ _mask(rw)
+    return a, b, width, False
 
 
 def add(lhs: Vec, rhs: Vec) -> Vec:
@@ -512,7 +578,7 @@ def concat(parts: list[Vec]) -> Vec:
         aval = (aval << part.width) | part.aval
         bval = (bval << part.width) | part.bval
         width += part.width
-    return Vec(width, aval, bval, False)
+    return _vec(width, aval, bval, False)
 
 
 def replicate(count: int, value: Vec) -> Vec:
@@ -525,7 +591,8 @@ def select_bit(value: Vec, index: int | None) -> Vec:
     """Bit select; out-of-range or unknown index yields x."""
     if index is None or index < 0 or index >= value.width:
         return X1
-    return Vec(1, (value.aval >> index) & 1, (value.bval >> index) & 1)
+    return _BITS1[((value.aval >> index) & 1)
+                  | ((value.bval >> index) & 1) << 1]
 
 
 def select_part(value: Vec, msb: int, lsb: int) -> Vec:
@@ -533,44 +600,44 @@ def select_part(value: Vec, msb: int, lsb: int) -> Vec:
     if msb < lsb:
         msb, lsb = lsb, msb
     width = msb - lsb + 1
-    aval = bval = 0
-    for offset in range(width):
-        index = lsb + offset
-        if 0 <= index < value.width:
-            aval |= ((value.aval >> index) & 1) << offset
-            bval |= ((value.bval >> index) & 1) << offset
-        else:
-            aval |= 1 << offset
-            bval |= 1 << offset
-    return Vec(width, aval, bval)
+    m = _mask(width)
+    if lsb >= 0 and msb < value.width:
+        return _vec(width, (value.aval >> lsb) & m, (value.bval >> lsb) & m)
+    lo, hi = max(lsb, 0), min(msb, value.width - 1)
+    if lo > hi:
+        return _vec(width, m, m)
+    # the in-range bits [hi:lo] land at offset lo - lsb; the rest read x
+    field = _mask(hi - lo + 1)
+    shift = lo - lsb
+    outside = m ^ (field << shift)
+    return _vec(width,
+                ((value.aval >> lo) & field) << shift | outside,
+                ((value.bval >> lo) & field) << shift | outside)
 
 
 def insert_part(target: Vec, msb: int, lsb: int, piece: Vec) -> Vec:
-    """Return target with bits [msb:lsb] replaced by piece (LSB aligned)."""
+    """Return target with bits [msb:lsb] replaced by piece (LSB aligned);
+    bits outside the target are dropped."""
     if msb < lsb:
         msb, lsb = lsb, msb
-    width = msb - lsb + 1
-    piece = piece.resize(width)
-    aval, bval = target.aval, target.bval
-    for offset in range(width):
-        index = lsb + offset
-        if 0 <= index < target.width:
-            bit_mask = 1 << index
-            aval = (aval & ~bit_mask) | (((piece.aval >> offset) & 1) << index)
-            bval = (bval & ~bit_mask) | (((piece.bval >> offset) & 1) << index)
-    return Vec(target.width, aval, bval, target.signed)
+    lo, hi = max(lsb, 0), min(msb, target.width - 1)
+    if lo > hi:
+        return target
+    # only piece bits up to offset hi - lsb land on the target
+    piece = piece.resize(hi - lsb + 1)
+    # piece bit (lo - lsb) lands on target bit lo
+    field = _mask(hi - lo + 1) << lo
+    shift = lo - lsb
+    return _vec(target.width,
+                target.aval & ~field | (piece.aval >> shift << lo) & field,
+                target.bval & ~field | (piece.bval >> shift << lo) & field,
+                target.signed)
 
 
 # ----------------------------------------------------------------------
 # Edge classification (LRM 1364-2005 Table 9-2)
 # ----------------------------------------------------------------------
-def edge_kind(old: Vec, new: Vec) -> str | None:
-    """Classify a transition of the LSB: 'posedge', 'negedge' or None.
-
-    posedge: 0->1, 0->x, 0->z, x->1, z->1.
-    negedge: 1->0, 1->x, 1->z, x->0, z->0.
-    """
-    before, after = old.bit(0), new.bit(0)
+def _edge_rule(before: str, after: str) -> str | None:
     if before == after:
         return None
     if before in "xz" and after in "xz":
@@ -580,3 +647,20 @@ def edge_kind(old: Vec, new: Vec) -> str | None:
     if before == "1" or after == "0":
         return "negedge"
     return None
+
+
+#: the rule for every (old, new) LSB pair, indexed by the four plane
+#: bits ``old.a | old.b << 1 | new.a << 2 | new.b << 3``
+_EDGES = tuple(
+    _edge_rule("01zx"[key & 3], "01zx"[key >> 2]) for key in range(16)
+)
+
+
+def edge_kind(old: Vec, new: Vec) -> str | None:
+    """Classify a transition of the LSB: 'posedge', 'negedge' or None.
+
+    posedge: 0->1, 0->x, 0->z, x->1, z->1.
+    negedge: 1->0, 1->x, 1->z, x->0, z->0.
+    """
+    return _EDGES[(old.aval & 1) | (old.bval & 1) << 1
+                  | (new.aval & 1) << 2 | (new.bval & 1) << 3]

@@ -5,9 +5,16 @@ known-value registers; each expression is evaluated twice — by the event-
 driven simulator through a generated module, and by a Python big-int
 oracle implementing the LRM width/sign rules directly.  Any divergence is
 a real bug in lexer, parser, width resolution, or 4-state arithmetic.
+
+A seeded generator then covers what the 8-bit two-state oracle cannot:
+x/z literals and values, operands wider than 64 bits, part selects that
+run off either end, and replication.  There the two simulation engines
+(interpreted and compiled) are the oracles for each other.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,3 +305,122 @@ def test_prop_part_select_matches_oracle(value, hi, lo):
     assert report.ok and result is not None
     expected = (value >> lo) & ((1 << (hi - lo + 1)) - 1)
     assert int(result.output[0]) == expected
+
+
+# ----------------------------------------------------------------------
+# Interpreter == compiled engine on four-state and wide expressions
+# ----------------------------------------------------------------------
+#: (name, declaration width, signed) of the operands; widths straddle the
+#: 64-bit word boundary
+_WIDE_VARS = [("a", 1, False), ("b", 8, False), ("c", 8, True),
+              ("d", 33, False), ("e", 70, False), ("f", 70, True),
+              ("g", 130, False)]
+_WIDE_BINOPS = ["+", "-", "*", "/", "%", "&", "|", "^", "~^", "==", "!=",
+                "===", "!==", "<", "<=", ">", ">=", "&&", "||", "<<", ">>",
+                ">>>", "<<<"]
+_WIDE_UNOPS = ["~", "-", "!", "&", "|", "^", "~&", "~|", "~^"]
+
+
+def _four_state_bits(rng: random.Random, width: int) -> str:
+    """A bit string that is fully known about half the time."""
+    alphabet = "01" if rng.random() < 0.5 else "0101xz"
+    return "".join(rng.choice(alphabet) for _ in range(width))
+
+
+def _wide_literal(rng: random.Random) -> str:
+    width = rng.choice([1, 4, 8, 40, 65, 100])
+    kind = rng.random()
+    if kind < 0.5:
+        return f"{width}'b{_four_state_bits(rng, width)}"
+    if kind < 0.8:
+        digits = (width + 3) // 4
+        return f"{width}'h" + "".join(
+            rng.choice("0123456789abcdefxz") for _ in range(digits))
+    return str(rng.randint(0, 300))
+
+
+def _wide_expr(rng: random.Random, depth: int = 0) -> str:
+    if depth >= 3 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return rng.choice(_WIDE_VARS)[0]
+        return _wide_literal(rng)
+    kind = rng.choice(["bin", "bin", "bin", "un", "tern", "concat",
+                       "repl", "part", "bit", "indexed"])
+
+    def sub() -> str:
+        return _wide_expr(rng, depth + 1)
+
+    if kind == "bin":
+        op = rng.choice(_WIDE_BINOPS)
+        rhs = str(rng.randint(0, 140)) if op in ("<<", ">>", ">>>", "<<<") \
+            and rng.random() < 0.6 else sub()
+        return f"({sub()} {op} {rhs})"
+    if kind == "un":
+        return f"({rng.choice(_WIDE_UNOPS)}{sub()})"
+    if kind == "tern":
+        return f"({sub()} ? {sub()} : {sub()})"
+    if kind == "concat":
+        return "{" + ", ".join(sub() for _ in range(rng.randint(2, 3))) + "}"
+    if kind == "repl":
+        # a count read from b can be 0 or x: a runtime error with a line
+        count = "b[1:0]" if rng.random() < 0.1 else str(rng.randint(1, 3))
+        return "{" + count + "{" + sub() + "}}"
+    name, width, _ = rng.choice(_WIDE_VARS[1:])
+    if kind == "part":
+        # in range, past either end, or reversed bounds
+        msb, lsb = rng.randint(-3, width + 3), rng.randint(-3, width + 3)
+        return f"{name}[{msb}:{lsb}]"
+    if kind == "bit":
+        index = rng.randint(-2, width + 2) if rng.random() < 0.5 else sub()
+        return f"{name}[{index}]"
+    start = rng.randint(0, width - 1) if rng.random() < 0.5 else sub()
+    return f"{name}[{start} {rng.choice(['+:', '-:'])} {rng.randint(1, 9)}]"
+
+
+def _wide_module(rng: random.Random, count: int) -> str:
+    decls = []
+    for name, width, signed in _WIDE_VARS:
+        kind = "reg signed" if signed else "reg"
+        decls.append(f"  {kind} [{width - 1}:0] {name};")
+    outs = [(f"o{i}", rng.choice([1, 8, 33, 70, 130])) for i in range(count)]
+    wires = [(f"w{i}", rng.choice([8, 70])) for i in range(count)]
+    exprs = [_wide_expr(rng) for _ in range(2 * count)]
+    lines = ["module tb;", *decls]
+    lines += [f"  reg [{w - 1}:0] {n};" for n, w in outs]
+    lines += [f"  wire [{w - 1}:0] {n};" for n, w in wires]
+    lines += [f"  assign {n} = {e};"
+              for (n, _), e in zip(wires, exprs[count:])]
+    lines.append("  initial begin")
+    for step in range(2):
+        for name, width, _ in _WIDE_VARS:
+            lines.append(f"    {name} = {width}'b"
+                         f"{_four_state_bits(rng, width)};")
+        lines.append("    #1;")
+        for (name, _), expr in zip(outs, exprs[:count]):
+            lines.append(f"    {name} = {expr};")
+        names = [n for n, _ in outs + wires]
+        fmt = " ".join(["%b"] * len(names) + ["%h"] * len(names)
+                       + ["%d"] * len(names))
+        lines.append(f'    $display("{fmt}", {", ".join(names * 3)});')
+    lines += ["    $finish;", "  end", "endmodule", ""]
+    return "\n".join(lines)
+
+
+def _observe(source: str, compile_sim: bool):
+    report, sim = run_simulation(source, top="tb", compile_sim=compile_sim)
+    return (report.ok, report.stage, report.line, tuple(report.errors),
+            None if sim is None
+            else (sim.finished, sim.time, tuple(sim.output)))
+
+
+def test_four_state_wide_expressions_interpreted_equals_compiled():
+    rng = random.Random(0x4E5EC)
+    outcomes = []
+    for _ in range(30):
+        source = _wide_module(rng, count=6)
+        interpreted = _observe(source, compile_sim=False)
+        assert interpreted == _observe(source, compile_sim=True), source
+        outcomes.append(interpreted)
+    # most modules run to $finish; some die at a line inside the bench
+    assert sum(o[4] is not None and o[4][0] for o in outcomes) >= 20
+    assert any(o[1] == "sim" and o[2] for o in outcomes)

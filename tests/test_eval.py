@@ -7,6 +7,7 @@ from repro.eval import (
     Evaluator,
     Sweep,
     SweepConfig,
+    VerdictStore,
     has_endmodule,
     mean,
     pass_at_k,
@@ -154,6 +155,70 @@ class TestEvaluator:
             for level in PromptLevel
         }
         assert verdicts == {True}
+
+
+#: (problem, body, text on the line every reported line must point at):
+#: a parse error, an analysis-stage error finding, an advisory finding
+#: on a passing design and a runtime error inside the test bench
+_LINE_CASES = [
+    (1, "assign out = 1'b1 +;", "1'b1 +"),
+    (1, "wire a, b;\nassign a = b;\nassign b = a;\nassign out = a;\n"
+        "endmodule", "assign a = b;"),
+    (1, "wire t;\nassign t = in;\nassign out = in;\nendmodule", "assign t = in;"),
+    (1, "assign out = in;\ninitial begin\n  while (1) begin end\nend\n"
+        "endmodule", "begin end"),
+]
+
+
+class TestLevelLineNumbers:
+    """The cache key leaves the prompt level out, but every level must
+    get the line numbers of its own ``full_source``."""
+
+    @staticmethod
+    def _lines(outcome):
+        lines = {f.line for f in outcome.findings}
+        lines |= {int(error.split("line ")[1].split(":")[0])
+                  for error in outcome.compile_errors}
+        if outcome.error_line:
+            lines.add(outcome.error_line)
+        return lines
+
+    @pytest.mark.parametrize("number,body,marker", _LINE_CASES,
+                             ids=["parse", "analysis", "finding", "sim"])
+    def test_each_level_gets_its_own_lines(self, number, body, marker):
+        problem = get_problem(number)
+        fresh = {level: Evaluator().evaluate(problem, body, level)
+                 for level in PromptLevel}
+        for level, outcome in fresh.items():
+            source = problem.full_source(body, level).splitlines()
+            expected = 1 + next(i for i, line in enumerate(source)
+                                if marker in line)
+            assert self._lines(outcome) == {expected}
+        assert fresh[PromptLevel.LOW] != fresh[PromptLevel.HIGH]
+        orders = [(PromptLevel.LOW, PromptLevel.HIGH),
+                  (PromptLevel.HIGH, PromptLevel.LOW),
+                  (PromptLevel.MEDIUM, PromptLevel.HIGH, PromptLevel.LOW)]
+        for order in orders:
+            evaluator = Evaluator()
+            for level in order + order:
+                assert evaluator.evaluate(problem, body, level) == \
+                    fresh[level], (order, level)
+
+    @pytest.mark.parametrize("number,body,marker", _LINE_CASES,
+                             ids=["parse", "analysis", "finding", "sim"])
+    def test_warm_store_shifts_per_level(self, number, body, marker,
+                                         tmp_path):
+        problem = get_problem(number)
+        fresh = {level: Evaluator().evaluate(problem, body, level)
+                 for level in PromptLevel}
+        for first, second in [(PromptLevel.LOW, PromptLevel.HIGH),
+                              (PromptLevel.HIGH, PromptLevel.LOW)]:
+            store = VerdictStore(str(tmp_path / f"{first.name}-first"))
+            writer = Evaluator(store=store)
+            assert writer.evaluate(problem, body, first) == fresh[first]
+            reader = Evaluator(store=store)
+            assert reader.evaluate(problem, body, second) == fresh[second]
+            assert reader.store_hits == 1
 
 
 def _record(**kw):

@@ -1,5 +1,9 @@
 """Unit and property tests for four-state vectors (repro.verilog.values)."""
 
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -430,3 +434,282 @@ def test_prop_shift_matches_python(a, w, amount):
     assert out.to_unsigned() == ((a & mask) << amount) & mask
     out = values.shift_right(vec(a, w), vec(amount, 8))
     assert out.to_unsigned() == (a & mask) >> amount
+
+
+# ----------------------------------------------------------------------
+# The Vec value contract
+# ----------------------------------------------------------------------
+class TestVecContract:
+    def test_equal_and_hash_agree_across_constructors(self):
+        made = [
+            Vec(8, 0xA5, 0),
+            Vec(8, 0x1A5, 0x100),  # planes are masked to the width
+            Vec.from_int(0xA5, 8),
+            Vec.from_int(0xA5 - 256, 8),
+            Vec.from_bits("10100101"),
+            Vec.from_int(0x3A5, 12).resize(8),
+            Vec.from_int(0xA5, 8, True).resize(8, False),
+        ]
+        for vec_ in made:
+            assert vec_ == made[0]
+            assert hash(vec_) == hash(made[0])
+        assert len(set(made)) == 1
+
+    def test_four_state_equal_and_hash(self):
+        a = Vec.from_bits("1x0z")
+        b = Vec(4, 0b1100, 0b0101)
+        assert a == b and hash(a) == hash(b)
+        assert a != Vec.from_bits("1x0x")
+
+    def test_sign_alone_makes_unequal(self):
+        assert Vec(8, 5, 0, True) != Vec(8, 5, 0, False)
+        assert not Vec(8, 5, 0, True) == Vec(8, 5, 0, False)
+
+    def test_unequal_to_other_types(self):
+        v = Vec.from_int(5, 8)
+        assert v != (8, 5, 0, False)
+        assert v != 5
+
+    def test_pickle_round_trip(self):
+        for v in (Vec.from_int(-3, 70, True), Vec.from_bits("x1z0"),
+                  values.X1):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copied = pickle.loads(pickle.dumps(v, protocol))
+                assert copied == v and copied.signed == v.signed
+
+    def test_deepcopy_and_copy(self):
+        v = Vec.from_bits("10xz", signed=True)
+        assert copy.deepcopy(v) == v
+        assert copy.copy(v) == v
+        assert copy.deepcopy({"k": [v]}) == {"k": [v]}
+
+    @pytest.mark.parametrize("field", ["width", "aval", "bval", "signed",
+                                       "other"])
+    def test_assignment_raises(self, field):
+        v = Vec.from_int(5, 8)
+        with pytest.raises(AttributeError):
+            setattr(v, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(v, field)
+        assert v == Vec.from_int(5, 8)
+
+    def test_repr(self):
+        assert repr(Vec(4, 0b1100, 0b0101, True)) == \
+            "Vec(width=4, aval=12, bval=5, signed=True)"
+        assert repr(Vec.from_int(5, 8)) == \
+            "Vec(width=8, aval=5, bval=0, signed=False)"
+
+    def test_keyword_constructor(self):
+        assert Vec(width=3, aval=9, bval=0) == Vec(3, 1, 0, False)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_raises(self, width):
+        with pytest.raises(ValueError):
+            Vec(width, 0, 0)
+        with pytest.raises(ValueError):
+            Vec.from_int(0, width)
+
+    def test_resize_returns_self_only_when_unchanged(self):
+        v = Vec.from_bits("1x0z", signed=True)
+        assert v.resize(4) is v
+        assert v.resize(4, True) is v
+        changed = [v.resize(4, False), v.resize(5), v.resize(3),
+                   v.resize(5, True)]
+        for other in changed:
+            assert other is not v
+        assert v.resize(4, False) == Vec(4, v.aval, v.bval, False)
+
+
+# ----------------------------------------------------------------------
+# The mask-arithmetic operations against the per-bit loops they replaced
+# ----------------------------------------------------------------------
+def ref_from_bits(bits, signed=False):
+    if not bits:
+        raise ValueError("empty bit string")
+    aval = bval = 0
+    for ch in bits:
+        aval <<= 1
+        bval <<= 1
+        if ch == "1":
+            aval |= 1
+        elif ch == "x" or ch == "X":
+            aval |= 1
+            bval |= 1
+        elif ch == "z" or ch == "Z" or ch == "?":
+            bval |= 1
+        elif ch != "0":
+            raise ValueError(f"invalid bit character {ch!r}")
+    return Vec(len(bits), aval, bval, signed)
+
+
+def ref_resize(value, width, signed=None):
+    signed = value.signed if signed is None else signed
+    if width <= value.width:
+        return Vec(width, value.aval, value.bval, signed)
+    ext = width - value.width
+    msb_a = (value.aval >> (value.width - 1)) & 1
+    msb_b = (value.bval >> (value.width - 1)) & 1
+    fill_a = fill_b = 0
+    if value.signed or msb_b:
+        fill_a = (1 << ext) - 1 if msb_a else 0
+        fill_b = (1 << ext) - 1 if msb_b else 0
+    return Vec(width, value.aval | (fill_a << value.width),
+               value.bval | (fill_b << value.width), signed)
+
+
+def ref_select_part(value, msb, lsb):
+    if msb < lsb:
+        msb, lsb = lsb, msb
+    width = msb - lsb + 1
+    aval = bval = 0
+    for offset in range(width):
+        index = lsb + offset
+        if 0 <= index < value.width:
+            aval |= ((value.aval >> index) & 1) << offset
+            bval |= ((value.bval >> index) & 1) << offset
+        else:
+            aval |= 1 << offset
+            bval |= 1 << offset
+    return Vec(width, aval, bval)
+
+
+def ref_insert_part(target, msb, lsb, piece):
+    if msb < lsb:
+        msb, lsb = lsb, msb
+    width = msb - lsb + 1
+    piece = ref_resize(piece, width)
+    aval, bval = target.aval, target.bval
+    for offset in range(width):
+        index = lsb + offset
+        if 0 <= index < target.width:
+            bit_mask = 1 << index
+            aval = (aval & ~bit_mask) | (((piece.aval >> offset) & 1) << index)
+            bval = (bval & ~bit_mask) | (((piece.bval >> offset) & 1) << index)
+    return Vec(target.width, aval, bval, target.signed)
+
+
+def ref_edge_kind(old, new):
+    before, after = old.bit(0), new.bit(0)
+    if before == after:
+        return None
+    if before in "xz" and after in "xz":
+        return None
+    if before == "0" or after == "1":
+        return "posedge"
+    if before == "1" or after == "0":
+        return "negedge"
+    return None
+
+
+def ref_reduce_xor(operand):
+    if operand.bval:
+        return values.X1
+    return Vec(1, bin(operand.aval).count("1") % 2, 0)
+
+
+def ref_arith_operands(lhs, rhs):
+    if lhs.bval or rhs.bval:
+        return None
+    width = max(lhs.width, rhs.width)
+    signed = lhs.signed and rhs.signed
+    return (ref_resize(lhs, width, signed).to_int(),
+            ref_resize(rhs, width, signed).to_int(), width, signed)
+
+
+def _random_vec(rng, width=None, signed=None):
+    width = width or rng.randint(1, 130)
+    bits = "".join(rng.choice("01" * 6 + "xzXZ?") for _ in range(width))
+    if rng.random() < 0.4:  # often fully known, as in simulation
+        bits = bits.translate(str.maketrans("xzXZ?", "01010"))
+    return ref_from_bits(
+        bits, rng.random() < 0.5 if signed is None else signed)
+
+
+def _random_bounds(rng, width):
+    """Part-select bounds: in range, past either end, or reversed."""
+    span = width + 12
+    msb, lsb = rng.randint(-12, span), rng.randint(-12, span)
+    return (msb, lsb) if rng.random() < 0.8 else (lsb, msb)
+
+
+class TestAgainstPerBitReference:
+    CASES = 3000
+
+    def test_from_bits(self):
+        rng = random.Random(1601)
+        for _ in range(self.CASES):
+            bits = "".join(rng.choice("01xzXZ?") for _ in
+                           range(rng.randint(1, 130)))
+            signed = rng.random() < 0.5
+            assert Vec.from_bits(bits, signed) == ref_from_bits(bits, signed)
+
+    @pytest.mark.parametrize("bits", [
+        "10a1", "a", "1 0", " 10", "10 ", "1_0", "-1", "+1", "0b1", "1\n",
+        "٣", "01xz!z",
+    ])
+    def test_from_bits_errors(self, bits):
+        with pytest.raises(ValueError) as expected:
+            ref_from_bits(bits)
+        with pytest.raises(ValueError) as got:
+            Vec.from_bits(bits)
+        assert str(got.value) == str(expected.value)
+
+    def test_from_bits_empty(self):
+        with pytest.raises(ValueError, match="empty bit string"):
+            Vec.from_bits("")
+
+    def test_resize(self):
+        rng = random.Random(1602)
+        for _ in range(self.CASES):
+            v = _random_vec(rng)
+            width = rng.randint(1, 140)
+            signed = rng.choice([None, True, False])
+            got = v.resize(width, signed)
+            assert got == ref_resize(v, width, signed)
+            assert got.signed == ref_resize(v, width, signed).signed
+
+    def test_select_part(self):
+        rng = random.Random(1603)
+        for _ in range(self.CASES):
+            v = _random_vec(rng)
+            msb, lsb = _random_bounds(rng, v.width)
+            assert values.select_part(v, msb, lsb) == \
+                ref_select_part(v, msb, lsb), (v, msb, lsb)
+
+    def test_insert_part(self):
+        rng = random.Random(1604)
+        for _ in range(self.CASES):
+            target = _random_vec(rng)
+            msb, lsb = _random_bounds(rng, target.width)
+            piece = _random_vec(rng, rng.randint(1, abs(msb - lsb) + 4))
+            assert values.insert_part(target, msb, lsb, piece) == \
+                ref_insert_part(target, msb, lsb, piece), \
+                (target, msb, lsb, piece)
+
+    def test_edge_kind_all_pairs(self):
+        states = [Vec.from_bits(b) for b in "01xz"]
+        wide = [Vec.from_bits("x1z0" + b) for b in "01xz"]
+        for old in states + wide:
+            for new in states + wide:
+                assert values.edge_kind(old, new) == ref_edge_kind(old, new)
+
+    def test_edge_kind(self):
+        rng = random.Random(1605)
+        for _ in range(self.CASES):
+            old, new = _random_vec(rng), _random_vec(rng)
+            assert values.edge_kind(old, new) == ref_edge_kind(old, new)
+
+    def test_reduce_xor(self):
+        rng = random.Random(1606)
+        for _ in range(self.CASES):
+            v = _random_vec(rng)
+            assert values.reduce_xor(v) == ref_reduce_xor(v)
+
+    def test_arith_operands(self):
+        rng = random.Random(1607)
+        for _ in range(self.CASES):
+            lhs, rhs = _random_vec(rng), _random_vec(rng)
+            if rng.random() < 0.3:
+                rhs = _random_vec(rng, lhs.width)
+            assert values._arith_operands(lhs, rhs) == \
+                ref_arith_operands(lhs, rhs), (lhs, rhs)
