@@ -410,41 +410,18 @@ class Session:
         worker_id: str | None = None,
         poll_seconds: float = 0.5,
         max_idle_polls: int | None = None,
-        aio: bool = False,
-        max_leases: int = 2,
     ) -> dict:
         """Serve a coordinator as a pull-based worker until it is done.
 
         Work units execute on *this* session's configuration (backend,
         executor, workers, retry, batch size, verdict store); returns
         the worker summary dict from
-        :func:`~repro.service.client.run_worker`.
-
-        ``aio=True`` runs the asyncio worker instead
-        (:func:`~repro.service.aio.client.run_worker_async`): up to
-        ``max_leases`` units in flight on an async executor (the
-        session's ``workers`` bounds in-flight jobs per unit), each
-        submitted over the streamed-upload route as its jobs finish.
-        Must be called from sync code — inside a running
-        event loop, await ``run_worker_async`` directly.
+        :func:`~repro.service.client.run_worker`.  With
+        ``executor="async"`` each unit's jobs run as coroutines on an
+        :class:`~repro.service.aio.executor.AsyncSweepExecutor`
+        (``workers`` bounds the jobs in flight), the shape that pays off
+        against a remote generation backend.
         """
-        if aio:
-            import asyncio
-
-            from .service.aio.client import run_worker_async
-
-            if url is None:
-                raise ValueError("work(aio=True) needs a coordinator url")
-            return asyncio.run(
-                run_worker_async(
-                    url,
-                    session=self,
-                    worker_id=worker_id,
-                    max_leases=max_leases,
-                    poll_seconds=poll_seconds,
-                    max_idle_polls=max_idle_polls,
-                )
-            )
         from .service.client import run_worker
 
         return run_worker(

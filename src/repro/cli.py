@@ -39,11 +39,11 @@ Commands:
   straggler re-balances finely; ``--checkpoint`` persists state
   atomically and resumes from the file on restart without re-running
   merged units;
-* ``work --url URL [--backend B] [--store DIR] [--aio --max-leases M]
-  ...`` — run one pull-based worker against a coordinator until the
-  sweep is merged; ``--aio`` holds several leases in flight on an
-  asyncio executor and streams each unit's records to the coordinator
-  as jobs finish;
+* ``work --url URL [--backend B] [--store DIR] [--executor E] ...`` —
+  run one pull-based worker against a coordinator until the sweep is
+  merged; each leased unit runs on the worker's executor, so
+  ``--executor async --workers N`` keeps N of its jobs in flight as
+  coroutines;
 * ``store {pack,compact,unpack,info} DIR`` — compact a verdict store's
   one-file-per-verdict directory into a single JSONL pack (and back);
   ``compact`` rewrites the pack without shadowed duplicate lines;
@@ -659,8 +659,7 @@ def _cmd_coordinate(args) -> int:
             return 2
         # the checkpointed split wins over --shards, but lease timing is
         # a serving knob: the flag on *this* run governs future leases
-        if args.lease_seconds > 0:
-            coordinator.lease_seconds = args.lease_seconds
+        coordinator.lease_seconds = args.lease_seconds
         restored = coordinator.status()
         print(f"resumed from {args.checkpoint}: "
               f"{restored['done']}/{restored['num_units']} units already "
@@ -689,8 +688,7 @@ def _cmd_coordinate(args) -> int:
     print(f"shard coordinator on {service.url}: {granularity}, "
           f"lease {coordinator.lease_seconds:.0f}s — point workers at it with "
           f"`python -m repro work --url {service.url}` (live status: "
-          "GET /shard/status/stream, streamed submit: "
-          "POST /shard/result/stream)")
+          "GET /shard/status/stream)")
     checkpoint_last = coordinator.status()["done"]
     if args.checkpoint and not _os.path.exists(args.checkpoint):
         save_checkpoint(coordinator, args.checkpoint)  # resumable from t=0
@@ -700,13 +698,9 @@ def _cmd_coordinate(args) -> int:
             status = coordinator.status()
             if status["done"] != last_done:
                 last_done = status["done"]
-                streaming = (
-                    f", {status['records_streaming']} streaming in"
-                    if status.get("records_streaming") else ""
-                )
                 print(f"  {status['done']}/{status['num_units']} units "
-                      f"merged, {status['records_merged']} records"
-                      f"{streaming} ({status['leased']} leased, "
+                      f"merged, {status['records_merged']} records "
+                      f"({status['leased']} leased, "
                       f"{status['pending']} pending)")
             if (
                 args.checkpoint
@@ -758,8 +752,6 @@ def _cmd_work(args) -> int:
             worker_id=args.worker_id,
             poll_seconds=args.poll_seconds,
             max_idle_polls=args.max_idle_polls,
-            aio=args.aio,
-            max_leases=args.max_leases,
         )
     except BackendError as exc:
         print(f"error: {exc}")
@@ -769,11 +761,9 @@ def _cmd_work(args) -> int:
         return 130
     if summary["coordinator_gone"]:
         print("-- coordinator went away mid-poll (finished or shut down)")
-    streamed = (f", {summary['streamed']} streamed submits"
-                if summary.get("streamed") else "")
     print(f"worker {summary['worker_id']}: {summary['shards']} units, "
           f"{summary['jobs']} jobs, {summary['records']} records, "
-          f"{summary['errors']} job errors{streamed}")
+          f"{summary['errors']} job errors")
     return 0
 
 
@@ -921,6 +911,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value}"
+        )
+    return value
+
+
+def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
+    from .api import EXECUTORS
+
+    parser.add_argument(
+        "--executor", choices=EXECUTORS, default="thread",
+        help="worker pool flavour: thread (shared cache), process "
+             "(GIL-free, for CPU-bound sweeps), or async (coroutine "
+             "concurrency, for latency-bound remote backends)",
+    )
+
+
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     from .backends import available_backends
 
@@ -937,13 +947,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         help="endpoint for the service/http backends "
              "(e.g. http://host:8076 from `repro serve`)",
     )
-    parser.add_argument(
-        "--executor", choices=("thread", "process", "async"),
-        default="thread",
-        help="worker pool flavour: thread (shared cache), process "
-             "(GIL-free, for CPU-bound sweeps), or async (coroutine "
-             "concurrency, for latency-bound remote backends)",
-    )
+    _add_executor_flag(parser)
     parser.add_argument(
         "--retries", type=int, default=0,
         help="retry transient backend errors this many times per job",
@@ -1139,10 +1143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8076,
                    help="listening port (0 = pick a free one)")
-    p.add_argument("--lease-seconds", type=float, default=300.0,
+    p.add_argument("--lease-seconds", type=_positive_float, default=300.0,
                    help="re-serve a shard if its worker goes this long "
                         "without submitting")
-    p.add_argument("--poll-seconds", type=float, default=0.2,
+    p.add_argument("--poll-seconds", type=_positive_float, default=0.2,
                    help="progress-print poll interval")
     p.add_argument("--linger-seconds", type=float, default=2.0,
                    help="keep serving done-signals this long after the "
@@ -1174,8 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="zoo",
                    help="local generation backend to execute shards with")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--executor", choices=("thread", "process"),
-                   default="thread")
+    _add_executor_flag(p)
     p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--retries", type=int, default=0)
     p.add_argument("--backoff", type=float, default=0.0)
@@ -1188,19 +1191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-id", default=None,
                    help="name reported to the coordinator "
                         "(default: host-pid)")
-    p.add_argument("--poll-seconds", type=float, default=0.5,
+    p.add_argument("--poll-seconds", type=_positive_float, default=0.5,
                    help="nap between polls when all shards are leased out")
-    p.add_argument("--max-idle-polls", type=int, default=None,
+    p.add_argument("--max-idle-polls", type=_positive_int, default=None,
                    help="give up after this many consecutive empty polls "
                         "(default: wait until done)")
-    p.add_argument("--aio", action="store_true",
-                   help="run the asyncio worker: up to --max-leases units "
-                        "in flight on an async executor (--workers bounds "
-                        "in-flight jobs per unit; --executor is ignored), "
-                        "submitting over POST /shard/result/stream as jobs "
-                        "finish")
-    p.add_argument("--max-leases", type=_positive_int, default=2,
-                   help="leases held concurrently with --aio (default: 2)")
     _add_trace_flag(p)
     _add_profile_flag(p)
 

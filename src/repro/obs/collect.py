@@ -49,19 +49,19 @@ class TelemetryPusher:
     """Periodic registry-delta uploads from one worker.
 
     ``send`` is any callable taking the payload dict and raising on
-    failure — the sync worker binds it to its transport, the async
-    worker drives the ``due()``/``payload()``/``commit()`` primitives
-    directly so the HTTP await stays in its own event loop.
+    failure; the worker binds it to its transport's ``POST /telemetry``.
     """
 
     def __init__(
         self,
-        send: "Callable[[dict], object] | None",
+        send: Callable[[dict], object],
         worker_id: str,
         interval: float = 2.0,
         registry: "MetricsRegistry | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
+        if not callable(send):
+            raise TypeError(f"send must be callable, got {send!r}")
         self.send = send
         self.worker_id = str(worker_id)
         self.interval = float(interval)
@@ -77,8 +77,6 @@ class TelemetryPusher:
         self._base_histograms: dict[tuple, tuple[int, float]] = {}
         self._pending: "dict | None" = None
 
-    # ------------------------------------------------------------------
-    # Primitives (async worker drives these directly)
     # ------------------------------------------------------------------
     def due(self) -> bool:
         """True when the push interval elapsed (and pushing still works)."""
@@ -156,11 +154,9 @@ class TelemetryPusher:
             self.disabled = True
 
     # ------------------------------------------------------------------
-    # Sync worker API
-    # ------------------------------------------------------------------
     def push(self) -> bool:
         """One forced push; swallows every error (telemetry is best-effort)."""
-        if self.disabled or self.send is None:
+        if self.disabled:
             return False
         try:
             self.send(self.payload())

@@ -117,11 +117,7 @@ def render_dashboard(view: dict, width: int = 78) -> str:
             f"{status.get('done', 0)} done / {status.get('leased', 0)} "
             f"leased / {status.get('pending', 0)} pending — records "
             f"{status.get('records_merged', 0)} merged"
-            + (
-                f" (+{status['records_streaming']} streaming)"
-                if status.get("records_streaming") else ""
-            )
-            + f" — store hits {status.get('store_hits', 0)}"
+            f" — store hits {status.get('store_hits', 0)}"
             + (
                 f" — {status['leases_reclaimed']} lease(s) reclaimed"
                 if status.get("leases_reclaimed") else ""
@@ -132,16 +128,14 @@ def render_dashboard(view: dict, width: int = 78) -> str:
             lines.append("")
             lines.append(
                 f"{'lease':<14}{'unit':>6}  {'worker':<22}"
-                f"{'expires':>9}{'streamed':>10}"
+                f"{'expires':>9}"
             )
             for row in leases[:10]:
-                streamed = row.get("records_streamed")
                 lines.append(
                     f"{str(row.get('lease_id', ''))[:12]:<14}"
                     f"{row.get('shard_index', '?'):>6}  "
                     f"{str(row.get('worker_id', '?')):<22}"
                     f"{row.get('expires_in', 0.0):>8.1f}s"
-                    f"{streamed if streamed is not None else '-':>10}"
                 )
             if len(leases) > 10:
                 lines.append(f"  ... {len(leases) - 10} more lease(s)")
@@ -382,11 +376,10 @@ async function poll() {
        ["worker", "units", "jobs", "records", "errors", "jobs/s",
         "telemetry"],
        workerRows);
-  fill("leases", ["lease", "unit", "worker", "expires", "streamed"],
+  fill("leases", ["lease", "unit", "worker", "expires"],
        ((status || {}).leases || []).map(l =>
          [String(l.lease_id).slice(0, 12), l.shard_index, l.worker_id,
-          l.expires_in.toFixed(1) + "s",
-          l.records_streamed === undefined ? "-" : l.records_streamed]));
+          l.expires_in.toFixed(1) + "s"]));
   fill("stages", ["stage", "count", "seconds", "share"],
        stageSplit((metricsDoc || {}).metrics || {}));
   document.getElementById("err").textContent = errors.join("\\n");

@@ -14,6 +14,9 @@ The subsystem that takes the job-based sweep stack of
 * :mod:`repro.service.coordinator` — :class:`ShardCoordinator`: lease
   shards to pull-based workers (``/shard/next`` → ``/shard/result``)
   and merge results as they stream in, no index bookkeeping required;
+  :func:`run_worker` is the one worker, running each leased unit on its
+  session's executor (``executor="async"`` fans the unit out as
+  coroutines);
 * :mod:`repro.service.process` — :class:`ProcessPoolSweepExecutor`, the
   GIL-free executor variant for CPU-bound sweeps (point it at a shared
   :class:`~repro.eval.store.VerdictStore` to pool verdicts on disk);
@@ -39,9 +42,7 @@ from .aio import (
     iter_status_events,
     iter_sweep_events,
     result_to_frames,
-    run_worker_async,
     stream_sweep,
-    submit_result_stream,
     to_async,
 )
 from .client import (
@@ -54,12 +55,7 @@ from .client import (
     in_process_transport,
     run_worker,
 )
-from .coordinator import (
-    ShardCoordinator,
-    ShardSubmissionStream,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .coordinator import ShardCoordinator, load_checkpoint, save_checkpoint
 from .process import ProcessPoolSweepExecutor
 from .server import ServiceApp
 from .sharding import (
@@ -90,9 +86,7 @@ __all__ = [
     "iter_status_events",
     "iter_sweep_events",
     "result_to_frames",
-    "run_worker_async",
     "stream_sweep",
-    "submit_result_stream",
     "to_async",
     "PlanShard",
     "ProcessPoolSweepExecutor",
@@ -101,7 +95,6 @@ __all__ = [
     "ServiceUnreachableError",
     "ShardCoordinator",
     "ShardPlanner",
-    "ShardSubmissionStream",
     "Transport",
     "assemble_slots",
     "default_worker_id",

@@ -19,8 +19,7 @@ share the same wire schemas and the same parity guarantees:
 * :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`, the
   eval service's one HTTP server: ``ServiceApp`` routing over
   ``asyncio.start_server`` plus the streaming routes
-  ``POST /sweep/stream``, ``GET /shard/status/stream`` and
-  ``POST /shard/result/stream``;
+  ``POST /sweep/stream`` and ``GET /shard/status/stream``;
 * :mod:`~repro.service.aio.client` — :func:`iter_sweep_events` /
   :func:`stream_sweep` (sync) and their async twins;
 * :mod:`~repro.service.aio.transport` — raw non-blocking HTTP/JSON
@@ -41,9 +40,7 @@ from .client import (
     astream_sweep,
     iter_status_events,
     iter_sweep_events,
-    run_worker_async,
     stream_sweep,
-    submit_result_stream,
 )
 from .events import (
     FRAME_EVENTS,
@@ -62,8 +59,6 @@ from .transport import (
     AsyncTransport,
     async_chat_transport,
     async_json_transport,
-    open_upload,
-    read_upload_response,
     request_json,
 )
 
@@ -90,13 +85,9 @@ __all__ = [
     "iter_status_events",
     "iter_sweep_events",
     "metric_frame",
-    "open_upload",
-    "read_upload_response",
     "request_json",
     "result_to_frames",
-    "run_worker_async",
     "span_frame",
     "stream_sweep",
-    "submit_result_stream",
     "to_async",
 ]

@@ -159,9 +159,9 @@ def status_frame(status: dict) -> dict:
 def result_to_frames(plan, result: SweepResult) -> list[dict]:
     """The frame sequence a live stream of ``result`` would have emitted.
 
-    For workers that executed a plan to completion (thread/process
-    executors have no frame source) but submit over the streamed route:
-    the frames replay the executor emission order — skips up front,
+    For a result executed to completion (thread/process executors have
+    no frame source) that must be replayed as a stream: the frames
+    replay the executor emission order — skips up front,
     then per-job ``job_started``/``record``/``job_error`` + ``progress``
     in plan order, ending with the lossless ``done`` terminal — so
     :func:`assemble_stream_result` rebuilds the identical result.

@@ -5,7 +5,7 @@
 every JSON route (``/health`` … ``/shard/status``) are
 :class:`~repro.service.server.ServiceApp`'s; blocking handlers run on
 the loop's thread pool so one process keeps answering health checks
-mid-sweep.  Three routes need a connection that stays open and are
+mid-sweep.  Two routes need a connection that stays open and are
 served here directly:
 
 * ``POST /sweep/stream``        — plan server-side, execute on an
@@ -15,10 +15,6 @@ served here directly:
 * ``GET /shard/status/stream``  — live coordinator observation: a
   ``status`` frame whenever progress changes, a ``done`` frame when the
   sweep is fully merged (404-equivalent error if no coordinator).
-* ``POST /shard/result/stream`` — the streamed-upload twin of
-  ``/shard/result``: a worker ships NDJSON event frames as its jobs
-  finish, the coordinator tracks partial progress live, and the body's
-  terminal ``done`` frame is answered with the normal submit ack.
 
 The HTTP dialect is deliberately minimal: one request per connection,
 ``Connection: close``, JSON responses carry ``Content-Length``, streamed
@@ -42,13 +38,7 @@ from urllib.parse import parse_qs
 from ..server import RAW_TEXT_KEY, ServiceApp
 from ...backends.base import BackendError
 from ...eval.export import config_from_dict
-from .events import (
-    StreamProtocolError,
-    decode_frame,
-    encode_frame,
-    metric_frame,
-    status_frame,
-)
+from .events import encode_frame, metric_frame, status_frame
 from .executor import AsyncSweepExecutor
 from .transport import STREAM_LIMIT, close_writer
 
@@ -184,8 +174,6 @@ class AsyncEvalService:
                 await self._stream_sweep(reader, writer, payload or {})
             elif route == ("GET", "/shard/status/stream"):
                 await self._stream_status(reader, writer, query)
-            elif route == ("POST", "/shard/result/stream"):
-                await self._stream_submit(reader, writer, query)
             else:
                 # ServiceApp handlers can block for a whole sweep; keep
                 # the loop free to answer health checks and streams
@@ -408,61 +396,6 @@ class AsyncEvalService:
             with contextlib.suppress(RuntimeError):
                 await stream.aclose()
 
-    async def _stream_submit(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        query: dict,
-    ) -> None:
-        """``POST /shard/result/stream?lease_id=...`` — streamed upload.
-
-        The request body is NDJSON event frames (the worker→coordinator
-        direction of the :mod:`~repro.service.aio.events` codec); the
-        terminal ``done`` frame delimits the body, after which the
-        normal submit ack is answered as JSON.  Partial progress is
-        visible in ``/shard/status`` while the upload is in flight; a
-        client that vanishes mid-upload is aborted without merging.
-        """
-        coordinator = self.app.coordinator
-        if coordinator is None:
-            raise _BadRequest(
-                "no shard coordinator attached to this service "
-                "(start one with Session.coordinate / `repro coordinate`)"
-            )
-        lease_id = query.get("lease_id")
-        if not lease_id:
-            raise _BadRequest(
-                "shard/result/stream needs a lease_id query parameter"
-            )
-        try:
-            stream = coordinator.begin_stream(lease_id)
-        except ValueError as exc:
-            raise _BadRequest(str(exc)) from None
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    stream.abort()
-                    return  # uploader vanished; nothing to answer
-                if not line.strip():
-                    continue  # blank keep-alive
-                frame = decode_frame(line)
-                stream.feed(frame)
-                if frame.get("event") == "done":
-                    break
-            # assembly + plan validation is CPU work proportional to
-            # unit size — off the loop, like every blocking route
-            ack = await asyncio.get_running_loop().run_in_executor(
-                None, stream.finish
-            )
-        except (StreamProtocolError, ValueError) as exc:
-            stream.abort()
-            raise _BadRequest(f"bad submission stream: {exc}") from None
-        except BaseException:
-            stream.abort()
-            raise
-        await self._respond_json(writer, 200, ack)
-
     async def _status_frames(self, coordinator, poll: float):
         last = None
         merged_last = None
@@ -471,9 +404,7 @@ class AsyncEvalService:
             # leases carry live expiry countdowns; only re-emit when the
             # actual progress shape changes
             key = (status["pending"], status["leased"], status["done"],
-                   status["records_merged"],
-                   status.get("records_streaming", 0),
-                   status.get("store_hits", 0))
+                   status["records_merged"], status.get("store_hits", 0))
             if key != last:
                 last = key
                 # observational companion frame: per-worker throughput

@@ -210,65 +210,6 @@ async def open_stream(
     return reader, writer
 
 
-async def open_upload(
-    method: str,
-    url: str,
-    timeout: float = 30.0,
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Send request headers for a body the caller streams afterwards.
-
-    The upload twin of :func:`open_stream`: no ``Content-Length`` is
-    sent — the body is NDJSON whose terminal frame tells the server
-    where it ends (the minimal HTTP dialect our own services speak).
-    The caller writes encoded lines to the returned writer, then reads
-    the server's answer with :func:`read_upload_response`, and must
-    close the writer (:func:`close_writer`) either way.
-    """
-    host, port, target = _split_url(url)
-    reader, writer = await _connect(host, port, timeout, url)
-    head = (
-        f"{method.upper()} {target} HTTP/1.1\r\n"
-        f"Host: {host}:{port}\r\n"
-        "Content-Type: application/x-ndjson\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    )
-    try:
-        writer.write(head.encode("ascii"))
-        await writer.drain()
-    except (OSError, asyncio.TimeoutError) as exc:
-        await close_writer(writer)
-        raise ServiceUnreachableError(
-            f"cannot reach eval service at {url}: {exc or type(exc).__name__}"
-        ) from None
-    return reader, writer
-
-
-async def read_upload_response(
-    reader: asyncio.StreamReader,
-    url: str,
-    timeout: float = 30.0,
-) -> dict:
-    """Read the JSON answer after an :func:`open_upload` body is sent.
-
-    Same failure taxonomy as :func:`request_json`: an error status
-    raises ``BackendError`` with the server's detail, a dead connection
-    raises :class:`ServiceUnreachableError`.
-    """
-    try:
-        status, headers = await asyncio.wait_for(_read_head(reader), timeout)
-        body = await asyncio.wait_for(_read_body(reader, headers), timeout)
-    except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
-        raise ServiceUnreachableError(
-            f"cannot reach eval service at {url}: {exc or type(exc).__name__}"
-        ) from None
-    if status >= 400:
-        raise BackendError(
-            f"eval service {status} on {url}: {_error_detail(body)}"
-        )
-    return _decode_json_body(body, url)
-
-
 def async_json_transport(
     base_url: str, timeout: float = 30.0
 ) -> AsyncTransport:
@@ -304,7 +245,5 @@ __all__ = [
     "async_json_transport",
     "close_writer",
     "open_stream",
-    "open_upload",
-    "read_upload_response",
     "request_json",
 ]

@@ -260,7 +260,6 @@ def run_worker(
     poll_seconds: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
     max_idle_polls: int | None = None,
-    on_shard: Callable[[int, "SweepResult"], None] | None = None,
     telemetry_seconds: float | None = 2.0,
 ) -> dict:
     """Pull shards from a coordinator until it reports the sweep done.
@@ -273,7 +272,10 @@ def run_worker(
     When no shard is pending but others are still leased, the worker
     naps ``min(retry_after, poll_seconds)`` and asks again — it picks up
     any lease that expires.  ``max_idle_polls`` bounds those naps for
-    tests and batch jobs (``None`` = wait as long as it takes).
+    tests and batch jobs (``None`` = wait as long as it takes);
+    ``poll_seconds`` must be positive.  Units run on the session's
+    executor, so ``Session(executor="async")`` fans each leased unit's
+    jobs out as coroutines.
 
     Returns a summary dict: shards run, jobs, records, errors, plus
     ``coordinator_gone=True`` if a coordinator this worker had already
@@ -286,6 +288,8 @@ def run_worker(
     the fleet; telemetry is strictly best-effort and can neither slow
     down nor fail the work loop.
     """
+    if poll_seconds <= 0:
+        raise ValueError("poll_seconds must be > 0")
     if transport is None:
         if url is None:
             raise ValueError("run_worker needs a coordinator url or transport")
@@ -378,8 +382,6 @@ def run_worker(
         summary["errors"] += len(result.errors)
         if pusher is not None:
             pusher.maybe_push()
-        if on_shard is not None:
-            on_shard(shard.shard_index, result)
         if ack.get("done"):
             # this submission completed the sweep — exit now rather
             # than racing a coordinator that may stop serving

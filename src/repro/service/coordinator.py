@@ -7,12 +7,9 @@ full :class:`~repro.service.sharding.ShardPlanner` split and serves it
 to *pull-based* workers over the wire routes (mounted on
 :class:`~repro.service.server.ServiceApp` and the asyncio server):
 
-* ``POST /shard/next``          — lease the next pending work unit;
-* ``POST /shard/result``        — submit one executed unit's result;
-* ``POST /shard/result/stream`` — the NDJSON streamed-upload twin
-  (asyncio server only): the worker ships event frames as jobs finish
-  and the coordinator tracks partial progress live;
-* ``GET  /shard/status``        — progress: unit states, records merged.
+* ``POST /shard/next``    — lease the next pending work unit;
+* ``POST /shard/result``  — submit one executed unit's result;
+* ``GET  /shard/status``  — progress: unit states, records merged.
 
 Work units come in two granularities.  By default a unit is a whole
 shard of the split.  With ``lease_jobs=N`` the coordinator re-carves
@@ -29,9 +26,7 @@ attributed back to global plan positions via
 :func:`~repro.service.sharding.split_result_by_job`; assembly goes
 through :func:`~repro.service.sharding.assemble_slots`), so the final
 :class:`~repro.eval.jobs.SweepResult` is record-for-record identical to
-a serial run — the PR 2 merge invariant, now incremental.  A streamed
-upload commits through the same path once its terminal frame validates,
-so it is byte-identical to a blocking submit of the same result.
+a serial run — the PR 2 merge invariant, now incremental.
 
 Fault tolerance is lease-based: every handout carries a deadline; a
 worker that vanishes simply never submits, and once its lease expires
@@ -54,7 +49,7 @@ import collections
 import re
 import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..eval.export import sweep_result_from_dict, sweep_result_to_dict
 from ..eval.jobs import SweepPlan, SweepResult
@@ -188,9 +183,6 @@ class ShardCoordinator:
         # per-worker merge aggregates (units/jobs/records/busy seconds/
         # store hits): the signal adaptive lease sizing will feed on
         self._worker_stats: dict[str, dict] = {}
-        # lease_id -> live partial-progress counters of an in-flight
-        # streamed upload (cleared when the stream commits or aborts)
-        self._streaming: dict[str, dict] = {}
         self._reclaimed = 0
 
     # ------------------------------------------------------------------
@@ -256,42 +248,34 @@ class ShardCoordinator:
         # proportional to unit size, and holding the lock through it
         # would stall every /shard/next poll in the fleet
         shard_result = sweep_result_from_dict(result)
-        return self._merge_submission(lease_id, index, shard_result)
-
-    # ------------------------------------------------------------------
-    # Streamed submission (POST /shard/result/stream)
-    # ------------------------------------------------------------------
-    def begin_stream(self, lease_id: str) -> "ShardSubmissionStream":
-        """Open a streamed upload for ``lease_id``.
-
-        Raises ``ValueError`` for an unknown lease, exactly like
-        :meth:`submit_result`.  A lease whose unit is already DONE
-        returns a stream whose :meth:`~ShardSubmissionStream.finish`
-        acks as a duplicate — the uploader's body must still be read
-        (it needs its answer), but nothing is merged.
-        """
+        unit = self._units[index]
+        outcomes = split_result_by_job(unit.plan, shard_result)
         with self._lock:
-            index, _worker = self._resolve_lease_locked(lease_id)
-            duplicate = self._state[index] is DONE
-        return ShardSubmissionStream(self, str(lease_id), index, duplicate)
-
-    def submit_stream(self, lease_id: str, frames: Iterable[dict]) -> dict:
-        """Merge one unit submitted as a stream of event frames.
-
-        Convenience over :meth:`begin_stream` for in-process callers
-        and tests: feeds every frame (partial progress becomes visible
-        in :meth:`status` as it goes), then commits the assembled
-        result through the blocking-submit path — byte-identical to
-        ``submit_result(lease_id, sweep_result_to_dict(result))``.
-        """
-        stream = self.begin_stream(lease_id)
-        try:
-            for frame in frames:
-                stream.feed(frame)
-            return stream.finish()
-        except BaseException:
-            stream.abort()
-            raise
+            if self._state[index] is DONE:  # raced a concurrent submit
+                return self._duplicate_locked(index)
+            entry = self._leases.get(lease_id) or self._superseded.get(
+                lease_id
+            )
+            worker_id = entry[1] if entry is not None else "unknown"
+            for global_index, outcome in zip(unit.job_indices, outcomes):
+                self._job_slots[global_index] = outcome
+            for global_index, skip in zip(
+                unit.skip_indices, shard_result.skipped
+            ):
+                self._skip_slots[global_index] = skip
+            self._results[index] = shard_result
+            self._submitted_by[index] = worker_id
+            self._state[index] = DONE
+            self._retire_unit_leases_locked(index)
+            self._observe_merge_locked(index, worker_id, shard_result)
+            return {
+                "accepted": True,
+                "duplicate": False,
+                "shard_index": index,
+                "worker_id": worker_id,
+                "done": self._done_locked(),
+                "remaining": self._remaining_locked(),
+            }
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -312,9 +296,7 @@ class ShardCoordinator:
         counts once submitted; ``store_hits`` aggregates the verdict
         -store hits every submitted unit's executor reported — the
         fleet-wide measure of how much simulation the shared cache
-        saved — and ``records_streaming`` counts records received on
-        in-flight streamed uploads that have not committed yet (each
-        streaming lease row also carries its own ``records_streamed``).
+        saved.
 
         Submitted unit rows additionally report per-lease throughput
         (``elapsed_seconds``/``jobs_per_second``), and ``workers``
@@ -334,17 +316,12 @@ class ShardCoordinator:
                 if self._state[index] is not LEASED:
                     continue
                 _, worker_id, deadline = self._leases[lease_id]
-                row = {
+                leases.append({
                     "lease_id": lease_id,
                     "shard_index": index,
                     "worker_id": worker_id,
                     "expires_in": round(deadline - now, 3),
-                }
-                partial = self._streaming.get(lease_id)
-                if partial is not None:
-                    row["records_streamed"] = partial["records"]
-                    row["jobs_streamed"] = partial["jobs_done"]
-                leases.append(row)
+                })
             shard_rows = []
             jobs_done = 0
             store_hits = 0
@@ -388,10 +365,6 @@ class ShardCoordinator:
                     len(outcome)
                     for outcome in self._job_slots.values()
                     if isinstance(outcome, list)
-                ),
-                "records_streaming": sum(
-                    partial["records"]
-                    for partial in self._streaming.values()
                 ),
                 "jobs_total": sum(
                     len(unit.plan.jobs) for unit in self._units.values()
@@ -512,40 +485,6 @@ class ShardCoordinator:
             if index in self._units and self._state[index] is DONE:
                 return index, "unknown"
         raise ValueError(f"unknown lease {lease_id!r}")
-
-    def _merge_submission(
-        self, lease_id: str, index: int, shard_result: SweepResult
-    ) -> dict:
-        """Validate a decoded unit result against its plan; commit it."""
-        unit = self._units[index]
-        outcomes = split_result_by_job(unit.plan, shard_result)
-        with self._lock:
-            if self._state[index] is DONE:  # raced a concurrent submit
-                return self._duplicate_locked(index)
-            entry = self._leases.get(lease_id) or self._superseded.get(
-                lease_id
-            )
-            worker_id = entry[1] if entry is not None else "unknown"
-            for global_index, outcome in zip(unit.job_indices, outcomes):
-                self._job_slots[global_index] = outcome
-            for global_index, skip in zip(
-                unit.skip_indices, shard_result.skipped
-            ):
-                self._skip_slots[global_index] = skip
-            self._results[index] = shard_result
-            self._submitted_by[index] = worker_id
-            self._state[index] = DONE
-            self._retire_unit_leases_locked(index)
-            self._streaming.pop(lease_id, None)
-            self._observe_merge_locked(index, worker_id, shard_result)
-            return {
-                "accepted": True,
-                "duplicate": False,
-                "shard_index": index,
-                "worker_id": worker_id,
-                "done": self._done_locked(),
-                "remaining": self._remaining_locked(),
-            }
 
     def _observe_merge_locked(
         self, index: int, worker_id: str, shard_result: SweepResult
@@ -668,85 +607,6 @@ class ShardCoordinator:
         )
 
 
-class ShardSubmissionStream:
-    """One in-flight streamed upload for a lease (see ``begin_stream``).
-
-    :meth:`feed` absorbs decoded event frames as they arrive off the
-    wire and keeps live partial-progress counters that ``/shard/status``
-    reports; :meth:`finish` validates the complete stream and commits it
-    through the exact blocking-submit path (so a streamed submission is
-    byte-identical to a blocking one); :meth:`abort` clears the partial
-    counters when the uploader dies mid-stream.
-    """
-
-    def __init__(
-        self,
-        coordinator: ShardCoordinator,
-        lease_id: str,
-        shard_index: int,
-        duplicate: bool,
-    ):
-        self._coordinator = coordinator
-        self.lease_id = lease_id
-        self.shard_index = shard_index
-        self.duplicate = duplicate
-        self._frames: list[dict] = []
-        self._closed = False
-
-    def feed(self, frame: dict) -> None:
-        """Absorb one decoded event frame; update partial progress."""
-        if self.duplicate or self._closed:
-            return
-        self._frames.append(frame)
-        event = frame.get("event")
-        if event not in ("record", "job_error", "progress"):
-            return
-        coordinator = self._coordinator
-        with coordinator._lock:
-            partial = coordinator._streaming.setdefault(
-                self.lease_id, {"records": 0, "errors": 0, "jobs_done": 0}
-            )
-            if event == "record":
-                partial["records"] += 1
-            elif event == "job_error":
-                partial["errors"] += 1
-            else:  # progress
-                try:
-                    partial["jobs_done"] = int(frame.get("jobs_done", 0))
-                except (TypeError, ValueError):
-                    pass
-
-    def finish(self) -> dict:
-        """Assemble + commit the stream; returns the submit ack.
-
-        Raises :class:`~repro.service.aio.events.StreamProtocolError`
-        on a cut or inconsistent stream and ``ValueError`` when the
-        assembled result does not match the unit's plan — in both cases
-        the unit stays leased, exactly like a rejected blocking submit.
-        """
-        from .aio.events import assemble_stream_result
-
-        self._closed = True
-        coordinator = self._coordinator
-        if self.duplicate:
-            with coordinator._lock:
-                return coordinator._duplicate_locked(self.shard_index)
-        try:
-            shard_result = assemble_stream_result(self._frames)
-        finally:
-            with coordinator._lock:
-                coordinator._streaming.pop(self.lease_id, None)
-        return coordinator._merge_submission(
-            self.lease_id, self.shard_index, shard_result
-        )
-
-    def abort(self) -> None:
-        """Drop the partial upload (client vanished mid-stream)."""
-        self._closed = True
-        with self._coordinator._lock:
-            self._coordinator._streaming.pop(self.lease_id, None)
-
-
 # ----------------------------------------------------------------------
 # Checkpoint files (restart `repro coordinate` without losing shards)
 # ----------------------------------------------------------------------
@@ -794,7 +654,6 @@ def load_checkpoint(
 __all__ = [
     "SUPERSEDED_LEASE_CAP",
     "ShardCoordinator",
-    "ShardSubmissionStream",
     "load_checkpoint",
     "save_checkpoint",
 ]

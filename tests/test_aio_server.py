@@ -109,6 +109,29 @@ class TestSweepStream:
         result = asyncio.run(scenario())
         assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
 
+    def test_oversized_frames_stream_through(self):
+        # asyncio's default readline limit is 64 KiB; the stream must
+        # carry frames far larger than that.  Records carry no
+        # completion text, so the padding rides in the model name that
+        # every record frame repeats.
+        backend = StubBackend(
+            canonical=True, model_names=("stub-" + "x" * 200_000,)
+        )
+        serial = Session(backend=backend).run_sweep(SMALL)
+        frame_sizes = []
+        with AsyncEvalService(Session(backend=backend), port=0) as svc:
+            result = asyncio.run(
+                astream_sweep(
+                    svc.url, config=SMALL,
+                    on_event=lambda f: frame_sizes.append(
+                        len(json.dumps(f))
+                    ),
+                )
+            )
+        assert max(frame_sizes) > 200_000
+        assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
+        assert result.errors == serial.errors == []
+
     def test_bad_sweep_request_is_answered_not_streamed(self, service):
         request = urllib.request.Request(
             service.url + "/sweep/stream",
@@ -310,209 +333,3 @@ class TestRequestHygiene:
         out = capsys.readouterr().out
         assert "--retries" in out and "--executor" in out
         assert "ignored by --stream" in out
-
-
-class TestStreamedShardSubmission:
-    """Tentpole: POST /shard/result/stream + the asyncio worker fleet."""
-
-    @staticmethod
-    def _coordinated(lease_jobs=None, num_shards=2):
-        session = Session(backend="stub-canonical")
-        coordinator = ShardCoordinator(
-            session.plan_shards(num_shards, SMALL),
-            lease_seconds=60,
-            lease_jobs=lease_jobs,
-        )
-        return session, coordinator
-
-    def test_async_worker_streams_units_with_parity(self):
-        from repro.service import run_worker_async
-
-        serial = Session(backend="stub-canonical").run_sweep(SMALL)
-        _, coordinator = self._coordinated(lease_jobs=2)
-        svc = AsyncEvalService(
-            Session(backend="stub-canonical"), port=0,
-            coordinator=coordinator,
-        )
-        url = svc.start()
-        try:
-            summary = asyncio.run(
-                run_worker_async(
-                    url,
-                    session=Session(backend="stub-canonical"),
-                    max_leases=3,
-                    max_idle_polls=50,
-                    poll_seconds=0.02,
-                )
-            )
-        finally:
-            svc.stop()
-        assert summary["shards"] == coordinator.num_units
-        assert summary["streamed"] == coordinator.num_units
-        merged = coordinator.result()
-        assert sweep_to_json(merged.sweep) == sweep_to_json(serial.sweep)
-        assert merged.skipped == serial.skipped
-        assert merged.errors == serial.errors
-
-    def test_async_worker_falls_back_when_stream_upload_refused(self):
-        # a coordinator that refuses the streamed upload: the worker's
-        # buffered frames submit blockingly instead, and no executed
-        # work is lost
-        from repro.service import run_worker_async
-        from repro.service.aio.server import _BadRequest
-
-        serial = Session(backend="stub-canonical").run_sweep(SMALL)
-        session, coordinator = self._coordinated(lease_jobs=3)
-        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
-
-        async def refuse_upload(reader, writer, query):
-            raise _BadRequest("streamed submit refused")
-
-        svc._stream_submit = refuse_upload
-        url = svc.start()
-        try:
-            summary = asyncio.run(
-                run_worker_async(
-                    url,
-                    session=Session(backend="stub-canonical"),
-                    max_leases=2,
-                    max_idle_polls=50,
-                    poll_seconds=0.02,
-                )
-            )
-        finally:
-            svc.stop()
-        assert summary["streamed"] == 0
-        assert summary["shards"] == coordinator.num_units
-        merged = coordinator.result()
-        assert sweep_to_json(merged.sweep) == sweep_to_json(serial.sweep)
-
-    def test_status_shows_partial_progress_for_inflight_stream(self):
-        """Acceptance: /shard/status reports an in-flight streaming
-        worker's records before its unit commits."""
-        from repro.service.aio import (
-            open_upload,
-            read_upload_response,
-            result_to_frames,
-        )
-        from repro.service.aio.events import encode_frame
-
-        session, coordinator = self._coordinated(lease_jobs=4)
-        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
-        url = svc.start()
-        try:
-            lease = coordinator.next_shard("uploader")
-            shard = shard_from_dict(lease["shard"])
-            frames = result_to_frames(shard.plan, session.run_plan(shard.plan))
-            records = [f for f in frames if f["event"] == "record"]
-
-            async def scenario():
-                reader, writer = await open_upload(
-                    "POST",
-                    url + "/shard/result/stream?lease_id="
-                    + lease["lease_id"],
-                )
-                try:
-                    # upload everything but the terminal frame, then ask
-                    # for status on a separate connection
-                    for frame in frames[:-1]:
-                        writer.write(encode_frame(frame))
-                        await writer.drain()
-                    deadline = asyncio.get_running_loop().time() + 10
-                    while True:
-                        status = await request_json(
-                            "GET", url + "/shard/status"
-                        )
-                        if status["records_streaming"] == len(records):
-                            break
-                        assert (
-                            asyncio.get_running_loop().time() < deadline
-                        ), f"partial progress never appeared: {status}"
-                        await asyncio.sleep(0.02)
-                    assert status["records_merged"] == 0
-                    assert status["leases"][0]["records_streamed"] == len(
-                        records
-                    )
-                    writer.write(encode_frame(frames[-1]))  # terminal
-                    await writer.drain()
-                    ack = await read_upload_response(reader, url)
-                finally:
-                    writer.close()
-                return ack
-
-            ack = asyncio.run(scenario())
-            assert ack["accepted"] is True
-            status = coordinator.status()
-            assert status["records_streaming"] == 0
-            assert status["records_merged"] == len(records)
-        finally:
-            svc.stop()
-
-    def test_stream_submit_requires_lease_id_and_known_lease(self):
-        from repro.service.aio import submit_result_stream
-
-        session, coordinator = self._coordinated()
-        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
-        url = svc.start()
-        try:
-            async def no_lease():
-                await submit_result_stream(url, "lease-99-s0", [])
-
-            with pytest.raises(BackendError, match="unknown lease"):
-                asyncio.run(no_lease())
-        finally:
-            svc.stop()
-
-    def test_malformed_stream_line_is_answered_400(self):
-        from repro.service.aio import open_upload, read_upload_response
-
-        session, coordinator = self._coordinated()
-        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
-        url = svc.start()
-        try:
-            lease = coordinator.next_shard("w")
-
-            async def scenario():
-                reader, writer = await open_upload(
-                    "POST",
-                    url + "/shard/result/stream?lease_id="
-                    + lease["lease_id"],
-                )
-                try:
-                    writer.write(b"{not json}\n")
-                    await writer.drain()
-                    await read_upload_response(reader, url)
-                finally:
-                    writer.close()
-
-            with pytest.raises(BackendError, match="400"):
-                asyncio.run(scenario())
-            # the unit stays leased for the lease clock to re-serve
-            assert coordinator.status()["leased"] == 1
-        finally:
-            svc.stop()
-
-    def test_oversized_frames_stream_through(self):
-        # asyncio's default readline limit is 64 KiB; the stream routes
-        # must accept frames far larger than one socket buffer
-        from repro.service.aio import result_to_frames, submit_result_stream
-
-        session, coordinator = self._coordinated(lease_jobs=4)
-        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
-        url = svc.start()
-        try:
-            lease = coordinator.next_shard("bulk")
-            shard = shard_from_dict(lease["shard"])
-            frames = result_to_frames(
-                shard.plan, session.run_plan(shard.plan)
-            )
-            for frame in frames:
-                if frame["event"] == "record":
-                    frame["padding"] = "x" * 200_000  # decoder ignores it
-                    break
-            ack = asyncio.run(
-                submit_result_stream(url, lease["lease_id"], frames)
-            )
-            assert ack["accepted"] is True
-        finally:
-            svc.stop()

@@ -70,14 +70,16 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--aio"], ["coordinate", "--shards", "2", "--aio"],
+        ["work", "--url", "http://h:1", "--aio"],
+        ["work", "--url", "http://h:1", "--max-leases", "2"],
     ])
-    def test_servers_take_no_aio_flag(self, argv):
-        # one HTTP server; only the worker has an asyncio variant
+    def test_no_command_takes_an_asyncio_switch(self, argv):
+        # one HTTP server and one worker; async fan-out is an executor
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert build_parser().parse_args(
-            ["work", "--url", "http://h:1", "--aio"]
-        ).aio
+            ["work", "--url", "http://h:1", "--executor", "async"]
+        ).executor == "async"
 
     def test_executor_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -364,6 +366,20 @@ class TestCoordinateAndWorkCommands:
         # lease-jobs path defaults the split to one shard
         args = build_parser().parse_args(["coordinate", "--lease-jobs", "5"])
         assert args.shards is None and args.lease_jobs == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["work", "--url", "http://h:1", "--poll-seconds", "-1"],
+        ["work", "--url", "http://h:1", "--poll-seconds", "0"],
+        ["work", "--url", "http://h:1", "--poll-seconds", "nan"],
+        ["work", "--url", "http://h:1", "--max-idle-polls", "0"],
+        ["coordinate", "--shards", "2", "--lease-seconds", "0"],
+        ["coordinate", "--shards", "2", "--lease-seconds", "inf"],
+        ["coordinate", "--shards", "2", "--poll-seconds", "-0.5"],
+    ])
+    def test_non_positive_intervals_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "must be" in capsys.readouterr().err
 
     def test_work_requires_url(self):
         with pytest.raises(SystemExit):

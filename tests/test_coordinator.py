@@ -317,6 +317,24 @@ class TestWorkerLoop:
         with pytest.raises(ValueError, match="url or transport"):
             run_worker()
 
+    @pytest.mark.parametrize("poll_seconds", [0, -1])
+    def test_non_positive_poll_rejected_before_first_request(
+        self, poll_seconds
+    ):
+        calls = []
+
+        def transport(method, path, payload=None):
+            calls.append(path)
+            return {"shard": None, "done": True}
+
+        with pytest.raises(ValueError, match="poll_seconds"):
+            run_worker(
+                transport=transport,
+                session=Session(backend="stub"),
+                poll_seconds=poll_seconds,
+            )
+        assert calls == []
+
     def test_shard_routes_require_coordinator(self):
         app = ServiceApp(Session(backend="stub"))
         status, body = app.handle("POST", "/shard/next", {"worker_id": "w"})
@@ -648,6 +666,29 @@ class TestJobLeasing:
         assert merged.errors == serial.errors
         assert merged.stats["lease_jobs"] == lease_jobs
 
+    def test_async_executor_worker_parity_with_job_leases(self):
+        # the worker runs each leased unit on its session's executor:
+        # an executor="async" session fans every unit out as coroutines
+        # and the merge still equals the serial sweep record for record
+        plan, shards = make_split(2)
+        serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
+        coordinator = ShardCoordinator(shards, lease_seconds=60, lease_jobs=3)
+        summary = Session(backend="zoo", executor="async", workers=4).work(
+            transport=in_process_transport(
+                ServiceApp(Session(backend="zoo"), coordinator=coordinator)
+            ),
+            max_idle_polls=3,
+        )
+        assert summary["shards"] == coordinator.num_units > 1
+        merged = coordinator.result()
+        assert merged.sweep.records == serial.sweep.records
+        assert merged.skipped == serial.skipped
+        assert merged.errors == serial.errors
+        assert {
+            result.stats["executor"]
+            for result in coordinator._results.values()
+        } == {"async"}
+
     def test_straggler_reserves_only_its_unfinished_jobs(self):
         """Acceptance: a stalled worker's expired lease re-serves just
         its job range — the rest of the sweep never waits for it."""
@@ -806,106 +847,3 @@ class TestLeasePruning:
         assert ack["accepted"] is True
         assert ack["worker_id"] == "slow"
         assert coordinator.done
-
-
-class TestStreamedSubmission:
-    """Tentpole: NDJSON streamed upload == blocking submit, with live
-    partial progress while the stream is in flight."""
-
-    @staticmethod
-    def _frames_for(shard, result):
-        from repro.service.aio.events import result_to_frames
-
-        return result_to_frames(shard.plan, result)
-
-    def test_streamed_submit_byte_identical_to_blocking(self):
-        import json
-
-        from repro.eval.export import sweep_result_to_dict as to_dict
-
-        plan, shards = make_split(2)
-        blocking = ShardCoordinator(shards, lease_seconds=60, lease_jobs=4)
-        streamed = ShardCoordinator(shards, lease_seconds=60, lease_jobs=4)
-        from repro.service.sharding import shard_from_dict
-
-        while not blocking.done:
-            lease_b = blocking.next_shard("wb")
-            lease_s = streamed.next_shard("ws")
-            shard = shard_from_dict(lease_b["shard"])
-            result = run_shard(shard)
-            ack_b = blocking.submit_result(
-                lease_b["lease_id"], to_dict(result)
-            )
-            ack_s = streamed.submit_stream(
-                lease_s["lease_id"], self._frames_for(shard, result)
-            )
-            assert ack_s["accepted"] is ack_b["accepted"] is True
-        assert json.dumps(to_dict(blocking.result())) == json.dumps(
-            to_dict(streamed.result())
-        )
-
-    def test_partial_progress_visible_mid_stream(self):
-        _, shards = make_split(1)
-        coordinator = ShardCoordinator(shards, lease_seconds=60, lease_jobs=2)
-        lease = coordinator.next_shard("streamer")
-        from repro.service.sharding import shard_from_dict
-
-        shard = shard_from_dict(lease["shard"])
-        frames = self._frames_for(shard, run_shard(shard))
-        stream = coordinator.begin_stream(lease["lease_id"])
-        records_fed = 0
-        for frame in frames[: len(frames) // 2]:
-            stream.feed(frame)
-            records_fed += frame["event"] == "record"
-        assert records_fed > 0
-        status = coordinator.status()
-        assert status["records_streaming"] == records_fed
-        assert status["records_merged"] == 0  # nothing committed yet
-        lease_row = status["leases"][0]
-        assert lease_row["records_streamed"] == records_fed
-        for frame in frames[len(frames) // 2 :]:
-            stream.feed(frame)
-        ack = stream.finish()
-        assert ack["accepted"] is True
-        status = coordinator.status()
-        assert status["records_streaming"] == 0  # counters cleared
-        assert status["records_merged"] > 0
-
-    def test_bad_stream_rejected_and_unit_stays_leased(self):
-        from repro.service import StreamProtocolError
-
-        _, shards = make_split(1)
-        coordinator = ShardCoordinator(shards, lease_seconds=60)
-        lease = coordinator.next_shard("w")
-        from repro.service.sharding import shard_from_dict
-
-        shard = shard_from_dict(lease["shard"])
-        frames = self._frames_for(shard, run_shard(shard))
-        truncated = frames[: len(frames) // 2]  # no terminal done frame
-        with pytest.raises(StreamProtocolError, match="done frame"):
-            coordinator.submit_stream(lease["lease_id"], truncated)
-        status = coordinator.status()
-        assert status["leased"] == 1 and status["done"] == 0
-        assert status["records_streaming"] == 0  # aborted counters gone
-
-    def test_stream_for_done_unit_is_duplicate(self):
-        _, shards = make_split(1)
-        coordinator = ShardCoordinator(shards, lease_seconds=60)
-        lease = coordinator.next_shard("w")
-        from repro.service.sharding import shard_from_dict
-
-        shard = shard_from_dict(lease["shard"])
-        result = run_shard(shard)
-        coordinator.submit_result(
-            lease["lease_id"], sweep_result_to_dict(result)
-        )
-        ack = coordinator.submit_stream(
-            lease["lease_id"], self._frames_for(shard, result)
-        )
-        assert ack["accepted"] is False and ack["duplicate"] is True
-
-    def test_unknown_lease_rejected_for_streams(self):
-        _, shards = make_split(1)
-        coordinator = ShardCoordinator(shards)
-        with pytest.raises(ValueError, match="unknown lease"):
-            coordinator.begin_stream("lease-7-s0")

@@ -1075,6 +1075,11 @@ class TestTelemetryPusher:
         assert not pusher.due()
         assert not pusher.push()  # disabled: no further sends
 
+    def test_send_must_be_callable(self):
+        # a missing sender would otherwise fail every push silently
+        with pytest.raises(TypeError, match="send must be callable"):
+            TelemetryPusher(None, "w0", registry=MetricsRegistry())
+
     def test_maybe_push_respects_interval(self):
         reg = MetricsRegistry()
         sends = []
@@ -1382,12 +1387,11 @@ class TestDashboardRender:
             },
             "status": {
                 "jobs_total": 10, "jobs_done": 6, "done": 3, "leased": 1,
-                "pending": 2, "records_merged": 60, "records_streaming": 0,
+                "pending": 2, "records_merged": 60,
                 "store_hits": 4, "leases_reclaimed": 1,
                 "leases": [
                     {"lease_id": "abcdef123456789", "shard_index": 4,
-                     "worker_id": "w0", "expires_in": 55.2,
-                     "records_streamed": 7},
+                     "worker_id": "w0", "expires_in": 55.2},
                 ],
                 "workers": [
                     {"worker_id": "w0", "units": 3, "jobs": 6,
