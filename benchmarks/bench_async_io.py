@@ -14,7 +14,7 @@ ways of hiding that latency on the same plan:
   run must match the thread run to within scheduling noise);
 * ``async-wide``  — AsyncSweepExecutor with every job in flight at
   once, the concurrency a thread-per-request design cannot afford:
-  this is where the asyncio transport pays off.
+  this is where an async-native backend pays off.
 
 All three must agree record-for-record with a serial run (the parity
 invariant every executor honours).  Run it standalone::

@@ -340,7 +340,7 @@ class Session:
                     "stream_sweep needs a service url (or a session "
                     "backend that carries one, e.g. backend='service')"
                 )
-        from .service.aio import stream_sweep
+        from .service import stream_sweep
 
         return stream_sweep(
             url,

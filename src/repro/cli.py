@@ -1244,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", required=True,
                    help="service or coordinator URL (from `repro serve` "
                         "or `repro coordinate`)")
-    p.add_argument("--interval", type=float, default=2.0,
+    p.add_argument("--interval", type=_positive_float, default=2.0,
                    help="refresh interval in seconds (default: 2)")
     p.add_argument("--once", action="store_true",
                    help="render a single frame and exit (no screen clear)")

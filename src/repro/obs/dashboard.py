@@ -17,21 +17,12 @@ polling.  Three consumers share the code:
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Callable
 
 #: ANSI clear-screen + home, written before every repaint of the loop
 CLEAR = "\x1b[2J\x1b[H"
-
-
-def _get_json(url: str, timeout: float) -> dict:
-    request = urllib.request.Request(url, headers={"Accept": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
 
 
 def fetch_view(base_url: str, timeout: float = 5.0) -> dict:
@@ -42,13 +33,18 @@ def fetch_view(base_url: str, timeout: float = 5.0) -> dict:
     and failures land in ``errors`` instead of raising — the renderer
     shows whatever half is available.
     """
+    # imported here: repro.service imports repro.obs at module level
+    from ..backends.base import BackendError
+    from ..service.client import http_transport
+
     base = base_url.rstrip("/")
+    get = http_transport(base, timeout)
     view: dict = {"url": base, "metrics": None, "status": None,
                   "errors": []}
     for key, path in (("metrics", "/metrics"), ("status", "/shard/status")):
         try:
-            view[key] = _get_json(base + path, timeout)
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+            view[key] = get("GET", path)
+        except BackendError as exc:
             view["errors"].append(f"{path}: {exc}")
     return view
 

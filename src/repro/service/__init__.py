@@ -5,9 +5,12 @@ The subsystem that takes the job-based sweep stack of
 
 * :mod:`repro.service.server` — :class:`ServiceApp`, the transport-free
   route table exposing the Session/job API as JSON routes;
-* :mod:`repro.service.client` — :class:`ServiceBackend`, the registered
-  ``"service"`` backend that makes a remote server look local, with an
-  injectable transport (:func:`in_process_transport` for offline tests);
+* :mod:`repro.service.client` — the one HTTP client:
+  :class:`ServiceBackend`, the registered ``"service"`` backend that
+  makes a remote server look local, with an injectable transport
+  (:func:`in_process_transport` for offline tests), and the streaming
+  consumers :func:`iter_sweep_events`/:func:`stream_sweep`/
+  :func:`iter_status_events`;
 * :mod:`repro.service.sharding` — :class:`ShardPlanner` /
   :func:`merge_shard_results`: partition a plan across machines and
   recombine results record-for-record identical to a serial run;
@@ -23,26 +26,18 @@ The subsystem that takes the job-based sweep stack of
 * :mod:`repro.service.aio` — the asyncio half:
   :class:`AsyncEvalService`, the one HTTP server (``ServiceApp``'s JSON
   routes plus the NDJSON streaming routes ``POST /sweep/stream`` and
-  ``GET /shard/status/stream``, consumed by
-  :func:`iter_sweep_events`/:func:`stream_sweep`),
+  ``GET /shard/status/stream``),
   :class:`AsyncSweepExecutor` (coroutine concurrency behind the same
-  ``Executor`` interface), and async backend adapters
-  (:func:`to_async`/:func:`from_async`, :class:`AsyncServiceBackend`).
+  ``Executor`` interface), and the :func:`to_async` backend adapter.
 """
 
 from .aio import (
     AsyncBackend,
     AsyncEvalService,
-    AsyncHTTPChatBackend,
-    AsyncServiceBackend,
     AsyncSweepExecutor,
     StreamProtocolError,
     assemble_stream_result,
-    from_async,
-    iter_status_events,
-    iter_sweep_events,
     result_to_frames,
-    stream_sweep,
     to_async,
 )
 from .client import (
@@ -53,7 +48,10 @@ from .client import (
     default_worker_id,
     http_transport,
     in_process_transport,
+    iter_status_events,
+    iter_sweep_events,
     run_worker,
+    stream_sweep,
 )
 from .coordinator import ShardCoordinator, load_checkpoint, save_checkpoint
 from .process import ProcessPoolSweepExecutor
@@ -76,13 +74,10 @@ from .sharding import (
 __all__ = [
     "AsyncBackend",
     "AsyncEvalService",
-    "AsyncHTTPChatBackend",
-    "AsyncServiceBackend",
     "AsyncSweepExecutor",
     "DEFAULT_URL",
     "StreamProtocolError",
     "assemble_stream_result",
-    "from_async",
     "iter_status_events",
     "iter_sweep_events",
     "result_to_frames",

@@ -1,14 +1,13 @@
 """Asyncio-native sweep service: async executor, the HTTP server, events.
 
 The asyncio half of the service stack.  It serves the
-:class:`~repro.service.server.ServiceApp` routes over HTTP, and gives
-the blocking pieces of :mod:`repro.service` non-blocking twins that
-share the same wire schemas and the same parity guarantees:
+:class:`~repro.service.server.ServiceApp` routes over HTTP and runs
+sweeps as coroutines, with the same wire schemas and the same parity
+guarantees as the blocking pieces of :mod:`repro.service`:
 
-* :mod:`~repro.service.aio.backends` — :class:`AsyncBackend` protocol,
-  the :func:`to_async`/:func:`from_async` bridge for existing sync
-  backends, and async-native remote clients
-  (:class:`AsyncServiceBackend`, :class:`AsyncHTTPChatBackend`);
+* :mod:`~repro.service.aio.backends` — :class:`AsyncBackend` protocol
+  and the :func:`to_async` adapter that runs any sync backend under the
+  loop;
 * :mod:`~repro.service.aio.executor` — :class:`AsyncSweepExecutor`,
   coroutine-per-chunk execution with bounded concurrency, retry/batch
   parity with the thread executor, cooperative cancellation, and live
@@ -19,29 +18,14 @@ share the same wire schemas and the same parity guarantees:
 * :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`, the
   eval service's one HTTP server: ``ServiceApp`` routing over
   ``asyncio.start_server`` plus the streaming routes
-  ``POST /sweep/stream`` and ``GET /shard/status/stream``;
-* :mod:`~repro.service.aio.client` — :func:`iter_sweep_events` /
-  :func:`stream_sweep` (sync) and their async twins;
-* :mod:`~repro.service.aio.transport` — raw non-blocking HTTP/JSON
-  primitives with the sync client's failure taxonomy.
+  ``POST /sweep/stream`` and ``GET /shard/status/stream``.
+
+The client of those routes is the ``urllib`` one in
+:mod:`repro.service.client` (:func:`~repro.service.client.stream_sweep`
+and friends).
 """
 
-from .backends import (
-    AsyncBackend,
-    AsyncHTTPChatBackend,
-    AsyncServiceBackend,
-    ensure_async,
-    ensure_sync,
-    from_async,
-    to_async,
-)
-from .client import (
-    aiter_sweep_events,
-    astream_sweep,
-    iter_status_events,
-    iter_sweep_events,
-    stream_sweep,
-)
+from .backends import AsyncBackend, ensure_async, to_async
 from .events import (
     FRAME_EVENTS,
     StreamProtocolError,
@@ -55,39 +39,20 @@ from .events import (
 )
 from .executor import AsyncSweepExecutor
 from .server import AsyncEvalService
-from .transport import (
-    AsyncTransport,
-    async_chat_transport,
-    async_json_transport,
-    request_json,
-)
 
 __all__ = [
     "AsyncBackend",
     "AsyncEvalService",
-    "AsyncHTTPChatBackend",
-    "AsyncServiceBackend",
     "AsyncSweepExecutor",
-    "AsyncTransport",
     "FRAME_EVENTS",
     "StreamProtocolError",
-    "aiter_sweep_events",
     "assemble_stream_result",
-    "astream_sweep",
-    "async_chat_transport",
-    "async_json_transport",
     "decode_frame",
     "decode_stream",
     "encode_frame",
     "ensure_async",
-    "ensure_sync",
-    "from_async",
-    "iter_status_events",
-    "iter_sweep_events",
     "metric_frame",
-    "request_json",
     "result_to_frames",
     "span_frame",
-    "stream_sweep",
     "to_async",
 ]

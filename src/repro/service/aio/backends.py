@@ -7,42 +7,20 @@ before the event loop and those calls are cheap — while generation
 becomes awaitable (``generate_async`` / ``generate_batch_async``) so one
 process can hold many requests in flight without a thread apiece.
 
-The adapter pair bridges the two worlds in either direction:
-
-* :func:`to_async` — run any sync backend under the loop via
-  ``run_in_executor`` (the default thread pool), so the async executor
-  accepts every registered backend unchanged;
-* :func:`from_async` — expose an async-native backend to sync callers
-  (each call runs its own short-lived event loop);
-
-and :func:`ensure_async` picks whichever view a backend needs.  The two
-adapters unwrap each other, so round trips return the original object.
-
-:class:`AsyncServiceBackend` and :class:`AsyncHTTPChatBackend` are the
-async-native clients the ROADMAP asked for: the same wire schemas as
-:class:`~repro.service.client.ServiceBackend` and
-:class:`~repro.backends.http.HTTPChatBackend`, but generation rides the
-non-blocking :mod:`~repro.service.aio.transport` — and the chat backend
-fires its ``n`` samples concurrently instead of serially.
+:func:`to_async` runs any sync backend under the loop via
+``run_in_executor`` (the default thread pool), so the async executor
+accepts every registered backend unchanged; :func:`ensure_async` passes
+async-native backends through and adapts the rest.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
-import time
-from typing import Awaitable, Callable, Sequence
+from typing import Sequence
 
-from ..client import DEFAULT_URL, ServiceBackend
-from ...backends.base import (
-    Backend,
-    BackendError,
-    ModelCapabilities,
-    variant_identity,
-)
-from ...backends.http import HTTPChatBackend
+from ...backends.base import Backend, ModelCapabilities, variant_identity
 from ...models.base import Completion, GenerationConfig
-from .transport import async_chat_transport, async_json_transport
 
 
 class AsyncBackend(abc.ABC):
@@ -89,7 +67,7 @@ class AsyncBackend(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Sync <-> async adapters
+# Sync -> async adapter
 # ----------------------------------------------------------------------
 class _ThreadedAsyncBackend(AsyncBackend):
     """A sync backend driven through the loop's default thread pool."""
@@ -124,51 +102,9 @@ class _ThreadedAsyncBackend(AsyncBackend):
         )
 
 
-class _BlockingBackend(Backend):
-    """An async backend exposed to sync callers (one loop per call)."""
-
-    def __init__(self, abackend: AsyncBackend):
-        self.abackend = abackend
-        self.name = abackend.name
-
-    def models(self) -> list[str]:
-        return self.abackend.models()
-
-    def capabilities(self, model: str) -> ModelCapabilities:
-        return self.abackend.capabilities(model)
-
-    def identity(self, model: str) -> tuple[str, bool]:
-        return self.abackend.identity(model)
-
-    def generate(
-        self, model: str, prompt: str, config: GenerationConfig
-    ) -> list[Completion]:
-        return asyncio.run(
-            self.abackend.generate_async(model, prompt, config)
-        )
-
-    def generate_batch(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        return asyncio.run(
-            self.abackend.generate_batch_async(model, list(requests))
-        )
-
-
 def to_async(backend: Backend) -> AsyncBackend:
     """An :class:`AsyncBackend` view of a sync backend."""
-    if isinstance(backend, _BlockingBackend):
-        return backend.abackend
     return _ThreadedAsyncBackend(backend)
-
-
-def from_async(abackend: AsyncBackend) -> Backend:
-    """A sync :class:`Backend` view of an async backend."""
-    if isinstance(abackend, _ThreadedAsyncBackend):
-        return abackend.backend
-    return _BlockingBackend(abackend)
 
 
 def ensure_async(backend: "Backend | AsyncBackend") -> AsyncBackend:
@@ -178,182 +114,8 @@ def ensure_async(backend: "Backend | AsyncBackend") -> AsyncBackend:
     return to_async(backend)
 
 
-def ensure_sync(backend: "Backend | AsyncBackend") -> Backend:
-    """Whatever it is, return the sync view of it."""
-    if isinstance(backend, AsyncBackend):
-        return from_async(backend)
-    return backend
-
-
-# ----------------------------------------------------------------------
-# Async-native remote clients
-# ----------------------------------------------------------------------
-class AsyncServiceBackend(AsyncBackend):
-    """Non-blocking client of the eval service wire API.
-
-    Generation goes through the asyncio transport (one coroutine per
-    in-flight request, no thread apiece); metadata rides a plain sync
-    :class:`ServiceBackend` bound to the same URL, because the planner
-    interrogates capabilities before any event loop exists.  Both halves
-    speak the identical JSON routes, so a sweep through this backend is
-    record-for-record the same as through the sync client.
-    """
-
-    name = "service-aio"
-
-    def __init__(
-        self,
-        url: str = DEFAULT_URL,
-        timeout: float = 30.0,
-        sync_backend: ServiceBackend | None = None,
-        transport=None,
-    ):
-        self.url = url
-        self._sync = sync_backend or ServiceBackend(url=url, timeout=timeout)
-        self._call = transport or async_json_transport(url, timeout)
-
-    def models(self) -> list[str]:
-        return self._sync.models()
-
-    def capabilities(self, model: str) -> ModelCapabilities:
-        return self._sync.capabilities(model)
-
-    def identity(self, model: str) -> tuple[str, bool]:
-        return self._sync.identity(model)
-
-    async def generate_async(
-        self, model: str, prompt: str, config: GenerationConfig
-    ) -> list[Completion]:
-        response = await self._call(
-            "POST",
-            "/generate",
-            {
-                "model": model,
-                "prompt": prompt,
-                "config": ServiceBackend._config_row(config),
-            },
-        )
-        return [ServiceBackend._completion(c) for c in response["completions"]]
-
-    async def generate_batch_async(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        """One ``/generate_batch`` round trip; per-request fallback
-        against older servers, mirroring the sync client."""
-        if len(requests) <= 1:
-            return await super().generate_batch_async(model, requests)
-        payload = {
-            "model": model,
-            "requests": [
-                {"prompt": prompt, "config": ServiceBackend._config_row(config)}
-                for prompt, config in requests
-            ],
-        }
-        try:
-            response = await self._call("POST", "/generate_batch", payload)
-        except BackendError:
-            return await super().generate_batch_async(model, requests)
-        batches = [
-            [ServiceBackend._completion(c) for c in batch]
-            for batch in response["batches"]
-        ]
-        if len(batches) != len(requests):
-            raise BackendError(
-                f"generate_batch returned {len(batches)} batches "
-                f"for {len(requests)} requests"
-            )
-        return batches
-
-
-class AsyncHTTPChatBackend(AsyncBackend):
-    """Non-blocking chat-endpoint backend.
-
-    Wraps the offline-safe :class:`HTTPChatBackend` for payload shaping,
-    capability claims and response cleaning, but generation awaits the
-    asyncio transport and fires all ``config.n`` samples *concurrently*
-    — the paper sweeps ask 10–25 completions per prompt, and a chat
-    endpoint serves them in the time of one when the requests overlap.
-    ``transport`` is ``await transport(url, payload) -> response dict``;
-    without one it stays offline-safe and raises, like its sync twin.
-    """
-
-    name = "http-aio"
-
-    def __init__(
-        self,
-        chat: HTTPChatBackend | None = None,
-        transport: "Callable[[str, dict], Awaitable[dict]] | None" = None,
-        timeout: float = 30.0,
-        **chat_kwargs,
-    ):
-        self.chat = chat or HTTPChatBackend(**chat_kwargs)
-        self._transport = transport
-        self._timeout = timeout
-
-    def models(self) -> list[str]:
-        return self.chat.models()
-
-    def capabilities(self, model: str) -> ModelCapabilities:
-        return self.chat.capabilities(model)
-
-    @classmethod
-    def connected(cls, timeout: float = 30.0, **chat_kwargs):
-        """A backend wired to a real endpoint via the asyncio transport."""
-        return cls(
-            transport=async_chat_transport(timeout),
-            timeout=timeout,
-            **chat_kwargs,
-        )
-
-    async def _sample(
-        self, model: str, prompt: str, config: GenerationConfig, index: int
-    ) -> Completion:
-        from ...backends.http import clean_chat_response, extract_chat_text
-
-        started = time.perf_counter()
-        response = await self._transport(
-            self.chat.url, self.chat.payload(model, prompt, config, index)
-        )
-        elapsed = time.perf_counter() - started
-        text = extract_chat_text(response)
-        if self.chat.clean:
-            text = clean_chat_response(text)
-        return Completion(
-            text=text,
-            inference_seconds=elapsed,
-            tokens=max(1, len(text) // 4),
-        )
-
-    async def generate_async(
-        self, model: str, prompt: str, config: GenerationConfig
-    ) -> list[Completion]:
-        if self._transport is None:
-            raise BackendError(
-                "AsyncHTTPChatBackend has no transport configured; it is "
-                "offline-safe by design — use .connected(url=...) or "
-                "inject an async transport to reach a real endpoint"
-            )
-        tasks = [
-            asyncio.create_task(self._sample(model, prompt, config, index))
-            for index in range(config.n)
-        ]
-        try:
-            return list(await asyncio.gather(*tasks))
-        except BaseException:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            raise
-
-
 __all__ = [
     "AsyncBackend",
-    "AsyncHTTPChatBackend",
-    "AsyncServiceBackend",
     "ensure_async",
-    "ensure_sync",
-    "from_async",
     "to_async",
 ]

@@ -18,8 +18,8 @@ served here directly:
 
 The HTTP dialect is deliberately minimal: one request per connection,
 ``Connection: close``, JSON responses carry ``Content-Length``, streamed
-responses are close-delimited ``application/x-ndjson``.  Both the sync
-``urllib`` client and the asyncio transport speak it.
+responses are close-delimited ``application/x-ndjson``.  The ``urllib``
+client of :mod:`repro.service.client` speaks it.
 
 ``start()``/``stop()`` run the loop on a daemon thread for sync callers
 (the CLI, tests, ``Session.serve``/``Session.coordinate``; ``port=0``
@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import threading
 from urllib.parse import parse_qs
 
@@ -40,7 +41,6 @@ from ...backends.base import BackendError
 from ...eval.export import config_from_dict
 from .events import encode_frame, metric_frame, status_frame
 from .executor import AsyncSweepExecutor
-from .transport import STREAM_LIMIT, close_writer
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
              500: "Internal Server Error"}
@@ -48,6 +48,17 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: default seconds between ``/shard/status/stream`` polls (``?poll=``
 #: overrides it per request)
 STATUS_POLL_SECONDS = 0.2
+
+#: per-line buffer limit for request reads (asyncio's default 64 KiB
+#: readline limit would reject a large request line or header)
+STREAM_LIMIT = 16 * 1024 * 1024
+
+
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a stream writer, swallowing teardown races."""
+    with contextlib.suppress(Exception):
+        writer.close()
+        await writer.wait_closed()
 
 
 class AsyncEvalService:
@@ -442,7 +453,10 @@ class AsyncEvalService:
         try:
             poll = float(query.get("poll") or STATUS_POLL_SECONDS)
         except ValueError:
-            raise _BadRequest(f"bad poll value {query.get('poll')!r}") from None
+            poll = math.nan
+        # nan passes through min/max unclamped and would busy-spin
+        if not math.isfinite(poll):
+            raise _BadRequest(f"bad poll value {query.get('poll')!r}")
         poll = min(max(poll, 0.02), 10.0)
         await self._start_ndjson(writer)
         frames = self._status_frames(coordinator, poll)

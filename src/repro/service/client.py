@@ -1,4 +1,4 @@
-"""Client side of the eval service: a Backend that speaks the wire API.
+"""Client side of the eval service: the one HTTP client.
 
 :class:`ServiceBackend` makes a remote eval server look like any other
 registered backend — ``Session(backend="service", ...)`` or
@@ -7,9 +7,10 @@ planner/executor stack needs no remote-awareness at all: capabilities,
 identity and generation all round-trip through the server's JSON routes.
 
 The transport is injectable (``transport(method, path, payload) ->
-response dict``).  The default is a ``urllib`` client bound to ``url``;
-tests and same-process embedding use :func:`in_process_transport`, which
-calls a :class:`~repro.service.server.ServiceApp` directly — the full
+response dict``).  The default is :func:`http_transport`, bound to
+``url``; tests and same-process embedding use
+:func:`in_process_transport`, which calls a
+:class:`~repro.service.server.ServiceApp` directly — the full
 request/validation/serialization path, no sockets.  All transport-level
 failures surface as :class:`~repro.backends.base.BackendError`, which is
 exactly what the executor's :class:`~repro.eval.jobs.RetryPolicy` treats
@@ -19,21 +20,37 @@ as transient.
 that loops ``/shard/next`` → execute locally → ``/shard/result``
 against a :class:`~repro.service.coordinator.ShardCoordinator` until
 the coordinator reports the whole sweep merged.
+
+:func:`iter_sweep_events` / :func:`stream_sweep` and
+:func:`iter_status_events` consume the NDJSON streaming routes
+(``POST /sweep/stream``, ``GET /shard/status/stream``) line by line as
+the server writes them.  A plain ``for`` loop observes a sweep live;
+abandoning the generator closes the connection, which the server takes
+as the signal to cancel every in-flight job.
+
+Every request — JSON round trip, event stream, and the ``repro top``
+poll — goes through one ``urllib`` helper, so all of them fail the
+same way (see :func:`http_transport`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import os
 import socket
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..models.base import Completion, GenerationConfig
 from ..backends.base import Backend, BackendError, ModelCapabilities
+from ..eval.export import config_to_dict
+from ..eval.jobs import SweepResult
 from ..obs import REGISTRY
+from .aio.events import assemble_stream_result, decode_stream
 
 Transport = Callable[[str, str, "dict | None"], dict]
 
@@ -49,42 +66,77 @@ class ServiceUnreachableError(BackendError):
     """
 
 
+def _request(
+    base_url: str,
+    method: str,
+    path: str,
+    payload: "dict | None",
+    timeout: float,
+    lines: bool = False,
+) -> Iterator[bytes]:
+    """Send one request to the service and yield its response body.
+
+    The body comes whole (one ``read``, which checks ``Content-Length``)
+    or, with ``lines``, one line at a time as the server writes it.
+    Closing the generator early closes the connection.  An HTTP error
+    status raises :class:`BackendError` with the server's error detail;
+    nothing answering, or a connection cut or short body mid-response,
+    raises :class:`ServiceUnreachableError`.
+    """
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(
+        base_url.rstrip("/") + path,
+        data=data,
+        headers={"Content-Type": "application/json"},
+        method=method,
+    )
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        try:
+            detail = json.loads(exc.read().decode("utf-8"))["error"]
+        except Exception:  # noqa: BLE001 — body may not be our JSON
+            detail = str(exc)
+        raise BackendError(
+            f"eval service {exc.code} on {path}: {detail}"
+        ) from None
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # ValueError here is urlopen rejecting the URL itself
+        # (unknown scheme etc.), not a body-decoding problem
+        raise ServiceUnreachableError(
+            f"cannot reach eval service at {base_url}: {exc}"
+        ) from None
+    with response:
+        read = response.readline if lines else response.read
+        while True:
+            try:
+                chunk = read()
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                raise ServiceUnreachableError(
+                    f"response from {base_url}{path} interrupted: "
+                    f"{exc or type(exc).__name__}"
+                ) from None
+            if not chunk:
+                return
+            yield chunk
+
+
 def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
     """A urllib-based transport bound to ``base_url``.
 
-    Failure classes stay distinct: an unreachable server reports
-    "cannot reach", an HTTP error status carries the server's error
-    detail, and a 200 whose body is not valid JSON reports "malformed
-    response" with a body snippet — a proxy or wrong port answering
-    with HTML must not masquerade as a connection problem.
+    Failure classes stay distinct: an unreachable server — or one that
+    cuts the response short — reports "cannot reach"/"interrupted" as
+    :class:`ServiceUnreachableError`, an HTTP error status carries the
+    server's error detail, and a 200 whose body is not valid JSON
+    reports "malformed response" with a body snippet — a proxy or wrong
+    port answering with HTML must not masquerade as a connection
+    problem.
     """
 
     def call(method: str, path: str, payload: dict | None = None) -> dict:
-        url = base_url.rstrip("/") + path
-        data = None if payload is None else json.dumps(payload).encode()
-        request = urllib.request.Request(
-            url,
-            data=data,
-            headers={"Content-Type": "application/json"},
-            method=method,
+        body = b"".join(
+            _request(base_url, method, path, payload, timeout)
         )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read().decode("utf-8"))["error"]
-            except Exception:  # noqa: BLE001 — body may not be our JSON
-                detail = str(exc)
-            raise BackendError(
-                f"eval service {exc.code} on {path}: {detail}"
-            ) from None
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            # ValueError here is urlopen rejecting the URL itself
-            # (unknown scheme etc.), not a body-decoding problem
-            raise ServiceUnreachableError(
-                f"cannot reach eval service at {base_url}: {exc}"
-            ) from None
         try:
             return json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -391,3 +443,103 @@ def run_worker(
         # runs still land one complete push before the worker exits
         pusher.push()
     return summary
+
+
+# ----------------------------------------------------------------------
+# Streaming sweep/status client (NDJSON event frames)
+# ----------------------------------------------------------------------
+def _sweep_payload(
+    config=None,
+    models=None,
+    concurrency: "int | None" = None,
+    batch_size: "int | None" = None,
+) -> dict:
+    payload: dict = {}
+    if config is not None:
+        payload["config"] = config_to_dict(config)
+    if models is not None:
+        payload["models"] = list(models)
+    if concurrency is not None:
+        payload["concurrency"] = int(concurrency)
+    if batch_size is not None:
+        payload["batch_size"] = int(batch_size)
+    return payload
+
+
+def _iter_frames(
+    url: str, method: str, path: str, payload: "dict | None", timeout: float
+) -> Iterator[dict]:
+    """Decoded frames of a streaming route, as they arrive.
+
+    :func:`~repro.service.aio.events.decode_stream` is forward-compatible:
+    a frame with an event name this client predates flows through for
+    reassembly to ignore, instead of failing a live sweep.
+    """
+    body = _request(url, method, path, payload, timeout, lines=True)
+    with contextlib.closing(body):
+        yield from decode_stream(body)
+
+
+def iter_sweep_events(
+    url: str,
+    config=None,
+    models=None,
+    concurrency: "int | None" = None,
+    batch_size: "int | None" = None,
+    timeout: float = 300.0,
+) -> Iterator[dict]:
+    """Yield decoded frames from ``POST /sweep/stream`` as they arrive.
+
+    Frames surface live (the HTTP response is close-delimited NDJSON, so
+    iteration blocks only until the *next* line, not the whole sweep).
+    Dropping the generator early closes the connection — the server
+    cancels the sweep's in-flight jobs.
+    """
+    yield from _iter_frames(
+        url, "POST", "/sweep/stream",
+        _sweep_payload(config, models, concurrency, batch_size), timeout,
+    )
+
+
+def stream_sweep(
+    url: str,
+    config=None,
+    models=None,
+    on_event: "Callable[[dict], None] | None" = None,
+    concurrency: "int | None" = None,
+    batch_size: "int | None" = None,
+    timeout: float = 300.0,
+) -> SweepResult:
+    """Run a remote sweep via the stream route; return the full result.
+
+    Every frame is forwarded to ``on_event`` as it lands (progress
+    rendering), and the stream is reassembled against its lossless
+    terminal frame — a cut or inconsistent stream raises
+    :class:`~repro.service.aio.events.StreamProtocolError` instead of
+    returning partial data.
+    """
+    frames = []
+    for frame in iter_sweep_events(
+        url, config=config, models=models, concurrency=concurrency,
+        batch_size=batch_size, timeout=timeout,
+    ):
+        if on_event is not None:
+            on_event(frame)
+        frames.append(frame)
+    return assemble_stream_result(frames)
+
+
+def iter_status_events(
+    url: str,
+    poll: "float | None" = None,
+    timeout: float = 300.0,
+) -> Iterator[dict]:
+    """Yield coordinator status frames from ``GET /shard/status/stream``.
+
+    One frame per progress change; the frame with ``complete == true``
+    is the terminal — the server closes the stream after it.
+    """
+    path = "/shard/status/stream"
+    if poll is not None:
+        path += f"?poll={float(poll)}"
+    yield from _iter_frames(url, "GET", path, None, timeout)

@@ -5,23 +5,19 @@ import asyncio
 
 import pytest
 
-from repro.backends import Backend, BackendError, StubBackend
+from repro.backends import BackendError, StubBackend
 from repro.eval import Evaluator, SweepConfig, SweepExecutor, SweepPlanner
 from repro.eval.export import sweep_to_json
 from repro.eval.jobs import RetryPolicy
-from repro.models import GenerationConfig
 from repro.problems import PromptLevel
 from repro.service.aio import (
     AsyncBackend,
-    AsyncHTTPChatBackend,
-    AsyncServiceBackend,
     AsyncSweepExecutor,
     StreamProtocolError,
     assemble_stream_result,
     decode_frame,
     encode_frame,
     ensure_async,
-    from_async,
     to_async,
 )
 
@@ -365,9 +361,9 @@ class TestStreamProtocolErrors:
 class TestBackendAdapters:
     def test_roundtrip_unwraps_to_original(self):
         stub = StubBackend()
-        assert from_async(to_async(stub)) is stub
-        astub = AsyncStub()
-        assert to_async(from_async(astub)) is astub
+        adapted = to_async(stub)
+        assert adapted.backend is stub
+        assert ensure_async(adapted) is adapted
 
     def test_ensure_async_passthrough(self):
         astub = AsyncStub()
@@ -382,90 +378,3 @@ class TestBackendAdapters:
         assert capabilities.supports_n25 is False
         assert capabilities.max_tokens == 128
         assert adapted.identity("stub-ft") == ("stub", True)
-
-    def test_blocking_adapter_generates_via_loop(self):
-        astub = AsyncStub()
-        blocking = from_async(astub)
-        assert isinstance(blocking, Backend)
-        completions = blocking.generate(
-            "stub", "module m;", GenerationConfig(temperature=0.1, n=3)
-        )
-        assert len(completions) == 3
-        batches = blocking.generate_batch(
-            "stub",
-            [("module m;", GenerationConfig(temperature=0.1, n=2))] * 2,
-        )
-        assert [len(b) for b in batches] == [2, 2]
-
-
-class TestAsyncRemoteClients:
-    def test_async_service_backend_generates_non_blocking(self):
-        from repro.api import Session
-        from repro.service import (
-            ServiceApp,
-            ServiceBackend,
-            in_process_transport,
-        )
-
-        app = ServiceApp(Session(backend="stub-canonical"))
-
-        async def transport(method, path, payload=None):
-            status, body = app.handle(method, path, payload)
-            if status >= 400:
-                raise BackendError(body.get("error", str(status)))
-            return body
-
-        backend = AsyncServiceBackend(
-            sync_backend=ServiceBackend(transport=in_process_transport(app)),
-            transport=transport,
-        )
-        assert backend.models() == ["stub"]
-
-        async def scenario():
-            completions = await backend.generate_async(
-                "stub", "module m;", GenerationConfig(temperature=0.1, n=2)
-            )
-            assert len(completions) == 2
-            batches = await backend.generate_batch_async(
-                "stub",
-                [("module m;", GenerationConfig(temperature=0.1, n=2))] * 3,
-            )
-            assert [len(b) for b in batches] == [2, 2, 2]
-
-        run(scenario())
-
-    def test_async_chat_backend_fires_samples_concurrently(self):
-        in_flight = {"now": 0, "peak": 0}
-
-        async def transport(url, payload):
-            in_flight["now"] += 1
-            in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
-            await asyncio.sleep(0.02)
-            in_flight["now"] -= 1
-            seed = payload["options"]["seed"]
-            return {"message": {"content": f"// sample {seed}\nendmodule"}}
-
-        backend = AsyncHTTPChatBackend(transport=transport)
-        completions = asyncio.run(
-            backend.generate_async(
-                "chat-model",
-                "module m;",
-                GenerationConfig(temperature=0.1, n=5),
-            )
-        )
-        assert len(completions) == 5
-        # samples keep request order even though they overlap
-        assert [c.text for c in completions] == [
-            f"// sample {i}\nendmodule" for i in range(5)
-        ]
-        assert in_flight["peak"] >= 2
-
-    def test_async_chat_backend_offline_safe(self):
-        backend = AsyncHTTPChatBackend()
-        with pytest.raises(BackendError, match="no transport"):
-            asyncio.run(
-                backend.generate_async(
-                    "chat-model", "module m;",
-                    GenerationConfig(temperature=0.1, n=1),
-                )
-            )

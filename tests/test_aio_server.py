@@ -12,7 +12,11 @@ import pytest
 from repro.api import Session
 from repro.backends import BackendError, StubBackend
 from repro.eval import Evaluator, SweepConfig
-from repro.eval.export import sweep_result_to_dict, sweep_to_json
+from repro.eval.export import (
+    config_to_dict,
+    sweep_result_to_dict,
+    sweep_to_json,
+)
 from repro.models import GenerationConfig
 from repro.problems import PromptLevel
 from repro.service import (
@@ -23,7 +27,7 @@ from repro.service import (
     iter_sweep_events,
     stream_sweep,
 )
-from repro.service.aio import AsyncBackend, astream_sweep, request_json
+from repro.service.aio import AsyncBackend
 from repro.service.sharding import shard_from_dict
 
 SMALL = SweepConfig(
@@ -68,13 +72,6 @@ class TestPlainRoutesOverAsyncServer:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
-    def test_async_transport_against_real_socket(self, service):
-        async def scenario():
-            body = await request_json("GET", service.url + "/health")
-            assert body["status"] == "ok"
-
-        asyncio.run(scenario())
-
 
 class TestSweepStream:
     def test_streamed_records_byte_identical_to_serial(self, service):
@@ -100,18 +97,9 @@ class TestSweepStream:
         assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
         assert result.stats["concurrency"] == 4
 
-    def test_async_client_parity(self, service):
-        serial = Session(backend="stub-canonical").run_sweep(SMALL)
-
-        async def scenario():
-            return await astream_sweep(service.url, config=SMALL)
-
-        result = asyncio.run(scenario())
-        assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
-
     def test_oversized_frames_stream_through(self):
-        # asyncio's default readline limit is 64 KiB; the stream must
-        # carry frames far larger than that.  Records carry no
+        # the stream must carry frames far larger than one socket
+        # buffer or asyncio's 64 KiB default line limit.  Records carry no
         # completion text, so the padding rides in the model name that
         # every record frame repeats.
         backend = StubBackend(
@@ -120,17 +108,59 @@ class TestSweepStream:
         serial = Session(backend=backend).run_sweep(SMALL)
         frame_sizes = []
         with AsyncEvalService(Session(backend=backend), port=0) as svc:
-            result = asyncio.run(
-                astream_sweep(
-                    svc.url, config=SMALL,
-                    on_event=lambda f: frame_sizes.append(
-                        len(json.dumps(f))
-                    ),
-                )
+            result = stream_sweep(
+                svc.url, config=SMALL,
+                on_event=lambda f: frame_sizes.append(len(json.dumps(f))),
             )
         assert max(frame_sizes) > 200_000
         assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
         assert result.errors == serial.errors == []
+
+    def test_unknown_event_frames_are_skipped_live(self, service):
+        # a newer server may interleave observational events this
+        # client predates; the live reader must skip them exactly as
+        # decode_stream does over the same recorded bytes
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        serial = Session(backend="stub-canonical").run_sweep(SMALL)
+        request = urllib.request.Request(
+            service.url + "/sweep/stream",
+            data=json.dumps({"config": config_to_dict(SMALL)}).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            lines = response.read().splitlines(keepends=True)
+        replay = b"".join(
+            lines[:1] + [b'{"event": "heartbeat"}\n'] + lines[1:]
+        )
+
+        class ReplayHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(replay)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), ReplayHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            events = []
+            result = stream_sweep(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                config=SMALL, on_event=lambda f: events.append(f["event"]),
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert "heartbeat" in events
+        assert len(result.sweep) == len(serial.sweep) == 8
+        assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
 
     def test_bad_sweep_request_is_answered_not_streamed(self, service):
         request = urllib.request.Request(
@@ -279,6 +309,18 @@ class TestStatusStream:
         workers = metric_frames[-1]["metrics"]["workers"]
         assert workers and workers[0]["worker_id"] == "streamer"
         assert workers[0]["jobs"] > 0
+
+    def test_non_finite_poll_is_400(self):
+        # nan slips through min/max clamps; the server must refuse it
+        # rather than re-poll the coordinator in a busy loop
+        _session, svc = self._coordinated_service()
+        with svc:
+            for poll in ("nan", "inf"):
+                with pytest.raises(BackendError, match="400.*bad poll"):
+                    next(iter_status_events(svc.url, poll=float(poll)))
+            frames = iter_status_events(svc.url, poll=0.02)
+            assert next(frames)["event"] == "status"
+            frames.close()
 
     def test_status_stream_without_coordinator_is_400(self, service):
         with pytest.raises(BackendError, match="no shard coordinator"):

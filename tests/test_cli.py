@@ -375,6 +375,9 @@ class TestCoordinateAndWorkCommands:
         ["coordinate", "--shards", "2", "--lease-seconds", "0"],
         ["coordinate", "--shards", "2", "--lease-seconds", "inf"],
         ["coordinate", "--shards", "2", "--poll-seconds", "-0.5"],
+        ["top", "--url", "http://h:1", "--interval", "-1"],
+        ["top", "--url", "http://h:1", "--interval", "0"],
+        ["top", "--url", "http://h:1", "--interval", "nan"],
     ])
     def test_non_positive_intervals_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):

@@ -219,6 +219,53 @@ class TestServiceBackend:
             server.shutdown()
             server.server_close()
 
+    def test_truncated_body_is_a_connection_error(self):
+        """A body cut short of its Content-Length must surface as
+        ServiceUnreachableError (retried, and understood by run_worker),
+        not a raw http.client.IncompleteRead — for the JSON transport
+        and for the ``repro top`` poll alike."""
+        import socket
+        import threading
+
+        from repro.obs import fetch_view
+        from repro.service import ServiceUnreachableError, http_transport
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def serve():
+            # one transport call, then fetch_view's two polls
+            for _ in range(3):
+                conn, _ = listener.accept()
+                with conn:
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        chunk = conn.recv(4096)
+                        if not chunk:
+                            break
+                        request += chunk
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: 100\r\n\r\n"
+                        b'{"status": '  # 11 of the promised 100 bytes
+                    )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with pytest.raises(ServiceUnreachableError, match="interrupted"):
+                http_transport(url, timeout=5)("GET", "/health")
+            view = fetch_view(url, timeout=5)
+        finally:
+            listener.close()
+            thread.join(timeout=5)
+        assert view["metrics"] is None and view["status"] is None
+        assert [e.split(":")[0] for e in view["errors"]] == [
+            "/metrics", "/shard/status"
+        ]
+
     def test_run_remote_sweep(self, client):
         result = client.run_remote_sweep(SMALL, models=["codegen-6b-ft"])
         assert len(result.sweep) == 2 * 2 * 2  # problems x temps x n
