@@ -25,19 +25,20 @@ from dataclasses import dataclass, replace
 
 from ..models.base import stable_hash
 from ..obs import REGISTRY, observe_stage
-from ..obs.profile import maybe_sim_profiler, record_profile
+from ..obs.profile import SimProfiler, maybe_sim_profiler, record_profile
 from ..problems import PASS_MARKER, Problem, PromptLevel
 from ..verilog import (
     AnalysisError,
     Finding,
     SourceUnit,
     analyze_design,
-    check_syntax,
     compile_design,
     error_findings,
     lint_source_unit,
     simulate_unit,
 )
+from ..verilog.compile import prepare_bench
+from ..verilog.elaborate import BenchTemplate
 from .truncate import truncate_completion
 
 
@@ -77,6 +78,23 @@ class CompletionEvaluation:
 #: the source line a compile error or finding string starts with
 _LINE_PREFIX = re.compile(r"^((?:runtime: )?line )(\d+)")
 
+#: the line test benches are parsed from: past any completion's last
+#: line, so one parsed and elaborated bench serves every completion and
+#: its lines are moved to follow the completion's when reported
+_BENCH_LINE = 1 << 31
+
+
+def _move_line(after: int, delta: int):
+    """``re.sub`` replacement moving a ``line N`` prefix past ``after``
+    by ``delta``."""
+
+    def move(match: re.Match) -> str:
+        number = int(match.group(2))
+        return match.group(1) + str(
+            number + delta if number > after else number)
+
+    return move
+
 
 def _shift_lines(evaluation: CompletionEvaluation, after: int,
                  delta: int) -> CompletionEvaluation:
@@ -87,12 +105,7 @@ def _shift_lines(evaluation: CompletionEvaluation, after: int,
     errors, findings = evaluation.compile_errors, evaluation.findings
     if not delta or (line <= after and not errors and not findings):
         return evaluation
-
-    def move(match: re.Match) -> str:
-        number = int(match.group(2))
-        return match.group(1) + str(
-            number + delta if number > after else number)
-
+    move = _move_line(after, delta)
     return CompletionEvaluation(
         compiled=evaluation.compiled, passed=evaluation.passed,
         compile_errors=tuple(_LINE_PREFIX.sub(move, error, count=1)
@@ -103,6 +116,17 @@ def _shift_lines(evaluation: CompletionEvaluation, after: int,
                        if finding.line > after else finding
                        for finding in findings),
     )
+
+
+def _moved_report(report, after: int, delta: int):
+    """``report`` with its line and the ``line N`` of each error moved
+    by ``delta`` when past ``after``."""
+    if report.line > after:
+        report.line += delta
+    move = _move_line(after, delta)
+    report.errors = [_LINE_PREFIX.sub(move, error, count=1)
+                     for error in report.errors]
+    return report
 
 
 def _prompt_lines(problem: Problem, level: PromptLevel) -> int:
@@ -118,9 +142,12 @@ class Evaluator:
     shared across a :class:`~repro.eval.jobs.SweepExecutor` worker pool.
     Two workers racing on the same uncached key may both evaluate it
     (evaluation is pure, so both compute the identical verdict); the
-    lock only protects the cache dict and the hit/miss counters.  The
-    parsed test benches are shared the same way: racing workers may
-    both parse one, and either copy serves.
+    lock only protects the cache dict and the hit/miss counters.  Each
+    problem's test bench is parsed, elaborated and lowered once into a
+    template that one simulation uses at a time (see
+    :meth:`_run_bench`).  Idle templates wait in a per-problem pool: a
+    worker checks one out under the lock and builds another when all
+    are in use, so concurrent workers never share one.
 
     ``store`` is an optional :class:`~repro.eval.store.VerdictStore`
     consulted between the in-memory cache and a real compile+simulate:
@@ -156,9 +183,9 @@ class Evaluator:
         #: structured JobError with stage/code/path
         self.strict_analysis = strict_analysis
         self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
-        #: parsed test benches by (problem number, first line); see
+        #: idle test bench templates by problem number; see
         #: :meth:`_run_bench`
-        self._benches: dict[tuple[int, int], SourceUnit] = {}
+        self._templates: dict[int, list[BenchTemplate]] = {}
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -276,30 +303,57 @@ class Evaluator:
         """Simulate the completion's parsed ``unit`` under the test bench.
 
         Equivalent to ``run_simulation(problem.bench_source(...))``
-        without parsing the completion again: the bench source is the
-        completion's source, a newline and ``problem.testbench``, so the
-        bench's modules are the completion's followed by the test
-        bench's, parsed from the line after the completion's last.
-        That line depends on the completion, so parsed test benches are
-        kept per (problem, first line).
+        without parsing the completion again, and without parsing,
+        elaborating or lowering the test bench again either: the bench
+        source is the completion's source, a newline and
+        ``problem.testbench``, so its modules are the completion's
+        followed by the test bench's.  The test bench is parsed from
+        :data:`_BENCH_LINE` once per problem and its ``tb`` kept as a
+        template (:func:`~repro.verilog.compile.prepare_bench`); each
+        run grafts the completion in as ``dut``.  Every line past the
+        completion is then moved to follow it, as if the bench had been
+        parsed from the line after the completion's last: the report's
+        line and the ``line N`` of its errors, and ``profiler``'s
+        construct keys.
+
+        Building a template is billed to the run that needed it, as
+        test bench parse and elaboration time and as engine time.
         """
-        first_line = unit.eof_line + 1
-        key = (problem.number, first_line)
-        bench = self._benches.get(key)
-        parse_seconds = 0.0
+        number = problem.number
+        with self._lock:
+            idle = self._templates.get(number)
+            bench = idle.pop() if idle else None
+        built = None
         if bench is None:
-            parsed = check_syntax(problem.testbench, first_line)
-            if not parsed.ok:
-                return parsed, None
-            bench, parse_seconds = parsed.unit, parsed.parse_seconds
-            self._benches[key] = bench
-        combined = SourceUnit(modules=unit.modules + bench.modules,
-                              eof_line=bench.eof_line)
-        return simulate_unit(
-            combined, top="tb", max_time=self.max_time,
-            max_steps=self.max_steps, profiler=profiler,
-            compile_sim=self.compile_sim, parse_seconds=parse_seconds,
+            built, bench = prepare_bench(
+                problem.testbench, _BENCH_LINE, compile_sim=self.compile_sim
+            )
+        after, delta = unit.eof_line, unit.eof_line + 1 - _BENCH_LINE
+        if built is not None and not built.ok:
+            return _moved_report(built, after, delta), None
+        bench_unit = built.unit if bench is None else bench.unit
+        ran = None if profiler is None else SimProfiler()
+        report, sim = simulate_unit(
+            SourceUnit(modules=unit.modules + bench_unit.modules,
+                       eof_line=bench_unit.eof_line),
+            top="tb", max_time=self.max_time, max_steps=self.max_steps,
+            profiler=ran, compile_sim=self.compile_sim, bench=bench,
         )
+        if bench is not None:
+            with self._lock:
+                self._templates.setdefault(number, []).append(bench)
+        if built is not None:
+            report.parse_seconds += built.parse_seconds
+            report.elaborate_seconds += built.elaborate_seconds
+            report.engine_seconds += built.engine_seconds
+        if ran is not None:
+            moved = SimProfiler()
+            moved.constructs = {
+                (path, kind, line + delta if line > after else line): row
+                for (path, kind, line), row in ran.constructs.items()
+            }
+            profiler.merge(moved)
+        return _moved_report(report, after, delta), sim
 
     def _analyze(self, problem: Problem, report) -> tuple[Finding, ...]:
         """Netlist analysis + defect-class counters for one design.
@@ -331,10 +385,12 @@ class Evaluator:
         """Always-on per-problem stage timers off a CompileReport.
 
         Design compiles profile as ``parse``/``elaborate``; the bench
-        run profiles its compile side as ``testbench`` (parsing the test
-        bench when no parsed copy was kept, and elaborating it with the
-        completion), the compiled engine's construction as ``engine``
-        and the simulation as ``sim``.
+        run profiles its compile side as ``testbench`` (grafting the
+        completion into the test bench, plus parsing and elaborating
+        the test bench when the run built its template), the compiled
+        engine's construction as ``engine`` (the completion's processes,
+        plus the test bench's when the run built its template) and the
+        simulation as ``sim``.
         """
         number = problem.number
         if design:

@@ -23,10 +23,14 @@ does not cover raises :class:`_Unsupported` during engine construction
 and that *process* falls back to the interpreter — never the whole
 design.
 
-One engine drives one simulation run: sense entries and their ``last``
-values live in the compiled closures, exactly as a ``Simulator`` owns
-its interpreted processes.  (Re-simulating a mutated ``Design`` is
-already unsupported upstream — signals carry run state.)
+One engine drives one simulation run at a time: sense entries and their
+``last`` values live in the compiled closures, exactly as a
+``Simulator`` owns its interpreted processes.  Runs may follow one
+another on the same closures — every wait refreshes its entries' ``last``
+before it suspends — once the signals they are bound to are reset
+(:meth:`~repro.verilog.elaborate.BenchTemplate.reset`).  That is how a
+test bench is lowered once per problem: its engine is the ``base`` of
+each run's engine, which lowers only the grafted design's processes.
 """
 
 from __future__ import annotations
@@ -1368,23 +1372,34 @@ class CompiledEngine:
     lower (or whose compilation raises) fall back to the interpreter
     individually; both kinds coexist in one event loop.
 
-    An engine instance is bound to its ``Design`` object and — because
-    sense entries are allocated per compiled statement — must not be
-    shared across concurrently running simulations of the same design
-    object.  The evaluation pipeline re-elaborates per run, so each run
-    gets a fresh design + engine pair.
+    An engine's closures are bound to the ``Signal`` objects of the
+    design it lowered, and — because sense entries are allocated per
+    compiled statement — must not drive two simulations at once.
+    ``base`` is an engine over a prefix of ``design``'s processes (a
+    test bench template's; see
+    :class:`~repro.verilog.elaborate.BenchTemplate`): its factories
+    and fallbacks are reused and only the remaining processes are
+    lowered, so a test bench is lowered once per problem rather than
+    once per run.
     """
 
     #: one four-state lowering; perfbench's tracer still reads this flag
     two_state = False
 
-    def __init__(self, design: Design) -> None:
+    def __init__(self, design: Design,
+                 base: "CompiledEngine | None" = None) -> None:
         self.design = design
         self.fallbacks: list[tuple[str, int, str]] = []
         self._factories: dict[int, object] = {}
-        compiler = _ProcessCompiler(design)
         compiled = 0
+        if base is not None:
+            self.fallbacks.extend(base.fallbacks)
+            self._factories.update(base._factories)
+            compiled = base.compiled_count
+        compiler = _ProcessCompiler(design)
         for spec in design.processes:
+            if id(spec) in self._factories:
+                continue
             try:
                 factory = compiler.compile_process(spec)
             except _Unsupported as exc:

@@ -9,7 +9,10 @@ same two entry points over our own frontend:
 * :func:`run_simulation` — compile and simulate, returning printed output;
 * :func:`simulate_unit` — the same from an already parsed unit, so a
   caller that parsed the design and the test bench separately (the
-  evaluator) elaborates and runs them without parsing again.
+  evaluator) elaborates and runs them without parsing again;
+* :func:`prepare_bench` — parse a test bench and elaborate and lower its
+  top module once, as a template that :func:`simulate_unit` grafts each
+  design into.
 
 Failure reports carry the *stage* that rejected the design ("parse",
 "elaborate" or "sim") and the first diagnostic's source line, so
@@ -30,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from .ast import SourceUnit
-from .elaborate import Design, elaborate
+from .elaborate import BenchTemplate, Design, elaborate
 from .errors import VerilogError
 from .parser import parse
 from .sim import SimResult, simulate
@@ -104,13 +107,14 @@ def compile_design(source: str, top: str | None = None) -> CompileReport:
 
 
 def _elaborate_unit(
-    unit: SourceUnit, top: str | None, parse_seconds: float
+    unit: SourceUnit, top: str | None, parse_seconds: float,
+    bench: BenchTemplate | None = None,
 ) -> CompileReport:
     if top is None:
         top = unit.modules[-1].name
     started = time.perf_counter()
     try:
-        design = elaborate(unit, top)
+        design = elaborate(unit, top, bench=bench)
     except VerilogError as exc:
         return CompileReport(
             ok=False,
@@ -171,9 +175,15 @@ def simulate_unit(
     profiler=None,
     compile_sim: bool = False,
     parse_seconds: float = 0.0,
+    bench: BenchTemplate | None = None,
 ) -> tuple[CompileReport, SimResult | None]:
     """Elaborate a parsed unit and simulate it; returns (compile report,
     sim result or None), as :func:`run_simulation` does.
+
+    ``bench`` is a template of ``top`` from :func:`prepare_bench` whose
+    modules are ``unit``'s last: only the template's instances are then
+    elaborated and lowered, and the template is reset when the run
+    ends, however it ends.  The outcome is the same as without it.
 
     ``parse_seconds`` is what parsing ``unit`` cost, copied into the
     report.  ``profiler`` is passed through to the simulator untouched
@@ -188,32 +198,80 @@ def simulate_unit(
     execution — verdicts are identical either way.  The engine's plan
     summary lands in ``report.sim_engine``.
     """
-    report = _elaborate_unit(unit, top, parse_seconds)
+    try:
+        report = _elaborate_unit(unit, top, parse_seconds, bench)
+        if not report.ok:
+            return report, None
+        assert report.design is not None
+        engine = None
+        if compile_sim:
+            from .codegen import CompiledEngine
+
+            started = time.perf_counter()
+            try:
+                engine = CompiledEngine(
+                    report.design,
+                    base=bench.engine if bench is not None else None,
+                )
+            except Exception:
+                engine = None  # fully interpreted run; behavior unchanged
+            else:
+                report.sim_engine = engine.plan()
+            report.engine_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        try:
+            result = simulate(report.design, max_time=max_time,
+                              max_steps=max_steps, profiler=profiler,
+                              engine=engine)
+        except VerilogError as exc:
+            report.errors = [f"runtime: {exc}"]
+            report.stage = "sim"
+            report.line = exc.line
+            report.sim_seconds = time.perf_counter() - started
+            return report, None
+        report.sim_seconds = time.perf_counter() - started
+        return report, result
+    finally:
+        if bench is not None:
+            bench.reset()
+
+
+def prepare_bench(
+    source: str,
+    first_line: int,
+    compile_sim: bool = False,
+    top: str = "tb",
+) -> tuple[CompileReport, BenchTemplate | None]:
+    """Parse a test bench and build its template for :func:`simulate_unit`.
+
+    ``first_line`` numbers the bench's first line, as in
+    :func:`check_syntax`.  The template is ``top`` elaborated with its instances deferred
+    (:class:`~repro.verilog.elaborate.BenchTemplate`) and, with
+    ``compile_sim``, its processes lowered to closures.  The report
+    times the parse, the elaboration and the lowering.  It fails only
+    when the bench does not parse.  A bench whose top module does not
+    elaborate on its own gets no template: the report then carries the
+    parsed unit, for :func:`simulate_unit` to elaborate in full with
+    each design, which reports the error as it always has.
+    """
+    report = check_syntax(source, first_line)
     if not report.ok:
         return report, None
-    assert report.design is not None
-    engine = None
+    assert report.unit is not None
+    started = time.perf_counter()
+    try:
+        bench = BenchTemplate(report.unit, top)
+    except (VerilogError, RecursionError):
+        return report, None
+    finally:
+        report.elaborate_seconds = time.perf_counter() - started
     if compile_sim:
         from .codegen import CompiledEngine
 
         started = time.perf_counter()
         try:
-            engine = CompiledEngine(report.design)
+            bench.engine = CompiledEngine(bench.design)
         except Exception:
-            engine = None  # fully interpreted run; behavior unchanged
-        else:
-            report.sim_engine = engine.plan()
+            pass  # each run lowers every process itself
         report.engine_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    try:
-        result = simulate(report.design, max_time=max_time,
-                          max_steps=max_steps, profiler=profiler,
-                          engine=engine)
-    except VerilogError as exc:
-        report.errors = [f"runtime: {exc}"]
-        report.stage = "sim"
-        report.line = exc.line
-        report.sim_seconds = time.perf_counter() - started
-        return report, None
-    report.sim_seconds = time.perf_counter() - started
-    return report, result
+    return report, bench

@@ -6,6 +6,11 @@ hierarchy by connecting child ports with implicit continuous assignments,
 and collects the processes (always/initial/continuous assigns) that the
 simulator will run.  Errors raised here are what the evaluation pipeline
 counts as compile failures beyond pure syntax.
+
+A test bench is fixed while the design under it changes, so its top
+module can be elaborated once as a :class:`BenchTemplate` with its
+instances deferred; ``elaborate(unit, top, bench=template)`` then
+elaborates only those instances against each design.
 """
 
 from __future__ import annotations
@@ -282,23 +287,60 @@ class Elaborator:
         self.unit = unit
         self.design: Design | None = None
 
-    def elaborate(self, top_name: str) -> Design:
+    def elaborate(self, top_name: str, instances: bool = True) -> Design:
+        """Elaborate ``top_name``; ``instances=False`` leaves the top
+        module's instances out (see :class:`BenchTemplate`)."""
+        self._check_module_names()
         top = self.unit.module(top_name)
         if top is None:
             raise ElaborationError(f"top module {top_name!r} not found")
         self.design = Design(top=top_name)
-        self._instantiate(top, path="", overrides={}, depth=0)
-        self._validate_references()
+        self._instantiate(top, path="", overrides={}, depth=0,
+                          instances=instances)
+        self._validate_references(self.design.processes)
         return self.design
 
-    def _validate_references(self) -> None:
+    def graft(self, bench: "BenchTemplate") -> Design:
+        """Elaborate ``bench``'s deferred instances against this unit.
+
+        The design equals a full elaboration of the bench's top module
+        from this unit: the template's signals, processes and scopes
+        come first, then each instance's, in the same order.  Only the
+        instances' processes are checked for undeclared names; the
+        template's were checked when it was built.
+        """
+        self._check_module_names()
+        base = bench.design
+        self.design = Design(
+            top=base.top, signals=list(base.signals),
+            processes=list(base.processes), scopes=dict(base.scopes),
+        )
+        for instance in bench.module.instances:
+            self._elaborate_instance(
+                bench.module, instance, base.scopes[""], "", 0
+            )
+        self._validate_references(
+            self.design.processes[len(base.processes):]
+        )
+        return self.design
+
+    def _check_module_names(self) -> None:
+        """A module may be declared once, as Icarus requires."""
+        declared: set[str] = set()
+        for module in self.unit.modules:
+            if module.name in declared:
+                raise ElaborationError(
+                    f"module {module.name!r} already declared", module.line
+                )
+            declared.add(module.name)
+
+    def _validate_references(self, processes: list[ProcessSpec]) -> None:
         """Static name check: every referenced identifier must resolve.
 
         Matches Icarus behaviour (``default_nettype none`` flavour):
         undeclared identifiers are compile errors, not runtime x's.
         """
-        assert self.design is not None
-        for spec in self.design.processes:
+        for spec in processes:
             names: set[str] = set()
             if spec.kind == "assign":
                 collect_reads(spec.value, names)
@@ -329,6 +371,7 @@ class Elaborator:
         overrides: dict[str, Vec],
         depth: int,
         port_bindings: list[tuple[ast.Port, ast.Expr | None, Scope]] | None = None,
+        instances: bool = True,
     ) -> Scope:
         if depth > MAX_HIERARCHY_DEPTH:
             raise ElaborationError(
@@ -448,8 +491,9 @@ class Elaborator:
         procedural.sort(key=lambda spec: spec.line)
         self.design.processes.extend(procedural)
 
-        for instance in module.instances:
-            self._elaborate_instance(module, instance, scope, path, depth)
+        if instances:
+            for instance in module.instances:
+                self._elaborate_instance(module, instance, scope, path, depth)
         return scope
 
     # ------------------------------------------------------------------
@@ -548,12 +592,58 @@ class Elaborator:
         return Signal(flat_name, width, signed, kind, msb, lsb, array_bounds)
 
 
-def elaborate(unit: ast.SourceUnit, top: str) -> Design:
-    """Elaborate ``top`` from a parsed source unit."""
-    return Elaborator(unit).elaborate(top)
+class BenchTemplate:
+    """A test bench's top module elaborated once, its instances deferred.
+
+    ``unit`` is the bench's parsed modules and ``design`` holds the top
+    scope alone: its signals, its processes and the ``""`` scope.  Each
+    run grafts the design under test in with
+    ``elaborate(unit, top, bench=template)``, which copies those lists
+    and leaves the template as it was.  The top scope's ``Signal``
+    objects are shared by every run, and signals carry run state, so a
+    template serves one run at a time and :meth:`reset` must follow
+    each run.  ``engine`` is the compiled engine over the template's
+    processes (:class:`~repro.verilog.codegen.CompiledEngine`), or None
+    on the interpreter.
+    """
+
+    __slots__ = ("unit", "module", "design", "engine", "_initial")
+
+    def __init__(self, unit: ast.SourceUnit, top: str):
+        self.design = Elaborator(unit).elaborate(top, instances=False)
+        self.unit = unit
+        self.module = unit.module(top)
+        self.engine = None
+        self._initial = [(signal, signal.value)
+                         for signal in self.design.signals]
+
+    def reset(self) -> None:
+        """Put every signal back as elaborated: its initial value, no
+        waiters (which would keep the last run's simulator and design
+        alive) and an empty memory."""
+        for signal, value in self._initial:
+            signal.value = value
+            signal.waiters = []
+            if signal.memory is not None:
+                signal.memory.clear()
+
+
+def elaborate(
+    unit: ast.SourceUnit, top: str, bench: BenchTemplate | None = None
+) -> Design:
+    """Elaborate ``top`` from a parsed source unit.
+
+    With ``bench``, a template of ``top`` built from the same modules,
+    only the template's deferred instances are elaborated
+    (:meth:`Elaborator.graft`); the result is the same design.
+    """
+    if bench is None:
+        return Elaborator(unit).elaborate(top)
+    return Elaborator(unit).graft(bench)
 
 
 __all__ = [
+    "BenchTemplate",
     "Design",
     "Elaborator",
     "ProcessSpec",

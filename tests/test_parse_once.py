@@ -1,25 +1,34 @@
-"""Parse once: the evaluator's bench run reuses the completion's parse.
+"""Parse once: the evaluator's bench run reuses the completion's parse
+and one elaborated, lowered test bench per problem.
 
 The bench source is ``full_source + "\\n" + testbench``.  The evaluator
-parses ``full_source`` once, parses the test bench from the line after
-the completion's end-of-source line (kept per problem and first line),
-and elaborates ``tb`` from both module lists.  These tests hold that
-path to the one it replaced, ``run_simulation(bench_source)``: the
-same modules with the same line numbers, and the same evaluations.
+parses ``full_source`` once.  It parses each problem's test bench once,
+from a fixed line past any completion, elaborates ``tb`` without its
+``dut`` into a template, lowers the template's processes once, and per
+completion elaborates and lowers only the grafted ``dut``; lines past
+the completion are moved to follow it when reported.  These tests hold
+that path to the one it replaced, ``run_simulation(bench_source)``: the
+same design in the same order, the same line numbers, and the same
+evaluations.
 """
 
+import dataclasses
 import random
 import sys
 import threading
+import time
 
 import pytest
 
+import repro.verilog.codegen as codegen
 import repro.verilog.compile as compile_module
 from repro.eval import Evaluator, pipeline, truncate_completion
 from repro.models.mutations import break_syntax, cosmetic_variant
+from repro.obs import REGISTRY
 from repro.obs.profile import SimProfiler
 from repro.problems import ALL_PROBLEMS, PromptLevel, get_problem
-from repro.verilog import compile_design, parse, run_simulation, simulate_unit
+from repro.verilog import compile_design, elaborate, parse, run_simulation
+from repro.verilog.elaborate import BenchTemplate, Elaborator
 
 #: a problem-1 body whose string literal holds a backslash-escaped
 #: newline: the source has one more "\n" than the lexer counts lines
@@ -61,24 +70,50 @@ def test_escaped_newline_body_ends_a_line_early():
     assert parse(source).eof_line == source.count("\n")
 
 
+def _design_shape(design, after=None, delta=0):
+    """Everything a run depends on, in order; lines past ``after`` are
+    moved by ``delta``."""
+
+    def line(number):
+        return number + delta if after is not None and number > after \
+            else number
+
+    return (
+        design.top,
+        [(s.name, s.width, s.signed, s.kind, s.msb, s.lsb, s.array_lo,
+          s.array_hi, s.value,
+          None if s.memory is None else dict(s.memory), list(s.waiters))
+         for s in design.signals],
+        [(spec.kind, spec.scope.path,
+          spec.target_scope.path if spec.target_scope else None,
+          line(spec.line)) for spec in design.processes],
+        list(design.scopes),
+    )
+
+
 @pytest.mark.parametrize("level", list(PromptLevel), ids=str)
-def test_bench_modules_equal_the_bench_source_parse(level, monkeypatch):
-    elaborated = []
+def test_grafted_design_equals_the_bench_source_elaboration(
+        level, monkeypatch):
+    grafted = []
+    original = compile_module.elaborate
 
-    def capture(unit, *args, **kwargs):
-        elaborated.append(unit)
-        return simulate_unit(unit, *args, **kwargs)
+    def capture(unit, top, bench=None):
+        design = original(unit, top, bench=bench)
+        grafted.append((bench, _design_shape(design)))
+        return design
 
-    monkeypatch.setattr(pipeline, "simulate_unit", capture)
+    monkeypatch.setattr(compile_module, "elaborate", capture)
     evaluator = Evaluator()
     for problem, body in CASES:
-        elaborated.clear()
+        grafted.clear()
         evaluator.evaluate(problem, body, level)
-        (unit,) = elaborated
-        whole = parse(problem.bench_source(body, level))
-        # the AST dataclasses compare every node's line
-        assert unit.modules == whole.modules
-        assert unit.eof_line == whole.eof_line
+        design_unit = parse(problem.full_source(body, level))
+        whole = elaborate(parse(problem.bench_source(body, level)), "tb")
+        # the design's own compile, then the graft into the template
+        (none, _), (bench, shape) = grafted
+        assert none is None and bench is not None
+        delta = pipeline._BENCH_LINE - design_unit.eof_line - 1
+        assert shape == _design_shape(whole, design_unit.eof_line, delta)
 
 
 class BenchSourceEvaluator(Evaluator):
@@ -133,28 +168,36 @@ def test_profiled_constructs_keep_bench_lines():
                 == {key: row[1:] for key, row in theirs.constructs.items()})
 
 
-def test_second_evaluation_at_the_same_line_reuses_the_bench(monkeypatch):
-    parsed = []
+def test_one_bench_parse_and_template_per_problem(monkeypatch):
+    parsed, built = [], []
     original = compile_module.parse
 
     def counting_parse(source, first_line=1):
         parsed.append(first_line)
         return original(source, first_line)
 
+    class CountingTemplate(BenchTemplate):
+        __slots__ = ()
+
+        def __init__(self, unit, top):
+            built.append(top)
+            super().__init__(unit, top)
+
     monkeypatch.setattr(compile_module, "parse", counting_parse)
-    problem = get_problem(1)
+    monkeypatch.setattr(compile_module, "BenchTemplate", CountingTemplate)
     evaluator = Evaluator()
-    evaluator.evaluate(problem, "assign out = in;\nendmodule")
-    assert len(parsed) == 2  # the completion, then the test bench
-    ((key, bench),) = evaluator._benches.items()
-    evaluator.evaluate(problem, "assign out = ~~in;\nendmodule")
-    assert len(parsed) == 3  # same line count: the bench is reused
-    assert list(evaluator._benches) == [key]
-    assert evaluator._benches[key] is bench
-    evaluator.evaluate(problem, "assign out =\n  in;\nendmodule")
-    assert len(parsed) == 5  # one line longer: a new bench parse
-    assert parsed[4] == parsed[1] + 1
-    assert len(evaluator._benches) == 2
+    bodies = ["assign out = in;\nendmodule",
+              "assign out = ~~in;\nendmodule",
+              "assign out =\n  in;\nendmodule",
+              "assign out = ~in;\n\n\nendmodule"]
+    for problem in (get_problem(1), get_problem(6)):
+        for level in PromptLevel:
+            for body in bodies + [problem.canonical_body]:
+                evaluator.evaluate(problem, f"// {level}\n{body}", level)
+    assert parsed.count(pipeline._BENCH_LINE) == 2  # one per problem
+    assert len(built) == 2
+    assert {number: len(pool) for number, pool
+            in evaluator._templates.items()} == {1: 1, 6: 1}
 
 
 def test_threads_sharing_an_evaluator_get_serial_verdicts():
@@ -184,4 +227,139 @@ def test_threads_sharing_an_evaluator_get_serial_verdicts():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
-    assert len(shared._benches) == 4  # one per completion line count
+    # one template per problem, plus one per worker that found it busy
+    assert 1 <= len(shared._templates[problem.number]) <= 8
+
+
+@pytest.mark.parametrize("compile_sim", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_reused_templates_leak_no_state_between_runs(compile_sim):
+    shared = Evaluator(compile_sim=compile_sim)
+    for problem in ALL_PROBLEMS:
+        wrong = problem.wrong_variants[0].body
+        for index, body in enumerate((wrong, problem.canonical_body,
+                                      wrong)):
+            body = f"// run {index}\n{body}"
+            fresh = Evaluator(compile_sim=compile_sim)
+            assert (shared.evaluate(problem, body)
+                    == fresh.evaluate(problem, body))
+        assert shared.evaluate(problem, "// passes\n"
+                               + problem.canonical_body).passed
+
+
+def _bench_with(problem, old, new):
+    assert old in problem.testbench
+    return dataclasses.replace(
+        problem, testbench=problem.testbench.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("level", list(PromptLevel), ids=str)
+def test_errors_at_the_dut_instance_match_the_bench_source_path(level):
+    problem = _bench_with(get_problem(1), ".out(out));",
+                          ".out(out), .ghost(in));")
+    body = problem.canonical_body
+    outcome = Evaluator().evaluate(problem, body, level)
+    assert outcome == BenchSourceEvaluator().evaluate(problem, body, level)
+    assert outcome.stage == "testbench"
+    assert "has no port 'ghost'" in outcome.compile_errors[0]
+    source = problem.bench_source(body, level).split("\n")
+    assert source[outcome.error_line - 1].lstrip().startswith(
+        "simple_wire dut")
+
+
+def test_bench_that_fails_alone_matches_the_bench_source_path():
+    # no template: ``tb`` reads an undeclared signal, which is reported
+    # only once the instances under it have elaborated
+    undeclared = _bench_with(get_problem(1), "errors = 0;", "errors = ghost;")
+    both = _bench_with(undeclared, ".out(out));", ".out(out), .ghost(in));")
+    for problem, error in ((undeclared, "undeclared identifier 'ghost'"),
+                           (both, "has no port 'ghost'")):
+        body = problem.canonical_body
+        outcome = Evaluator().evaluate(problem, body, PromptLevel.HIGH)
+        assert outcome == BenchSourceEvaluator().evaluate(
+            problem, body, PromptLevel.HIGH)
+        assert outcome.stage == "testbench"
+        assert error in outcome.compile_errors[0]
+
+
+@pytest.mark.parametrize("compile_sim", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_errors_inside_a_bench_process_match_the_bench_source_path(
+        compile_sim):
+    # ``out`` is x at time 0, so the replication count is bad at run time
+    problem = _bench_with(get_problem(1), "errors = 0;",
+                          'errors = 0; $display("%b", {out{1\'b1}});')
+    body = "// a longer completion\n" + problem.canonical_body
+    for level in PromptLevel:
+        outcome = Evaluator(compile_sim=compile_sim).evaluate(
+            problem, body, level)
+        assert outcome == BenchSourceEvaluator(
+            compile_sim=compile_sim).evaluate(problem, body, level)
+        assert outcome.stage == "sim"
+        assert "bad replication count" in outcome.compile_errors[0]
+        source = problem.bench_source(body, level).split("\n")
+        assert "{out{1'b1}}" in source[outcome.error_line - 1]
+
+
+def test_design_defining_tb_fails_the_graft_as_the_full_path():
+    problem = get_problem(1)
+    body = ("assign out = ~in;\nendmodule\n"
+            'module tb; initial $display("ALL TESTS PASSED"); endmodule')
+    unit = parse(problem.full_source(body))
+    report, sim = Evaluator()._run_bench(problem, unit, None)
+    theirs, _ = run_simulation(problem.bench_source(body), top="tb")
+    assert sim is None and "module 'tb' already declared" in report.errors[0]
+    assert (report.errors, report.stage, report.line) == (
+        theirs.errors, theirs.stage, theirs.line)
+
+
+@pytest.mark.parametrize("compile_sim", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_template_build_is_billed_to_the_run_that_paid_for_it(
+        compile_sim, monkeypatch):
+    # slow each step down so its share of the stage totals is certain
+    pause = 0.05
+    build, graft = BenchTemplate.__init__, Elaborator.graft
+
+    def slow_build(self, unit, top):
+        time.sleep(pause)
+        build(self, unit, top)
+
+    def slow_graft(self, bench):
+        time.sleep(pause)
+        return graft(self, bench)
+
+    class SlowTemplateEngine(codegen.CompiledEngine):
+        def __init__(self, design, base=None):
+            if "dut" not in design.scopes:  # the template's own lowering
+                time.sleep(pause)
+            super().__init__(design, base)
+
+    monkeypatch.setattr(BenchTemplate, "__init__", slow_build)
+    monkeypatch.setattr(Elaborator, "graft", slow_graft)
+    monkeypatch.setattr(codegen, "CompiledEngine", SlowTemplateEngine)
+    problem = get_problem(1)
+    evaluator = Evaluator(compile_sim=compile_sim)
+
+    def totals():
+        return [(row["count"], row["sum"]) for row in (
+            REGISTRY.histogram_snapshot(
+                "stage_seconds", stage=stage, problem=1)
+            for stage in ("testbench", "engine"))]
+
+    before = totals()
+    evaluator.evaluate(problem, "// first\n" + problem.canonical_body)
+    first = totals()
+    evaluator.evaluate(problem, "// second\n" + problem.canonical_body)
+    second = totals()
+    (runs, bench0), (builds, engine0) = before
+    (runs1, bench1), (builds1, engine1) = first
+    (runs2, bench2), (builds2, engine2) = second
+    assert (runs1, runs2) == (runs + 1, runs + 2)
+    assert bench1 - bench0 >= 2 * pause  # the template's build and graft
+    assert pause <= bench2 - bench1 < bench1 - bench0  # the graft alone
+    if compile_sim:
+        assert (builds1, builds2) == (builds + 1, builds + 2)
+        assert engine2 - engine1 < pause <= engine1 - engine0
+    else:
+        assert builds2 == builds

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.problems import get_problem
 from repro.verilog import (
     ElaborationError,
     check_syntax,
     compile_design,
     elaborate,
     parse,
+    run_simulation,
 )
 
 
@@ -185,6 +187,30 @@ class TestHierarchyErrors:
         module top; child c(); child c(); endmodule
         """
         assert not compile_design(source, top="top").ok
+
+    def test_module_declared_twice_is_rejected_at_the_second(self):
+        source = (
+            "module helper(output y); assign y = 1'b1; endmodule\n"
+            "module top(output y); helper h(.y(y)); endmodule\n"
+            "module helper(output y); assign y = 1'b0; endmodule\n"
+        )
+        report = compile_design(source, top="top")
+        assert not report.ok
+        assert report.stage == "elaborate" and report.line == 3
+        assert "module 'helper' already declared" in report.error_text
+
+    def test_design_defining_tb_does_not_replace_the_bench(self):
+        problem = get_problem(1)
+        body = (
+            "assign out = ~in;\nendmodule\n"
+            'module tb; initial $display("ALL TESTS PASSED"); endmodule'
+        )
+        source = problem.bench_source(body)
+        report, sim = run_simulation(source, top="tb")
+        assert sim is None and report.stage == "elaborate"
+        assert "module 'tb' already declared" in report.error_text
+        # the bench's own ``module tb`` line, the second declaration
+        assert report.line == source.split("\n").index("module tb;") + 1
 
 
 class TestSignals:
