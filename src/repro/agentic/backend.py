@@ -1,9 +1,9 @@
 """RepairingBackend: the repair loop behind the Backend protocol.
 
 Wrapping a backend (instead of adding a fourth executor) is what lets
-repair sweeps ride the *entire* existing stack unchanged: the thread,
-process and async executors, the shard planner/coordinator, streamed
-submission and the NDJSON server all talk to ``Backend.generate`` — so
+repair sweeps ride the *entire* existing stack unchanged: the thread
+and process executors, the shard planner/coordinator and the NDJSON
+server all talk to ``Backend.generate`` — so
 a :class:`RepairingBackend` drops in anywhere a plain backend does,
 and the serial-order merge parity invariant holds because the repair
 chains themselves are deterministic.
@@ -15,7 +15,7 @@ through unrepaired (there is nothing to evaluate them against).
 
 The attempt log is the streaming hook: when armed
 (:meth:`start_attempt_log`), every evaluated attempt is recorded as a
-JSON-ready event dict; the async executor drains the log between job
+JSON-ready event dict; a streamed sweep drains the log between job
 completions and forwards the events as ``attempt`` frames over the aio
 server.
 

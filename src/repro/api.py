@@ -36,7 +36,7 @@ from .eval.pipeline import Evaluator
 from .eval.store import resolve_store
 from .models.base import Completion, GenerationConfig, LanguageModel
 
-EXECUTORS = ("thread", "process", "async")
+EXECUTORS = ("thread", "process")
 
 
 class Session:
@@ -54,12 +54,10 @@ class Session:
     workers:
         Worker-pool width for sweep execution (1 = serial).
     executor:
-        ``"thread"`` (default; shared evaluator cache, GIL-bound),
-        ``"process"`` (worker processes — real parallelism for
-        CPU-bound sweeps; the backend must pickle), or ``"async"``
-        (coroutine concurrency in one thread — the fit for
-        latency-bound remote backends; ``workers`` becomes the
-        in-flight bound).
+        ``"thread"`` (default; shared evaluator cache, GIL-bound, and
+        ``workers`` requests in flight against a latency-bound remote
+        backend) or ``"process"`` (worker processes — real parallelism
+        for CPU-bound sweeps; the backend must pickle).
     retry:
         A :class:`~repro.eval.jobs.RetryPolicy` for transient backend
         failures (``None`` = no retries).
@@ -187,17 +185,6 @@ class Session:
                 store=self.store,
                 analysis=self.evaluator.analysis,
                 compile_sim=self.evaluator.compile_sim,
-            )
-        if self.executor == "async":
-            from .service.aio import AsyncSweepExecutor
-
-            return AsyncSweepExecutor(
-                backend,
-                evaluator=self.evaluator,
-                concurrency=self.workers,
-                progress=self.progress,
-                retry=self.retry,
-                batch_size=self.batch_size,
             )
         return SweepExecutor(
             backend,
@@ -416,11 +403,10 @@ class Session:
         Work units execute on *this* session's configuration (backend,
         executor, workers, retry, batch size, verdict store); returns
         the worker summary dict from
-        :func:`~repro.service.client.run_worker`.  With
-        ``executor="async"`` each unit's jobs run as coroutines on an
-        :class:`~repro.service.aio.executor.AsyncSweepExecutor`
-        (``workers`` bounds the jobs in flight), the shape that pays off
-        against a remote generation backend.
+        :func:`~repro.service.client.run_worker`.  With the thread
+        executor, ``workers`` bounds how many of a unit's jobs are in
+        flight at once, which hides a remote generation backend's
+        latency.
         """
         from .service.client import run_worker
 

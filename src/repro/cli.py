@@ -42,8 +42,7 @@ Commands:
 * ``work --url URL [--backend B] [--store DIR] [--executor E] ...`` —
   run one pull-based worker against a coordinator until the sweep is
   merged; each leased unit runs on the worker's executor, so
-  ``--executor async --workers N`` keeps N of its jobs in flight as
-  coroutines;
+  ``--executor thread --workers N`` keeps N of its jobs in flight;
 * ``store {pack,compact,unpack,info} DIR`` — compact a verdict store's
   one-file-per-verdict directory into a single JSONL pack (and back);
   ``compact`` rewrites the pack without shadowed duplicate lines;
@@ -925,9 +924,9 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--executor", choices=EXECUTORS, default="thread",
-        help="worker pool flavour: thread (shared cache), process "
-             "(GIL-free, for CPU-bound sweeps), or async (coroutine "
-             "concurrency, for latency-bound remote backends)",
+        help="worker pool flavour: thread (shared cache; hides a "
+             "remote backend's latency) or process (GIL-free, for "
+             "CPU-bound sweeps)",
     )
 
 

@@ -10,7 +10,7 @@ silently swallowed exceptions.  :class:`SweepExecutor` then runs the
 jobs — serially or through a ``concurrent.futures`` thread pool — against
 a shared thread-safe :class:`~repro.eval.pipeline.Evaluator`, with
 per-job error capture, a configurable :class:`RetryPolicy` for transient
-backend failures, and progress callbacks.
+backend failures, progress callbacks, and a per-job observer hook.
 
 Every executor implements the :class:`Executor` interface (``run(plan)
 -> SweepResult``); :class:`~repro.service.process.ProcessPoolSweepExecutor`
@@ -31,6 +31,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from ..backends.base import Backend, BackendError
@@ -335,6 +336,11 @@ ProgressCallback = Callable[[int, int, GenerationJob], None]
 #: message string (legacy); ``None`` means the job succeeded.
 JobOutcome = tuple[list[CompletionRecord], "JobFailure | str | None", int]
 
+#: ``observer(index, job, outcome, seconds)`` watches a
+#: :class:`SweepExecutor` run job by job; ``index`` is the job's plan
+#: position and ``outcome`` is ``None`` when the job's chunk starts.
+JobObserver = Callable[[int, GenerationJob, "JobOutcome | None", float], None]
+
 
 @dataclass
 class SweepResult:
@@ -443,18 +449,24 @@ def run_job_with_retry(
                     exc, attempt_seconds, backoff_total), attempt)
                 break
     assert outcome is not None
-    elapsed = time.perf_counter() - job_started
-    REGISTRY.observe("job_seconds", elapsed)
+    _observe_job(job, outcome, time.perf_counter() - job_started)
+    return outcome
+
+
+def _observe_job(
+    job: GenerationJob, outcome: JobOutcome, seconds: float
+) -> None:
+    """Feed one finished job to ``job_seconds`` and its ``job`` span."""
+    REGISTRY.observe("job_seconds", seconds)
     record_span(
         "job",
-        elapsed,
+        seconds,
         model=job.model,
         problem=job.problem,
         level=str(job.level.value),
         outcome="error" if outcome[1] is not None else "ok",
         attempts=outcome[2],
     )
-    return outcome
 
 
 def _timed_failure(
@@ -474,9 +486,8 @@ def chunk_jobs(
 ) -> list[list[GenerationJob]]:
     """Split jobs into consecutive same-model runs of at most ``batch_size``.
 
-    Shared by every batching executor (thread and async), so both send
-    identical groups through :meth:`Backend.generate_batch` and stay
-    record-for-record comparable.
+    The thread executor's work units: each one goes through
+    :meth:`Backend.generate_batch` when ``batch_size > 1``.
     """
     chunks: list[list[GenerationJob]] = []
     for job in jobs:
@@ -539,6 +550,13 @@ class SweepExecutor(Executor):
     letting backends amortize per-request overhead; a failing batch
     falls back to per-job execution so error isolation (and the retry
     policy) still applies job by job.
+
+    ``observer`` (a :data:`JobObserver`) is called with ``outcome=None``
+    for each job of a chunk as the chunk starts, then with the job's
+    outcome and wall seconds as it finishes.  Calls are serialized under
+    one lock.  An exception from the observer ends the run: it
+    propagates out of :meth:`run`, and a chunk whose start it refuses
+    never generates (jobs already in flight finish first).
     """
 
     def __init__(
@@ -550,6 +568,7 @@ class SweepExecutor(Executor):
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
         batch_size: int = 1,
+        observer: JobObserver | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -562,70 +581,104 @@ class SweepExecutor(Executor):
         self.retry = retry or RetryPolicy()
         self.sleep = sleep
         self.batch_size = batch_size
+        self.observer = observer
 
     # ------------------------------------------------------------------
-    def _run_job(self, job: GenerationJob) -> list[CompletionRecord]:
-        return evaluate_job(self.backend, self.evaluator, job)
+    def _run_batch(
+        self, jobs: Sequence[GenerationJob]
+    ) -> "list[tuple[JobOutcome, float]] | None":
+        """The chunk through one ``generate_batch`` call; None = fall back.
 
-    def _run_chunk(self, jobs: Sequence[GenerationJob]) -> list[JobOutcome]:
-        """One work unit: a run of consecutive same-model jobs."""
-        if len(jobs) > 1:
-            problems = [get_problem(job.problem) for job in jobs]
-            try:
-                batches = self.backend.generate_batch(
-                    jobs[0].model,
-                    [
-                        (problem.prompt(job.level), job.generation_config())
-                        for job, problem in zip(jobs, problems)
-                    ],
+        The batch's wall clock is split evenly over its jobs as their
+        ``generate`` stage, so a batched job is timed like a lone one.
+        """
+        problems = [get_problem(job.problem) for job in jobs]
+        started = time.perf_counter()
+        try:
+            batches = self.backend.generate_batch(
+                jobs[0].model,
+                [
+                    (problem.prompt(job.level), job.generation_config())
+                    for job, problem in zip(jobs, problems)
+                ],
+            )
+        except Exception:  # noqa: BLE001 — retry job by job instead
+            return None
+        if batches is None or len(batches) != len(jobs):
+            return None
+        share = (time.perf_counter() - started) / len(jobs)
+        timed = []
+        for job, completions in zip(jobs, batches):
+            job_started = time.perf_counter()
+            with job_tags(model=job.model, problem=job.problem):
+                observe_stage(
+                    "generate", share, problem=job.problem, model=job.model
                 )
-            except Exception:  # noqa: BLE001 — retry job by job instead
-                batches = None
-            if batches is not None and len(batches) == len(jobs):
-                outcomes: list[JobOutcome] = []
-                for job, completions in zip(jobs, batches):
-                    try:
-                        records = evaluate_completions(
-                            self.evaluator, job, completions
-                        )
-                        outcomes.append((records, None, 1))
-                    except Exception as exc:  # noqa: BLE001
-                        outcomes.append(([], failure_from_exception(exc), 1))
-                return outcomes
-        return [
-            run_job_with_retry(
+                try:
+                    records = evaluate_completions(
+                        self.evaluator, job, completions
+                    )
+                    outcome: JobOutcome = (records, None, 1)
+                except Exception as exc:  # noqa: BLE001
+                    outcome = ([], failure_from_exception(exc), 1)
+                seconds = share + time.perf_counter() - job_started
+                _observe_job(job, outcome, seconds)
+            timed.append((outcome, seconds))
+        return timed
+
+    def _run_chunk(
+        self, jobs: Sequence[GenerationJob]
+    ) -> list[tuple[JobOutcome, float]]:
+        """One work unit: each job's outcome and wall seconds."""
+        if len(jobs) > 1:
+            timed = self._run_batch(jobs)
+            if timed is not None:
+                return timed
+        timed = []
+        for job in jobs:
+            started = time.perf_counter()
+            outcome = run_job_with_retry(
                 self.backend, self.evaluator, job, self.retry, self.sleep
             )
-            for job in jobs
-        ]
-
-    def _chunks(self, plan: SweepPlan) -> list[list[GenerationJob]]:
-        """Split the plan into consecutive same-model runs of batch_size."""
-        return chunk_jobs(plan.jobs, self.batch_size)
+            timed.append((outcome, time.perf_counter() - started))
+        return timed
 
     def run(self, plan: SweepPlan) -> SweepResult:
         """Execute every job; capture per-job failures instead of dying."""
         started = time.perf_counter()
         total = len(plan.jobs)
         done = 0
-        done_lock = threading.Lock()
+        lock = threading.Lock()
+        observer = self.observer
 
-        def attempt(jobs: list[GenerationJob]) -> list[JobOutcome]:
+        def attempt(
+            offset: int, jobs: list[GenerationJob]
+        ) -> list[JobOutcome]:
             nonlocal done
-            outcomes = self._run_chunk(jobs)
-            if self.progress is not None:
-                with done_lock:
-                    for job in jobs:
+            if observer is not None:
+                with lock:
+                    for position, job in enumerate(jobs):
+                        observer(offset + position, job, None, 0.0)
+            timed = self._run_chunk(jobs)
+            if observer is not None or self.progress is not None:
+                with lock:
+                    for position, (job, (outcome, seconds)) in enumerate(
+                        zip(jobs, timed)
+                    ):
                         done += 1
-                        self.progress(done, total, job)
-            return outcomes
+                        if observer is not None:
+                            observer(offset + position, job, outcome, seconds)
+                        if self.progress is not None:
+                            self.progress(done, total, job)
+            return [outcome for outcome, _seconds in timed]
 
-        chunks = self._chunks(plan)
+        chunks = chunk_jobs(plan.jobs, self.batch_size)
+        offsets = [0, *accumulate(len(chunk) for chunk in chunks)]
         if self.workers == 1:
-            chunk_outcomes = [attempt(chunk) for chunk in chunks]
+            chunk_outcomes = list(map(attempt, offsets, chunks))
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                chunk_outcomes = list(pool.map(attempt, chunks))
+                chunk_outcomes = list(pool.map(attempt, offsets, chunks))
 
         outcomes = [outcome for chunk in chunk_outcomes for outcome in chunk]
         return assemble_result(

@@ -11,8 +11,8 @@ The per-job trace context is a :mod:`contextvars` variable set by
 executors around each job (:func:`job_tags`); everything recorded
 underneath — backend generation, evaluator stages, simulator runs,
 repair-loop rounds — inherits those tags without any signature
-threading, across both thread-pool workers (the context is set inside
-the worker thread) and asyncio tasks.
+threading, across thread-pool workers (the context is set inside the
+worker thread).
 
 :class:`TraceWriter` is the file sink behind ``--trace FILE``: one
 NDJSON frame per line, a ``meta`` header, spans as they complete, and a

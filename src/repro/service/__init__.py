@@ -18,27 +18,21 @@ The subsystem that takes the job-based sweep stack of
   shards to pull-based workers (``/shard/next`` → ``/shard/result``)
   and merge results as they stream in, no index bookkeeping required;
   :func:`run_worker` is the one worker, running each leased unit on its
-  session's executor (``executor="async"`` fans the unit out as
-  coroutines);
+  session's executor (``workers`` threads, or processes);
 * :mod:`repro.service.process` — :class:`ProcessPoolSweepExecutor`, the
   GIL-free executor variant for CPU-bound sweeps (point it at a shared
   :class:`~repro.eval.store.VerdictStore` to pool verdicts on disk);
 * :mod:`repro.service.aio` — the asyncio half:
   :class:`AsyncEvalService`, the one HTTP server (``ServiceApp``'s JSON
   routes plus the NDJSON streaming routes ``POST /sweep/stream`` and
-  ``GET /shard/status/stream``),
-  :class:`AsyncSweepExecutor` (coroutine concurrency behind the same
-  ``Executor`` interface), and the :func:`to_async` backend adapter.
+  ``GET /shard/status/stream``; a streamed sweep runs on the thread
+  :class:`~repro.eval.jobs.SweepExecutor`) and the event-frame codec.
 """
 
 from .aio import (
-    AsyncBackend,
     AsyncEvalService,
-    AsyncSweepExecutor,
     StreamProtocolError,
     assemble_stream_result,
-    result_to_frames,
-    to_async,
 )
 from .client import (
     DEFAULT_URL,
@@ -72,17 +66,13 @@ from .sharding import (
 )
 
 __all__ = [
-    "AsyncBackend",
     "AsyncEvalService",
-    "AsyncSweepExecutor",
     "DEFAULT_URL",
     "StreamProtocolError",
     "assemble_stream_result",
     "iter_status_events",
     "iter_sweep_events",
-    "result_to_frames",
     "stream_sweep",
-    "to_async",
     "PlanShard",
     "ProcessPoolSweepExecutor",
     "ServiceApp",

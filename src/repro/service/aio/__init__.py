@@ -1,20 +1,15 @@
-"""Asyncio-native sweep service: async executor, the HTTP server, events.
+"""Asyncio-native eval service: the HTTP server and its event frames.
 
 The asyncio half of the service stack.  It serves the
-:class:`~repro.service.server.ServiceApp` routes over HTTP and runs
-sweeps as coroutines, with the same wire schemas and the same parity
+:class:`~repro.service.server.ServiceApp` routes over HTTP and streams
+sweeps as NDJSON, with the same wire schemas and the same parity
 guarantees as the blocking pieces of :mod:`repro.service`:
 
-* :mod:`~repro.service.aio.backends` — :class:`AsyncBackend` protocol
-  and the :func:`to_async` adapter that runs any sync backend under the
-  loop;
-* :mod:`~repro.service.aio.executor` — :class:`AsyncSweepExecutor`,
-  coroutine-per-chunk execution with bounded concurrency, retry/batch
-  parity with the thread executor, cooperative cancellation, and live
-  event emission;
 * :mod:`~repro.service.aio.events` — the NDJSON frame codec
   (``job_started``/``record``/``skip``/``job_error``/``progress``/
-  ``done``) and lossless stream reassembly;
+  ``done``), lossless stream reassembly, and :func:`emit_sweep`, which
+  turns a thread :class:`~repro.eval.jobs.SweepExecutor` run into live
+  frames;
 * :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`, the
   eval service's one HTTP server: ``ServiceApp`` routing over
   ``asyncio.start_server`` plus the streaming routes
@@ -25,34 +20,28 @@ The client of those routes is the ``urllib`` one in
 and friends).
 """
 
-from .backends import AsyncBackend, ensure_async, to_async
 from .events import (
     FRAME_EVENTS,
     StreamProtocolError,
     assemble_stream_result,
     decode_frame,
     decode_stream,
+    emit_sweep,
     encode_frame,
     metric_frame,
-    result_to_frames,
     span_frame,
 )
-from .executor import AsyncSweepExecutor
 from .server import AsyncEvalService
 
 __all__ = [
-    "AsyncBackend",
     "AsyncEvalService",
-    "AsyncSweepExecutor",
     "FRAME_EVENTS",
     "StreamProtocolError",
     "assemble_stream_result",
     "decode_frame",
     "decode_stream",
+    "emit_sweep",
     "encode_frame",
-    "ensure_async",
     "metric_frame",
-    "result_to_frames",
     "span_frame",
-    "to_async",
 ]

@@ -59,7 +59,16 @@ from ...eval.export import (
     skip_to_dict,
 )
 from ...eval.harness import Sweep
-from ...eval.jobs import JobError, SweepResult
+from ...eval.jobs import (
+    GenerationJob,
+    JobError,
+    JobOutcome,
+    SweepExecutor,
+    SweepPlan,
+    SweepResult,
+    make_job_error,
+)
+from ...obs import REGISTRY
 
 
 class StreamProtocolError(ValueError):
@@ -156,53 +165,81 @@ def status_frame(status: dict) -> dict:
     return {"event": "status", **status}
 
 
-def result_to_frames(plan, result: SweepResult) -> list[dict]:
-    """The frame sequence a live stream of ``result`` would have emitted.
+def emit_sweep(plan: SweepPlan, emit, backend, **options) -> SweepResult:
+    """Run ``plan`` on a :class:`SweepExecutor`, emitting its frames live.
 
-    For a result executed to completion (thread/process executors have
-    no frame source) that must be replayed as a stream: the frames
-    replay the executor emission order — skips up front,
-    then per-job ``job_started``/``record``/``job_error`` + ``progress``
-    in plan order, ending with the lossless ``done`` terminal — so
-    :func:`assemble_stream_result` rebuilds the identical result.
-    Raises ``ValueError`` when the result does not match the plan (the
-    same invariant the shard merge enforces).
+    ``emit`` receives every frame in stream order: the ``skip`` frames
+    up front; per job ``job_started`` as its chunk starts, then any
+    repair ``attempt`` frames, its ``record``/``job_error`` frames, a
+    ``progress`` frame and its ``job`` span; finally one ``metric``
+    snapshot and the terminal ``done``.  ``options`` go to the executor
+    (``evaluator``, ``workers``, ``retry``, ``batch_size``); ``workers``
+    is reported as the done frame's ``concurrency``.
+
+    An exception from ``emit`` ends the sweep and propagates: a chunk
+    whose ``job_started`` it refuses never generates, and jobs already
+    in flight finish unreported.  Backends with a repair attempt log
+    (``start_attempt_log``/``drain_attempt_events``/``stop_attempt_log``)
+    have it armed for the run and stopped afterwards, however it ends.
     """
-    frames = [
-        skip_frame(index, skip) for index, skip in enumerate(result.skipped)
-    ]
-    errors = list(result.errors)
-    records = result.sweep.records
-    position = 0
-    records_sent = errors_sent = 0
-    for index, job in enumerate(plan.jobs):
-        frames.append(job_started_frame(index, job))
-        if errors and errors[0].job == job:
-            frames.append(job_error_frame(index, errors.pop(0)))
-            errors_sent += 1
+    total = len(plan.jobs)
+    counts = {"done": 0, "records": 0, "errors": 0}
+    attempt_log = hasattr(backend, "start_attempt_log") and hasattr(
+        backend, "drain_attempt_events"
+    )
+
+    def send_attempts() -> None:
+        if attempt_log:
+            for event in backend.drain_attempt_events():
+                emit(attempt_frame(event))
+
+    def observe(
+        index: int,
+        job: GenerationJob,
+        outcome: "JobOutcome | None",
+        seconds: float,
+    ) -> None:
+        if outcome is None:
+            emit(job_started_frame(index, job))
+            return
+        send_attempts()
+        records, failure, attempts = outcome
+        if failure is None:
+            for record in records:
+                emit(record_frame(index, record))
         else:
-            chunk = records[position : position + job.n]
-            if len(chunk) != job.n:
-                raise ValueError(
-                    f"result does not match plan: job {job} expected "
-                    f"{job.n} records, found {len(chunk)}"
-                )
-            position += job.n
-            frames.extend(record_frame(index, record) for record in chunk)
-            records_sent += len(chunk)
-        frames.append(
-            progress_frame(
-                index + 1, len(plan.jobs), records_sent, errors_sent
-            )
-        )
-    if errors or position != len(records):
-        raise ValueError(
-            "result does not match plan: "
-            f"{len(errors)} unmatched errors, "
-            f"{len(records) - position} unmatched records"
-        )
-    frames.append(done_frame(result))
-    return frames
+            error = make_job_error(job, failure, attempts)
+            emit(job_error_frame(index, error))
+        counts["done"] += 1
+        counts["records"] += len(records)
+        counts["errors"] += int(failure is not None)
+        emit(progress_frame(
+            counts["done"], total, counts["records"], counts["errors"]
+        ))
+        emit(span_frame({
+            "name": "job", "dur": seconds,
+            "tags": {"job_index": index, "model": job.model,
+                     "problem": job.problem},
+        }))
+
+    for index, skip in enumerate(plan.skipped):
+        emit(skip_frame(index, skip))
+    executor = SweepExecutor(backend, observer=observe, **options)
+    if attempt_log:
+        backend.start_attempt_log()
+    try:
+        result = executor.run(plan)
+        send_attempts()
+    finally:
+        if attempt_log:
+            backend.stop_attempt_log()
+    result.stats["concurrency"] = executor.workers
+    emit(metric_frame({
+        "evaluator_cache": dict(executor.evaluator.cache_info),
+        "job_seconds": REGISTRY.histogram_snapshot("job_seconds"),
+    }))
+    emit(done_frame(result))
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +396,13 @@ __all__ = [
     "decode_frame",
     "decode_stream",
     "done_frame",
+    "emit_sweep",
     "encode_frame",
     "job_error_frame",
     "job_started_frame",
     "metric_frame",
     "progress_frame",
     "record_frame",
-    "result_to_frames",
     "skip_frame",
     "span_frame",
     "status_frame",

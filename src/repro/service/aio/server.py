@@ -8,10 +8,12 @@ the loop's thread pool so one process keeps answering health checks
 mid-sweep.  Two routes need a connection that stays open and are
 served here directly:
 
-* ``POST /sweep/stream``        — plan server-side, execute on an
-  :class:`~repro.service.aio.executor.AsyncSweepExecutor`, and emit
+* ``POST /sweep/stream``        — plan server-side, run the plan on a
+  :class:`~repro.eval.jobs.SweepExecutor` in a worker thread, and emit
   :mod:`~repro.service.aio.events` frames as NDJSON while jobs run.
-  A client that hangs up mid-stream cancels every in-flight job.
+  Frames cross to the loop through a bounded hand-off, so a slow
+  reader stalls the executor.  Once the client hangs up no further job
+  starts; jobs already in flight finish and are discarded.
 * ``GET /shard/status/stream``  — live coordinator observation: a
   ``status`` frame whenever progress changes, a ``done`` frame when the
   sweep is fully merged (404-equivalent error if no coordinator).
@@ -30,6 +32,7 @@ server in a caller's loop.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import json
 import math
@@ -39,8 +42,7 @@ from urllib.parse import parse_qs
 from ..server import RAW_TEXT_KEY, ServiceApp
 from ...backends.base import BackendError
 from ...eval.export import config_from_dict
-from .events import encode_frame, metric_frame, status_frame
-from .executor import AsyncSweepExecutor
+from .events import emit_sweep, encode_frame, metric_frame, status_frame
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
              500: "Internal Server Error"}
@@ -52,6 +54,13 @@ STATUS_POLL_SECONDS = 0.2
 #: per-line buffer limit for request reads (asyncio's default 64 KiB
 #: readline limit would reject a large request line or header)
 STREAM_LIMIT = 16 * 1024 * 1024
+
+#: frames a ``/sweep/stream`` executor may run ahead of its reader
+STREAM_BUFFER = 256
+
+#: ceiling on a ``/sweep/stream`` request's ``concurrency`` (the sweep's
+#: thread count): CPython's default thread-pool ceiling
+MAX_STREAM_CONCURRENCY = 32
 
 
 async def close_writer(writer: asyncio.StreamWriter) -> None:
@@ -319,7 +328,7 @@ class AsyncEvalService:
         connection's read side (our protocol never sends anything after
         the request, so any read completion means the client is gone)
         and aborts the stream immediately.  The caller's ``finally``
-        closes the frame generator, cancelling in-flight jobs.
+        closes the frame generator.
         """
         watcher = asyncio.create_task(reader.read(1))
         iterator = frames.__aiter__()
@@ -362,24 +371,18 @@ class AsyncEvalService:
     # ------------------------------------------------------------------
     # Streaming routes
     # ------------------------------------------------------------------
-    def _stream_executor(self, payload: dict) -> AsyncSweepExecutor:
-        session = self.app.session
-        return AsyncSweepExecutor(
-            session.backend,
-            evaluator=session.evaluator,
-            concurrency=int(
-                payload.get("concurrency") or max(session.workers, 1)
-            ),
-            retry=session.retry,
-            batch_size=int(payload.get("batch_size") or session.batch_size),
-        )
-
     async def _stream_sweep(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         payload: dict,
     ) -> None:
+        session = self.app.session
+        workers = _int_field(
+            payload, "concurrency", max(session.workers, 1),
+            MAX_STREAM_CONCURRENCY,
+        )
+        batch_size = _int_field(payload, "batch_size", session.batch_size)
         try:
             config = (
                 config_from_dict(payload["config"])
@@ -389,23 +392,51 @@ class AsyncEvalService:
             # planning interrogates backend.models()/capabilities() —
             # blocking I/O on remote backends, so off the loop it goes
             plan = await asyncio.get_running_loop().run_in_executor(
-                None, self.app.session.plan, config, payload.get("models")
+                None, session.plan, config, payload.get("models")
             )
-            executor = self._stream_executor(payload)
         except (BackendError, KeyError, TypeError, ValueError) as exc:
             raise _BadRequest(f"bad sweep request: {exc}") from None
         await self._start_ndjson(writer)
-        stream = executor.stream(plan)
+        frames = self._sweep_frames(
+            plan,
+            evaluator=session.evaluator,
+            workers=workers,
+            retry=session.retry,
+            batch_size=batch_size,
+        )
         try:
-            await self._pump_frames(reader, writer, stream)
+            await self._pump_frames(reader, writer, frames)
         finally:
-            # client hang-ups land here as ConnectionError; closing the
-            # generator cancels every in-flight job before we return.
+            # a hang-up lands here as ConnectionError; closing the frame
+            # generator closes the hand-off, so no further job starts.
             # During server shutdown the generator may still be settling
             # inside its cancelled __anext__ — then aclose() refuses
-            # ("already running") and teardown finishes the job instead.
+            # ("already running") and teardown closes the hand-off.
             with contextlib.suppress(RuntimeError):
-                await stream.aclose()
+                await frames.aclose()
+
+    async def _sweep_frames(self, plan, **options):
+        """Frames of ``plan`` run by :func:`emit_sweep` in a thread."""
+        handoff = _FrameHandoff(asyncio.get_running_loop())
+        backend = self.app.session.backend
+
+        def produce() -> None:
+            error = None
+            try:
+                emit_sweep(plan, handoff.put, backend, **options)
+            except Exception as exc:  # noqa: BLE001 — raised on the loop
+                error = exc
+            finally:
+                handoff.finish(error)
+
+        threading.Thread(
+            target=produce, name="sweep-stream", daemon=True
+        ).start()
+        try:
+            while (frame := await handoff.get()) is not None:
+                yield frame
+        finally:
+            handoff.close()
 
     async def _status_frames(self, coordinator, poll: float):
         last = None
@@ -469,6 +500,86 @@ class AsyncEvalService:
 
 class _BadRequest(ValueError):
     """Route-level 400 with a client-visible message."""
+
+
+def _int_field(
+    payload: dict, key: str, default: int, ceiling: float = math.inf
+) -> int:
+    """``payload[key]``, an integer in ``1..ceiling``; default if absent."""
+    value = payload.get(key, default)
+    if key in payload and (
+        type(value) is not int or not 1 <= value <= ceiling
+    ):
+        bounds = ">= 1" if ceiling == math.inf else f"in 1..{ceiling}"
+        raise _BadRequest(
+            f"bad sweep request: {key} must be an integer {bounds}, "
+            f"got {json.dumps(value)}"
+        )
+    return value
+
+
+class _FrameHandoff:
+    """Bounded hand-off of frames from a sweep thread to the event loop.
+
+    :meth:`put` blocks the sweep thread while :data:`STREAM_BUFFER`
+    frames wait, so a slow reader stalls the executor instead of being
+    buffered into memory.  After :meth:`close` (the client hung up) it
+    raises ``ConnectionResetError`` instead, which ends the sweep.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        self._frames: collections.deque = collections.deque()
+        self._lock = threading.Condition()
+        self._ready = asyncio.Event()
+        self._closed = False
+        self._finished = False
+        self._error: "BaseException | None" = None
+
+    def _wake(self) -> None:
+        with contextlib.suppress(RuntimeError):  # loop already gone
+            self._loop.call_soon_threadsafe(self._ready.set)
+
+    def put(self, frame: dict) -> None:
+        """Queue one frame (sweep thread); waits while the buffer is full."""
+        with self._lock:
+            while len(self._frames) >= STREAM_BUFFER and not self._closed:
+                self._lock.wait()
+            if self._closed:
+                raise ConnectionResetError("stream client disconnected")
+            self._frames.append(frame)
+            # the reader only waits on an empty buffer
+            wake = len(self._frames) == 1
+        if wake:
+            self._wake()
+
+    def finish(self, error: "BaseException | None") -> None:
+        """The sweep thread is done (``error`` if it died)."""
+        with self._lock:
+            self._finished = True
+            self._error = error
+        self._wake()
+
+    async def get(self) -> "dict | None":
+        """The next frame (loop side); ``None`` once the sweep is done."""
+        while True:
+            with self._lock:
+                if self._frames:
+                    self._lock.notify()
+                    return self._frames.popleft()
+                if self._finished:
+                    if self._error is not None:
+                        raise self._error
+                    return None
+                self._ready.clear()
+            await self._ready.wait()
+
+    def close(self) -> None:
+        """Refuse every further frame and release a blocked sweep thread."""
+        with self._lock:
+            self._closed = True
+            self._frames.clear()
+            self._lock.notify_all()
 
 
 __all__ = ["AsyncEvalService"]

@@ -326,8 +326,8 @@ def run_worker(
     any lease that expires.  ``max_idle_polls`` bounds those naps for
     tests and batch jobs (``None`` = wait as long as it takes);
     ``poll_seconds`` must be positive.  Units run on the session's
-    executor, so ``Session(executor="async")`` fans each leased unit's
-    jobs out as coroutines.
+    executor, so ``Session(workers=N)`` keeps N of each leased unit's
+    jobs in flight on threads.
 
     Returns a summary dict: shards run, jobs, records, errors, plus
     ``coordinator_gone=True`` if a coordinator this worker had already

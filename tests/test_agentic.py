@@ -3,7 +3,6 @@
 the RepairingBackend adapter, executor/shard/streaming parity, warm
 verdict-store chains, and the pass@k-vs-budget metrics."""
 
-import asyncio
 
 import pytest
 
@@ -404,16 +403,6 @@ class TestRepairSweepParity:
         result = ProcessPoolSweepExecutor(wrapped, workers=2).run(plan)
         assert export_rows(result) == export_rows(self.serial())
 
-    def test_async_executor_matches_serial(self):
-        from repro.service.aio import AsyncSweepExecutor
-
-        wrapped = RepairingBackend(repair_zoo(), repair=RepairConfig(budget=2))
-        plan = SweepPlanner(wrapped).plan(SMALL)
-        result = AsyncSweepExecutor(
-            wrapped, evaluator=wrapped.evaluator, concurrency=3
-        ).run(plan)
-        assert export_rows(result) == export_rows(self.serial())
-
     def test_sharded_repair_sweep_merges_to_serial_order(self):
         from repro.service import ShardPlanner, merge_shard_results
 
@@ -505,19 +494,13 @@ class TestRepairWarmStore:
 # ----------------------------------------------------------------------
 class TestAttemptStreaming:
     def test_stream_emits_attempt_frames_and_reassembles(self):
-        from repro.service.aio import AsyncSweepExecutor
-        from repro.service.aio.events import assemble_stream_result
+        from repro.service.aio.events import assemble_stream_result, emit_sweep
 
         wrapped = RepairingBackend(repair_zoo(), repair=RepairConfig(budget=2))
         plan = SweepPlanner(wrapped).plan(SMALL)
-
-        async def collect():
-            executor = AsyncSweepExecutor(
-                wrapped, evaluator=wrapped.evaluator, concurrency=2
-            )
-            return [frame async for frame in executor.stream(plan)]
-
-        frames = asyncio.run(collect())
+        frames = []
+        emit_sweep(plan, frames.append, wrapped,
+                   evaluator=wrapped.evaluator, workers=2)
         attempts = [f for f in frames if f["event"] == "attempt"]
         assert attempts, "repair rounds should surface as attempt frames"
         assert {"model", "problem", "round", "verdict",
@@ -543,18 +526,27 @@ class TestAttemptStreaming:
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_stopped_log_leaks_nothing_into_next_run(self):
-        from repro.service.aio import AsyncSweepExecutor
+        from repro.service.aio import emit_sweep
+
+        def hang_up(frame):
+            if frame["event"] == "record":
+                raise ConnectionResetError("client went away")
 
         wrapped = RepairingBackend(repair_zoo(), repair=RepairConfig(budget=1))
         plan = SweepPlanner(wrapped).plan(SMALL)
-        AsyncSweepExecutor(wrapped, evaluator=wrapped.evaluator).run(plan)
-        # execute() stop_attempt_log()s in its finally: nothing collects
         prompt = get_problem(1).prompt(PromptLevel.MEDIUM)
-        wrapped.generate(
-            wrapped.models()[0], prompt,
-            GenerationConfig(temperature=0.5, n=1),
-        )
-        assert wrapped.drain_attempt_events() == []
+        # emit_sweep() stop_attempt_log()s in its finally, whether the
+        # sweep completes or its stream is cut: nothing collects after
+        for emit in (lambda frame: None, hang_up):
+            try:
+                emit_sweep(plan, emit, wrapped, evaluator=wrapped.evaluator)
+            except ConnectionResetError:
+                assert emit is hang_up
+            wrapped.generate(
+                wrapped.models()[0], prompt,
+                GenerationConfig(temperature=0.5, n=1),
+            )
+            assert wrapped.drain_attempt_events() == []
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Socket-level tests for the asyncio eval service: plain routes,
-NDJSON sweep streaming, live status streams, disconnect cancellation."""
+NDJSON sweep streaming, live status streams, stopping on disconnect."""
 
 import asyncio
 import json
@@ -27,7 +27,6 @@ from repro.service import (
     iter_sweep_events,
     stream_sweep,
 )
-from repro.service.aio import AsyncBackend
 from repro.service.sharding import shard_from_dict
 
 SMALL = SweepConfig(
@@ -188,46 +187,136 @@ class TestSweepStream:
                    for e in result.errors)
 
     def test_disconnect_cancels_in_flight_jobs(self):
-        class SlowAsyncStub(AsyncBackend):
-            name = "slow-stub"
+        """Once the client hangs up no further job starts, the handler
+        returns without waiting for the job in flight, and the sweep's
+        threads exit once that job finishes (its result discarded)."""
+
+        class Gated(StubBackend):
+            """The first job returns once a second is in flight; every
+            later job waits for ``gate``."""
 
             def __init__(self):
-                self.stub = StubBackend()
-                self.calls = 0
-                self.completed = 0
-                self.cancelled = 0
+                super().__init__()
+                self.gate = threading.Event()
+                self.second = threading.Event()
+                self.lock = threading.Lock()
+                self.started = 0
 
-            def models(self):
-                return self.stub.models()
+            def generate(self, model, prompt, config):
+                with self.lock:
+                    self.started += 1
+                    first = self.started == 1
+                if first:
+                    self.second.wait(timeout=30)
+                else:
+                    self.second.set()
+                    self.gate.wait(timeout=30)
+                return super().generate(model, prompt, config)
 
-            def capabilities(self, model):
-                return self.stub.capabilities(model)
+        class Watched(AsyncEvalService):
+            returned = threading.Event()
 
-            async def generate_async(self, model, prompt, config):
-                self.calls += 1
-                call = self.calls
+            async def _stream_sweep(self, *args):
                 try:
-                    await asyncio.sleep(0.01 if call == 1 else 30.0)
-                    result = self.stub.generate(model, prompt, config)
-                    self.completed += 1
-                    return result
-                except asyncio.CancelledError:
-                    self.cancelled += 1
-                    raise
+                    await super()._stream_sweep(*args)
+                finally:
+                    self.returned.set()
 
-        backend = SlowAsyncStub()
-        session = Session(backend=backend)
-        with AsyncEvalService(session, port=0) as svc:
+        def sweep_threads():
+            return [
+                thread for thread in threading.enumerate()
+                if thread not in before
+                and (thread.name == "sweep-stream"
+                     or thread.name.startswith("ThreadPoolExecutor-"))
+            ]
+
+        backend = Gated()
+        before = set(threading.enumerate())
+        with Watched(Session(backend=backend), port=0) as svc:
             events = iter_sweep_events(svc.url, config=SMALL, concurrency=2)
             for frame in events:
                 if frame["event"] == "record":
                     break
             events.close()  # closes the HTTP connection mid-stream
+            # the handler returns while the second job is still blocked
+            assert svc.returned.wait(timeout=10)
+            assert not backend.gate.is_set()
+            time.sleep(0.2)
+            started = backend.started
+            assert started < 4  # SMALL plans 4 jobs
+            assert sweep_threads()  # the in-flight job still runs
+            backend.gate.set()
             deadline = time.monotonic() + 10
-            while backend.cancelled == 0 and time.monotonic() < deadline:
+            while sweep_threads() and time.monotonic() < deadline:
                 time.sleep(0.05)
-        assert backend.cancelled >= 1
-        assert backend.completed == 1
+            assert not sweep_threads()
+        assert backend.started == started  # nothing started after hang-up
+
+
+class TestFrameHandoff:
+    """The bounded hand-off between a stream's sweep thread and the loop."""
+
+    @staticmethod
+    def _wait_for(condition, timeout=10):
+        deadline = time.monotonic() + timeout
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return condition()
+
+    def test_full_buffer_stalls_the_sweep_thread_until_read(self):
+        from repro.service.aio.server import STREAM_BUFFER, _FrameHandoff
+
+        async def scenario():
+            handoff = _FrameHandoff(asyncio.get_running_loop())
+            sent = []
+
+            def produce():
+                for index in range(STREAM_BUFFER + 1):
+                    handoff.put({"index": index})
+                    sent.append(index)
+                handoff.finish(None)
+
+            thread = threading.Thread(target=produce)
+            thread.start()
+            assert await asyncio.to_thread(
+                self._wait_for, lambda: len(sent) == STREAM_BUFFER
+            )
+            await asyncio.sleep(0.1)
+            assert len(sent) == STREAM_BUFFER  # the next put waits
+            received = []
+            while (frame := await handoff.get()) is not None:
+                received.append(frame["index"])
+            await asyncio.to_thread(thread.join, 10)
+            assert not thread.is_alive()
+            assert received == list(range(STREAM_BUFFER + 1))
+
+        asyncio.run(scenario())
+
+    def test_close_releases_a_blocked_sweep_thread(self):
+        from repro.service.aio.server import STREAM_BUFFER, _FrameHandoff
+
+        async def scenario():
+            handoff = _FrameHandoff(asyncio.get_running_loop())
+            errors = []
+
+            def produce():
+                try:
+                    for index in range(STREAM_BUFFER + 1):
+                        handoff.put({"index": index})
+                except ConnectionResetError as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=produce)
+            thread.start()
+            await asyncio.sleep(0.1)
+            handoff.close()
+            await asyncio.to_thread(thread.join, 10)
+            assert not thread.is_alive()
+            assert errors  # the refused put ended the producer
+            with pytest.raises(ConnectionResetError):
+                handoff.put({"index": -1})
+
+        asyncio.run(scenario())
 
 
 class TestStatusStream:
@@ -362,6 +451,35 @@ class TestRequestHygiene:
             response = sock.recv(4096)
         assert b"400" in response.split(b"\r\n", 1)[0]
         assert b"bad Content-Length '-5'" in response
+
+    @pytest.mark.parametrize("field, value", [
+        ("concurrency", 0), ("concurrency", -1), ("concurrency", True),
+        ("concurrency", 2.7), ("concurrency", "3"), ("concurrency", 33),
+        ("concurrency", 10**9), ("concurrency", None),
+        ("batch_size", 0), ("batch_size", False), ("batch_size", 1.5),
+    ])
+    def test_stream_rejects_bad_concurrency_and_batch_size(
+        self, service, field, value
+    ):
+        # concurrency is the sweep's thread count: a resource bound set
+        # by the request, so only JSON integers in range get through
+        request = urllib.request.Request(
+            service.url + "/sweep/stream",
+            data=json.dumps(
+                {"config": config_to_dict(SMALL), field: value}
+            ).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
+
+    def test_stream_accepts_the_concurrency_ceiling(self, service):
+        result = stream_sweep(service.url, config=SMALL, concurrency=32,
+                              batch_size=2)
+        assert result.stats["concurrency"] == 32
+        assert result.stats["batch_size"] == 2
 
     def test_stream_cli_notes_ignored_local_flags(self, service, capsys):
         from repro.cli import main

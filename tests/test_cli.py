@@ -77,9 +77,6 @@ class TestParser:
         # one HTTP server and one worker; async fan-out is an executor
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-        assert build_parser().parse_args(
-            ["work", "--url", "http://h:1", "--executor", "async"]
-        ).executor == "async"
 
     def test_executor_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -504,9 +501,9 @@ class TestStreamingAndStoreCLI:
         args = build_parser().parse_args(["store", "pack", "dir"])
         assert args.action == "pack" and args.dir == "dir"
         args = build_parser().parse_args(
-            ["sweep", "--executor", "async", "--workers", "8"]
+            ["sweep", "--executor", "process", "--workers", "8"]
         )
-        assert args.executor == "async"
+        assert args.executor == "process"
 
     def test_stream_requires_url(self, capsys):
         code = main(["sweep", "--stream"])
@@ -519,18 +516,16 @@ class TestStreamingAndStoreCLI:
         assert code == 2
         assert "--shards" in capsys.readouterr().out
 
-    def test_sweep_executor_async_matches_serial(self, capsys, tmp_path):
-        import json
-
-        serial_path = tmp_path / "serial.json"
-        async_path = tmp_path / "async.json"
-        base = ["sweep", "--backend", "stub-canonical",
-                "--problems", "1,2", "--temperatures", "0.1",
-                "--n", "2", "--levels", "L"]
-        assert main(base + ["--export", str(serial_path)]) == 0
-        assert main(base + ["--executor", "async", "--workers", "4",
-                            "--export", str(async_path)]) == 0
-        assert json.load(open(serial_path)) == json.load(open(async_path))
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--backend", "stub-canonical"],
+        ["work", "--url", "http://h:1"],
+    ])
+    def test_sweep_and_work_reject_executor_async(self, capsys, argv):
+        # one in-process executor: threads hide backend latency
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--executor", "async", "--workers", "4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'async'" in capsys.readouterr().err
 
     def test_streamed_sweep_parity_over_live_service(
         self, capsys, tmp_path

@@ -668,12 +668,12 @@ class TestJobLeasing:
 
     def test_async_executor_worker_parity_with_job_leases(self):
         # the worker runs each leased unit on its session's executor:
-        # an executor="async" session fans every unit out as coroutines
-        # and the merge still equals the serial sweep record for record
+        # a four-thread session fans every unit out over its pool and
+        # the merge still equals the serial sweep record for record
         plan, shards = make_split(2)
         serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
         coordinator = ShardCoordinator(shards, lease_seconds=60, lease_jobs=3)
-        summary = Session(backend="zoo", executor="async", workers=4).work(
+        summary = Session(backend="zoo", executor="thread", workers=4).work(
             transport=in_process_transport(
                 ServiceApp(Session(backend="zoo"), coordinator=coordinator)
             ),
@@ -687,7 +687,7 @@ class TestJobLeasing:
         assert {
             result.stats["executor"]
             for result in coordinator._results.values()
-        } == {"async"}
+        } == {"thread"}
 
     def test_straggler_reserves_only_its_unfinished_jobs(self):
         """Acceptance: a stalled worker's expired lease re-serves just

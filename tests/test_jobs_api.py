@@ -493,6 +493,51 @@ class TestBatching:
             SweepExecutor(StubBackend(), batch_size=0)
 
 
+class TestJobObserver:
+    @pytest.mark.parametrize("workers, batch_size", [(1, 1), (4, 1), (3, 4)])
+    def test_sees_each_job_start_then_finish(self, workers, batch_size):
+        backend = StubBackend()
+        plan = SweepPlanner(backend).plan(SMALL)
+        seen = []
+        result = SweepExecutor(
+            backend, workers=workers, batch_size=batch_size,
+            observer=lambda *call: seen.append(call),
+        ).run(plan)
+        started = {index: at for at, (index, _job, outcome, _s)
+                   in enumerate(seen) if outcome is None}
+        finished = {index: at for at, (index, _job, outcome, _s)
+                    in enumerate(seen) if outcome is not None}
+        everything = set(range(len(plan.jobs)))
+        assert set(started) == set(finished) == everything
+        assert all(started[index] < finished[index] for index in everything)
+        assert all(job == plan.jobs[index] for index, job, *_ in seen)
+        assert all(seconds >= 0 for *_, seconds in seen)
+        records = [
+            record
+            for index in sorted(everything)
+            for record in seen[finished[index]][2][0]
+        ]
+        assert records == result.sweep.records
+
+    def test_refused_start_stops_the_run(self):
+        calls = []
+
+        class Counting(StubBackend):
+            def generate(self, model, prompt, config):
+                calls.append(prompt)
+                return super().generate(model, prompt, config)
+
+        def observer(index, job, outcome, seconds):
+            if outcome is None and index == 2:
+                raise ConnectionResetError("stop")
+
+        backend = Counting()
+        plan = SweepPlanner(backend).plan(SMALL)
+        with pytest.raises(ConnectionResetError):
+            SweepExecutor(backend, observer=observer).run(plan)
+        assert len(calls) == 2  # jobs 0 and 1 ran; job 2 never started
+
+
 class TestExecutorInterface:
     def test_sweep_executor_is_an_executor(self):
         assert isinstance(SweepExecutor(StubBackend()), Executor)

@@ -290,6 +290,29 @@ class TestStageTimers:
         ]
         assert job_rows and job_rows[0]["count"] == 2  # one job per problem
 
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_batched_jobs_feed_generate_and_job_seconds(self, batch_size):
+        # a generate_batch call is timed as every batched job's generate
+        # stage, and each batched job gets its own job_seconds sample
+        session = Session(backend="zoo", batch_size=batch_size)
+        config = SweepConfig(
+            temperatures=(0.1, 0.5), completions_per_prompt=(1,),
+            levels=(PromptLevel.LOW,), problem_numbers=(1, 2),
+        )
+        plan = session.plan(config, models=["codegen-2b-ft"])
+        assert len(plan.jobs) == 4
+        session.run_plan(plan)
+        rows = REGISTRY.snapshot()["histograms"]
+        generate = sum(
+            row["count"] for row in rows
+            if row["name"] == "stage_seconds"
+            and row["labels"]["stage"] == "generate"
+        )
+        jobs = sum(
+            row["count"] for row in rows if row["name"] == "job_seconds"
+        )
+        assert generate == jobs == 4
+
     @pytest.mark.parametrize("compile_sim", [True, False],
                              ids=["compiled", "interpreted"])
     def test_engine_build_has_its_own_stage(self, compile_sim):
@@ -460,15 +483,15 @@ class TestStreamFrames:
         change the reassembled result (the parity invariant)."""
         from repro.service.aio.events import (
             assemble_stream_result,
+            emit_sweep,
             metric_frame,
-            result_to_frames,
             span_frame,
         )
 
         session = Session(backend="stub-canonical")
         plan = session.plan(TINY)
-        result = session.run_plan(plan)
-        frames = result_to_frames(plan, result)
+        frames = []
+        result = emit_sweep(plan, frames.append, session.backend)
         noisy = []
         for frame in frames:
             noisy.append(metric_frame({"records_merged": len(noisy)}))
