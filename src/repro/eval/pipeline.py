@@ -14,6 +14,10 @@ LOW prompt plus comment lines, so the verdict is the same and only the
 source lines past the prompt move.  Cached and stored evaluations keep
 LOW-prompt line numbers, and :meth:`Evaluator.evaluate` shifts them to
 the requested level's numbering on the way out.
+
+Each prompt is lexed and parsed once per evaluator
+(:func:`~repro.verilog.parser.prompt_prefix`); a fresh evaluation lexes
+and parses only the completion, from the line after the prompt's.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from ..models.base import stable_hash
 from ..obs import REGISTRY, observe_stage
 from ..obs.profile import SimProfiler, maybe_sim_profiler, record_profile
 from ..problems import PASS_MARKER, Problem, PromptLevel
+from ..problems.spec import completion_source
 from ..verilog import (
     AnalysisError,
     Finding,
@@ -34,11 +39,12 @@ from ..verilog import (
     analyze_design,
     compile_design,
     error_findings,
-    lint_source_unit,
+    lint_source_unit,  # noqa: F401 - unused; perfbench/tracing.py wraps it
     simulate_unit,
 )
 from ..verilog.compile import prepare_bench
 from ..verilog.elaborate import BenchTemplate
+from ..verilog.parser import PromptPrefix, prompt_prefix
 from .truncate import truncate_completion
 
 
@@ -129,10 +135,15 @@ def _moved_report(report, after: int, delta: int):
     return report
 
 
-def _prompt_lines(problem: Problem, level: PromptLevel) -> int:
-    """How many source lines ``level``'s prompt takes in
-    :meth:`Problem.full_source`."""
-    return problem.prompts[level].rstrip("\n").count("\n") + 1
+@dataclass(frozen=True, slots=True)
+class _Prompt:
+    """What an evaluator keeps per prompt text: how many source lines
+    the prompt takes in :meth:`Problem.full_source`, and the prompt
+    parsed once for each completion's parse to continue from (None when
+    it cannot be; see :func:`~repro.verilog.parser.prompt_prefix`)."""
+
+    lines: int
+    prefix: PromptPrefix | None
 
 
 class Evaluator:
@@ -174,15 +185,17 @@ class Evaluator:
         #: interpreter's by construction, so the flag never enters cache
         #: keys.
         self.compile_sim = compile_sim
-        #: run the netlist static-analysis pass (and lint counters)
-        #: between elaboration and simulation; error findings reject the
-        #: design at stage="analysis" without ever starting the bench
+        #: run the netlist static-analysis pass between elaboration and
+        #: simulation; error findings reject the design at
+        #: stage="analysis" without ever starting the bench
         self.analysis = analysis
         #: raise :class:`~repro.verilog.AnalysisError` instead of
         #: returning a failed evaluation, so job runners surface a
         #: structured JobError with stage/code/path
         self.strict_analysis = strict_analysis
         self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
+        #: per prompt text; see :meth:`_prompt`
+        self._prompts: dict[str, _Prompt] = {}
         #: idle test bench templates by problem number; see
         #: :meth:`_run_bench`
         self._templates: dict[int, list[BenchTemplate]] = {}
@@ -207,8 +220,8 @@ class Evaluator:
         """
         truncated = truncate_completion(completion)
         key = (problem.number, stable_hash(truncated))
-        low_lines = _prompt_lines(problem, PromptLevel.LOW)
-        delta = _prompt_lines(problem, level) - low_lines
+        low_lines = self._prompt(problem, PromptLevel.LOW).lines
+        delta = self._prompt(problem, level).lines - low_lines
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -237,8 +250,11 @@ class Evaluator:
     def _evaluate_uncached(
         self, problem: Problem, truncated: str, level: PromptLevel
     ) -> CompletionEvaluation:
-        source = problem.full_source(truncated, level)
-        report = compile_design(source, top=problem.module_name)
+        prefix = self._prompt(problem, level).prefix
+        source = (problem.full_source(truncated, level) if prefix is None
+                  else completion_source(truncated))
+        report = compile_design(source, top=problem.module_name,
+                                prefix=prefix)
         self._observe_report(problem, report, design=True)
         if not report.ok:
             return CompletionEvaluation(
@@ -298,6 +314,26 @@ class Evaluator:
             stage="" if passed else "testbench",
             findings=findings,
         )
+
+    def _prompt(self, problem: Problem, level: PromptLevel) -> _Prompt:
+        """The entry of ``level``'s prompt, built on first use.
+
+        Building one lexes and parses the prompt; that time is observed
+        as the ``parse`` stage of the evaluation that built it.  Two
+        workers racing on a new prompt may both build it (the entries
+        are equal); the first one stored is kept.
+        """
+        text = problem.prompts[level]
+        entry = self._prompts.get(text)
+        if entry is None:
+            started = time.perf_counter()
+            source = problem.prompt_source(level)
+            built = _Prompt(source.count("\n"), prompt_prefix(source))
+            observe_stage("parse", time.perf_counter() - started,
+                          problem=problem.number)
+            with self._lock:
+                entry = self._prompts.setdefault(text, built)
+        return entry
 
     def _run_bench(self, problem: Problem, unit: SourceUnit, profiler):
         """Simulate the completion's parsed ``unit`` under the test bench.
@@ -373,11 +409,6 @@ class Evaluator:
         )
         for finding in findings:
             REGISTRY.inc("analysis_findings_total", code=finding.code)
-        try:
-            for warning in lint_source_unit(report.unit):
-                REGISTRY.inc("lint_findings_total", code=warning.code)
-        except Exception:
-            pass
         return findings
 
     @staticmethod

@@ -42,6 +42,12 @@ class PromptLevel(enum.Enum):
 PASS_MARKER = "ALL TESTS PASSED"
 
 
+def completion_source(completion: str) -> str:
+    """The completion's part of :meth:`Problem.full_source`, which
+    follows the prompt's: the completion stripped, then a newline."""
+    return completion.strip() + "\n"
+
+
 @dataclass(frozen=True)
 class WrongVariant:
     """A completion that compiles but fails functional tests."""
@@ -70,8 +76,13 @@ class Problem:
 
     def full_source(self, completion: str, level: PromptLevel = PromptLevel.LOW) -> str:
         """Assemble a complete module: prompt text + completion body."""
-        prompt = self.prompts[level].rstrip("\n")
-        return f"{prompt}\n{completion.strip()}\n"
+        return self.prompt_source(level) + completion_source(completion)
+
+    def prompt_source(self, level: PromptLevel = PromptLevel.LOW) -> str:
+        """The prompt's part of :meth:`full_source`: the prompt text
+        ending in exactly one newline, so a completion starts on a line
+        of its own."""
+        return self.prompts[level].rstrip("\n") + "\n"
 
     def canonical_source(self, level: PromptLevel = PromptLevel.LOW) -> str:
         return self.full_source(self.canonical_body, level)

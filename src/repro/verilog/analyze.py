@@ -1189,15 +1189,15 @@ def analyze_source(source: str, top: str | None = None):
     Findings are empty when the design does not compile — the compile
     report's own stage/errors cover that case.
     """
-    from .compile import check_syntax, compile_design
+    from .compile import _elaborate_unit, check_syntax
 
+    syntax = check_syntax(source)
+    if not syntax.ok:
+        return syntax, []
+    assert syntax.unit is not None
     if top is None:
-        syntax = check_syntax(source)
-        if not syntax.ok:
-            return syntax, []
-        assert syntax.unit is not None
         top = infer_top(syntax.unit)
-    report = compile_design(source, top=top)
+    report = _elaborate_unit(syntax.unit, top, syntax.parse_seconds)
     if not report.ok or report.design is None or report.unit is None:
         return report, []
     return report, analyze_design(report.design, report.unit)

@@ -4,7 +4,8 @@ The paper compiles each LLM completion with ``iverilog`` and, when that
 succeeds, simulates it against a test bench.  This module provides the
 same two entry points over our own frontend:
 
-* :func:`check_syntax` — lex + parse only (fast structural gate);
+* :func:`check_syntax` — lex + parse only (fast structural gate), of a
+  whole source or of the text after a prompt parsed once;
 * :func:`compile_design` — lex + parse + elaborate a top module;
 * :func:`run_simulation` — compile and simulate, returning printed output;
 * :func:`simulate_unit` — the same from an already parsed unit, so a
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from .ast import SourceUnit
 from .elaborate import BenchTemplate, Design, elaborate
 from .errors import VerilogError
-from .parser import parse
+from .parser import PromptPrefix, parse
 from .sim import SimResult, simulate
 
 
@@ -68,15 +69,18 @@ class CompileReport:
         return "\n".join(self.errors)
 
 
-def check_syntax(source: str, first_line: int = 1) -> CompileReport:
+def check_syntax(source: str, first_line: int = 1,
+                 prefix: PromptPrefix | None = None) -> CompileReport:
     """Parse-only check, the cheapest 'does it compile' gate.
 
     ``first_line`` numbers the source's first line (see
-    :func:`~repro.verilog.lexer.tokenize`).
+    :func:`~repro.verilog.lexer.tokenize`).  With ``prefix``,
+    ``source`` is the text after a prompt parsed once (see
+    :func:`~repro.verilog.parser.parse`).
     """
     started = time.perf_counter()
     try:
-        unit = parse(source, first_line)
+        unit = parse(source, first_line, prefix=prefix)
     except VerilogError as exc:
         return CompileReport(
             ok=False, errors=[str(exc)], stage="parse", line=exc.line,
@@ -92,14 +96,15 @@ def check_syntax(source: str, first_line: int = 1) -> CompileReport:
     )
 
 
-def compile_design(source: str, top: str | None = None) -> CompileReport:
+def compile_design(source: str, top: str | None = None,
+                   prefix: PromptPrefix | None = None) -> CompileReport:
     """Full compile: parse and elaborate ``top`` (default: last module).
 
     Elaboration catches the class of errors Icarus reports beyond syntax:
     undeclared identifiers, bad port connections, width-less parameters,
-    unknown modules.
+    unknown modules.  ``prefix`` is passed to :func:`check_syntax`.
     """
-    report = check_syntax(source)
+    report = check_syntax(source, prefix=prefix)
     if not report.ok:
         return report
     assert report.unit is not None

@@ -11,8 +11,10 @@ violation — this is the "compile check" gate of the evaluation pipeline.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import ast
-from .errors import ParseError
+from .errors import ParseError, VerilogError
 from .lexer import Token, tokenize
 
 # Binary operator precedence, higher binds tighter (LRM table 5-4).
@@ -123,8 +125,12 @@ class Parser:
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
-    def parse(self) -> ast.SourceUnit:
+    def parse(self, prefix: PromptPrefix | None = None) -> ast.SourceUnit:
+        """The source unit, or with ``prefix`` the unit of the prompt and
+        these tokens, which follow it."""
         unit = ast.SourceUnit()
+        if prefix is not None:
+            unit.modules.append(self._parse_module(prefix))
         while not self._check("EOF"):
             if self._check_kw("module"):
                 unit.modules.append(self._parse_module())
@@ -140,7 +146,24 @@ class Parser:
     # ------------------------------------------------------------------
     # Module
     # ------------------------------------------------------------------
-    def _parse_module(self) -> ast.Module:
+    def _parse_module(self, prefix: PromptPrefix | None = None) -> ast.Module:
+        """One module; with ``prefix``, the rest of the prefix's open
+        module, on copies of what the prompt declared in it."""
+        if prefix is None:
+            module, header_names = self._parse_module_header()
+        else:
+            module, header_names = prefix.resume()
+        while not self._check_kw("endmodule"):
+            if self._check("EOF"):
+                raise self._error("missing 'endmodule'")
+            self._parse_module_item(module, header_names)
+        self._expect("KEYWORD", "endmodule")
+        self._resolve_non_ansi_ports(module, header_names)
+        return module
+
+    def _parse_module_header(self) -> tuple[ast.Module, list[str]]:
+        """``module name #(...) (...);``: the module so far and the names
+        of its non-ANSI header ports."""
         start = self._expect("KEYWORD", "module")
         name = self._expect("ID").text
         module = ast.Module(name=name, line=start.line)
@@ -150,13 +173,7 @@ class Parser:
         if self._accept("OP", "("):
             self._parse_port_list(module, header_names)
         self._expect("OP", ";")
-        while not self._check_kw("endmodule"):
-            if self._check("EOF"):
-                raise self._error("missing 'endmodule'")
-            self._parse_module_item(module, header_names)
-        self._expect("KEYWORD", "endmodule")
-        self._resolve_non_ansi_ports(module, header_names)
-        return module
+        return module, header_names
 
     def _parse_module_params(self, module: ast.Module) -> None:
         self._expect("OP", "#")
@@ -869,10 +886,90 @@ class Parser:
         raise self._error(f"unexpected token {token.text!r} in expression")
 
 
-def parse(source: str, first_line: int = 1) -> ast.SourceUnit:
+@dataclass(frozen=True, slots=True)
+class PromptPrefix:
+    """A prompt parsed once, for :func:`parse` to continue from.
+
+    The prompt opens one module and ends at a module-item boundary
+    inside it.  ``module`` holds the header and the items the prompt
+    declares, ``header_names`` the header's non-ANSI port names and
+    ``next_line`` the line the text after the prompt starts on.  A
+    prefix is never changed: each parse resumes on copies of the
+    module's lists, so one prefix serves any number of parses, on any
+    thread.
+    """
+
+    module: ast.Module
+    header_names: tuple[str, ...]
+    next_line: int
+
+    def resume(self) -> tuple[ast.Module, list[str]]:
+        """A fresh open module equal to the prompt's, and its header
+        names, for the item loop to go on with."""
+        module = self.module
+        return ast.Module(
+            name=module.name, ports=list(module.ports),
+            params=list(module.params), decls=list(module.decls),
+            assigns=list(module.assigns),
+            always_blocks=list(module.always_blocks),
+            initial_blocks=list(module.initial_blocks),
+            instances=list(module.instances),
+            functions=list(module.functions), line=module.line,
+        ), list(self.header_names)
+
+
+class _WatchedTokens(list):
+    """A token list that notes each read of its last token, the EOF."""
+
+    read_eof = False
+
+    def __getitem__(self, index):
+        if index == len(self) - 1:
+            self.read_eof = True
+        return list.__getitem__(self, index)
+
+
+def prompt_prefix(prompt: str) -> PromptPrefix | None:
+    """``prompt`` parsed for :func:`parse` to continue from, or None.
+
+    There is a prefix when ``prompt`` ends with a newline, lexes
+    cleanly, and its tokens are one module's header and whole items,
+    each of which the parser ended without looking past the prompt.
+    Then no token and no item can cross the seam, and parsing the
+    prompt and a continuation together gives what the prefix and the
+    continuation give.  Any other prompt is left to a full parse, which
+    reports its errors where the whole source has them.
+    """
+    if not prompt.endswith("\n"):
+        return None
+    try:
+        tokens = _WatchedTokens(tokenize(prompt))
+        parser = Parser(tokens)
+        if not parser._check_kw("module"):
+            return None
+        module, header_names = parser._parse_module_header()
+        while not parser._check("EOF"):
+            if parser._check_kw("endmodule"):
+                return None
+            tokens.read_eof = False
+            parser._parse_module_item(module, header_names)
+            if tokens.read_eof:
+                return None  # the item looked for more, such as an 'else'
+    except (VerilogError, RecursionError):
+        return None  # the full parse reports it where it belongs
+    return PromptPrefix(module, tuple(header_names), tokens[-1].line)
+
+
+def parse(source: str, first_line: int = 1,
+          prefix: PromptPrefix | None = None) -> ast.SourceUnit:
     """Parse Verilog source text into an AST (lex + parse).
 
     ``first_line`` numbers the source's first line (see
-    :func:`~repro.verilog.lexer.tokenize`).
+    :func:`~repro.verilog.lexer.tokenize`).  With ``prefix`` (see
+    :func:`prompt_prefix`), ``source`` is the text that follows the
+    prompt: only it is lexed, from the prompt's next line, and the unit
+    is the one the prompt and ``source`` parse to together.
     """
-    return Parser(tokenize(source, first_line)).parse()
+    if prefix is None:
+        return Parser(tokenize(source, first_line)).parse()
+    return Parser(tokenize(source, prefix.next_line)).parse(prefix)

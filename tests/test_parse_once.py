@@ -169,12 +169,17 @@ def test_profiled_constructs_keep_bench_lines():
 
 
 def test_one_bench_parse_and_template_per_problem(monkeypatch):
-    parsed, built = [], []
+    parsed, built, prefixes = [], [], []
     original = compile_module.parse
+    original_prefix = pipeline.prompt_prefix
 
-    def counting_parse(source, first_line=1):
+    def counting_parse(source, first_line=1, prefix=None):
         parsed.append(first_line)
-        return original(source, first_line)
+        return original(source, first_line, prefix=prefix)
+
+    def counting_prefix(prompt):
+        prefixes.append(prompt)
+        return original_prefix(prompt)
 
     class CountingTemplate(BenchTemplate):
         __slots__ = ()
@@ -185,6 +190,7 @@ def test_one_bench_parse_and_template_per_problem(monkeypatch):
 
     monkeypatch.setattr(compile_module, "parse", counting_parse)
     monkeypatch.setattr(compile_module, "BenchTemplate", CountingTemplate)
+    monkeypatch.setattr(pipeline, "prompt_prefix", counting_prefix)
     evaluator = Evaluator()
     bodies = ["assign out = in;\nendmodule",
               "assign out = ~~in;\nendmodule",
@@ -198,6 +204,11 @@ def test_one_bench_parse_and_template_per_problem(monkeypatch):
     assert len(built) == 2
     assert {number: len(pool) for number, pool
             in evaluator._templates.items()} == {1: 1, 6: 1}
+    # one prefix per prompt: two problems at three levels
+    assert sorted(prefixes) == sorted(
+        problem.prompt_source(level)
+        for problem in (get_problem(1), get_problem(6))
+        for level in PromptLevel)
 
 
 def test_threads_sharing_an_evaluator_get_serial_verdicts():

@@ -281,6 +281,31 @@ class TestGoldenReferences:
             assert report.ok, (problem.slug, report.errors)
             assert not error_findings(findings), (problem.slug, findings)
 
+    def test_inferred_top_parses_once(self, monkeypatch):
+        import repro.verilog.compile as compile_module
+
+        parsed = []
+        original = compile_module.parse
+
+        def counting_parse(source, first_line=1, prefix=None):
+            parsed.append(source)
+            return original(source, first_line, prefix=prefix)
+
+        for problem in ALL_PROBLEMS:
+            source = problem.canonical_source()
+            top = infer_top(parse(source))
+            expected = compile_design(source, top=top)
+            monkeypatch.setattr(compile_module, "parse", counting_parse)
+            parsed.clear()
+            report, findings = analyze_source(source)
+            monkeypatch.undo()
+            assert parsed == [source]
+            assert report.ok and report.design.top == expected.design.top
+            assert (report.unit, report.errors, report.stage,
+                    report.line) == (expected.unit, expected.errors,
+                                     expected.stage, expected.line)
+            assert findings == analyze_source(source, top=top)[1]
+
     def test_reference_finding_snapshot(self):
         snapshot = {}
         for problem in ALL_PROBLEMS:
