@@ -3,17 +3,20 @@
 A coordinated fleet is only as fast as its slowest lease.  With
 shard-level leases, one slow worker that grabs a shard commits to the
 whole thing — every other worker finishes and idles while the straggler
-grinds through its half of the sweep.  Job-level leasing
-(``ShardCoordinator(lease_jobs=N)`` / ``coordinate --lease-jobs N``)
-bounds the damage: the straggler holds at most N jobs at a time, so the
+grinds through its half of the sweep.  Job-level leasing (a
+``ShardCoordinator`` over ``job_ranges(plan, N)`` / ``coordinate
+--lease-jobs N``) bounds the damage: the straggler holds at most N jobs at a time, so the
 fast workers absorb the rest of the plan and the wall-clock shrinks to
 roughly the straggler's *last unit*, not its whole shard.
 
 This script builds one plan, injects per-request latency into two
-pull-based workers — one slow, one fast — and runs the same fleet twice:
+pull-based workers — one slow, one fast — and runs the same fleet twice,
+through the one coordinator:
 
-* ``shard-level`` — the classic split (one lease per shard);
-* ``job-level``   — the same plan carved into ``--lease-jobs`` ranges.
+* ``shard-level`` — ``ShardPlanner(--shards).split(plan)`` (one lease
+  per strided shard);
+* ``job-level``   — ``job_ranges(plan, --lease-jobs)`` (one lease per
+  contiguous job range).
 
 Both runs must merge record-for-record identical to a serial run (the
 coordinator parity invariant); the reported speedup is
@@ -43,6 +46,7 @@ from repro.service import (
     ShardCoordinator,
     ShardPlanner,
     in_process_transport,
+    job_ranges,
     run_worker,
 )
 
@@ -71,12 +75,10 @@ def build_plan(args):
     return reference, SweepPlanner(reference).plan(config)
 
 
-def run_fleet(args, shards, lease_jobs):
-    """Two workers (one slow, one fast) drain one coordinator; returns
-    (wall seconds, merged result)."""
-    coordinator = ShardCoordinator(
-        shards, lease_seconds=300, lease_jobs=lease_jobs
-    )
+def run_fleet(args, units):
+    """Two workers (one slow, one fast) drain one coordinator serving
+    ``units``; returns (wall seconds, merged result)."""
+    coordinator = ShardCoordinator(units, lease_seconds=300)
     app = ServiceApp(Session(backend="stub"), coordinator=coordinator)
     model_names = tuple(args.models.split(","))
 
@@ -128,17 +130,18 @@ def main(argv=None) -> int:
 
     reference, plan = build_plan(args)
     serial = SweepExecutor(reference).run(plan)
-    shards = ShardPlanner(args.shards).split(plan)
     print(
         f"{len(plan.jobs)} jobs, straggler {args.slow_latency * 1000:.0f}ms"
         f"/req vs fast {args.fast_latency * 1000:.0f}ms/req; "
         f"{args.shards} shards vs lease_jobs={args.lease_jobs}"
     )
 
-    shard_time, shard_result = run_fleet(args, shards, lease_jobs=None)
+    shard_time, shard_result = run_fleet(
+        args, ShardPlanner(args.shards).split(plan)
+    )
     print(f"  shard-level: {shard_time:6.2f}s "
           f"({shard_result.stats['shards']} leases)")
-    job_time, job_result = run_fleet(args, shards, args.lease_jobs)
+    job_time, job_result = run_fleet(args, job_ranges(plan, args.lease_jobs))
     print(f"  job-level:   {job_time:6.2f}s "
           f"({job_result.stats['shards']} leases)")
 

@@ -16,20 +16,12 @@ Layering:
 * :mod:`~repro.agentic.loop`       — the per-sample repair chain;
 * :mod:`~repro.agentic.backend`    — :class:`RepairingBackend`, the
   Backend-protocol adapter that lets repair sweeps ride every existing
-  executor, the shard coordinator and the streaming server unchanged;
-* :mod:`~repro.agentic.jobs`       — :class:`RepairJob` planning and
-  the one-call :func:`execute_repair_sweep`.
+  executor, the shard coordinator and the streaming server unchanged
+  (``Session(repair=RepairConfig(...))`` wraps its backend in one).
 """
 
 from .backend import RepairingBackend
 from .feedback import format_feedback, lint_findings
-from .jobs import (
-    RepairJob,
-    RepairPlan,
-    RepairPlanner,
-    execute_repair_sweep,
-    run_repair_job,
-)
 from .loop import (
     RepairAttempt,
     RepairConfig,
@@ -42,17 +34,12 @@ from .transcript import Transcript, Turn
 __all__ = [
     "RepairAttempt",
     "RepairConfig",
-    "RepairJob",
     "RepairOutcome",
-    "RepairPlan",
-    "RepairPlanner",
     "RepairingBackend",
     "Transcript",
     "Turn",
     "evaluate_attempt",
-    "execute_repair_sweep",
     "format_feedback",
     "lint_findings",
     "repair_completion",
-    "run_repair_job",
 ]

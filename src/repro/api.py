@@ -363,7 +363,7 @@ class Session:
         lease_seconds: float = 300.0,
         lease_jobs: int | None = None,
     ):
-        """Plan a sweep, split it, and serve the shards to pull workers.
+        """Plan a sweep, cut it into units, and serve them to pull workers.
 
         Returns an :class:`~repro.service.aio.server.AsyncEvalService`
         whose app carries a
@@ -374,17 +374,20 @@ class Session:
         read the streamed-merge result from
         ``service.coordinator.result()`` once ``coordinator.done``.
 
-        ``lease_jobs=N`` switches to job-granular leasing: workers
-        lease consecutive ranges of at most N jobs instead of whole
-        shards, so one straggler re-balances finely.
+        The coordinator serves the units it is given: ``num_shards``
+        strided shards, or with ``lease_jobs=N`` contiguous ranges of
+        at most N jobs (``num_shards`` is then unused), so one
+        straggler re-balances finely.
         """
         from .service.aio import AsyncEvalService
         from .service.coordinator import ShardCoordinator
+        from .service.sharding import ShardPlanner, job_ranges
 
+        plan = self.plan(config, models=models)
         coordinator = ShardCoordinator(
-            self.plan_shards(num_shards, config, models=models),
+            job_ranges(plan, lease_jobs) if lease_jobs is not None
+            else ShardPlanner(num_shards).split(plan),
             lease_seconds=lease_seconds,
-            lease_jobs=lease_jobs,
         )
         return AsyncEvalService(
             self, host=host, port=port, coordinator=coordinator

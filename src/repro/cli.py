@@ -32,13 +32,13 @@ Commands:
   ``--backend service --url http://host:port``;
 * ``coordinate --shards K [--lease-jobs N] [--lease-seconds S]
   [--checkpoint FILE [--checkpoint-every N]] [--export PATH]
-  ...`` — plan a sweep, split it, and serve work units to pull-based
-  workers over HTTP, merging results as they stream in (no per-worker
-  index bookkeeping; expired leases are re-served); ``--lease-jobs N``
-  leases job ranges of at most N jobs instead of whole shards so one
-  straggler re-balances finely; ``--checkpoint`` persists state
-  atomically and resumes from the file on restart without re-running
-  merged units;
+  ...`` — plan a sweep, cut it into work units, and serve them to
+  pull-based workers over HTTP, merging results as they stream in (no
+  per-worker index bookkeeping; expired leases are re-served);
+  ``--lease-jobs N`` cuts contiguous ranges of N jobs, so one straggler
+  re-balances finely, and otherwise ``--shards K`` gives K strided
+  shards; ``--checkpoint`` persists state atomically and resumes from
+  the file on restart without re-running merged units;
 * ``work --url URL [--backend B] [--store DIR] [--executor E] ...`` —
   run one pull-based worker against a coordinator until the sweep is
   merged; each leased unit runs on the worker's executor, so
@@ -656,21 +656,22 @@ def _cmd_coordinate(args) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: unreadable checkpoint {args.checkpoint}: {exc}")
             return 2
-        # the checkpointed split wins over --shards, but lease timing is
-        # a serving knob: the flag on *this* run governs future leases
+        # the checkpointed units win over --shards/--lease-jobs, but
+        # lease timing is a serving knob: this run's flag governs
         coordinator.lease_seconds = args.lease_seconds
         restored = coordinator.status()
         print(f"resumed from {args.checkpoint}: "
               f"{restored['done']}/{restored['num_units']} units already "
               f"merged ({restored['records_merged']} records) — the "
-              f"checkpointed split wins over --shards/--lease-jobs")
+              f"checkpointed units win over --shards/--lease-jobs")
     if coordinator is None:
-        from .service import ShardCoordinator
+        from .service import ShardCoordinator, ShardPlanner, job_ranges
 
+        plan = session.plan(config, models=models)
         coordinator = ShardCoordinator(
-            session.plan_shards(args.shards or 1, config, models=models),
+            job_ranges(plan, args.lease_jobs) if args.lease_jobs is not None
+            else ShardPlanner(args.shards).split(plan),
             lease_seconds=args.lease_seconds,
-            lease_jobs=args.lease_jobs,
         )
     from .service import AsyncEvalService
 
@@ -678,13 +679,8 @@ def _cmd_coordinate(args) -> int:
         session, host=args.host, port=args.port, coordinator=coordinator
     )
     service.start()  # daemon-thread loop; resolves port 0
-    granularity = (
-        f"{coordinator.num_units} job-range units "
-        f"(<= {coordinator.lease_jobs} jobs each)"
-        if coordinator.lease_jobs is not None
-        else f"{coordinator.num_shards} shards"
-    )
-    print(f"shard coordinator on {service.url}: {granularity}, "
+    print(f"shard coordinator on {service.url}: "
+          f"{coordinator.num_units} units, "
           f"lease {coordinator.lease_seconds:.0f}s — point workers at it with "
           f"`python -m repro work --url {service.url}` (live status: "
           "GET /shard/status/stream)")
@@ -1133,12 +1129,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_config_flags(p)
     p.add_argument("--shards", type=_positive_int, default=None,
-                   help="how many shards to split the plan into "
-                        "(optional when --lease-jobs carves job ranges)")
+                   help="cut the plan into K strided shards "
+                        "(unused with --lease-jobs)")
     p.add_argument("--lease-jobs", type=_positive_int, default=None,
-                   help="lease job ranges of at most N jobs instead of "
-                        "whole shards — a straggling worker holds at "
-                        "most N jobs hostage")
+                   help="cut the plan into contiguous ranges of N jobs "
+                        "instead — a straggling worker holds at most N "
+                        "jobs hostage")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8076,
                    help="listening port (0 = pick a free one)")
@@ -1156,8 +1152,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persist coordinator state to this file (atomic) "
                         "and resume from it if it already exists")
     p.add_argument("--checkpoint-every", type=_positive_int, default=1,
-                   help="checkpoint after this many newly merged shards "
-                        "(default: every shard)")
+                   help="checkpoint after this many newly merged units "
+                        "(default: every unit)")
     _add_trace_flag(p)
     # no executor/worker/store flags: the coordinator plans and serves
     # shards but never executes jobs — those belong on `repro work`

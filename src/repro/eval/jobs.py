@@ -85,9 +85,9 @@ class JobError:
     ``"elaborate"``, ``"analysis"``, ``"sim"``, ``"testbench"``, or
     ``""`` when unclassified), ``exception`` is the raising exception's
     class name, and ``line`` the source line when the Verilog frontend
-    knew one.  ``code``/``path`` carry the netlist analyzer's finding
-    code and hierarchical signal path for ``stage="analysis"`` failures
-    (strict gate), empty otherwise.
+    knew one.  ``code``/``path`` carry the raising exception's ``code``
+    and ``path`` attributes (a netlist-analysis finding's code and
+    hierarchical signal path), empty otherwise.
 
     ``attempt_seconds`` is the per-attempt elapsed wall clock (one entry
     per attempt, in order) and ``backoff_seconds`` the total backoff the
@@ -138,11 +138,10 @@ def failure_from_exception(exc: BaseException) -> JobFailure:
 
     Backend trouble maps to stage ``"backend"``; the Verilog frontend's
     exception hierarchy maps to its pipeline stage and carries the
-    source line (plus finding code/path for the strict analysis gate).
+    source line (plus any ``code``/``path`` attributes it carries).
     Anything else keeps stage ``""`` (unclassified).
     """
     from ..verilog.errors import (
-        AnalysisError,
         ElaborationError,
         LexError,
         ParseError,
@@ -155,8 +154,6 @@ def failure_from_exception(exc: BaseException) -> JobFailure:
         stage = "parse"
     elif isinstance(exc, ElaborationError):
         stage = "elaborate"
-    elif isinstance(exc, AnalysisError):
-        stage = "analysis"
     elif isinstance(exc, SimulationError):
         stage = "sim"
     else:

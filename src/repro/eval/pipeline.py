@@ -33,7 +33,6 @@ from ..obs.profile import SimProfiler, maybe_sim_profiler, record_profile
 from ..problems import PASS_MARKER, Problem, PromptLevel
 from ..problems.spec import completion_source
 from ..verilog import (
-    AnalysisError,
     Finding,
     SourceUnit,
     analyze_design,
@@ -174,7 +173,6 @@ class Evaluator:
         max_steps: int = 2_000_000,
         store=None,
         analysis: bool = True,
-        strict_analysis: bool = False,
         compile_sim: bool = True,
     ):
         self.max_time = max_time
@@ -189,10 +187,6 @@ class Evaluator:
         #: simulation; error findings reject the design at
         #: stage="analysis" without ever starting the bench
         self.analysis = analysis
-        #: raise :class:`~repro.verilog.AnalysisError` instead of
-        #: returning a failed evaluation, so job runners surface a
-        #: structured JobError with stage/code/path
-        self.strict_analysis = strict_analysis
         self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
         #: per prompt text; see :meth:`_prompt`
         self._prompts: dict[str, _Prompt] = {}
@@ -268,11 +262,6 @@ class Evaluator:
             gate = error_findings(findings)
             if gate:
                 first = gate[0]
-                if self.strict_analysis:
-                    raise AnalysisError(
-                        first.message, line=first.line,
-                        code=first.code, path=first.path,
-                    )
                 # a comb loop would spin the simulator to its iteration
                 # limit; reject here in milliseconds instead.  The
                 # verdict booleans match what simulation would conclude

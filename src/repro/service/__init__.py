@@ -12,10 +12,11 @@ The subsystem that takes the job-based sweep stack of
   consumers :func:`iter_sweep_events`/:func:`stream_sweep`/
   :func:`iter_status_events`;
 * :mod:`repro.service.sharding` — :class:`ShardPlanner` /
-  :func:`merge_shard_results`: partition a plan across machines and
+  :func:`job_ranges` / :func:`merge_shard_results`: partition a plan
+  across machines (strided shards or contiguous job ranges) and
   recombine results record-for-record identical to a serial run;
 * :mod:`repro.service.coordinator` — :class:`ShardCoordinator`: lease
-  shards to pull-based workers (``/shard/next`` → ``/shard/result``)
+  the units of one partition to pull-based workers (``/shard/next`` → ``/shard/result``)
   and merge results as they stream in, no index bookkeeping required;
   :func:`run_worker` is the one worker, running each leased unit on its
   session's executor (``workers`` threads, or processes);
@@ -54,6 +55,7 @@ from .sharding import (
     PlanShard,
     ShardPlanner,
     assemble_slots,
+    job_ranges,
     load_shard_manifest,
     load_shard_result,
     merge_shard_files,
@@ -85,6 +87,7 @@ __all__ = [
     "default_worker_id",
     "http_transport",
     "in_process_transport",
+    "job_ranges",
     "run_worker",
     "load_checkpoint",
     "save_checkpoint",

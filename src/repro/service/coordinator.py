@@ -1,24 +1,24 @@
 """Shard coordinator: lease-based work distribution with streaming merge.
 
-PR 2's sharding made a sweep distributable, but each worker had to be
-told its ``--shard-index`` by hand and results were merged offline from
-files.  :class:`ShardCoordinator` removes both: one process owns the
-full :class:`~repro.service.sharding.ShardPlanner` split and serves it
-to *pull-based* workers over the wire routes (mounted on
+Sharding makes a sweep distributable, but on its own each worker must
+be told its ``--shard-index`` by hand and results are merged offline
+from files.  :class:`ShardCoordinator` removes both: one process owns a
+complete partition of the plan into
+:class:`~repro.service.sharding.PlanShard` units and serves them to
+*pull-based* workers over the wire routes (mounted on
 :class:`~repro.service.server.ServiceApp` and the asyncio server):
 
 * ``POST /shard/next``    — lease the next pending work unit;
 * ``POST /shard/result``  — submit one executed unit's result;
 * ``GET  /shard/status``  — progress: unit states, records merged.
 
-Work units come in two granularities.  By default a unit is a whole
-shard of the split.  With ``lease_jobs=N`` the coordinator re-carves
-the same plan into consecutive *job ranges* of at most N jobs — so one
-straggling worker holds at most N jobs hostage instead of a whole
-shard, and an expired lease re-balances just that range to the next
-``/shard/next`` caller.  Either way the unit manifests are ordinary
-:class:`~repro.service.sharding.PlanShard`s, so workers need no
-awareness of the granularity at all.
+The coordinator serves the units it is given; where the plan is cut is
+the caller's choice.  :meth:`ShardPlanner.split
+<repro.service.sharding.ShardPlanner.split>` gives K strided shards;
+:func:`~repro.service.sharding.job_ranges` gives contiguous ranges of
+at most N jobs, so one straggling worker holds at most N jobs hostage
+and an expired lease re-balances just that range.  Either way a unit is
+an ordinary manifest, so workers need no awareness of the cut.
 
 Results are merged *as they stream in*, using the exact semantics of
 :func:`~repro.service.sharding.merge_shard_results` (each submission is
@@ -26,7 +26,7 @@ attributed back to global plan positions via
 :func:`~repro.service.sharding.split_result_by_job`; assembly goes
 through :func:`~repro.service.sharding.assemble_slots`), so the final
 :class:`~repro.eval.jobs.SweepResult` is record-for-record identical to
-a serial run — the PR 2 merge invariant, now incremental.
+a serial run — the shard-merge invariant, made incremental.
 
 Fault tolerance is lease-based: every handout carries a deadline; a
 worker that vanishes simply never submits, and once its lease expires
@@ -52,7 +52,7 @@ import time
 from typing import Callable, Sequence
 
 from ..eval.export import sweep_result_from_dict, sweep_result_to_dict
-from ..eval.jobs import SweepPlan, SweepResult
+from ..eval.jobs import SweepResult
 from ..obs import REGISTRY, record_span
 from .sharding import (
     PlanShard,
@@ -78,51 +78,18 @@ SUPERSEDED_LEASE_CAP = 4
 _LEASE_ID_RE = re.compile(r"^lease-\d+-s(\d+)$")
 
 
-def _carve_job_units(
-    shards: Sequence[PlanShard], lease_jobs: int
-) -> tuple[dict[int, PlanShard], dict[int, object]]:
-    """Re-partition a complete shard set into consecutive job ranges.
-
-    Each unit is an ad-hoc :class:`PlanShard` of at most ``lease_jobs``
-    jobs, covering every global plan position exactly once in serial
-    order.  Skips never travel with job leases (they are plan facts,
-    not work), so they come back pre-filled against their global
-    positions for :func:`~repro.service.sharding.assemble_slots`.
-    """
-    jobs: dict[int, object] = {}
-    skips: dict[int, object] = {}
-    for shard in shards:
-        for index, job in zip(shard.job_indices, shard.plan.jobs):
-            jobs[index] = job
-        for index, skip in zip(shard.skip_indices, shard.plan.skipped):
-            skips[index] = skip
-    config = shards[0].plan.config
-    order = sorted(jobs)
-    num_units = -(-len(order) // lease_jobs)
-    units: dict[int, PlanShard] = {}
-    for start in range(0, len(order), lease_jobs):
-        indices = tuple(order[start : start + lease_jobs])
-        unit_index = len(units)
-        units[unit_index] = PlanShard(
-            shard_index=unit_index,
-            num_shards=num_units,
-            job_indices=indices,
-            skip_indices=(),
-            plan=SweepPlan(
-                jobs=[jobs[i] for i in indices], skipped=[], config=config
-            ),
-        )
-    return units, skips
-
-
 class ShardCoordinator:
-    """Serve a complete shard set to pull-based workers; merge inline.
+    """Serve a complete partition of one plan to pull-based workers;
+    merge inline.
 
-    ``lease_seconds`` bounds how long a handed-out unit may stay
-    unsubmitted before it is re-served; ``clock`` is injectable
-    (monotonic seconds) so tests can expire leases without waiting.
-    ``lease_jobs=N`` switches from shard-granular to job-granular
-    leasing: units become consecutive ranges of at most N jobs.
+    ``shards`` are the work units: every unit of one partition (same
+    ``num_shards``, indices ``0..num_shards-1``) covering each job and
+    skip position of the plan exactly once — a
+    :class:`~repro.service.sharding.ShardPlanner` split or a
+    :func:`~repro.service.sharding.job_ranges` cut.  ``lease_seconds``
+    bounds how long a handed-out unit may stay unsubmitted before it is
+    re-served; ``clock`` is injectable (monotonic seconds) so tests can
+    expire leases without waiting.
     """
 
     def __init__(
@@ -130,43 +97,36 @@ class ShardCoordinator:
         shards: Sequence[PlanShard],
         lease_seconds: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        lease_jobs: int | None = None,
     ):
         if not shards:
             raise ValueError("nothing to coordinate: empty shard set")
-        num_shards = shards[0].num_shards
+        num_units = shards[0].num_shards
         indices = {shard.shard_index for shard in shards}
+        jobs = sorted(i for shard in shards for i in shard.job_indices)
+        skips = sorted(i for shard in shards for i in shard.skip_indices)
         if (
-            len(shards) != num_shards
-            or {s.num_shards for s in shards} != {num_shards}
-            or indices != set(range(num_shards))
+            len(shards) != num_units
+            or {s.num_shards for s in shards} != {num_units}
+            or indices != set(range(num_units))
+            or jobs != list(range(len(jobs)))
+            or skips != list(range(len(skips)))
         ):
             raise ValueError(
-                "coordinator needs the complete shard set of one split "
+                "coordinator needs the complete shard set of one "
+                "partition, each job and skip position once "
                 f"(got {len(shards)} shards, indices {sorted(indices)}, "
-                f"num_shards={num_shards})"
+                f"num_shards={num_units})"
             )
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be > 0")
-        if lease_jobs is not None and lease_jobs < 1:
-            raise ValueError(
-                "lease_jobs must be >= 1 (or None for shard-level leases)"
-            )
         self.lease_seconds = lease_seconds
         self.clock = clock
-        self.shards = {shard.shard_index: shard for shard in shards}
-        self.num_shards = num_shards
-        self.lease_jobs = lease_jobs
+        self.units = {shard.shard_index: shard for shard in shards}
+        self.num_units = num_units
         self._lock = threading.Lock()
         self._job_slots: dict[int, object] = {}
         self._skip_slots: dict[int, object] = {}
-        if lease_jobs is None:
-            self._units: dict[int, PlanShard] = dict(self.shards)
-        else:
-            self._units, prefilled = _carve_job_units(shards, lease_jobs)
-            self._skip_slots.update(prefilled)
-        self.num_units = len(self._units)
-        self._state = {index: PENDING for index in self._units}
+        self._state = {index: PENDING for index in self.units}
         # live leases only (one per LEASED unit): lease_id -> (unit
         # index, worker_id, deadline); expired leases move to the
         # bounded _superseded tail so a slow worker's late submission
@@ -210,7 +170,7 @@ class ShardCoordinator:
                 self._live_lease[index] = lease_id
                 self._state[index] = LEASED
                 return {
-                    "shard": shard_to_dict(self._units[index]),
+                    "shard": shard_to_dict(self.units[index]),
                     "shard_index": index,
                     "lease_id": lease_id,
                     "lease_seconds": self.lease_seconds,
@@ -247,9 +207,7 @@ class ShardCoordinator:
         # decode + validate outside the lock: this is CPU work
         # proportional to unit size, and holding the lock through it
         # would stall every /shard/next poll in the fleet
-        shard_result = sweep_result_from_dict(result)
-        unit = self._units[index]
-        outcomes = split_result_by_job(unit.plan, shard_result)
+        shard_result, outcomes = self._decode(index, result)
         with self._lock:
             if self._state[index] is DONE:  # raced a concurrent submit
                 return self._duplicate_locked(index)
@@ -257,17 +215,7 @@ class ShardCoordinator:
                 lease_id
             )
             worker_id = entry[1] if entry is not None else "unknown"
-            for global_index, outcome in zip(unit.job_indices, outcomes):
-                self._job_slots[global_index] = outcome
-            for global_index, skip in zip(
-                unit.skip_indices, shard_result.skipped
-            ):
-                self._skip_slots[global_index] = skip
-            self._results[index] = shard_result
-            self._submitted_by[index] = worker_id
-            self._state[index] = DONE
-            self._retire_unit_leases_locked(index)
-            self._observe_merge_locked(index, worker_id, shard_result)
+            self._commit_locked(index, worker_id, shard_result, outcomes)
             return {
                 "accepted": True,
                 "duplicate": False,
@@ -276,6 +224,30 @@ class ShardCoordinator:
                 "done": self._done_locked(),
                 "remaining": self._remaining_locked(),
             }
+
+    def _decode(self, index: int, result: dict) -> tuple[SweepResult, list]:
+        """Unit ``index``'s submitted result and its per-job outcomes;
+        ``ValueError`` when the result does not match the unit's plan."""
+        shard_result = sweep_result_from_dict(result)
+        return shard_result, split_result_by_job(
+            self.units[index].plan, shard_result
+        )
+
+    def _commit_locked(
+        self, index: int, worker_id: str, shard_result: SweepResult,
+        outcomes: list,
+    ) -> None:
+        """Merge a validated result into the slots and mark unit DONE."""
+        unit = self.units[index]
+        for global_index, outcome in zip(unit.job_indices, outcomes):
+            self._job_slots[global_index] = outcome
+        for global_index, skip in zip(unit.skip_indices, shard_result.skipped):
+            self._skip_slots[global_index] = skip
+        self._results[index] = shard_result
+        self._submitted_by[index] = worker_id
+        self._state[index] = DONE
+        self._retire_unit_leases_locked(index)
+        self._observe_merge_locked(index, worker_id, shard_result)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -325,8 +297,8 @@ class ShardCoordinator:
             shard_rows = []
             jobs_done = 0
             store_hits = 0
-            for index in sorted(self._units):
-                unit = self._units[index]
+            for index in sorted(self.units):
+                unit = self.units[index]
                 row = {
                     "shard_index": index,
                     "state": self._state[index],
@@ -354,9 +326,7 @@ class ShardCoordinator:
                     )
                 shard_rows.append(row)
             return {
-                "num_shards": self.num_shards,
                 "num_units": self.num_units,
-                "lease_jobs": self.lease_jobs,
                 "pending": states[PENDING],
                 "leased": states[LEASED],
                 "done": states[DONE],
@@ -367,7 +337,7 @@ class ShardCoordinator:
                     if isinstance(outcome, list)
                 ),
                 "jobs_total": sum(
-                    len(unit.plan.jobs) for unit in self._units.values()
+                    len(unit.plan.jobs) for unit in self.units.values()
                 ),
                 "jobs_done": jobs_done,
                 "store_hits": store_hits,
@@ -405,31 +375,26 @@ class ShardCoordinator:
                 executor="coordinated",
             )
             merged.stats["leases_reclaimed"] = self._reclaimed
-            if self.lease_jobs is not None:
-                merged.stats["lease_jobs"] = self.lease_jobs
             return merged
 
     # ------------------------------------------------------------------
     # Checkpointing (restart a coordinator without re-running units)
     # ------------------------------------------------------------------
     def state_to_dict(self) -> dict:
-        """Serialize shards + completed results (leases do not survive:
+        """Serialize units + completed results (leases do not survive:
         an in-flight lease on restart just expires into a re-serve)."""
         with self._lock:
-            state = {
+            return {
                 "lease_seconds": self.lease_seconds,
                 "shards": [
-                    shard_to_dict(self.shards[index])
-                    for index in sorted(self.shards)
+                    shard_to_dict(self.units[index])
+                    for index in sorted(self.units)
                 ],
                 "completed": {
                     str(index): sweep_result_to_dict(result)
                     for index, result in sorted(self._results.items())
                 },
             }
-            if self.lease_jobs is not None:
-                state["lease_jobs"] = self.lease_jobs
-            return state
 
     @classmethod
     def from_state(
@@ -437,32 +402,30 @@ class ShardCoordinator:
         state: dict,
         clock: Callable[[], float] = time.monotonic,
     ) -> "ShardCoordinator":
-        lease_jobs = state.get("lease_jobs")
+        """Rebuild from :meth:`state_to_dict`: completed units are
+        validated and merged as a submission would be; every other unit
+        comes back pending, with no lease issued."""
+        unknown = sorted(set(state) - {"lease_seconds", "shards", "completed"})
+        if unknown:
+            # e.g. a job-range count: the completed units it numbers
+            # are not the units listed under "shards"
+            raise ValueError(
+                f"checkpoint has fields a coordinator does not restore: "
+                f"{unknown}; start a fresh checkpoint"
+            )
         coordinator = cls(
             [shard_from_dict(row) for row in state["shards"]],
             lease_seconds=float(state.get("lease_seconds", 300.0)),
             clock=clock,
-            lease_jobs=None if lease_jobs is None else int(lease_jobs),
         )
-        # restore in ascending index order: leases are handed out
-        # lowest-pending-first, so hunting for the target index always
-        # terminates (a checkpoint whose dict iterates out of order —
-        # e.g. re-serialized with sort_keys and 10+ units — must not
-        # strand the hunt on an already-leased lower index)
         for index, result in sorted(
             state.get("completed", {}).items(), key=lambda kv: int(kv[0])
         ):
-            lease = coordinator.next_shard("restore")
-            while lease["shard_index"] != int(index):
-                lease = coordinator.next_shard("restore")
-            coordinator.submit_result(lease["lease_id"], result)
-        # forget the placeholder leases for units we did not restore
-        with coordinator._lock:
-            for lease_id, (idx, _, _) in list(coordinator._leases.items()):
-                if coordinator._state[idx] is LEASED:
-                    coordinator._state[idx] = PENDING
-                    coordinator._live_lease.pop(idx, None)
-                    del coordinator._leases[lease_id]
+            shard_result, outcomes = coordinator._decode(int(index), result)
+            with coordinator._lock:
+                coordinator._commit_locked(
+                    int(index), "restore", shard_result, outcomes
+                )
         return coordinator
 
     # ------------------------------------------------------------------
@@ -482,7 +445,7 @@ class ShardCoordinator:
         match = _LEASE_ID_RE.match(lease_id)
         if match:
             index = int(match.group(1))
-            if index in self._units and self._state[index] is DONE:
+            if index in self.units and self._state[index] is DONE:
                 return index, "unknown"
         raise ValueError(f"unknown lease {lease_id!r}")
 
@@ -495,7 +458,7 @@ class ShardCoordinator:
         unit (``stats["elapsed_seconds"]``), so per-worker throughput
         reflects time actually spent executing, not merge latency.
         """
-        unit = self._units[index]
+        unit = self.units[index]
         try:
             busy = float(shard_result.stats.get("elapsed_seconds", 0.0))
         except (TypeError, ValueError):

@@ -4,8 +4,10 @@ The sweep is embarrassingly parallel at job granularity, so distribution
 is a partition of the planner's flat job list: :class:`ShardPlanner`
 deals jobs (and skip records) round-robin into ``num_shards``
 :class:`PlanShard`s — strided assignment balances the per-model cost
-differences that contiguous blocks would concentrate — and each shard
-carries the original plan positions of its jobs, so
+differences that contiguous blocks would concentrate — while
+:func:`job_ranges` cuts contiguous ranges of a fixed job count for
+fine-grained leasing.  Each shard carries the original plan positions
+of its jobs, so
 :func:`merge_shard_results` can reassemble records, skips and errors in
 exact serial-plan order.  The invariant (and the acceptance check) is::
 
@@ -80,6 +82,24 @@ class ShardPlanner:
                 )
             )
         return shards
+
+
+def job_ranges(plan: SweepPlan, size: int) -> list[PlanShard]:
+    """Cut ``plan`` into contiguous ranges of at most ``size`` jobs.
+
+    The ranges keep plan order, so a worker that stalls on one holds at
+    most ``size`` jobs; the plan's skips travel with the first range.
+    """
+    if size < 1:
+        raise ValueError("job range size must be >= 1")
+    starts = range(0, len(plan.jobs), size) or range(1)
+    units = []
+    for index, start in enumerate(starts):
+        job_indices = tuple(range(start, min(start + size, len(plan.jobs))))
+        skip_indices = tuple(range(len(plan.skipped))) if index == 0 else ()
+        units.append(PlanShard(index, len(starts), job_indices, skip_indices,
+                               plan.subset(job_indices, skip_indices)))
+    return units
 
 
 def split_result_by_job(
@@ -327,6 +347,7 @@ __all__ = [
     "PlanShard",
     "ShardPlanner",
     "assemble_slots",
+    "job_ranges",
     "load_shard_manifest",
     "load_shard_result",
     "merge_cache_counters",

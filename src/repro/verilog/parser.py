@@ -34,6 +34,12 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPS = frozenset(["+", "-", "!", "~", "&", "~&", "|", "~|", "^", "~^", "^~"])
 
+#: how deeply statements and expressions may nest.  A level costs the
+#: parser at most 7 stack frames, so a source at the cap parses the
+#: same however deep the caller's own stack already is (to several
+#: hundred frames), and one past it fails the same way everywhere.
+MAX_NESTING = 64
+
 
 def _based_digits_to_bits(base: str, digits: str) -> str:
     """Expand based-literal digits into an MSB-first 0/1/x/z string."""
@@ -70,6 +76,8 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: open statement and expression levels; see :meth:`_nest`
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -121,6 +129,14 @@ class Parser:
 
     def _error(self, message: str) -> ParseError:
         return ParseError(message, self.current.line, self.current.column)
+
+    def _nest(self) -> None:
+        """Open one more nesting level; the caller closes it with
+        ``self.depth -= 1``.  A failed parse leaves levels open, but a
+        parser is not used again after an error."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
 
     # ------------------------------------------------------------------
     # Top level
@@ -522,6 +538,12 @@ class Parser:
     # Statements
     # ------------------------------------------------------------------
     def _parse_statement(self) -> ast.Stmt:
+        self._nest()
+        stmt = self._parse_statement_kind()
+        self.depth -= 1
+        return stmt
+
+    def _parse_statement_kind(self) -> ast.Stmt:
         token = self.current
         if token.kind == "KEYWORD":
             text = token.text
@@ -734,7 +756,10 @@ class Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
     def _parse_expression(self) -> ast.Expr:
-        return self._parse_ternary()
+        self._nest()
+        expr = self._parse_ternary()
+        self.depth -= 1
+        return expr
 
     def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(1)
@@ -757,14 +782,18 @@ class Parser:
             if precedence is None or precedence < min_precedence:
                 return lhs
             self.pos += 1
+            self._nest()
             rhs = self._parse_binary(precedence + 1)
+            self.depth -= 1
             lhs = ast.Binary(op=token.text, lhs=lhs, rhs=rhs, line=token.line)
 
     def _parse_unary(self) -> ast.Expr:
         token = self.tokens[self.pos]
         if token.kind == "OP" and token.text in _UNARY_OPS:
             self.pos += 1
+            self._nest()
             operand = self._parse_unary()
+            self.depth -= 1
             return ast.Unary(op=token.text, operand=operand, line=token.line)
         return self._parse_postfix()
 

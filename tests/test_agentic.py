@@ -8,14 +8,10 @@ import pytest
 
 from repro.agentic import (
     RepairConfig,
-    RepairJob,
-    RepairPlanner,
     RepairingBackend,
     Transcript,
-    execute_repair_sweep,
     format_feedback,
     repair_completion,
-    run_repair_job,
 )
 from repro.api import Session
 from repro.backends import LocalZooBackend
@@ -50,6 +46,14 @@ SMALL = SweepConfig(
     levels=(PromptLevel.MEDIUM,),
     problem_numbers=(1, 2, 3),
 )
+
+
+def repair_sweep(budget, repair_rate=1.0, **session):
+    """SMALL swept with ``budget`` repair rounds per failing sample."""
+    return Session(
+        repair_zoo(repair_rate), repair=RepairConfig(budget=budget),
+        **session,
+    ).run_sweep(SMALL)
 
 
 def export_rows(result):
@@ -293,12 +297,8 @@ class TestRepairingBackend:
         ]
 
     def test_budget_strictly_improves_pass_rate(self):
-        base = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=0), config=SMALL
-        )
-        repaired = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL
-        )
+        base = repair_sweep(0)
+        repaired = repair_sweep(2)
         passed = lambda result: sum(  # noqa: E731
             r.passed for r in result.sweep.records
         )
@@ -307,10 +307,7 @@ class TestRepairingBackend:
     def test_pass_count_monotone_in_budget(self):
         counts = []
         for budget in (0, 1, 2):
-            result = execute_repair_sweep(
-                repair_zoo(0.5), repair=RepairConfig(budget=budget),
-                config=SMALL,
-            )
+            result = repair_sweep(budget, repair_rate=0.5)
             counts.append(sum(r.passed for r in result.sweep.records))
         assert counts == sorted(counts)
 
@@ -350,30 +347,38 @@ class TestRepairingBackend:
 
 
 # ----------------------------------------------------------------------
-# Repair jobs and planning
+# Repair sweeps and attempt histories
 # ----------------------------------------------------------------------
-class TestRepairJobs:
-    def test_planner_decorates_the_plain_plan(self):
+class TestRepairSweeps:
+    def test_session_repair_sweep_plans_the_plain_plan(self):
         backend = repair_zoo()
-        planner = RepairPlanner(backend, RepairConfig(budget=2))
-        rplan = planner.plan(SMALL)
-        assert all(isinstance(j, RepairJob) for j in rplan.jobs)
-        assert all(j.budget == 2 for j in rplan.jobs)
-        assert rplan.plan.jobs == SweepPlanner(backend).plan(SMALL).jobs
+        session = Session(backend, repair=RepairConfig(budget=2))
+        assert isinstance(session.backend, RepairingBackend)
+        assert session.plan(SMALL).jobs == SweepPlanner(backend).plan(
+            SMALL).jobs
+        result = session.run_sweep(SMALL)
+        assert len(result.sweep.records) == sum(
+            job.n for job in session.plan(SMALL).jobs)
 
-    def test_run_repair_job_returns_histories(self):
+    def test_repair_completion_returns_histories(self):
         backend = repair_zoo()
-        job = GenerationJob(
-            model=backend.models()[0], base_model=MODEL, fine_tuned=False,
-            problem=1, level=PromptLevel.MEDIUM, temperature=0.5, n=2,
-            max_tokens=300,
-        )
-        records, outcomes = run_repair_job(
-            backend, Evaluator(), RepairJob(job=job, budget=2)
-        )
-        assert len(records) == 2 and len(outcomes) == 2
-        for record, outcome in zip(records, outcomes):
-            assert record.passed == outcome.passed
+        model = backend.models()[0]
+        problem = get_problem(1)
+        prompt = problem.prompt(PromptLevel.MEDIUM)
+        config = GenerationConfig(temperature=0.5, n=2)
+        outcomes = [
+            repair_completion(
+                backend, model, problem, PromptLevel.MEDIUM, prompt,
+                completion, config, RepairConfig(budget=2), Evaluator(),
+            )
+            for completion in backend.generate(model, prompt, config)
+        ]
+        assert len(outcomes) == 2
+        for outcome in outcomes:
+            assert 1 <= len(outcome.attempts) <= 3  # budget 2
+            final = Evaluator().evaluate(
+                problem, outcome.completion.text, PromptLevel.MEDIUM)
+            assert final.passed == outcome.passed
 
 
 # ----------------------------------------------------------------------
@@ -381,15 +386,10 @@ class TestRepairJobs:
 # ----------------------------------------------------------------------
 class TestRepairSweepParity:
     def serial(self):
-        return execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL
-        )
+        return repair_sweep(2)
 
     def test_thread_pool_matches_serial(self):
-        threaded = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL,
-            workers=3,
-        )
+        threaded = repair_sweep(2, workers=3)
         assert export_rows(threaded) == export_rows(self.serial())
 
     def test_process_pool_matches_serial(self, tmp_path):
@@ -457,15 +457,9 @@ class TestRepairSweepParity:
 class TestRepairWarmStore:
     def test_warm_store_skips_all_resimulation(self, tmp_path):
         store_dir = str(tmp_path / "verdicts")
-        cold = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL,
-            store=store_dir,
-        )
+        cold = repair_sweep(2, store=store_dir)
         assert cold.stats["evaluator_cache"]["misses"] > 0
-        warm = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL,
-            store=store_dir,
-        )
+        warm = repair_sweep(2, store=store_dir)
         assert warm.stats["evaluator_cache"]["misses"] == 0
         assert warm.stats["evaluator_cache"]["store_hits"] > 0
         assert export_rows(warm) == export_rows(cold)
@@ -505,9 +499,7 @@ class TestAttemptStreaming:
         assert attempts, "repair rounds should surface as attempt frames"
         assert {"model", "problem", "round", "verdict",
                 "transcript_hash"} <= set(attempts[0])
-        serial = execute_repair_sweep(
-            repair_zoo(), repair=RepairConfig(budget=2), config=SMALL
-        )
+        serial = repair_sweep(2)
         assembled = assemble_stream_result(frames)
         assert export_rows(assembled) == export_rows(serial)
 

@@ -14,9 +14,8 @@ from repro.eval import (
     targets_from_problems,
 )
 from repro.eval.export import error_from_dict, error_to_dict
-from repro.eval.jobs import GenerationJob, failure_from_exception, make_job_error
+from repro.eval.jobs import GenerationJob, JobFailure, make_job_error
 from repro.problems import ALL_PROBLEMS, PromptLevel
-from repro.verilog import AnalysisError
 
 SIMPLE_WIRE = ALL_PROBLEMS[0]
 
@@ -62,39 +61,20 @@ class TestAnalysisGate:
         )
         assert ungated.stage != "analysis"
 
-    def test_strict_mode_raises_structured_error(self):
-        with pytest.raises(AnalysisError) as info:
-            Evaluator(strict_analysis=True).evaluate(
-                SIMPLE_WIRE, LOOP_COMPLETION
-            )
-        assert info.value.code == "comb-loop"
-        assert info.value.path
-        assert info.value.line
-
-    def test_strict_error_classifies_as_analysis_job_failure(self):
-        try:
-            Evaluator(strict_analysis=True).evaluate(
-                SIMPLE_WIRE, LOOP_COMPLETION
-            )
-        except AnalysisError as exc:
-            failure = failure_from_exception(exc)
-        assert failure.stage == "analysis"
-        assert failure.code == "comb-loop"
-        assert failure.path and failure.line
-
     def test_job_error_carries_code_and_path(self):
         job = GenerationJob(
             model="m", base_model="m", fine_tuned=False,
             problem=SIMPLE_WIRE.number, level=PromptLevel.LOW,
             temperature=0.1, n=1, max_tokens=100,
         )
-        try:
-            Evaluator(strict_analysis=True).evaluate(
-                SIMPLE_WIRE, LOOP_COMPLETION
-            )
-        except AnalysisError as exc:
-            error = make_job_error(job, failure_from_exception(exc), 1)
-        assert (error.stage, error.code) == ("analysis", "comb-loop")
+        failure = JobFailure(
+            message="AnalysisError: combinational loop", stage="analysis",
+            exception="AnalysisError", line=3, code="comb-loop",
+            path="dut.loop",
+        )
+        error = make_job_error(job, failure, 1)
+        assert (error.stage, error.code, error.path) == (
+            "analysis", "comb-loop", "dut.loop")
         assert error_from_dict(error_to_dict(error)) == error
 
 

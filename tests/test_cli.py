@@ -359,8 +359,8 @@ class TestCoordinateAndWorkCommands:
         code = main(["coordinate"])
         assert code == 2
         assert "--shards" in capsys.readouterr().out
-        # either granularity flag alone satisfies the parser; the
-        # lease-jobs path defaults the split to one shard
+        # either flag alone satisfies the parser; a range cut needs
+        # no shard count
         args = build_parser().parse_args(["coordinate", "--lease-jobs", "5"])
         assert args.shards is None and args.lease_jobs == 5
 
@@ -607,6 +607,40 @@ class TestStreamingAndStoreCLI:
         assert json.load(open(merged_path)) == json.loads(
             sweep_to_json(serial.sweep)
         )
+
+    def test_coordinate_refuses_a_lease_jobs_checkpoint(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        from repro.api import Session
+        from repro.eval import SweepConfig
+        from repro.problems import PromptLevel
+        from repro.service import ShardCoordinator
+
+        # a coordinator that carved job ranges itself checkpointed its
+        # split plus the range size
+        config = SweepConfig(
+            temperatures=(0.1,), completions_per_prompt=(2,),
+            levels=(PromptLevel.LOW,), problem_numbers=(1, 2),
+        )
+        state = ShardCoordinator(
+            Session(backend="stub-canonical").plan_shards(2, config)
+        ).state_to_dict()
+        state["lease_jobs"] = 3
+        checkpoint = tmp_path / "coordinator.json"
+        checkpoint.write_text(json.dumps(state))
+        code = main([
+            "coordinate", "--lease-jobs", "3",
+            "--backend", "stub-canonical",
+            "--problems", "1,2", "--temperatures", "0.1",
+            "--n", "2", "--levels", "L",
+            "--port", "0", "--linger-seconds", "0",
+            "--checkpoint", str(checkpoint),
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "unreadable checkpoint" in out and "lease_jobs" in out
 
     def test_store_pack_unpack_info(self, capsys, tmp_path):
         store_dir = tmp_path / "verdicts"

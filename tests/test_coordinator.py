@@ -16,6 +16,7 @@ from repro.service import (
     ShardCoordinator,
     ShardPlanner,
     in_process_transport,
+    job_ranges,
     run_worker,
 )
 
@@ -140,7 +141,7 @@ class TestCoordinatorUnit:
         )
         coordinator.next_shard("w2")
         status = coordinator.status()
-        assert status["num_shards"] == 3
+        assert status["num_units"] == 3
         assert (status["done"], status["leased"], status["pending"]) == (1, 1, 1)
         assert status["complete"] is False
         assert status["records_merged"] > 0
@@ -613,45 +614,50 @@ class TestEnrichedStatus:
 
 
 class TestJobLeasing:
-    """Tentpole: job-granular units — a straggler holds at most
-    lease_jobs jobs, and expired job leases re-balance individually."""
+    """Job-granular units: a ``job_ranges`` cut leases contiguous
+    ranges, so a straggler holds at most N jobs and expired leases
+    re-balance individually."""
+
+    @staticmethod
+    def make_ranges(size):
+        session = Session(backend="zoo")
+        plan = session.plan(CONFIG, models=MODELS)
+        return plan, job_ranges(plan, size)
 
     def test_units_cover_the_plan_in_ranges(self):
-        plan, shards = make_split(3)
-        coordinator = ShardCoordinator(shards, lease_jobs=4)
+        plan, units = self.make_ranges(4)
+        coordinator = ShardCoordinator(units)
         status = coordinator.status()
         expected_units = -(-len(plan.jobs) // 4)
         assert coordinator.num_units == expected_units
         assert status["num_units"] == expected_units
-        assert status["lease_jobs"] == 4
         assert status["jobs_total"] == len(plan.jobs)
         # every global job position exactly once, in consecutive ranges
         covered = []
-        for index in sorted(coordinator._units):
-            unit = coordinator._units[index]
+        for unit in units:
             assert len(unit.plan.jobs) <= 4
-            assert unit.plan.skipped == []  # skips never travel with jobs
             covered.extend(unit.job_indices)
         assert covered == list(range(len(plan.jobs)))
         # units serve the global plan's jobs in serial order
-        assert [
-            job
-            for index in sorted(coordinator._units)
-            for job in coordinator._units[index].plan.jobs
-        ] == plan.jobs
+        assert [job for unit in units for job in unit.plan.jobs] == plan.jobs
+        # each skip travels with exactly one unit
+        assert plan.skipped
+        assert [i for unit in units for i in unit.skip_indices] == list(
+            range(len(plan.skipped))
+        )
 
     def test_lease_jobs_validated(self):
-        _, shards = make_split(1)
-        with pytest.raises(ValueError, match="lease_jobs"):
-            ShardCoordinator(shards, lease_jobs=0)
+        plan, _ = self.make_ranges(1)
+        with pytest.raises(ValueError, match="size"):
+            job_ranges(plan, 0)
+        with pytest.raises(ValueError, match="size"):
+            Session(backend="zoo").coordinate(1, CONFIG, port=0, lease_jobs=0)
 
     @pytest.mark.parametrize("lease_jobs", [1, 4, 100])
     def test_worker_parity_with_job_leases(self, lease_jobs):
-        plan, shards = make_split(2)
+        plan, units = self.make_ranges(lease_jobs)
         serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
-        coordinator = ShardCoordinator(
-            shards, lease_seconds=60, lease_jobs=lease_jobs
-        )
+        coordinator = ShardCoordinator(units, lease_seconds=60)
         summary = run_worker(
             transport=in_process_transport(
                 ServiceApp(Session(backend="zoo"), coordinator=coordinator)
@@ -664,15 +670,15 @@ class TestJobLeasing:
         assert merged.sweep.records == serial.sweep.records
         assert merged.skipped == serial.skipped
         assert merged.errors == serial.errors
-        assert merged.stats["lease_jobs"] == lease_jobs
+        assert merged.stats["shards"] == len(units)
 
     def test_async_executor_worker_parity_with_job_leases(self):
         # the worker runs each leased unit on its session's executor:
         # a four-thread session fans every unit out over its pool and
         # the merge still equals the serial sweep record for record
-        plan, shards = make_split(2)
+        plan, units = self.make_ranges(3)
         serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
-        coordinator = ShardCoordinator(shards, lease_seconds=60, lease_jobs=3)
+        coordinator = ShardCoordinator(units, lease_seconds=60)
         summary = Session(backend="zoo", executor="thread", workers=4).work(
             transport=in_process_transport(
                 ServiceApp(Session(backend="zoo"), coordinator=coordinator)
@@ -693,11 +699,9 @@ class TestJobLeasing:
         """Acceptance: a stalled worker's expired lease re-serves just
         its job range — the rest of the sweep never waits for it."""
         clock = FakeClock()
-        plan, shards = make_split(2)
+        plan, units = self.make_ranges(3)
         serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
-        coordinator = ShardCoordinator(
-            shards, lease_seconds=30, clock=clock, lease_jobs=3
-        )
+        coordinator = ShardCoordinator(units, lease_seconds=30, clock=clock)
         stalled = coordinator.next_shard("straggler")
         stalled_jobs = tuple(stalled["shard"]["job_indices"])
         assert len(stalled_jobs) <= 3
@@ -738,9 +742,9 @@ class TestJobLeasing:
         from repro.service.sharding import shard_from_dict
 
         checkpoint = str(tmp_path / "coordinator.json")
-        plan, shards = make_split(2)
+        plan, units = self.make_ranges(5)
         serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
-        coordinator = ShardCoordinator(shards, lease_jobs=5)
+        coordinator = ShardCoordinator(units)
         lease = coordinator.next_shard("w")
         coordinator.submit_result(
             lease["lease_id"],
@@ -749,7 +753,7 @@ class TestJobLeasing:
         save_checkpoint(coordinator, checkpoint)
 
         restored = load_checkpoint(checkpoint)
-        assert restored.lease_jobs == 5
+        assert restored.units == coordinator.units
         assert restored.status()["done"] == 1
         while not restored.done:
             lease = restored.next_shard("w2")
@@ -762,6 +766,83 @@ class TestJobLeasing:
         merged = restored.result()
         assert merged.sweep.records == serial.sweep.records
         assert merged.skipped == serial.skipped
+
+
+class TestOnePartition:
+    """The coordinator serves any complete partition it is given and
+    refuses anything else."""
+
+    def test_accepts_a_split_and_a_range_cut_alike(self):
+        plan, shards = make_split(3)
+        serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
+        for units in (shards, job_ranges(plan, 4)):
+            coordinator = ShardCoordinator(units)
+            while not coordinator.done:
+                lease = coordinator.next_shard("w")
+                coordinator.submit_result(
+                    lease["lease_id"],
+                    sweep_result_to_dict(
+                        run_shard(units[lease["shard_index"]])
+                    ),
+                )
+            merged = coordinator.result()
+            assert merged.sweep.records == serial.sweep.records
+            assert merged.skipped == serial.skipped
+
+    def test_rejects_a_mixed_unit_set(self):
+        # two units each, indices 0 and 1, but from different cuts:
+        # the job positions overlap and leave gaps
+        plan, shards = make_split(2)
+        ranges = job_ranges(plan, -(-len(plan.jobs) // 2))
+        assert len(ranges) == 2
+        with pytest.raises(ValueError, match="complete shard set"):
+            ShardCoordinator([shards[0], ranges[1]])
+        with pytest.raises(ValueError, match="complete shard set"):
+            ShardCoordinator([ranges[0], shards[1]])
+
+    def test_from_state_issues_no_leases(self):
+        _, shards = make_split(3)
+        coordinator = ShardCoordinator(shards)
+        lease = coordinator.next_shard("w")
+        coordinator.submit_result(
+            lease["lease_id"],
+            sweep_result_to_dict(run_shard(shards[lease["shard_index"]])),
+        )
+        restored = ShardCoordinator.from_state(coordinator.state_to_dict())
+        assert restored._lease_counter == 0
+        assert restored._leases == {} and restored._live_lease == {}
+        assert restored.status()["leases"] == []
+        assert restored.status()["workers"][0]["worker_id"] == "restore"
+
+    def test_checkpoint_with_lease_jobs_is_refused(self):
+        # a job-range checkpoint lists the split and a range size, and
+        # numbers its completed units by range
+        _, shards = make_split(2)
+        state = ShardCoordinator(shards).state_to_dict()
+        state["lease_jobs"] = 3
+        state["completed"] = {}
+        with pytest.raises(ValueError, match="lease_jobs"):
+            ShardCoordinator.from_state(state)
+
+    def test_shard_level_checkpoint_loads(self, tmp_path):
+        import json
+
+        from repro.service import load_checkpoint, shard_to_dict
+
+        # the on-disk schema of a shard-level checkpoint
+        _, shards = make_split(2)
+        result = run_shard(shards[1])
+        path = tmp_path / "shard-level.json"
+        path.write_text(json.dumps({
+            "lease_seconds": 42.0,
+            "shards": [shard_to_dict(shard) for shard in shards],
+            "completed": {"1": sweep_result_to_dict(result)},
+        }))
+        restored = load_checkpoint(str(path))
+        status = restored.status()
+        assert restored.lease_seconds == 42.0
+        assert (status["done"], status["pending"]) == (1, 1)
+        assert status["shards"][1]["records"] == len(result.sweep)
 
 
 class TestLeasePruning:

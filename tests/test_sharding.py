@@ -10,6 +10,7 @@ from repro.problems import PromptLevel
 from repro.service import (
     PlanShard,
     ShardPlanner,
+    job_ranges,
     load_shard_manifest,
     load_shard_result,
     merge_shard_files,
@@ -72,6 +73,47 @@ class TestShardPlanner:
     def test_num_shards_validated(self):
         with pytest.raises(ValueError):
             ShardPlanner(0)
+
+
+class TestJobRanges:
+    def test_paper_plan_cuts_into_the_fleet_leases(self):
+        # the seed-0 paper sweep: 1,122 jobs, no skips, 22 leases of <=51
+        plan = SweepPlanner(LocalZooBackend(seed=0)).plan(
+            SweepConfig(temperatures=(0.1, 0.5))
+        )
+        assert (len(plan.jobs), len(plan.skipped)) == (1122, 0)
+        units = job_ranges(plan, 51)
+        assert [unit.job_indices for unit in units] == [
+            tuple(range(start, min(start + 51, 1122)))
+            for start in range(0, 1122, 51)
+        ]
+        assert len(units) == 22
+        assert [(u.shard_index, u.num_shards) for u in units] == [
+            (index, 22) for index in range(22)
+        ]
+        assert [job for u in units for job in u.plan.jobs] == plan.jobs
+
+    def test_each_skip_lands_in_exactly_one_range(self):
+        plan = SweepPlanner(zoo()).plan(CONFIG)
+        assert plan.skipped
+        units = job_ranges(plan, 5)
+        assert [i for u in units for i in u.skip_indices] == list(
+            range(len(plan.skipped))
+        )
+        assert [s for u in units for s in u.plan.skipped] == plan.skipped
+
+    def test_a_plan_of_skips_only_is_one_unit(self):
+        plan = SweepPlanner(zoo()).plan(CONFIG)
+        only_skips = plan.subset((), range(len(plan.skipped)))
+        units = job_ranges(only_skips, 4)
+        assert len(units) == 1
+        assert units[0].job_indices == ()
+        assert units[0].plan.skipped == plan.skipped
+
+    def test_size_validated(self):
+        plan = SweepPlanner(zoo()).plan(CONFIG)
+        with pytest.raises(ValueError, match="size"):
+            job_ranges(plan, 0)
 
 
 class TestMergeParity:
