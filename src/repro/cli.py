@@ -43,9 +43,10 @@ Commands:
   run one pull-based worker against a coordinator until the sweep is
   merged; each leased unit runs on the worker's executor, so
   ``--executor thread --workers N`` keeps N of its jobs in flight;
-* ``store {pack,compact,unpack,info} DIR`` — compact a verdict store's
-  one-file-per-verdict directory into a single JSONL pack (and back);
-  ``compact`` rewrites the pack without shadowed duplicate lines;
+* ``store {pack,compact,unpack,info} DIR`` — fold a verdict store's
+  finished writer segments into a single JSONL pack (``unpack`` turns
+  the pack into per-verdict files); ``compact`` rewrites the pack
+  without shadowed duplicate lines;
 * ``tables [--backend B] [--workers W]`` — run the full sweep and print
   Tables III/IV + headlines + executor stats;
 * ``stats TRACE ... [--json]`` — summarize trace files written by
@@ -805,7 +806,7 @@ def _cmd_store(args) -> int:
     if args.action == "pack":
         packed = store.pack()
         stats = store.stats()
-        print(f"packed {packed} verdict file(s) into {store.pack_path} "
+        print(f"packed {packed} verdict(s) into {store.pack_path} "
               f"({stats['entries']} entries total)")
     elif args.action == "compact":
         removed = store.compact()
@@ -819,7 +820,8 @@ def _cmd_store(args) -> int:
     else:  # info
         stats = store.stats()
         print(f"store {store.path}: {stats['entries']} entries "
-              f"({stats['files']} files, {stats['packed']} packed)")
+              f"({stats['files']} files, {stats['segments']} segments, "
+              f"{stats['packed']} packed)")
     return 0
 
 
@@ -1199,9 +1201,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="manage an on-disk verdict store (pack/compact/unpack/info)",
     )
     p.add_argument("action", choices=("pack", "compact", "unpack", "info"),
-                   help="pack: fold verdict files into one JSONL; compact: "
-                        "rewrite the pack without shadowed duplicate lines; "
-                        "unpack: restore files; info: entry counts")
+                   help="pack: fold the segments of finished writers "
+                        "(and any per-verdict files) into one JSONL, safe "
+                        "on a live store; compact: rewrite the pack "
+                        "without shadowed duplicate lines; unpack: the "
+                        "pack back into per-verdict files; info: entry "
+                        "counts and files by form")
     p.add_argument("dir", help="verdict store directory (from --store)")
 
     p = sub.add_parser("tables", help="run the full sweep; print Tables III/IV")

@@ -18,6 +18,7 @@ import io
 import json
 
 from ..problems import Difficulty, PromptLevel
+from ..verilog import finding_from_dict, finding_to_dict
 from .harness import CompletionRecord, Sweep, SweepConfig
 
 _LEVEL_BY_VALUE = {str(level): level for level in PromptLevel}
@@ -230,8 +231,6 @@ def config_from_dict(row: dict) -> SweepConfig:
 # ----------------------------------------------------------------------
 def evaluation_to_dict(evaluation) -> dict:
     """Serialize one :class:`~repro.eval.pipeline.CompletionEvaluation`."""
-    from ..verilog import finding_to_dict
-
     return {
         "compiled": evaluation.compiled,
         "passed": evaluation.passed,
@@ -244,7 +243,6 @@ def evaluation_to_dict(evaluation) -> dict:
 
 
 def evaluation_from_dict(row: dict):
-    from ..verilog import finding_from_dict
     from .pipeline import CompletionEvaluation
 
     return CompletionEvaluation(

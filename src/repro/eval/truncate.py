@@ -10,7 +10,29 @@ from __future__ import annotations
 
 import re
 
-_ENDMODULE_RE = re.compile(r"\bendmodule\b")
+#: ``\bendmodule\b`` without its leading ``\b``: a pattern that starts
+#: with a literal lets the regex engine skip ahead to each ``endmodule``
+#: instead of trying a match at every position; :func:`_endmodule_end`
+#: checks the leading boundary itself.
+_ENDMODULE_RE = re.compile(r"endmodule\b")
+
+
+def _endmodule_end(text: str) -> int:
+    r"""End offset of the first ``\bendmodule\b`` in ``text``, or -1.
+
+    A candidate preceded by a word character (``\w`` is ``isalnum()``
+    or ``_``) is rejected and the search resumes one character later; a
+    rejected candidate cannot hide an accepted one, since two matches of
+    ``endmodule\b`` never overlap.
+    """
+    match = _ENDMODULE_RE.search(text)
+    while match is not None:
+        start = match.start()
+        before = text[start - 1] if start else " "
+        if not (before.isalnum() or before == "_"):
+            return match.end()
+        match = _ENDMODULE_RE.search(text, start + 1)
+    return -1
 
 
 def truncate_completion(text: str) -> str:
@@ -19,11 +41,9 @@ def truncate_completion(text: str) -> str:
     A completion with no ``endmodule`` is returned unchanged (it will fail
     the compile gate on its own).
     """
-    match = _ENDMODULE_RE.search(text)
-    if match is None:
-        return text
-    return text[: match.end()]
+    end = _endmodule_end(text)
+    return text if end < 0 else text[:end]
 
 
 def has_endmodule(text: str) -> bool:
-    return _ENDMODULE_RE.search(text) is not None
+    return _endmodule_end(text) >= 0

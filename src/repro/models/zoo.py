@@ -34,7 +34,7 @@ from .base import (
     REPAIR_FEEDBACK_MARKER,
     stable_hash,
 )
-from .calibration import resolve_rates
+from .calibration import RatePoint, resolve_rates
 from .mutations import break_syntax, broken_completion, cosmetic_variant
 
 _MODULE_HEADER_RE = re.compile(r"\bmodule\s+([A-Za-z_][\w$]*)")
@@ -100,58 +100,54 @@ class SimulatedLLM(LanguageModel):
                 f"{self.spec.name} does not support n=25 (paper Sec. IV-B)"
             )
         matched = match_prompt_to_problem(prompt)
-        completions = []
+        rates = None
+        repairing = False
+        if matched is not None:
+            problem, level = matched
+            siblings = [
+                p.number for p in problems_by_difficulty(problem.difficulty)
+            ]
+            rates = resolve_rates(
+                model=self.spec.name,
+                fine_tuned=self.fine_tuned,
+                difficulty=problem.difficulty,
+                level=level,
+                problem_number=problem.number,
+                difficulty_problem_numbers=siblings,
+                temperature=config.temperature,
+                n=config.n,
+                textbook_corpus=self.textbook_corpus,
+                hinted="// hint:" in prompt,
+            )
+            repairing = (self.repair_rate > 0
+                         and REPAIR_FEEDBACK_MARKER in prompt)
         # the RNG stream ignores the corpus flavour ("-books") so the
         # Sec. VI ablation compares with common random numbers: the only
         # difference between the two FT variants is the calibration bonus
         seed_name = f"{self.spec.name}-{'ft' if self.fine_tuned else 'pt'}"
+        seed_head = (f"{seed_name}|{stable_hash(prompt)}|"
+                     f"{int(config.temperature * 1000)}|{config.n}|")
+        seed_tail = f"|{self.seed}"
+        completions = []
         for index in range(config.n):
-            rng = random.Random(
-                f"{seed_name}|{stable_hash(prompt)}|"
-                f"{int(config.temperature * 1000)}|{config.n}|{index}|{self.seed}"
-            )
-            if matched is None:
+            rng = random.Random(f"{seed_head}{index}{seed_tail}")
+            if rates is None:
                 completions.append(self._freeform_completion(rng, config))
             else:
-                completions.append(
-                    self._benchmark_completion(
-                        matched[0], matched[1], rng, config,
-                        hinted="// hint:" in prompt,
-                        repairing=REPAIR_FEEDBACK_MARKER in prompt,
-                    )
-                )
+                completions.append(self._benchmark_completion(
+                    problem, rates, rng, config, repairing))
         return completions
 
     # ------------------------------------------------------------------
     def _benchmark_completion(
         self,
         problem: Problem,
-        level: PromptLevel,
+        rates: RatePoint,
         rng: random.Random,
         config: GenerationConfig,
-        hinted: bool = False,
-        repairing: bool = False,
+        repairing: bool,
     ) -> Completion:
-        siblings = [
-            p.number for p in problems_by_difficulty(problem.difficulty)
-        ]
-        rates = resolve_rates(
-            model=self.spec.name,
-            fine_tuned=self.fine_tuned,
-            difficulty=problem.difficulty,
-            level=level,
-            problem_number=problem.number,
-            difficulty_problem_numbers=siblings,
-            temperature=config.temperature,
-            n=config.n,
-            textbook_corpus=self.textbook_corpus,
-            hinted=hinted,
-        )
-        if (
-            repairing
-            and self.repair_rate > 0
-            and rng.random() < self.repair_rate
-        ):
+        if repairing and rng.random() < self.repair_rate:
             # error-conditioned re-sample: the feedback worked, the
             # model fixes its own failure (calibrated by repair_rate)
             body = cosmetic_variant(problem.canonical_body, rng)

@@ -393,7 +393,7 @@ class TestCoordinateAndWorkCommands:
             "--store", str(store),
         ])
         assert code == 0
-        assert any(store.glob("*.json"))
+        assert any(store.glob("seg-*.jsonl"))
 
     def test_work_unreachable_coordinator_exits_two(self, capsys):
         code = main(["work", "--url", "http://127.0.0.1:9",

@@ -50,6 +50,29 @@ class TestTruncation:
     def test_prop_truncation_is_prefix(self, text):
         assert text.startswith(truncate_completion(text))
 
+    # texts dense in near-misses: "endmodule" glued to word characters of
+    # every Unicode kind \w covers (letters, digits, numerics, "_")
+    _FRAGMENTS = st.lists(
+        st.one_of(
+            st.sampled_from([
+                "endmodule", "endmodul", "ndmodule", "e", "_", "x", "9",
+                "\u00e9", "\u0663", "\u00b2", "\u216b", " ", "\n", ";",
+                "$", "\u00a0", "endmoduleendmodule",
+            ]),
+            st.text(max_size=4),
+        ),
+        max_size=12,
+    ).map("".join)
+
+    @given(st.one_of(_FRAGMENTS, st.text(max_size=300)))
+    def test_prop_matches_the_word_boundary_regex(self, text):
+        import re
+
+        reference = re.compile(r"\bendmodule\b").search(text)
+        expected = text if reference is None else text[: reference.end()]
+        assert truncate_completion(text) == expected
+        assert has_endmodule(text) == (reference is not None)
+
 
 class TestMetrics:
     def test_pass_fraction(self):

@@ -329,3 +329,70 @@ class TestFinetune:
     def test_finetune_unknown_model(self):
         with pytest.raises(KeyError):
             finetune_zoo_model("nonexistent")
+
+
+def _paper_plan_digest(seed: int) -> str:
+    """sha256 over every completion of the paper plan at one seed: text,
+    inference seconds and token count, in plan order."""
+    import hashlib
+
+    from repro.api import Session
+    from repro.backends import LocalZooBackend
+    from repro.eval import SweepConfig
+
+    backend = LocalZooBackend(seed=seed)
+    plan = Session(backend=backend).plan(SweepConfig(temperatures=(0.1, 0.5)))
+    digest = hashlib.sha256()
+    for job in plan.jobs:
+        prompt = get_problem(job.problem).prompt(job.level)
+        for completion in backend.generate(
+            job.model, prompt, job.generation_config()
+        ):
+            digest.update(
+                f"{completion.text}\0{completion.inference_seconds!r}\0"
+                f"{completion.tokens}\0".encode()
+            )
+    return digest.hexdigest()
+
+
+def _hinted_and_repair_digest() -> str:
+    """sha256 over completions of hinted and repair-marked prompts from
+    the repairable variants (the branches the paper plan never takes)."""
+    import hashlib
+
+    from repro.eval.prompting import engineered_prompt
+    from repro.models import repairable_model_variants
+    from repro.models.base import REPAIR_FEEDBACK_MARKER
+
+    digest = hashlib.sha256()
+    config = GenerationConfig(temperature=0.3, n=4)
+    for model in repairable_model_variants(repair_rate=0.5):
+        for problem in ALL_PROBLEMS:
+            base = problem.prompt(PromptLevel.MEDIUM)
+            for prompt in (engineered_prompt(problem, PromptLevel.MEDIUM),
+                           f"{base}{REPAIR_FEEDBACK_MARKER}: retry\n"):
+                for completion in model.generate(prompt, config):
+                    digest.update(
+                        f"{completion.text}\0"
+                        f"{completion.inference_seconds!r}\0".encode()
+                    )
+    return digest.hexdigest()
+
+
+class TestGenerationDigest:
+    """Completions are byte-identical to the ones the zoo produced before
+    its per-request work was hoisted out of the per-completion loop."""
+
+    @pytest.mark.parametrize("seed,expected", [
+        (0, "572475a17c264a9b2bebb35ce0d01e663eb68c9da12452cc"
+            "542645c095cb4b7e"),
+        (1, "c37f938cdd6e6d6971c6915d470d9a83af92a0414cb281b1"
+            "ee54d76c111c1bee"),
+    ])
+    def test_paper_plan_completions_unchanged(self, seed, expected):
+        assert _paper_plan_digest(seed) == expected
+
+    def test_hinted_and_repair_completions_unchanged(self):
+        assert _hinted_and_repair_digest() == (
+            "aac6343034c6095be960814de900c4b1251c91b5f3951b85"
+            "cef2fcfc89b28cb4")

@@ -1,6 +1,8 @@
 """Tests for the cross-process verdict store (repro.eval.store) and its
 Evaluator / executor / Session integration."""
 
+import json
+import os
 import pickle
 
 import pytest
@@ -297,8 +299,9 @@ class TestPackedFormat:
         stats = store.stats()
         assert stats == {
             "entries": 4,
-            "files": 1,
+            "files": 0,
             "packed": 3,
+            "segments": 1,
             "pack_file": store.pack_path,
         }
 
@@ -341,7 +344,8 @@ class TestPackedFormat:
             assert main(["store", "info", store.path]) == 0
             out = capsys.readouterr().out
             assert out.splitlines() == [
-                f"store {store.path}: 2 entries (0 files, 2 packed)"
+                f"store {store.path}: 2 entries "
+                "(0 files, 0 segments, 2 packed)"
             ]
             assert store.clear() == 2  # verdicts only
             assert os.path.exists(foreign)
@@ -478,3 +482,230 @@ class TestClearAccounting:
         assert removed == 1  # only the un-packed file actually went away
         assert len(store) == 3  # packed verdicts still readable
         assert store.get(1, 0) is not None
+
+
+def _verdict(key: int) -> CompletionEvaluation:
+    return CompletionEvaluation(compiled=True, passed=bool(key % 2))
+
+
+def _put_range(path, start, count, barrier):
+    """Child process body: put ``count`` keys from ``start`` on."""
+    store = VerdictStore(path)
+    barrier.wait()
+    for key in range(start, start + count):
+        store.put(1, key, _verdict(key))
+
+
+def _segment_line(key: str, verdict) -> bytes:
+    from repro.eval.export import evaluation_to_dict
+
+    return (json.dumps({"key": key, "verdict": evaluation_to_dict(verdict)})
+            + "\n").encode()
+
+
+class TestSegmentLog:
+    """Fresh verdicts append to one segment file per writing store; the
+    reader indexes entry locations and follows live writers."""
+
+    def test_concurrent_writers_share_every_key(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "verdicts")
+        VerdictStore(path)
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        workers = [
+            context.Process(target=_put_range, args=(path, start, 150, barrier))
+            for start in (0, 150)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+            assert worker.exitcode == 0
+        reader = VerdictStore(path)
+        assert reader.keys() == {VerdictStore._key(1, k) for k in range(300)}
+        assert all(reader.get(1, k) == _verdict(k) for k in range(300))
+        assert reader.stats()["segments"] == 2
+        assert reader.pack() == 300  # both writers are gone: both fold
+        assert os.listdir(path) == ["pack.jsonl"]
+        assert all(VerdictStore(path).get(1, k) == _verdict(k)
+                   for k in range(300))
+
+    def test_threads_share_one_segment_without_torn_lines(self, tmp_path):
+        import sys
+        import threading
+
+        store = VerdictStore(str(tmp_path / "verdicts"))
+        misread = []
+
+        def work(base):
+            for key in range(60):
+                store.put(base, key, _verdict(key))
+                if store.get(base, key) != _verdict(key):
+                    misread.append((base, key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(base,))
+                       for base in range(1, 9)]  # more threads than cores
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert misread == []
+        (segment,) = [n for n in os.listdir(store.path) if n.endswith("l")]
+        with open(os.path.join(store.path, segment), "rb") as handle:
+            keys = [json.loads(line)["key"] for line in handle]
+        assert sorted(keys) == sorted(
+            VerdictStore._key(base, key)
+            for base in range(1, 9) for key in range(60))
+        fresh = VerdictStore(store.path)
+        assert all(fresh.get(base, key) == _verdict(key)
+                   for base in range(1, 9) for key in range(60))
+
+    def test_torn_last_line_is_a_miss_until_complete(self, tmp_path):
+        import fcntl
+
+        path = str(tmp_path / "verdicts")
+        reader = VerdictStore(path)
+        first = _segment_line(VerdictStore._key(1, 1), _verdict(1))
+        second = _segment_line(VerdictStore._key(1, 2), _verdict(2))
+        with open(os.path.join(path, "seg-1-ab.jsonl"), "ab",
+                  buffering=0) as writer:
+            fcntl.flock(writer.fileno(), fcntl.LOCK_EX)  # a live writer
+            writer.write(first + second[:40])
+            assert reader.get(1, 1) == _verdict(1)
+            assert reader.get(1, 2) is None
+            assert reader.keys() == {VerdictStore._key(1, 1)}
+            writer.write(second[40:])
+            assert reader.get(1, 2) == _verdict(2)
+            assert reader.pack() == 0  # the writer is alive: not folded
+        assert reader.pack() == 2
+
+    def test_reads_and_packs_a_store_of_entry_files(self, tmp_path):
+        from repro.eval.export import evaluation_to_dict
+
+        path = str(tmp_path / "verdicts")
+        os.makedirs(path)
+        for key in range(3):  # one file per verdict, as older writers did
+            name = VerdictStore._filename(1, key)
+            with open(os.path.join(path, name), "w") as handle:
+                json.dump(evaluation_to_dict(_verdict(key)), handle)
+        with open(os.path.join(path, "pack.jsonl"), "wb") as handle:
+            for key in range(3, 6):
+                handle.write(_segment_line(VerdictStore._key(1, key),
+                                           _verdict(key)))
+        store = VerdictStore(path)
+        assert all(store.get(1, k) == _verdict(k) for k in range(6))
+        assert store.stats() == {
+            "entries": 6, "files": 3, "packed": 3, "segments": 0,
+            "pack_file": store.pack_path,
+        }
+        assert store.pack() == 3
+        assert os.listdir(path) == ["pack.jsonl"]
+        assert all(store.get(1, k) == _verdict(k) for k in range(6))
+        assert VerdictStore(path).stats()["packed"] == 6
+
+    def test_writing_while_another_store_packs_loses_nothing(self, tmp_path):
+        import threading
+
+        path = str(tmp_path / "verdicts")
+        writer, packer = VerdictStore(path), VerdictStore(path)
+        for key in range(20):  # a finished writer's segment, to fold
+            packer.put(2, key, _verdict(key))
+        done = threading.Event()
+
+        def write():
+            for key in range(400):
+                writer.put(1, key, _verdict(key))
+            done.set()
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        folded = 0
+        while not done.is_set():
+            folded += packer.pack()
+        thread.join()
+        folded += packer.pack()
+        assert folded == 20  # the live writer's segment was never folded
+        expected = ({VerdictStore._key(1, k) for k in range(400)}
+                    | {VerdictStore._key(2, k) for k in range(20)})
+        assert VerdictStore(path).keys() == expected
+        writer.close()  # its writer gone, the segment folds
+        assert packer.pack() == 400
+        fresh = VerdictStore(path)
+        assert fresh.keys() == expected
+        assert fresh.stats()["segments"] == 0
+        assert all(fresh.get(1, k) == _verdict(k) for k in range(400))
+
+    def test_clear_under_a_live_writer(self, tmp_path):
+        path = str(tmp_path / "verdicts")
+        writer = VerdictStore(path)
+        writer.put(1, 1, _verdict(1))
+        assert VerdictStore(path).clear() == 1
+        writer.put(1, 2, _verdict(2))  # its segment is gone: a new one
+        fresh = VerdictStore(path)
+        assert fresh.get(1, 1) is None
+        assert fresh.get(1, 2) == _verdict(2)
+        assert fresh.stats()["segments"] == 1
+
+    def test_forked_store_writes_its_own_segment(self, tmp_path):
+        path = str(tmp_path / "verdicts")
+        store = VerdictStore(path)
+        store.put(1, 1, _verdict(1))
+        pid = os.fork()
+        if pid == 0:  # the child: same object, inherited segment
+            code = 1
+            try:
+                store.put(1, 2, _verdict(2))
+                code = 0 if store.get(1, 1) == _verdict(1) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        store.put(1, 3, _verdict(3))
+        segments = sorted(n for n in os.listdir(path) if n.startswith("seg-"))
+        assert len(segments) == 2
+        assert {name.split("-")[1] for name in segments} == {
+            str(os.getpid()), str(pid)}
+        fresh = VerdictStore(path)
+        assert all(fresh.get(1, k) == _verdict(k) for k in (1, 2, 3))
+        for name in segments:  # one writer per segment: no mixed lines
+            with open(os.path.join(path, name), "rb") as handle:
+                keys = [json.loads(line)["key"] for line in handle]
+            assert keys in ([VerdictStore._key(1, 1), VerdictStore._key(1, 3)],
+                            [VerdictStore._key(1, 2)])
+
+    def test_miss_on_unchanged_directory_lists_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        path = str(tmp_path / "verdicts")
+        writer, reader = VerdictStore(path), VerdictStore(path)
+        writer.put(1, 1, _verdict(1))
+        long_ago = time.time_ns() - 10 ** 10
+        os.utime(path, ns=(long_ago, long_ago))  # settled since
+        assert writer.get(1, 2) is None
+        assert reader.get(1, 1) == _verdict(1)
+        listings = []
+        real_listdir = os.listdir
+
+        def counting_listdir(*args):
+            listings.append(args)
+            return real_listdir(*args)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        assert writer.get(1, 3) is None
+        assert reader.get(1, 4) is None
+        writer.put(1, 5, _verdict(5))  # appends: the directory stands still
+        assert reader.get(1, 5) == _verdict(5)  # read from the live tail
+        assert listings == []
+        VerdictStore(path).put(2, 1, _verdict(1))  # a new segment appears
+        assert reader.get(2, 1) == _verdict(1)
+        assert listings
