@@ -75,17 +75,6 @@ class RepairingBackend(Backend):
         completions = self.inner.generate(model, prompt, config)
         return self._repair_samples(model, prompt, config, completions)
 
-    def generate_batch(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        batches = self.inner.generate_batch(model, requests)
-        return [
-            self._repair_samples(model, prompt, config, completions)
-            for (prompt, config), completions in zip(requests, batches)
-        ]
-
     def generate_chat(
         self,
         model: str,

@@ -30,7 +30,6 @@ from .eval.jobs import (
     SweepPlan,
     SweepPlanner,
     SweepResult,
-    execute_sweep,
 )
 from .eval.pipeline import Evaluator
 from .eval.store import resolve_store
@@ -61,9 +60,6 @@ class Session:
     retry:
         A :class:`~repro.eval.jobs.RetryPolicy` for transient backend
         failures (``None`` = no retries).
-    batch_size:
-        Consecutive same-model jobs grouped into one
-        ``generate_batch`` call (thread executor only).
     store:
         A :class:`~repro.eval.store.VerdictStore` (or a directory path)
         shared across processes and runs: verdicts persist to disk, so
@@ -100,7 +96,6 @@ class Session:
         progress: ProgressCallback | None = None,
         executor: str = "thread",
         retry: RetryPolicy | None = None,
-        batch_size: int = 1,
         store=None,
         repair_budget: int = 0,
         repair=None,
@@ -137,7 +132,6 @@ class Session:
         self.progress = progress
         self.executor = executor
         self.retry = retry
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------------
     def models(self) -> list[str]:
@@ -192,7 +186,6 @@ class Session:
             workers=self.workers,
             progress=self.progress,
             retry=self.retry,
-            batch_size=self.batch_size,
         )
 
     def run_plan(self, plan: SweepPlan) -> SweepResult:
@@ -219,7 +212,8 @@ class Session:
 
         ``model`` is a served model name, or a bare
         :class:`LanguageModel` instance (evaluated through a one-off
-        local-zoo backend regardless of the session backend).
+        local-zoo backend regardless of the session backend, on the
+        session's executor, workers, retry policy and evaluator).
         """
         config = SweepConfig(
             temperatures=(temperature,),
@@ -228,13 +222,9 @@ class Session:
             levels=levels or SweepConfig().levels,
         )
         if isinstance(model, LanguageModel):
-            return execute_sweep(
-                LocalZooBackend([model]),
-                config=config,
-                evaluator=self.evaluator,
-                workers=self.workers,
-                progress=self.progress,
-            )
+            backend = LocalZooBackend([model])
+            plan = SweepPlanner(backend).plan(config)
+            return self.make_executor(backend).run(plan)
         return self.run_sweep(config, models=[model])
 
     def repair_curve(
@@ -335,7 +325,6 @@ class Session:
             models=models,
             on_event=on_event,
             concurrency=concurrency,
-            batch_size=self.batch_size if self.batch_size > 1 else None,
             timeout=timeout,
         )
 
@@ -404,7 +393,7 @@ class Session:
         """Serve a coordinator as a pull-based worker until it is done.
 
         Work units execute on *this* session's configuration (backend,
-        executor, workers, retry, batch size, verdict store); returns
+        executor, workers, retry, verdict store); returns
         the worker summary dict from
         :func:`~repro.service.client.run_worker`.  With the thread
         executor, ``workers`` bounds how many of a unit's jobs are in
@@ -458,7 +447,6 @@ def run_sweep(
     progress: ProgressCallback | None = None,
     executor: str = "thread",
     retry: RetryPolicy | None = None,
-    batch_size: int = 1,
     store=None,
 ) -> SweepResult:
     """One-shot sweep; ``models`` may be names or LanguageModel instances."""
@@ -472,7 +460,6 @@ def run_sweep(
         progress=progress,
         executor=executor,
         retry=retry,
-        batch_size=batch_size,
         store=store,
     )
     return session.run_sweep(config, models=models)

@@ -58,23 +58,6 @@ class Backend(abc.ABC):
     ) -> list[Completion]:
         """Return ``config.n`` completions of ``prompt`` from ``model``."""
 
-    def generate_batch(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        """Serve many (prompt, config) requests for one model.
-
-        The default just loops :meth:`generate`; backends that can
-        amortize per-request overhead (model lookup, connection setup,
-        prompt preprocessing) override this.  Executors use it when
-        batching is enabled to cut per-job dispatch cost.
-        """
-        return [
-            self.generate(model, prompt, config)
-            for prompt, config in requests
-        ]
-
     def generate_chat(
         self,
         model: str,

@@ -53,17 +53,6 @@ class LocalZooBackend(Backend):
     ) -> list[Completion]:
         return self.model(model).generate(prompt, config)
 
-    def generate_batch(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        """Amortize the name lookup (and its error path) over the batch."""
-        instance = self.model(model)
-        return [
-            instance.generate(prompt, config) for prompt, config in requests
-        ]
-
     def capabilities(self, model: str) -> ModelCapabilities:
         spec = getattr(self.model(model), "spec", None)
         if spec is None:

@@ -198,7 +198,7 @@ def _cmd_analyze(args) -> int:
 
 def _make_session(args, backend):
     """Build a Session for a resolved ``backend`` from the common
-    executor/retry/batch/store flags (no ``--url`` interpretation —
+    executor/retry/store flags (no ``--url`` interpretation —
     that is the caller's business: :func:`_session` reads it as a
     service-backend endpoint, ``work`` as the coordinator address)."""
     from .api import Session
@@ -215,7 +215,6 @@ def _make_session(args, backend):
         workers=args.workers,
         executor=getattr(args, "executor", "thread"),
         retry=retry,
-        batch_size=getattr(args, "batch_size", 1),
         store=getattr(args, "store", None),
         repair_budget=getattr(args, "repair_budget", 0),
         analysis=not getattr(args, "no_analysis", False),
@@ -379,7 +378,7 @@ def _cmd_sweep_stream(args, config) -> int:
 
     # the sweep executes on the *server's* session; flags that configure
     # a local executor do not travel — say so instead of silently
-    # dropping them (concurrency/batch-size do ship in the request)
+    # dropping them (--workers does ship, as the request's concurrency)
     ignored = [
         flag
         for flag, is_set in (
@@ -404,7 +403,6 @@ def _cmd_sweep_stream(args, config) -> int:
             models=models,
             on_event=_render_stream_event,
             concurrency=args.workers if args.workers > 1 else None,
-            batch_size=args.batch_size if args.batch_size > 1 else None,
         )
     except (BackendError, StreamProtocolError) as exc:
         print(f"error: {exc}")
@@ -1079,8 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split the plan into this many deterministic shards")
     p.add_argument("--shard-index", type=int, default=None,
                    help="which shard to run (0-based; requires --shards)")
-    p.add_argument("--batch-size", type=_positive_int, default=1,
-                   help="consecutive same-model jobs per generate_batch call")
     p.add_argument("--stream", action="store_true",
                    help="run the sweep on a remote streaming service "
                         "(--url, from `repro serve`) and render "
@@ -1102,8 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 0,1,2)")
     p.add_argument("--k", type=_positive_int, default=1,
                    help="k for the per-problem pass@k column (default: 1)")
-    p.add_argument("--batch-size", type=_positive_int, default=1,
-                   help="consecutive same-model jobs per generate_batch call")
     p.add_argument("--export", default=None,
                    help="write the highest-budget sweep's records to "
                         ".json/.csv")
@@ -1176,7 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local generation backend to execute shards with")
     p.add_argument("--workers", type=_positive_int, default=1)
     _add_executor_flag(p)
-    p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--retries", type=int, default=0)
     p.add_argument("--backoff", type=float, default=0.0)
     p.add_argument("--store", default=None,

@@ -220,13 +220,9 @@ def run_sweep(
     :func:`repro.api.run_sweep` to see the skip/error records.
     """
     from ..backends.local import LocalZooBackend
-    from .jobs import execute_sweep
+    from .jobs import SweepExecutor, SweepPlanner
 
-    result = execute_sweep(
-        LocalZooBackend(models),
-        config=config,
-        models=[m.name for m in models],
-        evaluator=evaluator,
-        workers=workers,
-    )
-    return result.sweep
+    backend = LocalZooBackend(models)
+    plan = SweepPlanner(backend).plan(config, models=[m.name for m in models])
+    executor = SweepExecutor(backend, evaluator=evaluator, workers=workers)
+    return executor.run(plan).sweep

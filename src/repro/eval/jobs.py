@@ -31,11 +31,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from ..backends.base import Backend, BackendError
-from ..models.base import Completion, GenerationConfig
+from ..models.base import GenerationConfig
 from ..obs import REGISTRY, job_tags, observe_stage, record_span
 from ..problems import Problem, PromptLevel, get_problem
 from .harness import CompletionRecord, Sweep, SweepConfig
@@ -335,7 +334,7 @@ JobOutcome = tuple[list[CompletionRecord], "JobFailure | str | None", int]
 
 #: ``observer(index, job, outcome, seconds)`` watches a
 #: :class:`SweepExecutor` run job by job; ``index`` is the job's plan
-#: position and ``outcome`` is ``None`` when the job's chunk starts.
+#: position and ``outcome`` is ``None`` when the job starts.
 JobObserver = Callable[[int, GenerationJob, "JobOutcome | None", float], None]
 
 
@@ -355,11 +354,21 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Job-level helpers (module-level so process-pool workers can use them)
 # ----------------------------------------------------------------------
-def evaluate_completions(
-    evaluator: Evaluator, job: GenerationJob, completions: list[Completion]
+def evaluate_job(
+    backend: Backend, evaluator: Evaluator, job: GenerationJob
 ) -> list[CompletionRecord]:
-    """Push one job's completions through the evaluator into records."""
+    """Generate and evaluate one job (no error capture)."""
     problem = get_problem(job.problem)
+    started = time.perf_counter()
+    completions = backend.generate(
+        job.model, problem.prompt(job.level), job.generation_config()
+    )
+    observe_stage(
+        "generate",
+        time.perf_counter() - started,
+        problem=job.problem,
+        model=job.model,
+    )
     records = []
     for index, completion in enumerate(completions):
         outcome = evaluator.evaluate(problem, completion.text, job.level)
@@ -380,24 +389,6 @@ def evaluate_completions(
             )
         )
     return records
-
-
-def evaluate_job(
-    backend: Backend, evaluator: Evaluator, job: GenerationJob
-) -> list[CompletionRecord]:
-    """Generate and evaluate one job (no error capture)."""
-    problem = get_problem(job.problem)
-    started = time.perf_counter()
-    completions = backend.generate(
-        job.model, problem.prompt(job.level), job.generation_config()
-    )
-    observe_stage(
-        "generate",
-        time.perf_counter() - started,
-        problem=job.problem,
-        model=job.model,
-    )
-    return evaluate_completions(evaluator, job, completions)
 
 
 def run_job_with_retry(
@@ -446,14 +437,7 @@ def run_job_with_retry(
                     exc, attempt_seconds, backoff_total), attempt)
                 break
     assert outcome is not None
-    _observe_job(job, outcome, time.perf_counter() - job_started)
-    return outcome
-
-
-def _observe_job(
-    job: GenerationJob, outcome: JobOutcome, seconds: float
-) -> None:
-    """Feed one finished job to ``job_seconds`` and its ``job`` span."""
+    seconds = time.perf_counter() - job_started
     REGISTRY.observe("job_seconds", seconds)
     record_span(
         "job",
@@ -464,6 +448,7 @@ def _observe_job(
         outcome="error" if outcome[1] is not None else "ok",
         attempts=outcome[2],
     )
+    return outcome
 
 
 def _timed_failure(
@@ -476,27 +461,6 @@ def _timed_failure(
         attempt_seconds=tuple(attempt_seconds),
         backoff_seconds=backoff,
     )
-
-
-def chunk_jobs(
-    jobs: Sequence[GenerationJob], batch_size: int
-) -> list[list[GenerationJob]]:
-    """Split jobs into consecutive same-model runs of at most ``batch_size``.
-
-    The thread executor's work units: each one goes through
-    :meth:`Backend.generate_batch` when ``batch_size > 1``.
-    """
-    chunks: list[list[GenerationJob]] = []
-    for job in jobs:
-        if (
-            chunks
-            and chunks[-1][0].model == job.model
-            and len(chunks[-1]) < batch_size
-        ):
-            chunks[-1].append(job)
-        else:
-            chunks.append([job])
-    return chunks
 
 
 def assemble_result(
@@ -542,18 +506,12 @@ class SweepExecutor(Executor):
     are only compiled once across the whole pool).  Results are
     reassembled in plan order regardless of completion order.
 
-    ``batch_size > 1`` groups consecutive same-model jobs and sends each
-    group through :meth:`~repro.backends.base.Backend.generate_batch`,
-    letting backends amortize per-request overhead; a failing batch
-    falls back to per-job execution so error isolation (and the retry
-    policy) still applies job by job.
-
     ``observer`` (a :data:`JobObserver`) is called with ``outcome=None``
-    for each job of a chunk as the chunk starts, then with the job's
-    outcome and wall seconds as it finishes.  Calls are serialized under
-    one lock.  An exception from the observer ends the run: it
-    propagates out of :meth:`run`, and a chunk whose start it refuses
-    never generates (jobs already in flight finish first).
+    as each job starts, then with the job's outcome and wall seconds as
+    it finishes.  Calls are serialized under one lock.  An exception
+    from the observer ends the run: it propagates out of :meth:`run`,
+    and a job whose start it refuses never generates (jobs already in
+    flight finish first).
     """
 
     def __init__(
@@ -564,81 +522,17 @@ class SweepExecutor(Executor):
         progress: ProgressCallback | None = None,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        batch_size: int = 1,
         observer: JobObserver | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.backend = backend
         self.evaluator = evaluator or Evaluator()
         self.workers = workers
         self.progress = progress
         self.retry = retry or RetryPolicy()
         self.sleep = sleep
-        self.batch_size = batch_size
         self.observer = observer
-
-    # ------------------------------------------------------------------
-    def _run_batch(
-        self, jobs: Sequence[GenerationJob]
-    ) -> "list[tuple[JobOutcome, float]] | None":
-        """The chunk through one ``generate_batch`` call; None = fall back.
-
-        The batch's wall clock is split evenly over its jobs as their
-        ``generate`` stage, so a batched job is timed like a lone one.
-        """
-        problems = [get_problem(job.problem) for job in jobs]
-        started = time.perf_counter()
-        try:
-            batches = self.backend.generate_batch(
-                jobs[0].model,
-                [
-                    (problem.prompt(job.level), job.generation_config())
-                    for job, problem in zip(jobs, problems)
-                ],
-            )
-        except Exception:  # noqa: BLE001 — retry job by job instead
-            return None
-        if batches is None or len(batches) != len(jobs):
-            return None
-        share = (time.perf_counter() - started) / len(jobs)
-        timed = []
-        for job, completions in zip(jobs, batches):
-            job_started = time.perf_counter()
-            with job_tags(model=job.model, problem=job.problem):
-                observe_stage(
-                    "generate", share, problem=job.problem, model=job.model
-                )
-                try:
-                    records = evaluate_completions(
-                        self.evaluator, job, completions
-                    )
-                    outcome: JobOutcome = (records, None, 1)
-                except Exception as exc:  # noqa: BLE001
-                    outcome = ([], failure_from_exception(exc), 1)
-                seconds = share + time.perf_counter() - job_started
-                _observe_job(job, outcome, seconds)
-            timed.append((outcome, seconds))
-        return timed
-
-    def _run_chunk(
-        self, jobs: Sequence[GenerationJob]
-    ) -> list[tuple[JobOutcome, float]]:
-        """One work unit: each job's outcome and wall seconds."""
-        if len(jobs) > 1:
-            timed = self._run_batch(jobs)
-            if timed is not None:
-                return timed
-        timed = []
-        for job in jobs:
-            started = time.perf_counter()
-            outcome = run_job_with_retry(
-                self.backend, self.evaluator, job, self.retry, self.sleep
-            )
-            timed.append((outcome, time.perf_counter() - started))
-        return timed
 
     def run(self, plan: SweepPlan) -> SweepResult:
         """Execute every job; capture per-job failures instead of dying."""
@@ -648,36 +542,31 @@ class SweepExecutor(Executor):
         lock = threading.Lock()
         observer = self.observer
 
-        def attempt(
-            offset: int, jobs: list[GenerationJob]
-        ) -> list[JobOutcome]:
+        def attempt(index: int, job: GenerationJob) -> JobOutcome:
             nonlocal done
             if observer is not None:
                 with lock:
-                    for position, job in enumerate(jobs):
-                        observer(offset + position, job, None, 0.0)
-            timed = self._run_chunk(jobs)
+                    observer(index, job, None, 0.0)
+            job_started = time.perf_counter()
+            outcome = run_job_with_retry(
+                self.backend, self.evaluator, job, self.retry, self.sleep
+            )
+            seconds = time.perf_counter() - job_started
             if observer is not None or self.progress is not None:
                 with lock:
-                    for position, (job, (outcome, seconds)) in enumerate(
-                        zip(jobs, timed)
-                    ):
-                        done += 1
-                        if observer is not None:
-                            observer(offset + position, job, outcome, seconds)
-                        if self.progress is not None:
-                            self.progress(done, total, job)
-            return [outcome for outcome, _seconds in timed]
+                    done += 1
+                    if observer is not None:
+                        observer(index, job, outcome, seconds)
+                    if self.progress is not None:
+                        self.progress(done, total, job)
+            return outcome
 
-        chunks = chunk_jobs(plan.jobs, self.batch_size)
-        offsets = [0, *accumulate(len(chunk) for chunk in chunks)]
         if self.workers == 1:
-            chunk_outcomes = list(map(attempt, offsets, chunks))
+            outcomes = list(map(attempt, range(total), plan.jobs))
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                chunk_outcomes = list(pool.map(attempt, offsets, chunks))
+                outcomes = list(pool.map(attempt, range(total), plan.jobs))
 
-        outcomes = [outcome for chunk in chunk_outcomes for outcome in chunk]
         return assemble_result(
             plan,
             outcomes,
@@ -685,31 +574,7 @@ class SweepExecutor(Executor):
                 "backend": self.backend.name,
                 "executor": "thread",
                 "workers": self.workers,
-                "batch_size": self.batch_size,
                 "evaluator_cache": dict(self.evaluator.cache_info),
                 "elapsed_seconds": time.perf_counter() - started,
             },
         )
-
-
-def execute_sweep(
-    backend: Backend,
-    config: SweepConfig | None = None,
-    models: Sequence[str] | None = None,
-    evaluator: Evaluator | None = None,
-    workers: int = 1,
-    progress: ProgressCallback | None = None,
-    retry: RetryPolicy | None = None,
-    batch_size: int = 1,
-) -> SweepResult:
-    """Plan + execute in one call (the common path for the facade)."""
-    plan = SweepPlanner(backend).plan(config, models=models)
-    executor = SweepExecutor(
-        backend,
-        evaluator=evaluator,
-        workers=workers,
-        progress=progress,
-        retry=retry,
-        batch_size=batch_size,
-    )
-    return executor.run(plan)

@@ -169,14 +169,14 @@ def emit_sweep(plan: SweepPlan, emit, backend, **options) -> SweepResult:
     """Run ``plan`` on a :class:`SweepExecutor`, emitting its frames live.
 
     ``emit`` receives every frame in stream order: the ``skip`` frames
-    up front; per job ``job_started`` as its chunk starts, then any
-    repair ``attempt`` frames, its ``record``/``job_error`` frames, a
+    up front; per job ``job_started`` as it starts, then any repair
+    ``attempt`` frames, its ``record``/``job_error`` frames, a
     ``progress`` frame and its ``job`` span; finally one ``metric``
     snapshot and the terminal ``done``.  ``options`` go to the executor
-    (``evaluator``, ``workers``, ``retry``, ``batch_size``); ``workers``
-    is reported as the done frame's ``concurrency``.
+    (``evaluator``, ``workers``, ``retry``); ``workers`` is reported as
+    the done frame's ``concurrency``.
 
-    An exception from ``emit`` ends the sweep and propagates: a chunk
+    An exception from ``emit`` ends the sweep and propagates: a job
     whose ``job_started`` it refuses never generates, and jobs already
     in flight finish unreported.  Backends with a repair attempt log
     (``start_attempt_log``/``drain_attempt_events``/``stop_attempt_log``)

@@ -382,7 +382,6 @@ class AsyncEvalService:
             payload, "concurrency", max(session.workers, 1),
             MAX_STREAM_CONCURRENCY,
         )
-        batch_size = _int_field(payload, "batch_size", session.batch_size)
         try:
             config = (
                 config_from_dict(payload["config"])
@@ -402,7 +401,6 @@ class AsyncEvalService:
             evaluator=session.evaluator,
             workers=workers,
             retry=session.retry,
-            batch_size=batch_size,
         )
         try:
             await self._pump_frames(reader, writer, frames)

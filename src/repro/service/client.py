@@ -236,43 +236,6 @@ class ServiceBackend(Backend):
         )
         return [self._completion(c) for c in response["completions"]]
 
-    def generate_batch(
-        self,
-        model: str,
-        requests: Sequence[tuple[str, GenerationConfig]],
-    ) -> list[list[Completion]]:
-        """Forward a whole batch through ``POST /generate_batch``.
-
-        One HTTP round-trip serves N jobs (the base-class default would
-        silently degrade batching into N ``/generate`` calls).  Against
-        an older server without the route — or any transport failure —
-        it falls back to the per-request loop, so the executor's per-job
-        error isolation and retry accounting still apply.
-        """
-        if len(requests) <= 1:
-            return super().generate_batch(model, requests)
-        payload = {
-            "model": model,
-            "requests": [
-                {"prompt": prompt, "config": self._config_row(config)}
-                for prompt, config in requests
-            ],
-        }
-        try:
-            response = self._transport("POST", "/generate_batch", payload)
-        except BackendError:
-            return super().generate_batch(model, requests)
-        batches = [
-            [self._completion(c) for c in batch]
-            for batch in response["batches"]
-        ]
-        if len(batches) != len(requests):
-            raise BackendError(
-                f"generate_batch returned {len(batches)} batches "
-                f"for {len(requests)} requests"
-            )
-        return batches
-
     def run_remote_sweep(
         self,
         config=None,
@@ -452,7 +415,6 @@ def _sweep_payload(
     config=None,
     models=None,
     concurrency: "int | None" = None,
-    batch_size: "int | None" = None,
 ) -> dict:
     payload: dict = {}
     if config is not None:
@@ -461,8 +423,6 @@ def _sweep_payload(
         payload["models"] = list(models)
     if concurrency is not None:
         payload["concurrency"] = int(concurrency)
-    if batch_size is not None:
-        payload["batch_size"] = int(batch_size)
     return payload
 
 
@@ -485,7 +445,6 @@ def iter_sweep_events(
     config=None,
     models=None,
     concurrency: "int | None" = None,
-    batch_size: "int | None" = None,
     timeout: float = 300.0,
 ) -> Iterator[dict]:
     """Yield decoded frames from ``POST /sweep/stream`` as they arrive.
@@ -497,7 +456,7 @@ def iter_sweep_events(
     """
     yield from _iter_frames(
         url, "POST", "/sweep/stream",
-        _sweep_payload(config, models, concurrency, batch_size), timeout,
+        _sweep_payload(config, models, concurrency), timeout,
     )
 
 
@@ -507,7 +466,6 @@ def stream_sweep(
     models=None,
     on_event: "Callable[[dict], None] | None" = None,
     concurrency: "int | None" = None,
-    batch_size: "int | None" = None,
     timeout: float = 300.0,
 ) -> SweepResult:
     """Run a remote sweep via the stream route; return the full result.
@@ -521,7 +479,7 @@ def stream_sweep(
     frames = []
     for frame in iter_sweep_events(
         url, config=config, models=models, concurrency=concurrency,
-        batch_size=batch_size, timeout=timeout,
+        timeout=timeout,
     ):
         if on_event is not None:
             on_event(frame)

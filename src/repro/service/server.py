@@ -7,8 +7,6 @@ routes:
 * ``GET  /models``          — served model variants;
 * ``POST /capabilities``    — capability claims + identity for one model;
 * ``POST /generate``        — completions for one (model, prompt, config);
-* ``POST /generate_batch``  — completions for many (prompt, config)
-  requests of one model in a single round-trip;
 * ``POST /sweep``           — plan + execute a whole sweep server-side,
   returning the full record/skip/error result;
 * ``GET  /metrics``         — the process :mod:`repro.obs` registry as
@@ -79,7 +77,6 @@ class ServiceApp:
             ("POST", "/telemetry"): self._telemetry,
             ("POST", "/capabilities"): self._capabilities,
             ("POST", "/generate"): self._generate,
-            ("POST", "/generate_batch"): self._generate_batch,
             ("POST", "/sweep"): self._sweep,
             ("POST", "/shard/next"): self._shard_next,
             ("POST", "/shard/result"): self._shard_result,
@@ -188,20 +185,6 @@ class ServiceApp:
         )
         return {
             "completions": [self._completion_row(c) for c in completions]
-        }
-
-    def _generate_batch(self, payload: dict) -> dict:
-        requests = [
-            (row["prompt"], self._parse_config(row.get("config")))
-            for row in payload["requests"]
-        ]
-        batches = self.session.backend.generate_batch(
-            payload["model"], requests
-        )
-        return {
-            "batches": [
-                [self._completion_row(c) for c in batch] for batch in batches
-            ]
         }
 
     def _sweep(self, payload: dict) -> dict:

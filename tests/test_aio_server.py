@@ -27,6 +27,8 @@ from repro.service import (
     iter_sweep_events,
     stream_sweep,
 )
+from repro.service.aio.events import assemble_stream_result
+from repro.service.client import _iter_frames
 from repro.service.sharding import shard_from_dict
 
 SMALL = SweepConfig(
@@ -59,6 +61,15 @@ class TestPlainRoutesOverAsyncServer:
     def test_unknown_route_404(self, service):
         with pytest.raises(BackendError, match="404"):
             ServiceBackend(url=service.url)._transport("GET", "/teapot", None)
+
+    def test_generate_batch_is_an_unknown_route(self, service):
+        # the batch route is gone; every job is one POST /generate
+        payload = {"model": "stub", "requests": [{"prompt": "module m;"}]}
+        with pytest.raises(BackendError, match="404") as excinfo:
+            ServiceBackend(url=service.url)._transport(
+                "POST", "/generate_batch", payload
+            )
+        assert "no route POST /generate_batch" in str(excinfo.value)
 
     def test_bad_json_body_400(self, service):
         request = urllib.request.Request(
@@ -456,7 +467,6 @@ class TestRequestHygiene:
         ("concurrency", 0), ("concurrency", -1), ("concurrency", True),
         ("concurrency", 2.7), ("concurrency", "3"), ("concurrency", 33),
         ("concurrency", 10**9), ("concurrency", None),
-        ("batch_size", 0), ("batch_size", False), ("batch_size", 1.5),
     ])
     def test_stream_rejects_bad_concurrency_and_batch_size(
         self, service, field, value
@@ -476,10 +486,24 @@ class TestRequestHygiene:
         assert field in json.loads(excinfo.value.read())["error"]
 
     def test_stream_accepts_the_concurrency_ceiling(self, service):
-        result = stream_sweep(service.url, config=SMALL, concurrency=32,
-                              batch_size=2)
+        result = stream_sweep(service.url, config=SMALL, concurrency=32)
         assert result.stats["concurrency"] == 32
-        assert result.stats["batch_size"] == 2
+
+    @pytest.mark.parametrize("batch_size", [4, 0])
+    def test_stream_ignores_an_old_clients_batch_size(
+        self, service, batch_size
+    ):
+        # older clients sent "batch_size" (when above 1); the field no
+        # longer means anything and must not change a single record
+        def records(**extra):
+            payload = {"config": config_to_dict(SMALL), "concurrency": 2}
+            frames = list(_iter_frames(
+                service.url, "POST", "/sweep/stream",
+                {**payload, **extra}, 30.0,
+            ))
+            return sweep_to_json(assemble_stream_result(frames).sweep)
+
+        assert records(batch_size=batch_size) == records()
 
     def test_stream_cli_notes_ignored_local_flags(self, service, capsys):
         from repro.cli import main

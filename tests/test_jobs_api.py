@@ -92,8 +92,9 @@ class TestExecutor:
         backend = LocalZooBackend(small_models())
         plan = SweepPlanner(backend).plan(SMALL)
         serial = SweepExecutor(backend, workers=1).run(plan)
-        parallel = SweepExecutor(backend, workers=8).run(plan)
-        assert serial.sweep.records == parallel.sweep.records
+        for workers in (4, 8):
+            parallel = SweepExecutor(backend, workers=workers).run(plan)
+            assert serial.sweep.records == parallel.sweep.records
 
     def test_parity_with_legacy_run_sweep(self):
         models = small_models()
@@ -199,6 +200,21 @@ class TestExecutor:
         assert info["hits"] >= 1
 
 
+class TestBatching:
+    def test_batched_executor_record_parity(self):
+        """Jobs run one generate call each: no batch grouping, no batch stat.
+
+        A four-thread sweep still reproduces the serial records exactly.
+        """
+        backend = LocalZooBackend(small_models())
+        plan = SweepPlanner(backend).plan(SMALL)
+        plain = SweepExecutor(backend, workers=1).run(plan)
+        threaded = SweepExecutor(backend, workers=4).run(plan)
+        assert threaded.sweep.records == plain.sweep.records
+        assert threaded.stats["workers"] == 4
+        assert "batch_size" not in threaded.stats
+
+
 class TestSessionFacade:
     def test_session_run_sweep(self):
         session = Session(backend=LocalZooBackend(small_models()), workers=2)
@@ -218,6 +234,46 @@ class TestSessionFacade:
             levels=(PromptLevel.LOW,),
         )
         assert {r.model for r in result.sweep.records} == {"codegen-2b-pt"}
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_evaluate_model_instance_runs_on_session_executor(
+        self, executor
+    ):
+        session = Session(executor=executor, workers=2)
+        by_instance = session.evaluate_model(
+            make_model("codegen-2b"), problem_numbers=(1, 2), n=2
+        )
+        by_name = session.evaluate_model(
+            "codegen-2b-pt", problem_numbers=(1, 2), n=2
+        )
+        assert by_instance.stats["executor"] == executor
+        assert by_instance.stats["workers"] == 2
+        assert by_instance.sweep.records == by_name.sweep.records
+
+    def test_evaluate_model_instance_honours_session_retry(self):
+        from repro.models import LanguageModel
+
+        class FlakyOnce(LanguageModel):
+            name = "flaky-once"
+
+            def __init__(self):
+                self.inner = make_model("codegen-2b")
+                self.seen = set()
+
+            def generate(self, prompt, config):
+                if prompt not in self.seen:
+                    self.seen.add(prompt)
+                    raise BackendError("transient")
+                return self.inner.generate(prompt, config)
+
+        session = Session(retry=RetryPolicy(max_attempts=2))
+        result = session.evaluate_model(
+            FlakyOnce(), problem_numbers=(1,), n=2,
+            levels=(PromptLevel.LOW,),
+        )
+        assert result.errors == []
+        assert result.stats["attempts"] == 2
+        assert len(result.sweep) == 2
 
     def test_session_shares_evaluator_across_runs(self):
         session = Session(backend="stub")
@@ -330,71 +386,20 @@ class TestRetryPolicy:
         assert len(result.errors) == 2
         assert all(e.attempts == 1 for e in result.errors)
 
-
-class BatchlessFlaky(CountingFlaky):
-    """generate_batch is down; per-job generate is flaky (CountingFlaky)."""
-
-    def __init__(self, failures=0):
-        super().__init__(failures=failures)
-        self.batch_calls = 0
-
-    def generate_batch(self, model, requests):
-        self.batch_calls += 1
-        raise RuntimeError("batch endpoint down")
-
-
-class TestRetryBatchInterplay:
-    """Satellite: batch failure falls back per job with correct retry
-    accounting on JobError."""
-
-    def test_failed_batch_retries_per_job_to_success(self):
-        backend = BatchlessFlaky(failures=2)
-        plan = SweepPlanner(backend).plan(TINY)
-        delays = []
-        result = SweepExecutor(
-            backend,
-            batch_size=4,
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.5),
-            sleep=delays.append,
-        ).run(plan)
-        assert backend.batch_calls == 1  # one doomed batch, then per-job
-        assert result.errors == []
-        assert len(result.sweep) == 2 * 2
-        # per-job fallback kept the retry schedule: 2 jobs x 2 backoffs
-        assert delays == [0.5, 1.0, 0.5, 1.0]
-        assert result.stats["attempts"] == 2 * 3
-
-    def test_failed_batch_exhausted_retries_count_on_job_error(self):
-        backend = BatchlessFlaky(failures=99)
-        plan = SweepPlanner(backend).plan(TINY)
-        result = SweepExecutor(
-            backend,
-            batch_size=4,
-            retry=RetryPolicy(max_attempts=3),
-            sleep=lambda _s: None,
-        ).run(plan)
-        assert backend.batch_calls == 1
-        assert len(result.errors) == 2
-        # the batch attempt is free; each job still gets its own 3 tries
-        assert all(error.attempts == 3 for error in result.errors)
-        assert all("transient" in error.error for error in result.errors)
-        assert result.stats["attempts"] == 2 * 3
-
     def test_partial_flakiness_isolates_failures_with_attempts(self):
-        class OnlyProblemTwoFails(BatchlessFlaky):
+        class OnlyProblemTwoFails(StubBackend):
             def generate(self, model, prompt, config):
                 from repro.models import match_prompt_to_problem
 
                 matched = match_prompt_to_problem(prompt)
                 if matched is not None and matched[0].number == 2:
                     raise BackendError("transient p2")
-                return StubBackend.generate(self, model, prompt, config)
+                return super().generate(model, prompt, config)
 
         backend = OnlyProblemTwoFails()
         plan = SweepPlanner(backend).plan(TINY)
         result = SweepExecutor(
             backend,
-            batch_size=4,
             retry=RetryPolicy(max_attempts=2),
             sleep=lambda _s: None,
         ).run(plan)
@@ -404,103 +409,14 @@ class TestRetryBatchInterplay:
         assert len(result.sweep) == 2  # problem 1's records survive
 
 
-class TestBatching:
-    def test_default_generate_batch_loops_generate(self):
-        from repro.models import GenerationConfig
-
-        backend = StubBackend(completions=("a", "b"))
-        config = GenerationConfig(temperature=0.1, n=2)
-        batches = backend.generate_batch(
-            "stub", [("p1", config), ("p2", config)]
-        )
-        assert [[c.text for c in batch] for batch in batches] == [
-            ["a", "b"], ["a", "b"],
-        ]
-        assert [q.prompt for q in backend.queries] == ["p1", "p2"]
-
-    def test_zoo_batch_matches_loop(self):
-        from repro.models import GenerationConfig
-        from repro.problems import get_problem
-
-        backend = LocalZooBackend(small_models())
-        config = GenerationConfig(temperature=0.1, n=3)
-        prompts = [get_problem(n).prompt(PromptLevel.LOW) for n in (1, 2, 3)]
-        batched = backend.generate_batch(
-            "codegen-6b-ft", [(p, config) for p in prompts]
-        )
-        looped = [backend.generate("codegen-6b-ft", p, config) for p in prompts]
-        assert [[c.text for c in b] for b in batched] == [
-            [c.text for c in b] for b in looped
-        ]
-
-    def test_batched_executor_record_parity(self):
-        backend = LocalZooBackend(small_models())
-        plan = SweepPlanner(backend).plan(SMALL)
-        plain = SweepExecutor(backend, workers=1).run(plan)
-        batched = SweepExecutor(backend, workers=4, batch_size=8).run(plan)
-        assert batched.sweep.records == plain.sweep.records
-        assert batched.stats["batch_size"] == 8
-
-    def test_batch_size_cuts_generate_batch_calls(self):
-        calls = []
-
-        class CountingBatch(StubBackend):
-            def generate_batch(self, model, requests):
-                calls.append(len(requests))
-                return super().generate_batch(model, requests)
-
-        backend = CountingBatch()
-        plan = SweepPlanner(backend).plan(
-            SweepConfig(
-                temperatures=(0.1,),
-                completions_per_prompt=(1,),
-                levels=(PromptLevel.LOW,),
-                problem_numbers=(1, 2, 3, 4, 5, 6),
-            )
-        )
-        SweepExecutor(backend, batch_size=3).run(plan)
-        assert calls == [3, 3]
-
-    def test_failing_batch_falls_back_to_per_job_isolation(self):
-        from repro.models import match_prompt_to_problem
-
-        class BatchlessFlaky(StubBackend):
-            def generate_batch(self, model, requests):
-                raise RuntimeError("batch endpoint down")
-
-            def generate(self, model, prompt, config):
-                matched = match_prompt_to_problem(prompt)
-                if matched is not None and matched[0].number == 2:
-                    raise RuntimeError("boom")
-                return super().generate(model, prompt, config)
-
-        backend = BatchlessFlaky()
-        plan = SweepPlanner(backend).plan(
-            SweepConfig(
-                temperatures=(0.1,),
-                completions_per_prompt=(2,),
-                levels=(PromptLevel.LOW,),
-                problem_numbers=(1, 2, 3),
-            )
-        )
-        result = SweepExecutor(backend, batch_size=3).run(plan)
-        # batch failure degraded to per-job runs: only P2 actually fails
-        assert [e.job.problem for e in result.errors] == [2]
-        assert {r.problem for r in result.sweep.records} == {1, 3}
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(StubBackend(), batch_size=0)
-
-
 class TestJobObserver:
-    @pytest.mark.parametrize("workers, batch_size", [(1, 1), (4, 1), (3, 4)])
-    def test_sees_each_job_start_then_finish(self, workers, batch_size):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sees_each_job_start_then_finish(self, workers):
         backend = StubBackend()
         plan = SweepPlanner(backend).plan(SMALL)
         seen = []
         result = SweepExecutor(
-            backend, workers=workers, batch_size=batch_size,
+            backend, workers=workers,
             observer=lambda *call: seen.append(call),
         ).run(plan)
         started = {index: at for at, (index, _job, outcome, _s)

@@ -290,11 +290,10 @@ class TestStageTimers:
         ]
         assert job_rows and job_rows[0]["count"] == 2  # one job per problem
 
-    @pytest.mark.parametrize("batch_size", [1, 4])
-    def test_batched_jobs_feed_generate_and_job_seconds(self, batch_size):
-        # a generate_batch call is timed as every batched job's generate
-        # stage, and each batched job gets its own job_seconds sample
-        session = Session(backend="zoo", batch_size=batch_size)
+    def test_jobs_feed_generate_and_job_seconds(self):
+        # each job's generate call is one generate stage sample, and
+        # each job gets its own job_seconds sample
+        session = Session(backend="zoo")
         config = SweepConfig(
             temperatures=(0.1, 0.5), completions_per_prompt=(1,),
             levels=(PromptLevel.LOW,), problem_numbers=(1, 2),

@@ -272,125 +272,6 @@ class TestServiceBackend:
         assert result.stats["backend"] == "zoo"
 
 
-class TestGenerateBatch:
-    def requests(self, count=3):
-        from repro.problems import get_problem
-
-        return [
-            (get_problem(n).prompt(PromptLevel.LOW),
-             GenerationConfig(temperature=0.1, n=2))
-            for n in (1, 2, 3)[:count]
-        ]
-
-    def test_route_matches_per_request_generate(self, app):
-        requests = self.requests()
-        status, body = app.handle(
-            "POST",
-            "/generate_batch",
-            {
-                "model": "codegen-6b-ft",
-                "requests": [
-                    {"prompt": p, "config": {"temperature": c.temperature,
-                                             "n": c.n}}
-                    for p, c in requests
-                ],
-            },
-        )
-        assert status == 200
-        backend = create_backend("zoo")
-        expected = [
-            backend.generate("codegen-6b-ft", p, c) for p, c in requests
-        ]
-        assert [
-            [c["text"] for c in batch] for batch in body["batches"]
-        ] == [[c.text for c in batch] for batch in expected]
-
-    def test_client_forwards_batch_in_one_round_trip(self, app):
-        calls = []
-        inner = in_process_transport(app)
-
-        def transport(method, path, payload=None):
-            calls.append(path)
-            return inner(method, path, payload)
-
-        backend = ServiceBackend(transport=transport)
-        requests = self.requests()
-        batches = backend.generate_batch("codegen-6b-ft", requests)
-        assert calls == ["/generate_batch"]
-        local = create_backend("zoo").generate_batch(
-            "codegen-6b-ft", requests
-        )
-        assert [[c.text for c in b] for b in batches] == [
-            [c.text for c in b] for b in local
-        ]
-
-    def test_single_request_skips_the_batch_route(self, app):
-        calls = []
-        inner = in_process_transport(app)
-
-        def transport(method, path, payload=None):
-            calls.append(path)
-            return inner(method, path, payload)
-
-        backend = ServiceBackend(transport=transport)
-        backend.generate_batch("codegen-6b-ft", self.requests(count=1))
-        assert calls == ["/generate"]
-
-    def test_falls_back_per_request_when_route_missing(self, app):
-        """An older server without /generate_batch degrades gracefully."""
-        calls = []
-        inner = in_process_transport(app)
-
-        def transport(method, path, payload=None):
-            calls.append(path)
-            if path == "/generate_batch":
-                raise BackendError("eval service 404 on /generate_batch")
-            return inner(method, path, payload)
-
-        backend = ServiceBackend(transport=transport)
-        requests = self.requests()
-        batches = backend.generate_batch("codegen-6b-ft", requests)
-        assert calls == ["/generate_batch"] + ["/generate"] * 3
-        local = create_backend("zoo").generate_batch(
-            "codegen-6b-ft", requests
-        )
-        assert [[c.text for c in b] for b in batches] == [
-            [c.text for c in b] for b in local
-        ]
-
-    def test_batch_length_mismatch_rejected(self, app):
-        inner = in_process_transport(app)
-
-        def transport(method, path, payload=None):
-            if path == "/generate_batch":
-                response = inner(method, path, payload)
-                return {"batches": response["batches"][:-1]}
-            return inner(method, path, payload)
-
-        backend = ServiceBackend(transport=transport)
-        with pytest.raises(BackendError, match="2 batches for 3 requests"):
-            backend.generate_batch("codegen-6b-ft", self.requests())
-
-    def test_batched_sweep_through_service_matches_serial(self, app):
-        """--batch-size over the service backend: same records, fewer
-        round-trips (the PR 2 silent-degradation fix)."""
-        calls = []
-        inner = in_process_transport(app)
-
-        def transport(method, path, payload=None):
-            calls.append(path)
-            return inner(method, path, payload)
-
-        models = ["codegen-6b-ft"]
-        serial = Session(backend="zoo").run_sweep(SMALL, models=models)
-        batched = Session(
-            backend=ServiceBackend(transport=transport), batch_size=4
-        ).run_sweep(SMALL, models=models)
-        assert batched.sweep.records == serial.sweep.records
-        assert calls.count("/generate_batch") > 0
-        assert calls.count("/generate") == 0
-
-
 class TestEvalServiceHTTP:
     def test_real_http_round_trip(self):
         session = Session(backend="zoo")
