@@ -9,8 +9,10 @@ out for ablation).
 
 import pytest
 
+from repro.api import Session
+from repro.backends import LocalZooBackend
 from repro.corpus import CorpusConfig, build_corpus
-from repro.eval import Evaluator, SweepConfig, run_sweep, table4
+from repro.eval import Evaluator, SweepConfig, table4
 from repro.models import finetune_zoo_model
 from repro.problems import Difficulty, PromptLevel
 
@@ -35,9 +37,11 @@ def ablation_rates():
         "codegen-16b",
         CorpusConfig(repos=30, include_textbooks=True, textbook_count=6),
     )
-    rate_a = _overall(run_sweep([model_a], config, evaluator))
-    rate_b = _overall(run_sweep([model_b], config, evaluator))
-    return rate_a, rate_b
+    return tuple(
+        _overall(Session(backend=LocalZooBackend([model]), evaluator=evaluator)
+                 .run_sweep(config).sweep)
+        for model in (model_a, model_b)
+    )
 
 
 def test_ablation_textbooks_marginally_better(benchmark, ablation_rates):

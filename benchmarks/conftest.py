@@ -14,8 +14,17 @@ are compiled/simulated once across the whole benchmark session.
 
 import pytest
 
-from repro.eval import Evaluator, SweepConfig, run_sweep
+from repro.api import Session
+from repro.backends import LocalZooBackend
+from repro.eval import Evaluator, SweepConfig
 from repro.models import paper_model_variants
+
+
+def _sweep(config, evaluator):
+    session = Session(
+        backend=LocalZooBackend(paper_model_variants()), evaluator=evaluator
+    )
+    return session.run_sweep(config).sweep
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +34,7 @@ def evaluator():
 
 @pytest.fixture(scope="session")
 def full_sweep(evaluator):
-    return run_sweep(paper_model_variants(), SweepConfig(), evaluator)
+    return _sweep(SweepConfig(), evaluator)
 
 
 @pytest.fixture(scope="session")
@@ -34,4 +43,4 @@ def n_sweep(evaluator):
         temperatures=(0.1, 0.3),
         completions_per_prompt=(1, 10, 25),
     )
-    return run_sweep(paper_model_variants(), config, evaluator)
+    return _sweep(config, evaluator)

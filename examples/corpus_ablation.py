@@ -12,8 +12,10 @@ corpus size (a design choice the paper leaves implicit).
 Run:  python examples/corpus_ablation.py
 """
 
+from repro.api import Session
+from repro.backends import LocalZooBackend
 from repro.corpus import CorpusConfig, build_corpus
-from repro.eval import Evaluator, SweepConfig, run_sweep, table4
+from repro.eval import Evaluator, SweepConfig, table4
 from repro.models import finetune_zoo_model
 from repro.problems import Difficulty, PromptLevel
 
@@ -47,8 +49,11 @@ def main() -> None:
     print(f"  corpus: {report_b.corpus_files} files, {report_b.corpus_bytes} bytes")
 
     print("\nevaluating both on the 17-problem set...")
-    sweep_a = run_sweep([model_a], sweep_config, evaluator)
-    sweep_b = run_sweep([model_b], sweep_config, evaluator)
+    sweep_a, sweep_b = (
+        Session(backend=LocalZooBackend([model]), evaluator=evaluator)
+        .run_sweep(sweep_config).sweep
+        for model in (model_a, model_b)
+    )
     rate_a = overall_rate(sweep_a, model_a.name)
     rate_b = overall_rate(sweep_b, model_b.name)
     gain = (rate_b / rate_a - 1) * 100 if rate_a else float("nan")

@@ -23,8 +23,8 @@ Subpackages:
 * :mod:`repro.core` — the end-to-end pipeline facade.
 """
 
-from .api import Session, evaluate_model
-from .core import VGenConfig, VGenPipeline, VGenResult, quick_evaluate
+from .api import Session
+from .core import VGenConfig, VGenPipeline, VGenResult
 
 __version__ = "1.1.0"
 
@@ -34,6 +34,4 @@ __all__ = [
     "VGenPipeline",
     "VGenResult",
     "__version__",
-    "evaluate_model",
-    "quick_evaluate",
 ]

@@ -11,16 +11,19 @@ The one import most users need::
 A :class:`Session` binds a backend (by name or instance), a shared
 thread-safe evaluator and a worker count, then serves sweeps and
 single-model evaluations through the job planner/executor of
-:mod:`repro.eval.jobs`.  The legacy entrypoints
-(:func:`repro.eval.run_sweep`, :func:`repro.quick_evaluate`,
-``VGenPipeline``) are thin shims over this module.
+:mod:`repro.eval.jobs`.  Every in-process sweep runs through a
+:class:`Session`; to evaluate :class:`~repro.models.LanguageModel`
+instances, serve them from a local zoo::
+
+    session = Session(backend=LocalZooBackend([model]))
+    result = session.evaluate_model(model.name, problem_numbers=(1, 2))
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .backends import Backend, LocalZooBackend, resolve_backend
+from .backends import Backend, resolve_backend
 from .eval.harness import Sweep, SweepConfig
 from .eval.jobs import (
     Executor,
@@ -33,7 +36,7 @@ from .eval.jobs import (
 )
 from .eval.pipeline import Evaluator
 from .eval.store import resolve_store
-from .models.base import Completion, GenerationConfig, LanguageModel
+from .models.base import Completion, GenerationConfig
 
 EXECUTORS = ("thread", "process")
 
@@ -105,6 +108,10 @@ class Session:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {EXECUTORS}"
+            )
+        if repair_budget < 0:
+            raise ValueError(
+                f"repair_budget must be >= 0, got {repair_budget}"
             )
         self.backend = resolve_backend(backend)
         self.store = resolve_store(store)
@@ -202,29 +209,31 @@ class Session:
 
     def evaluate_model(
         self,
-        model: str | LanguageModel,
+        model: str,
         problem_numbers: tuple[int, ...] | None = None,
         temperature: float = 0.1,
         n: int = 10,
         levels: tuple | None = None,
     ) -> SweepResult:
-        """One model at one temperature over selected problems.
+        """One served model at one temperature over selected problems.
 
-        ``model`` is a served model name, or a bare
-        :class:`LanguageModel` instance (evaluated through a one-off
-        local-zoo backend regardless of the session backend, on the
-        session's executor, workers, retry policy and evaluator).
+        To evaluate a :class:`~repro.models.LanguageModel` instance,
+        serve it: ``Session(backend=LocalZooBackend([model]))`` and pass
+        ``model.name``.
         """
+        if not isinstance(model, str):
+            raise TypeError(
+                f"evaluate_model takes a served model name, not a "
+                f"{type(model).__name__}; serve an instance with "
+                f"Session(backend=LocalZooBackend([model])) and pass "
+                f"model.name"
+            )
         config = SweepConfig(
             temperatures=(temperature,),
             completions_per_prompt=(n,),
             problem_numbers=problem_numbers or SweepConfig().problem_numbers,
             levels=levels or SweepConfig().levels,
         )
-        if isinstance(model, LanguageModel):
-            backend = LocalZooBackend([model])
-            plan = SweepPlanner(backend).plan(config)
-            return self.make_executor(backend).run(plan)
         return self.run_sweep(config, models=[model])
 
     def repair_curve(
@@ -434,57 +443,6 @@ class Session:
         )
 
 
-# ----------------------------------------------------------------------
-# Module-level conveniences (one-shot sessions)
-# ----------------------------------------------------------------------
-def run_sweep(
-    config: SweepConfig | None = None,
-    *,
-    backend: Backend | str | None = None,
-    models: Sequence[str] | list[LanguageModel] | None = None,
-    evaluator: Evaluator | None = None,
-    workers: int = 1,
-    progress: ProgressCallback | None = None,
-    executor: str = "thread",
-    retry: RetryPolicy | None = None,
-    store=None,
-) -> SweepResult:
-    """One-shot sweep; ``models`` may be names or LanguageModel instances."""
-    if models and not isinstance(models[0], str):
-        backend = LocalZooBackend(list(models))
-        models = [m.name for m in models]
-    session = Session(
-        backend=backend,
-        evaluator=evaluator,
-        workers=workers,
-        progress=progress,
-        executor=executor,
-        retry=retry,
-        store=store,
-    )
-    return session.run_sweep(config, models=models)
-
-
-def evaluate_model(
-    model: str | LanguageModel,
-    problem_numbers: tuple[int, ...] | None = None,
-    temperature: float = 0.1,
-    n: int = 10,
-    *,
-    backend: Backend | str | None = None,
-    evaluator: Evaluator | None = None,
-    workers: int = 1,
-) -> SweepResult:
-    """One-shot single-model evaluation (see :meth:`Session.evaluate_model`)."""
-    if isinstance(model, LanguageModel) and backend is None:
-        backend = LocalZooBackend([model])
-        model = model.name
-    session = Session(backend=backend, evaluator=evaluator, workers=workers)
-    return session.evaluate_model(
-        model, problem_numbers=problem_numbers, temperature=temperature, n=n
-    )
-
-
 __all__ = [
     "EXECUTORS",
     "RetryPolicy",
@@ -492,6 +450,4 @@ __all__ = [
     "Sweep",
     "SweepConfig",
     "SweepResult",
-    "evaluate_model",
-    "run_sweep",
 ]

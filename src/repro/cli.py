@@ -906,6 +906,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {value}"
+        )
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < float("inf"):
@@ -944,11 +960,11 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     )
     _add_executor_flag(parser)
     parser.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_non_negative_int, default=0,
         help="retry transient backend errors this many times per job",
     )
     parser.add_argument(
-        "--backoff", type=float, default=0.0,
+        "--backoff", type=_non_negative_float, default=0.0,
         help="base backoff seconds between retries (doubles per attempt)",
     )
     parser.add_argument(
@@ -957,7 +973,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
              "(cross-process compile/simulate cache)",
     )
     parser.add_argument(
-        "--repair-budget", type=int, default=0, metavar="N",
+        "--repair-budget", type=_non_negative_int, default=0, metavar="N",
         help="agentic repair: give each failing sample up to N "
              "error-conditioned repair rounds before its final verdict "
              "(default: 0, no repair)",
@@ -1170,11 +1186,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local generation backend to execute shards with")
     p.add_argument("--workers", type=_positive_int, default=1)
     _add_executor_flag(p)
-    p.add_argument("--retries", type=int, default=0)
-    p.add_argument("--backoff", type=float, default=0.0)
+    p.add_argument("--retries", type=_non_negative_int, default=0)
+    p.add_argument("--backoff", type=_non_negative_float, default=0.0)
     p.add_argument("--store", default=None,
                    help="shared on-disk verdict store directory")
-    p.add_argument("--repair-budget", type=int, default=0, metavar="N",
+    p.add_argument("--repair-budget", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="agentic repair rounds per failing sample "
                         "(every worker of one sweep must use the same "
                         "value to keep merge parity)")

@@ -1,5 +1,5 @@
-"""Primary public API: the end-to-end VGen pipeline."""
+"""The end-to-end VGen pipeline facade (paper Fig. 1)."""
 
-from .pipeline import VGenConfig, VGenPipeline, VGenResult, quick_evaluate
+from .pipeline import VGenConfig, VGenPipeline, VGenResult
 
-__all__ = ["VGenConfig", "VGenPipeline", "VGenResult", "quick_evaluate"]
+__all__ = ["VGenConfig", "VGenPipeline", "VGenResult"]

@@ -5,14 +5,17 @@ training corpus (1-2), pick the pre-trained models (3), fine-tune (4-5),
 prompt (6), generate completions (7), and evaluate them against the test
 benches (8) — producing the tables and figures of Sec. V.
 
-This is the primary public API; everything it composes is importable from
-the subpackages for finer-grained use.
+Steps 6-8 run on a :class:`repro.api.Session`, the facade every sweep
+goes through; everything else it composes is importable from the
+subpackages for finer-grained use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..api import Session
+from ..backends import LocalZooBackend
 from ..corpus import CorpusConfig, TrainingCorpus, build_corpus
 from ..eval import (
     Evaluator,
@@ -115,14 +118,12 @@ class VGenPipeline:
     def evaluate_detailed(self, models: list[LanguageModel]):
         """Like :meth:`evaluate` but returns the full service
         :class:`~repro.eval.jobs.SweepResult` (skips, errors, stats)."""
-        from ..api import run_sweep as service_run_sweep
-
-        return service_run_sweep(
-            self.config.sweep,
-            models=models,
+        session = Session(
+            backend=LocalZooBackend(models),
             evaluator=self.evaluator,
             workers=self.config.workers,
         )
+        return session.run_sweep(self.config.sweep)
 
     # ------------------------------------------------------------------
     def run(self) -> VGenResult:
@@ -144,28 +145,9 @@ class VGenPipeline:
         )
 
 
-def quick_evaluate(
-    model: LanguageModel,
-    problem_numbers: tuple[int, ...] | None = None,
-    temperature: float = 0.1,
-    n: int = 10,
-) -> Sweep:
-    """Evaluate one model at one temperature (convenience for examples).
-
-    Shim over :func:`repro.api.evaluate_model`, which also exposes the
-    skip/error records and executor stats.
-    """
-    from ..api import evaluate_model
-
-    return evaluate_model(
-        model, problem_numbers=problem_numbers, temperature=temperature, n=n
-    ).sweep
-
-
 __all__ = [
     "VGenConfig",
     "VGenPipeline",
     "VGenResult",
     "make_model",
-    "quick_evaluate",
 ]

@@ -1,11 +1,13 @@
-"""Sweep runner: models x problems x levels x temperature x n (Fig. 1).
+"""Sweep grid and record table: models x problems x levels x
+temperature x n (Fig. 1).
 
-Queries every model with every prompt combination the paper sweeps
-(Sec. IV-B), pushes each completion through the caching evaluator, and
-returns a flat record table that the report module slices into the
-paper's tables and figures.  The "best results" selection (Sec. V-B:
-present each model at the temperature where its completions were most
-successful, per difficulty and description level) is implemented in
+:class:`SweepConfig` names the grid the paper sweeps (Sec. IV-B);
+:class:`repro.api.Session` plans and runs it, and every evaluated
+completion lands as one :class:`CompletionRecord` in a :class:`Sweep`,
+the flat table that the report module slices into the paper's tables
+and figures.  The "best results" selection (Sec. V-B: present each model
+at the temperature where its completions were most successful, per
+difficulty and description level) is implemented in
 :meth:`Sweep.best_temperature`.
 """
 
@@ -13,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..models.base import LanguageModel
 from ..models.calibration import TEMPERATURES
 from ..problems import ALL_PROBLEMS, Difficulty, Problem, PromptLevel
 from .metrics import mean, pass_fraction
-from .pipeline import Evaluator
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,24 +205,3 @@ class Sweep:
     def __len__(self) -> int:
         return len(self.records)
 
-
-def run_sweep(
-    models: list[LanguageModel],
-    config: SweepConfig | None = None,
-    evaluator: Evaluator | None = None,
-    workers: int = 1,
-) -> Sweep:
-    """Run the full experimental sweep of Fig. 1 and evaluate everything.
-
-    Compatibility shim over the job-based service (:mod:`repro.eval.jobs`):
-    unsupported combinations that the old loop swallowed with a bare
-    ``except ValueError`` are now planned out up front — use
-    :func:`repro.api.run_sweep` to see the skip/error records.
-    """
-    from ..backends.local import LocalZooBackend
-    from .jobs import SweepExecutor, SweepPlanner
-
-    backend = LocalZooBackend(models)
-    plan = SweepPlanner(backend).plan(config, models=[m.name for m in models])
-    executor = SweepExecutor(backend, evaluator=evaluator, workers=workers)
-    return executor.run(plan).sweep

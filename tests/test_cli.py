@@ -381,6 +381,27 @@ class TestCoordinateAndWorkCommands:
             build_parser().parse_args(argv)
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--backend", "stub-canonical"],
+        ["work", "--url", "http://127.0.0.1:1"],
+    ])
+    @pytest.mark.parametrize("flags", [
+        ["--retries", "-1"],
+        ["--retries", "1", "--backoff", "-1"],
+        ["--retries", "1", "--backoff", "nan"],
+        ["--retries", "1", "--backoff", "inf"],
+        ["--repair-budget", "-3"],
+    ])
+    def test_negative_retry_and_repair_flags_rejected(
+        self, command, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be" in err
+        assert "Traceback" not in err
+
     def test_work_requires_url(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["work"])

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.api import Session
+from repro.backends import LocalZooBackend
 from repro.eval import (
     Evaluator,
     Sweep,
@@ -12,7 +14,6 @@ from repro.eval import (
     mean,
     pass_at_k,
     pass_fraction,
-    run_sweep,
     truncate_completion,
 )
 from repro.eval.harness import CompletionRecord
@@ -297,6 +298,10 @@ class TestSweepSlicing:
         assert sweep.mean_inference_seconds("m-ft") == 2.0
 
 
+def _sweep(model, config):
+    return Session(backend=LocalZooBackend([model])).run_sweep(config).sweep
+
+
 class TestRunSweep:
     def test_small_sweep_shape(self):
         model = make_model("codegen-6b", fine_tuned=True)
@@ -306,7 +311,7 @@ class TestRunSweep:
             levels=(PromptLevel.LOW,),
             problem_numbers=(1, 2),
         )
-        sweep = run_sweep([model], config)
+        sweep = _sweep(model, config)
         # 1 model x 2 problems x 1 level x 2 temps x 4 completions
         assert len(sweep) == 16
         assert sweep.temperatures() == [0.1, 0.5]
@@ -320,7 +325,7 @@ class TestRunSweep:
             levels=(PromptLevel.LOW,),
             problem_numbers=(1,),
         )
-        sweep = run_sweep([model], config)
+        sweep = _sweep(model, config)
         assert {r.n for r in sweep.records} == {1}
 
     def test_sweep_is_deterministic(self):
@@ -329,8 +334,8 @@ class TestRunSweep:
             temperatures=(0.1,), completions_per_prompt=(5,),
             levels=(PromptLevel.MEDIUM,), problem_numbers=(3,),
         )
-        a = run_sweep([model], config)
-        b = run_sweep([model], config)
+        a = _sweep(model, config)
+        b = _sweep(model, config)
         assert [(r.compiled, r.passed) for r in a.records] == [
             (r.compiled, r.passed) for r in b.records
         ]
@@ -341,7 +346,7 @@ class TestRunSweep:
             temperatures=(0.1,), completions_per_prompt=(2,),
             levels=(PromptLevel.LOW,), problem_numbers=(13,),
         )
-        sweep = run_sweep([model], config)
+        sweep = _sweep(model, config)
         assert all(r.difficulty == Difficulty.ADVANCED for r in sweep.records)
 
 
@@ -353,7 +358,7 @@ class TestExport:
             temperatures=(0.1,), completions_per_prompt=(3,),
             levels=(PromptLevel.LOW,), problem_numbers=(1, 2),
         )
-        return run_sweep([model], config)
+        return _sweep(model, config)
 
     def test_csv_shape(self, tiny_sweep):
         from repro.eval import sweep_to_csv

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import Session, quick_evaluate
-from repro.api import evaluate_model, run_sweep as api_run_sweep
+from repro import Session
 from repro.backends import BackendError, LocalZooBackend, StubBackend
 from repro.eval import (
     Evaluator,
@@ -13,7 +12,6 @@ from repro.eval import (
     SweepConfig,
     SweepExecutor,
     SweepPlanner,
-    run_sweep,
 )
 from repro.eval.harness import CompletionRecord
 from repro.models import make_model
@@ -96,11 +94,11 @@ class TestExecutor:
             parallel = SweepExecutor(backend, workers=workers).run(plan)
             assert serial.sweep.records == parallel.sweep.records
 
-    def test_parity_with_legacy_run_sweep(self):
-        models = small_models()
-        legacy = run_sweep(models, SMALL)
-        service = api_run_sweep(SMALL, models=models, workers=4)
-        assert legacy.records == service.sweep.records
+    def test_session_parallel_parity(self):
+        backend = LocalZooBackend(small_models())
+        serial = Session(backend=backend).run_sweep(SMALL)
+        parallel = Session(backend=backend, workers=4).run_sweep(SMALL)
+        assert serial.sweep.records == parallel.sweep.records
 
     def test_default_config_parity(self):
         """Acceptance: full default SweepConfig, serial == workers>1.
@@ -109,10 +107,10 @@ class TestExecutor:
         runtime reasonable; all 17 problems x 3 levels x 5 temperatures
         are exercised.
         """
-        models = small_models()
+        backend = LocalZooBackend(small_models())
         config = SweepConfig()
-        serial = api_run_sweep(config, models=models, workers=1)
-        parallel = api_run_sweep(config, models=models, workers=8)
+        serial = Session(backend=backend, workers=1).run_sweep(config)
+        parallel = Session(backend=backend, workers=8).run_sweep(config)
         assert serial.sweep.records == parallel.sweep.records
         assert len(serial.sweep) == 2 * 17 * 3 * 5 * 10
 
@@ -228,9 +226,10 @@ class TestSessionFacade:
         assert len(result.sweep) == 2 * 3 * 2  # problems x levels x n
 
     def test_session_evaluate_model_instance(self):
-        session = Session(backend="stub")  # instance overrides backend
+        # an instance is served by a local zoo, then named
+        session = Session(backend=LocalZooBackend([make_model("codegen-2b")]))
         result = session.evaluate_model(
-            make_model("codegen-2b"), problem_numbers=(1,), n=2,
+            "codegen-2b-pt", problem_numbers=(1,), n=2,
             levels=(PromptLevel.LOW,),
         )
         assert {r.model for r in result.sweep.records} == {"codegen-2b-pt"}
@@ -239,11 +238,15 @@ class TestSessionFacade:
     def test_evaluate_model_instance_runs_on_session_executor(
         self, executor
     ):
-        session = Session(executor=executor, workers=2)
-        by_instance = session.evaluate_model(
-            make_model("codegen-2b"), problem_numbers=(1, 2), n=2
+        session = Session(
+            backend=LocalZooBackend([make_model("codegen-2b")]),
+            executor=executor,
+            workers=2,
         )
-        by_name = session.evaluate_model(
+        by_instance = session.evaluate_model(
+            "codegen-2b-pt", problem_numbers=(1, 2), n=2
+        )
+        by_name = Session(executor=executor, workers=2).evaluate_model(
             "codegen-2b-pt", problem_numbers=(1, 2), n=2
         )
         assert by_instance.stats["executor"] == executor
@@ -266,9 +269,12 @@ class TestSessionFacade:
                     raise BackendError("transient")
                 return self.inner.generate(prompt, config)
 
-        session = Session(retry=RetryPolicy(max_attempts=2))
+        session = Session(
+            backend=LocalZooBackend([FlakyOnce()]),
+            retry=RetryPolicy(max_attempts=2),
+        )
         result = session.evaluate_model(
-            FlakyOnce(), problem_numbers=(1,), n=2,
+            "flaky-once", problem_numbers=(1,), n=2,
             levels=(PromptLevel.LOW,),
         )
         assert result.errors == []
@@ -282,23 +288,25 @@ class TestSessionFacade:
         session.evaluate_model("stub", problem_numbers=(1,), n=2)
         assert session.cache_info["misses"] == before
 
-    def test_module_level_evaluate_model(self):
-        result = evaluate_model(
-            make_model("codegen-6b", fine_tuned=True),
-            problem_numbers=(1,),
-            n=2,
-        )
-        assert len(result.sweep) == 3 * 2
+    def test_evaluate_model_instance_honours_session_repair_budget(self):
+        # an instance served by a local zoo runs through the session's
+        # repair loop, exactly as the same model named on the default zoo
+        model = make_model("codegen-2b", fine_tuned=True)
+        served = Session(repair_budget=2, backend=LocalZooBackend([model]))
+        by_name = Session(repair_budget=2)
+        args = dict(problem_numbers=(1, 2, 6), n=5)
+        by_instance = served.evaluate_model("codegen-2b-ft", **args)
+        named = by_name.evaluate_model("codegen-2b-ft", **args)
+        assert by_instance.sweep.records == named.sweep.records
+        for result in (by_instance, named):
+            assert sum(r.passed for r in result.sweep.records) == 33
+            assert result.stats["backend"] == "repair(zoo)"
+        with pytest.raises(TypeError, match=r"LocalZooBackend\(\[model\]\)"):
+            served.evaluate_model(model)
 
-    def test_quick_evaluate_shim_unchanged(self):
-        sweep = quick_evaluate(
-            make_model("codegen-6b", fine_tuned=True),
-            problem_numbers=(1, 2, 3),
-            temperature=0.1,
-            n=5,
-        )
-        assert isinstance(sweep, Sweep)
-        assert len(sweep) == 3 * 3 * 5
+    def test_negative_repair_budget_rejected(self):
+        with pytest.raises(ValueError, match="repair_budget"):
+            Session(repair_budget=-3)
 
 
 TINY = SweepConfig(

@@ -6,7 +6,8 @@ cost ~seconds thanks to the evaluation cache).
 
 import pytest
 
-from repro import VGenConfig, VGenPipeline, quick_evaluate
+from repro import Session, VGenConfig, VGenPipeline
+from repro.backends import LocalZooBackend
 from repro.corpus import CorpusConfig
 from repro.eval import (
     Evaluator,
@@ -21,7 +22,6 @@ from repro.eval import (
     render_series,
     render_table3,
     render_table4,
-    run_sweep,
     table3,
     table4,
 )
@@ -38,7 +38,8 @@ def sweep():
         make_model("code-davinci-002"),
     ]
     config = SweepConfig(temperatures=(0.1, 0.5), completions_per_prompt=(10,))
-    return run_sweep(models, config, Evaluator())
+    session = Session(backend=LocalZooBackend(models), evaluator=Evaluator())
+    return session.run_sweep(config).sweep
 
 
 class TestTables:
@@ -135,15 +136,6 @@ class TestHeadlinesAndFailures:
 
 
 class TestCorePipeline:
-    def test_quick_evaluate(self):
-        sweep = quick_evaluate(
-            make_model("codegen-6b", fine_tuned=True),
-            problem_numbers=(1, 2, 3),
-            temperature=0.1,
-            n=5,
-        )
-        assert len(sweep) == 3 * 3 * 5  # problems x levels x n
-
     def test_pipeline_components(self):
         pipeline = VGenPipeline(
             VGenConfig(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Session
+from repro.backends import LocalZooBackend
 from repro.eval import (
     Evaluator,
     PROBLEM_HINTS,
@@ -13,7 +15,6 @@ from repro.eval import (
     hint_for,
     model_comparison,
     pass_at_k_curve,
-    run_sweep,
     scenario_pass_at_k,
 )
 from repro.models import GenerationConfig, make_model
@@ -160,7 +161,8 @@ def small_sweep():
         completions_per_prompt=(10,),
         problem_numbers=(1, 2, 3, 4),
     )
-    return run_sweep(models, config, Evaluator())
+    session = Session(backend=LocalZooBackend(models), evaluator=Evaluator())
+    return session.run_sweep(config).sweep
 
 
 class TestAnalysis:
