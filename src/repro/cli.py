@@ -95,15 +95,23 @@ def _cmd_prompt(args) -> int:
     return 0
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+def _read(path: str) -> "str | None":
+    """The text of ``path``; ``None``, after printing why, if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}")
+        return None
 
 
 def _cmd_compile(args) -> int:
     from .verilog import compile_design
 
-    report = compile_design(_read(args.file), top=args.top)
+    source = _read(args.file)
+    if source is None:
+        return 2
+    report = compile_design(source, top=args.top)
     if report.ok:
         print("compile: OK")
         return 0
@@ -115,8 +123,11 @@ def _cmd_compile(args) -> int:
 def _cmd_simulate(args) -> int:
     from .verilog import run_simulation
 
+    source = _read(args.file)
+    if source is None:
+        return 2
     report, result = run_simulation(
-        _read(args.file), top=args.top, max_time=args.max_time,
+        source, top=args.top, max_time=args.max_time,
         compile_sim=args.compile_sim,
     )
     if not report.ok:
@@ -143,7 +154,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_lint(args) -> int:
     from .verilog import lint_source_unit, parse
 
-    warnings = lint_source_unit(parse(_read(args.file)))
+    source = _read(args.file)
+    if source is None:
+        return 2
+    warnings = lint_source_unit(parse(source))
     for warning in warnings:
         print(warning)
     print(f"-- {len(warnings)} finding(s)")

@@ -8,7 +8,11 @@ Beyond plain record tables, this module is the wire codec for the
 distributed sweep service: jobs, skips, errors, configs and whole
 :class:`~repro.eval.jobs.SweepResult`s round-trip through dicts/JSON so
 shard manifests (:mod:`repro.service.sharding`) and the HTTP eval
-service (:mod:`repro.service.server`) share one schema.
+service (:mod:`repro.service.server`) share one schema.  A whole
+result ships its records job-major (:data:`RUN_COLUMNS`): one entry
+per run of a job's consecutive samples, its verdicts as bit strings.  The
+record tables (CSV, :func:`sweep_to_json`, :func:`record_to_dict`) keep
+one row per record.
 """
 
 from __future__ import annotations
@@ -261,10 +265,119 @@ def evaluation_from_dict(row: dict):
 # ----------------------------------------------------------------------
 # Whole-result round-trip (records + skip/error metadata + stats)
 # ----------------------------------------------------------------------
-def sweep_result_to_dict(result) -> dict:
-    """Serialize a :class:`~repro.eval.jobs.SweepResult` losslessly."""
+#: the fields every record of one job run shares, in record order
+RUN_FIELDS = (
+    "model", "base_model", "fine_tuned", "problem", "difficulty", "level",
+    "temperature", "n",
+)
+
+#: the columns of one job run: its job fields, the first record's
+#: ``sample_index``, one '0'/'1' per record for ``compiled`` and
+#: ``passed``, and the records' ``inference_seconds``
+RUN_COLUMNS = RUN_FIELDS + (
+    "first_sample", "compiled", "passed", "inference_seconds",
+)
+
+
+def _records_to_runs(records) -> dict:
+    """``records`` as job runs: consecutive records that share every
+    :data:`RUN_FIELDS` value and have consecutive ``sample_index``."""
+    runs = []
+    key = None
+    expected = None
+    for record in records:
+        fields = (
+            record.model, record.base_model, record.fine_tuned,
+            record.problem, record.difficulty, record.level,
+            record.temperature, record.n,
+        )
+        if fields != key or record.sample_index != expected:
+            key = fields
+            compiled, passed, seconds = [], [], []
+            runs.append((fields, record.sample_index, compiled, passed,
+                         seconds))
+        compiled.append("1" if record.compiled else "0")
+        passed.append("1" if record.passed else "0")
+        # full repr, not rounded: JSON floats round-trip exactly, so
+        # wire-shipped shard results merge with *exact* record parity
+        seconds.append(record.inference_seconds)
+        expected = record.sample_index + 1
     return {
-        "records": [_row(r) for r in result.sweep.records],
+        "columns": list(RUN_COLUMNS),
+        "runs": [
+            [model, base_model, fine_tuned, problem, str(difficulty),
+             str(level), temperature, n, first, "".join(compiled),
+             "".join(passed), seconds]
+            for (model, base_model, fine_tuned, problem, difficulty, level,
+                 temperature, n), first, compiled, passed, seconds in runs
+        ],
+    }
+
+
+def _bits(text, size: int) -> list[bool]:
+    if not isinstance(text, str) or len(text) != size or text.strip("01"):
+        raise ValueError(
+            f"job run verdicts must be a bit string of {size} '0'/'1' "
+            f"characters, got {text!r}"
+        )
+    return [bit == "1" for bit in text]
+
+
+def _records_from_runs(records) -> list[CompletionRecord]:
+    """Rebuild the records of :func:`_records_to_runs` output."""
+    if not isinstance(records, dict) or records.get("columns") != list(
+        RUN_COLUMNS
+    ):
+        raise ValueError(
+            "result records are not job runs "
+            f'({{"columns": {json.dumps(RUN_COLUMNS)}, "runs": [...]}}); '
+            "results written with one row per record are not read — "
+            "re-run the sweep"
+        )
+    out = []
+    for run in records["runs"]:
+        if not isinstance(run, list) or len(run) != len(RUN_COLUMNS):
+            raise ValueError(
+                f"a job run is a list of {len(RUN_COLUMNS)} columns, "
+                f"got {run!r:.80}"
+            )
+        (model, base_model, fine_tuned, problem, difficulty, level,
+         temperature, n, first, compiled, passed, seconds) = run
+        if not isinstance(seconds, list) or not seconds:
+            raise ValueError(
+                "job run inference_seconds must be a non-empty list"
+            )
+        fine_tuned = bool(fine_tuned)
+        problem = int(problem)
+        difficulty = _DIFFICULTY_BY_VALUE[difficulty]
+        level = _LEVEL_BY_VALUE[level]
+        temperature = float(temperature)
+        n = int(n)
+        first = int(first)
+        # positional, in CompletionRecord's field order: a quarter
+        # faster than keywords, and a result holds thousands of records
+        out.extend(
+            CompletionRecord(
+                model, base_model, fine_tuned, problem, difficulty, level,
+                temperature, n, first + offset, ok, good, float(took),
+            )
+            for offset, (ok, good, took) in enumerate(zip(
+                _bits(compiled, len(seconds)), _bits(passed, len(seconds)),
+                seconds,
+            ))
+        )
+    return out
+
+
+def sweep_result_to_dict(result) -> dict:
+    """Serialize a :class:`~repro.eval.jobs.SweepResult` losslessly.
+
+    ``records`` holds job runs (:data:`RUN_COLUMNS`), not one row per
+    record: the wire, coordinator checkpoints and shard-result
+    files all carry this layout.
+    """
+    return {
+        "records": _records_to_runs(result.sweep.records),
         "skipped": [skip_to_dict(s) for s in result.skipped],
         "errors": [error_to_dict(e) for e in result.errors],
         "stats": result.stats,
@@ -272,10 +385,12 @@ def sweep_result_to_dict(result) -> dict:
 
 
 def sweep_result_from_dict(row: dict):
+    """Rebuild :func:`sweep_result_to_dict` output; ``ValueError`` when
+    its records are not job runs (an old per-record row list)."""
     from .jobs import SweepResult
 
     return SweepResult(
-        sweep=Sweep(records=[record_from_dict(r) for r in row["records"]]),
+        sweep=Sweep(records=_records_from_runs(row["records"])),
         skipped=[skip_from_dict(s) for s in row.get("skipped", [])],
         errors=[error_from_dict(e) for e in row.get("errors", [])],
         stats=dict(row.get("stats", {})),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 
@@ -37,6 +38,10 @@ class GenerationConfig:
     top_p: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature):
+            raise ValueError(
+                f"temperature must be finite, got {self.temperature}"
+            )
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.n < 1:

@@ -15,7 +15,7 @@ guarantees as the blocking pieces of :mod:`repro.service`:
   ``asyncio.start_server`` plus the streaming routes
   ``POST /sweep/stream`` and ``GET /shard/status/stream``.
 
-The client of those routes is the ``urllib`` one in
+The client of those routes is the ``http.client`` one in
 :mod:`repro.service.client` (:func:`~repro.service.client.stream_sweep`
 and friends).
 """

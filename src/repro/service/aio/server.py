@@ -18,10 +18,14 @@ served here directly:
   ``status`` frame whenever progress changes, a ``done`` frame when the
   sweep is fully merged (404-equivalent error if no coordinator).
 
-The HTTP dialect is deliberately minimal: one request per connection,
-``Connection: close``, JSON responses carry ``Content-Length``, streamed
-responses are close-delimited ``application/x-ndjson``.  The ``urllib``
-client of :mod:`repro.service.client` speaks it.
+The HTTP dialect is deliberately minimal.  JSON responses carry
+``Content-Length``, and the connection stays open for the next request
+(HTTP/1.1 persistence) unless the request asked for
+``Connection: close`` or came as HTTP/1.0.  Streamed responses are
+close-delimited ``application/x-ndjson``; they, raw-text responses and
+answers to malformed requests close the connection.  ``stop()`` closes
+the connections that wait idle for their next request.  The client of
+:mod:`repro.service.client` keeps one connection per thread open.
 
 ``start()``/``stop()`` run the loop on a daemon thread for sync callers
 (the CLI, tests, ``Session.serve``/``Session.coordinate``; ``port=0``
@@ -88,6 +92,10 @@ class AsyncEvalService:
         self._thread: threading.Thread | None = None
         self._stop_event: asyncio.Event | None = None
         self._thread_error: BaseException | None = None
+        #: kept-alive connections waiting for their next request
+        self._idle: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: set by stop_async: handlers answer once more, then close
+        self._closing = False
 
     # ------------------------------------------------------------------
     @property
@@ -104,6 +112,7 @@ class AsyncEvalService:
     async def start_async(self) -> str:
         """Bind and serve inside the caller's event loop."""
         if self._server is None:
+            self._closing = False
             self._server = await asyncio.start_server(
                 self._handle_connection, self.host, self.port,
                 limit=STREAM_LIMIT,
@@ -114,6 +123,15 @@ class AsyncEvalService:
     async def stop_async(self) -> None:
         if self._server is not None:
             self._server.close()
+            # an idle connection's handler reads EOF and ends; a busy
+            # one closes after its response
+            self._closing = True
+            idle = list(self._idle.items())
+            for writer, _task in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([task for _writer, task in idle],
+                                   timeout=1.0)
             await self._server.wait_closed()
             self._server = None
 
@@ -185,24 +203,33 @@ class AsyncEvalService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, query, payload = request
-            route = (method, path.rstrip("/") or "/")
-            if route == ("POST", "/sweep/stream"):
-                await self._stream_sweep(reader, writer, payload or {})
-            elif route == ("GET", "/shard/status/stream"):
-                await self._stream_status(reader, writer, query)
-            else:
+            while not self._closing:
+                self._idle[writer] = asyncio.current_task()
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    del self._idle[writer]
+                if request is None:
+                    return
+                method, path, query, payload, keep_alive = request
+                route = (method, path.rstrip("/") or "/")
+                if route == ("POST", "/sweep/stream"):
+                    await self._stream_sweep(reader, writer, payload or {})
+                    return
+                if route == ("GET", "/shard/status/stream"):
+                    await self._stream_status(reader, writer, query)
+                    return
                 # ServiceApp handlers can block for a whole sweep; keep
                 # the loop free to answer health checks and streams
                 status, body = await asyncio.get_running_loop(
                 ).run_in_executor(None, self.app.handle, method, path, payload)
                 if RAW_TEXT_KEY in body:
                     await self._respond_text(writer, status, body)
-                else:
-                    await self._respond_json(writer, status, body)
+                    return
+                keep_alive = keep_alive and not self._closing
+                await self._respond_json(writer, status, body, keep_alive)
+                if not keep_alive:
+                    return
         except _BadRequest as exc:
             with contextlib.suppress(ConnectionError, OSError):
                 await self._respond_json(writer, 400, {"error": str(exc)})
@@ -223,7 +250,7 @@ class AsyncEvalService:
         if not request_line.strip():
             return None
         try:
-            method, target, _version = (
+            method, target, version = (
                 request_line.decode("ascii").split(None, 2)
             )
         except (UnicodeDecodeError, ValueError):
@@ -262,18 +289,25 @@ class AsyncEvalService:
             key: values[-1]
             for key, values in parse_qs(query_text).items()
         }
-        return method.upper(), path, query, payload
+        connection = headers.get("connection", "").lower()
+        keep_alive = (
+            "keep-alive" in connection
+            if version.strip() == "HTTP/1.0"
+            else "close" not in connection
+        )
+        return method.upper(), path, query, payload, keep_alive
 
     @staticmethod
     async def _respond_json(
-        writer: asyncio.StreamWriter, status: int, body: dict
+        writer: asyncio.StreamWriter, status: int, body: dict,
+        keep_alive: bool = False,
     ) -> None:
         data = json.dumps(body).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(data)}\r\n"
-            "Connection: close\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         )
         writer.write(head.encode("ascii") + data)

@@ -29,20 +29,21 @@ abandoning the generator closes the connection, which the server takes
 as the signal to cancel every in-flight job.
 
 Every request — JSON round trip, event stream, and the ``repro top``
-poll — goes through one ``urllib`` helper, so all of them fail the
-same way (see :func:`http_transport`).
+poll — goes through one ``http.client`` helper, so all of them fail the
+same way (see :func:`http_transport`).  JSON calls keep one connection
+per thread open across requests; each event stream opens its own and
+closes it when the stream ends.
 """
 
 from __future__ import annotations
 
-import contextlib
 import http.client
 import json
 import os
 import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Callable, Iterator, Sequence
 
 from ..models.base import Completion, GenerationConfig
@@ -66,63 +67,97 @@ class ServiceUnreachableError(BackendError):
     """
 
 
+def _connect(base_url: str, timeout: float) -> http.client.HTTPConnection:
+    """A connection to the service at ``base_url``; it opens its socket
+    on the first request, and again on the next request after a close."""
+    try:
+        parts = urllib.parse.urlsplit(base_url)
+        port = parts.port
+    except ValueError as exc:
+        raise ServiceUnreachableError(
+            f"cannot reach eval service at {base_url}: {exc}"
+        ) from None
+    if parts.scheme not in _CONNECTION_CLASSES or not parts.hostname:
+        raise ServiceUnreachableError(
+            f"cannot reach eval service at {base_url}: not an http(s) URL"
+        )
+    return _CONNECTION_CLASSES[parts.scheme](
+        parts.hostname, port, timeout=timeout
+    )
+
+
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+
 def _request(
+    connection: http.client.HTTPConnection,
     base_url: str,
     method: str,
     path: str,
     payload: "dict | None",
-    timeout: float,
-    lines: bool = False,
-) -> Iterator[bytes]:
-    """Send one request to the service and yield its response body.
+) -> http.client.HTTPResponse:
+    """Send one request on ``connection``; return its 2xx response,
+    body unread.
 
-    The body comes whole (one ``read``, which checks ``Content-Length``)
-    or, with ``lines``, one line at a time as the server writes it.
-    Closing the generator early closes the connection.  An HTTP error
-    status raises :class:`BackendError` with the server's error detail;
-    nothing answering, or a connection cut or short body mid-response,
-    raises :class:`ServiceUnreachableError`.
+    A kept-alive connection the server has closed since its last
+    request (idle close, restart) fails before any response byte
+    arrives; that request is sent once more on a fresh connection.  An
+    HTTP error status raises :class:`BackendError` with the server's
+    error detail; nothing answering raises
+    :class:`ServiceUnreachableError`.  Every failure closes
+    ``connection``, so its next request starts on a fresh socket.
     """
     data = None if payload is None else json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        base_url.rstrip("/") + path,
-        data=data,
-        headers={"Content-Type": "application/json"},
-        method=method,
-    )
-    try:
-        response = urllib.request.urlopen(request, timeout=timeout)
-    except urllib.error.HTTPError as exc:
+    target = urllib.parse.urlsplit(base_url).path.rstrip("/") + path
+    for fresh in (connection.sock is None, True):
         try:
-            detail = json.loads(exc.read().decode("utf-8"))["error"]
-        except Exception:  # noqa: BLE001 — body may not be our JSON
-            detail = str(exc)
-        raise BackendError(
-            f"eval service {exc.code} on {path}: {detail}"
-        ) from None
-    except (OSError, ValueError, http.client.HTTPException) as exc:
-        # ValueError here is urlopen rejecting the URL itself
-        # (unknown scheme etc.), not a body-decoding problem
-        raise ServiceUnreachableError(
-            f"cannot reach eval service at {base_url}: {exc}"
-        ) from None
-    with response:
-        read = response.readline if lines else response.read
-        while True:
-            try:
-                chunk = read()
-            except (OSError, ValueError, http.client.HTTPException) as exc:
+            connection.request(
+                method, target, body=data,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            break
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            if fresh or not isinstance(exc, ConnectionError):
                 raise ServiceUnreachableError(
-                    f"response from {base_url}{path} interrupted: "
-                    f"{exc or type(exc).__name__}"
+                    f"cannot reach eval service at {base_url}: {exc}"
                 ) from None
-            if not chunk:
-                return
-            yield chunk
+    if 200 <= response.status < 300:
+        return response
+    body = _read(connection, response, base_url, path, response.read)
+    try:
+        detail = json.loads(body.decode("utf-8"))["error"]
+    except Exception:  # noqa: BLE001 — body may not be our JSON
+        detail = f"HTTP Error {response.status}: {response.reason}"
+    raise BackendError(f"eval service {response.status} on {path}: {detail}")
+
+
+def _read(connection, response, base_url: str, path: str, read) -> bytes:
+    """``read()`` from ``response``; a connection cut or short body
+    closes ``connection`` and raises :class:`ServiceUnreachableError`."""
+    try:
+        return read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        connection.close()
+        response.close()
+        raise ServiceUnreachableError(
+            f"response from {base_url}{path} interrupted: "
+            f"{exc or type(exc).__name__}"
+        ) from None
 
 
 def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
-    """A urllib-based transport bound to ``base_url``.
+    """A JSON transport bound to ``base_url``.
+
+    Each thread that calls it keeps one connection open and sends its
+    requests over it in turn, so executor threads sharing one
+    :class:`ServiceBackend` never share a socket.  ``call.close()``
+    closes the calling thread's connection (the next call opens a new
+    one).
 
     Failure classes stay distinct: an unreachable server — or one that
     cuts the response short — reports "cannot reach"/"interrupted" as
@@ -132,11 +167,14 @@ def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
     port answering with HTML must not masquerade as a connection
     problem.
     """
+    local = threading.local()
 
     def call(method: str, path: str, payload: dict | None = None) -> dict:
-        body = b"".join(
-            _request(base_url, method, path, payload, timeout)
-        )
+        connection = getattr(local, "connection", None)
+        if connection is None:
+            connection = local.connection = _connect(base_url, timeout)
+        response = _request(connection, base_url, method, path, payload)
+        body = _read(connection, response, base_url, path, response.read)
         try:
             return json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -146,6 +184,12 @@ def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
                 f"(body starts: {snippet!r})"
             ) from None
 
+    def close() -> None:
+        connection = getattr(local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    call.close = close
     return call
 
 
@@ -309,6 +353,15 @@ def run_worker(
         if url is None:
             raise ValueError("run_worker needs a coordinator url or transport")
         transport = http_transport(url)
+        try:
+            return run_worker(
+                transport=transport, session=session, worker_id=worker_id,
+                poll_seconds=poll_seconds, sleep=sleep,
+                max_idle_polls=max_idle_polls,
+                telemetry_seconds=telemetry_seconds,
+            )
+        finally:
+            transport.close()
     if session is None:
         from ..api import Session
 
@@ -435,9 +488,17 @@ def _iter_frames(
     a frame with an event name this client predates flows through for
     reassembly to ignore, instead of failing a live sweep.
     """
-    body = _request(url, method, path, payload, timeout, lines=True)
-    with contextlib.closing(body):
-        yield from decode_stream(body)
+    connection = _connect(url, timeout)
+    try:
+        response = _request(connection, url, method, path, payload)
+        with response:
+            yield from decode_stream(iter(
+                lambda: _read(connection, response, url, path,
+                              response.readline),
+                b"",
+            ))
+    finally:
+        connection.close()
 
 
 def iter_sweep_events(

@@ -23,8 +23,11 @@ from repro.service import (
     AsyncEvalService,
     ServiceBackend,
     ShardCoordinator,
+    http_transport,
     iter_status_events,
     iter_sweep_events,
+    job_ranges,
+    run_worker,
     stream_sweep,
 )
 from repro.service.aio.events import assemble_stream_result
@@ -517,3 +520,189 @@ class TestRequestHygiene:
         out = capsys.readouterr().out
         assert "--retries" in out and "--executor" in out
         assert "ignored by --stream" in out
+
+
+class _Counting(AsyncEvalService):
+    """An eval service that counts the connections it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.accepts = 0
+        self.open = 0
+
+    async def _handle_connection(self, reader, writer):
+        self.accepts += 1
+        self.open += 1
+        try:
+            await super()._handle_connection(reader, writer)
+        finally:
+            self.open -= 1
+
+
+def _wait_for(predicate, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestKeptAliveConnections:
+    """JSON calls reuse one connection per thread; the server keeps it
+    open between requests and closes it when told to or when stopped."""
+
+    def test_a_whole_worker_sweep_is_one_connection(self):
+        session = Session(backend="stub-canonical")
+        plan = session.plan(SMALL)
+        coordinator = ShardCoordinator(job_ranges(plan, 1))
+        with _Counting(session, port=0, coordinator=coordinator) as svc:
+            summary = run_worker(
+                url=svc.url, session=Session(backend="stub-canonical"),
+                poll_seconds=0.05,
+            )
+            assert summary["shards"] == len(plan.jobs) == 4
+            assert svc.accepts == 1
+            # run_worker closed its connection on the way out
+            assert _wait_for(lambda: svc.open == 0)
+        assert coordinator.result().sweep.records == (
+            session.run_plan(plan).sweep.records
+        )
+
+    def test_threads_sharing_a_backend_use_a_connection_each(self):
+        local = Session(backend="stub-canonical")
+        prompts = ["module m;", "module n;", "module o;"]
+        config = GenerationConfig(temperature=0.1, n=2)
+        with _Counting(local, port=0) as svc:
+            backend = ServiceBackend(url=svc.url)
+            barrier = threading.Barrier(2)
+            texts = {}
+
+            def generate(name):
+                barrier.wait(timeout=5)
+                texts[name] = [
+                    [c.text for c in backend.generate("stub", p, config)]
+                    for p in prompts
+                ]
+
+            threads = [threading.Thread(target=generate, args=(name,))
+                       for name in ("a", "b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert svc.accepts == 2
+            assert texts["a"] == texts["b"] == [
+                [c.text for c in local.backend.generate("stub", p, config)]
+                for p in prompts
+            ]
+            remote = Session(backend=backend, workers=2).run_sweep(SMALL)
+        assert remote.sweep.records == local.run_sweep(SMALL).sweep.records
+
+    def test_next_call_after_a_server_restart_succeeds(self):
+        session = Session(backend="stub-canonical")
+        first = _Counting(session, port=0)
+        call = http_transport(first.start(), timeout=5)
+        try:
+            assert call("GET", "/health")["status"] == "ok"
+        finally:
+            first.stop()
+        # the kept-alive connection died with the first server
+        second = _Counting(session, port=first.port)
+        second.start()
+        try:
+            assert call("GET", "/health")["status"] == "ok"
+            assert call("GET", "/models")["models"] == ["stub"]
+            assert second.accepts == 1
+        finally:
+            second.stop()
+            call.close()
+
+    def test_connection_close_request_gets_a_closed_connection(self, service):
+        import socket
+
+        with socket.create_connection(
+            (service.host, service.port), timeout=5
+        ) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(65536):  # ends at the server's close
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+        # urllib asks for Connection: close on every request
+        with urllib.request.urlopen(service.url + "/health", timeout=5) as r:
+            assert r.headers["Connection"] == "close"
+
+    def test_http11_requests_share_a_connection(self):
+        import http.client
+
+        with _Counting(Session(backend="stub-canonical"), port=0) as svc:
+            conn = http.client.HTTPConnection(svc.host, svc.port, timeout=5)
+            try:
+                for path in ("/health", "/teapot", "/models"):
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.headers["Connection"] == "keep-alive"
+            finally:
+                conn.close()
+            assert svc.accepts == 1
+
+    def test_stop_with_an_idle_connection_is_prompt_and_quiet(
+        self, capfd, caplog
+    ):
+        from repro.service import ServiceUnreachableError
+
+        svc = AsyncEvalService(Session(backend="stub-canonical"), port=0)
+        call = http_transport(svc.start(), timeout=5)
+        assert call("GET", "/health")["status"] == "ok"
+        started = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(ServiceUnreachableError):
+            call("GET", "/health")
+        _out, err = capfd.readouterr()
+        assert "CancelledError" not in err and "Traceback" not in err
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_stop_async_ends_idle_handlers_itself(self):
+        async def scenario():
+            svc = _Counting(Session(backend="stub-canonical"), port=0)
+            await svc.start_async()
+            reader, writer = await asyncio.open_connection(
+                svc.host, svc.port
+            )
+            writer.write(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r")[0])
+            await reader.readexactly(length)
+            assert svc.open == 1  # kept alive, waiting for a request
+            await asyncio.wait_for(svc.stop_async(), timeout=1.0)
+            # closed by stop_async, not by the loop's teardown
+            assert svc.open == 0
+            assert await reader.read() == b""
+            writer.close()
+
+        asyncio.run(scenario())
+
+    def test_row_layout_submit_is_400(self):
+        session = Session(backend="stub-canonical")
+        coordinator = ShardCoordinator(session.plan_shards(1, SMALL))
+        with AsyncEvalService(session, port=0, coordinator=coordinator) as svc:
+            call = http_transport(svc.url, timeout=5)
+            lease = call("POST", "/shard/next", {"worker_id": "w"})
+            result = session.run_plan(shard_from_dict(lease["shard"]).plan)
+            payload = sweep_result_to_dict(result)
+            payload["records"] = json.loads(sweep_to_json(result.sweep))
+            with pytest.raises(BackendError, match="400.*not job runs"):
+                call("POST", "/shard/result",
+                     {"lease_id": lease["lease_id"], "result": payload})
+            # the same connection still serves the corrected submit
+            ack = call("POST", "/shard/result", {
+                "lease_id": lease["lease_id"],
+                "result": sweep_result_to_dict(result),
+            })
+            assert ack["accepted"] and ack["done"]
+            call.close()

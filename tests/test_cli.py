@@ -133,6 +133,15 @@ class TestCompileAndSimulate:
         assert "$enddefinitions" in (tmp_path / "dump.vcd").read_text()
 
 
+    @pytest.mark.parametrize("command", ["compile", "simulate", "lint"])
+    def test_missing_input_file_exits_two(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "nonexistent.v")
+        assert main([command, missing]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot read")
+        assert "No such file" in out
+
+
 class TestLint:
     def test_clean_file_exit_zero(self, capsys, verilog_file):
         assert main(["lint", verilog_file]) == 0
@@ -270,6 +279,27 @@ class TestSweepCommand:
         assert code == 0
         assert "overall" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["zoo", "stub-canonical"])
+    def test_evaluate_skips_a_nan_temperature(self, capsys, backend):
+        code = main([
+            "evaluate", "--backend", backend, "--temperature", "nan",
+            "--n", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "temperature must be finite, got nan" in out
+        assert "failed" not in out
+
+    def test_sweep_skips_a_nan_temperature(self, capsys):
+        code = main([
+            "sweep", "--backend", "stub-canonical", "--problems", "1",
+            "--temperatures", "nan,0.1", "--n", "2", "--levels", "L",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "skipped stub P1 L t=nan n=2: temperature must be finite" in out
+        assert "2 records" in out
+
     def test_shard_merge_round_trip(self, capsys, tmp_path):
         base = [
             "sweep", "--backend", "stub", "--problems", "1,2,3",
@@ -312,6 +342,34 @@ class TestSweepCommand:
 
         payload = json.load(open(full))
         assert set(payload) == {"records", "skipped", "errors", "stats"}
+        from repro.eval.export import RUN_COLUMNS
+
+        # the full export holds job runs, as the shard file did
+        assert payload["records"]["columns"] == list(RUN_COLUMNS)
+        assert payload["records"]["runs"] == (
+            json.load(open(path))["result"]["records"]["runs"]
+        )
+
+    def test_merge_refuses_a_row_layout_shard_file(self, capsys, tmp_path):
+        import json
+
+        from repro.eval import load_sweep_result_json, sweep_to_json
+
+        path = tmp_path / "shard0.json"
+        assert main([
+            "sweep", "--backend", "stub", "--problems", "1,2",
+            "--temperatures", "0.1", "--n", "2", "--levels", "L",
+            "--shards", "1", "--shard-index", "0", "--export", str(path),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        # the one-row-per-record list older versions wrote
+        result = load_sweep_result_json(json.dumps(payload["result"]))
+        payload["result"]["records"] = json.loads(sweep_to_json(result.sweep))
+        path.write_text(json.dumps(payload))
+        assert main(["merge", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: result records are not job runs")
 
     def test_merge_bad_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -628,6 +686,47 @@ class TestStreamingAndStoreCLI:
         assert json.load(open(merged_path)) == json.loads(
             sweep_to_json(serial.sweep)
         )
+
+    def test_coordinate_refuses_a_row_layout_checkpoint(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        from repro.api import Session
+        from repro.eval import SweepConfig
+        from repro.eval.export import sweep_result_to_dict, sweep_to_json
+        from repro.problems import PromptLevel
+        from repro.service import ShardCoordinator
+        from repro.service.sharding import shard_from_dict
+
+        config = SweepConfig(
+            temperatures=(0.1,), completions_per_prompt=(2,),
+            levels=(PromptLevel.LOW,), problem_numbers=(1, 2),
+        )
+        session = Session(backend="stub-canonical")
+        coordinator = ShardCoordinator(session.plan_shards(2, config))
+        lease = coordinator.next_shard("w")
+        result = session.run_plan(shard_from_dict(lease["shard"]).plan)
+        coordinator.submit_result(
+            lease["lease_id"], sweep_result_to_dict(result)
+        )
+        state = coordinator.state_to_dict()
+        # a checkpoint written before job runs: one row per record
+        (completed,) = state["completed"].values()
+        completed["records"] = json.loads(sweep_to_json(result.sweep))
+        checkpoint = tmp_path / "coordinator.json"
+        checkpoint.write_text(json.dumps(state))
+        code = main([
+            "coordinate", "--shards", "2",
+            "--backend", "stub-canonical",
+            "--problems", "1,2", "--temperatures", "0.1",
+            "--n", "2", "--levels", "L",
+            "--port", "0", "--linger-seconds", "0",
+            "--checkpoint", str(checkpoint),
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "unreadable checkpoint" in out and "not job runs" in out
 
     def test_coordinate_refuses_a_lease_jobs_checkpoint(
         self, capsys, tmp_path

@@ -527,6 +527,28 @@ class TestCheckpointPersistence:
         assert merged.sweep.records == serial.sweep.records
         assert merged.skipped == serial.skipped
 
+    def test_checkpoint_stores_completed_units_as_job_runs(self, tmp_path):
+        import json
+
+        from repro.eval.export import RUN_COLUMNS
+        from repro.service import load_checkpoint, save_checkpoint
+
+        checkpoint = str(tmp_path / "coordinator.json")
+        plan, shards = make_split(2)
+        coordinator = ShardCoordinator(shards)
+        index = self._complete_one(coordinator)
+        save_checkpoint(coordinator, checkpoint)
+        completed = json.load(open(checkpoint))["completed"]
+        runs = completed[str(index)]["records"]
+        assert runs["columns"] == list(RUN_COLUMNS)
+        assert len(runs["runs"]) == len(shards[index].plan.jobs)
+
+        restored = load_checkpoint(checkpoint)
+        self._complete_one(restored, "w2")
+        merged = restored.result()
+        serial = SweepExecutor(Session(backend="zoo").backend).run(plan)
+        assert merged.sweep.records == serial.sweep.records
+
     def test_checkpoint_write_is_atomic(self, tmp_path):
         import json
         import os

@@ -14,7 +14,7 @@ from repro.eval import (
     SweepPlanner,
 )
 from repro.eval.harness import CompletionRecord
-from repro.models import make_model
+from repro.models import GenerationConfig, make_model
 from repro.problems import Difficulty, PromptLevel
 
 SMALL = SweepConfig(
@@ -72,6 +72,23 @@ class TestPlanner:
         plan = SweepPlanner(StubBackend()).plan(config)
         assert plan.jobs == []
         assert "temperature" in plan.skipped[0].reason
+
+    @pytest.mark.parametrize("temperature", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_temperature_becomes_skip(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            GenerationConfig(temperature=temperature)
+        config = SweepConfig(
+            temperatures=(temperature, 0.1),
+            completions_per_prompt=(1,),
+            levels=(PromptLevel.LOW,),
+            problem_numbers=(1,),
+        )
+        plan = SweepPlanner(StubBackend()).plan(config)
+        assert [job.temperature for job in plan.jobs] == [0.1]
+        assert len(plan.skipped) == 1
+        assert "temperature must be finite" in plan.skipped[0].reason
 
     def test_explicit_model_subset(self):
         backend = LocalZooBackend(small_models())
@@ -224,6 +241,15 @@ class TestSessionFacade:
         session = Session(backend="stub")
         result = session.evaluate_model("stub", problem_numbers=(1, 2), n=2)
         assert len(result.sweep) == 2 * 3 * 2  # problems x levels x n
+
+    def test_evaluate_model_skips_a_nan_temperature(self):
+        session = Session(backend="zoo")
+        result = session.evaluate_model(
+            "codegen-2b-ft", temperature=float("nan"), n=2,
+        )
+        assert result.sweep.records == [] and result.errors == []
+        assert len(result.skipped) == 17 * 3  # problems x levels
+        assert all("finite" in skip.reason for skip in result.skipped)
 
     def test_session_evaluate_model_instance(self):
         # an instance is served by a local zoo, then named
