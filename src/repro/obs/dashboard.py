@@ -41,11 +41,15 @@ def fetch_view(base_url: str, timeout: float = 5.0) -> dict:
     get = http_transport(base, timeout)
     view: dict = {"url": base, "metrics": None, "status": None,
                   "errors": []}
-    for key, path in (("metrics", "/metrics"), ("status", "/shard/status")):
-        try:
-            view[key] = get("GET", path)
-        except BackendError as exc:
-            view["errors"].append(f"{path}: {exc}")
+    try:
+        for key, path in (("metrics", "/metrics"),
+                          ("status", "/shard/status")):
+            try:
+                view[key] = get("GET", path)
+            except BackendError as exc:
+                view["errors"].append(f"{path}: {exc}")
+    finally:
+        get.close()
     return view
 
 
