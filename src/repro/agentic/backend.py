@@ -69,6 +69,9 @@ class RepairingBackend(Backend):
     def identity(self, model: str) -> tuple[str, bool]:
         return self.inner.identity(model)
 
+    def close(self) -> None:
+        self.inner.close()
+
     def generate(
         self, model: str, prompt: str, config: GenerationConfig
     ) -> list[Completion]:

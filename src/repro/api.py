@@ -4,16 +4,18 @@ The one import most users need::
 
     from repro.api import Session
 
-    session = Session(backend="zoo", workers=4)
-    result = session.run_sweep()          # SweepResult
+    with Session(backend="zoo", workers=4) as session:
+        result = session.run_sweep()      # SweepResult
     print(result.stats, len(result.skipped))
 
 A :class:`Session` binds a backend (by name or instance), a shared
 thread-safe evaluator and a worker count, then serves sweeps and
 single-model evaluations through the job planner/executor of
-:mod:`repro.eval.jobs`.  Every in-process sweep runs through a
-:class:`Session`; to evaluate :class:`~repro.models.LanguageModel`
-instances, serve them from a local zoo::
+:mod:`repro.eval.jobs`; closing it (or leaving its ``with`` block)
+closes the verdict store's segment and the backend's connections.
+Every in-process sweep runs through a :class:`Session`; to evaluate
+:class:`~repro.models.LanguageModel` instances, serve them from a local
+zoo::
 
     session = Session(backend=LocalZooBackend([model]))
     result = session.evaluate_model(model.name, problem_numbers=(1, 2))
@@ -425,6 +427,22 @@ class Session:
     def cache_info(self) -> dict:
         """The shared evaluator's cache statistics."""
         return self.evaluator.cache_info
+
+    def close(self) -> None:
+        """Close the verdict store's files and the backend's connections.
+
+        Idempotent, and the session stays usable: a later put opens a
+        new store segment and a later request a new connection.
+        """
+        if self.store is not None:
+            self.store.close()
+        self.backend.close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def metrics(self) -> list[dict]:

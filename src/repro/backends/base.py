@@ -92,6 +92,10 @@ class Backend(abc.ABC):
         """
         return variant_identity(model)
 
+    def close(self) -> None:
+        """Release what the backend holds open, such as connections; a
+        later call reopens it.  Nothing by default."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 

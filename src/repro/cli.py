@@ -43,10 +43,9 @@ Commands:
   run one pull-based worker against a coordinator until the sweep is
   merged; each leased unit runs on the worker's executor, so
   ``--executor thread --workers N`` keeps N of its jobs in flight;
-* ``store {pack,compact,unpack,info} DIR`` — fold a verdict store's
-  finished writer segments into a single JSONL pack (``unpack`` turns
-  the pack into per-verdict files); ``compact`` rewrites the pack
-  without shadowed duplicate lines;
+* ``store {pack,compact,info} DIR`` — fold a verdict store's finished
+  writer segments into a single JSONL pack; ``compact`` rewrites the
+  pack without shadowed duplicate lines; ``info`` counts its entries;
 * ``tables [--backend B] [--workers W]`` — run the full sweep and print
   Tables III/IV + headlines + executor stats;
 * ``stats TRACE ... [--json]`` — summarize trace files written by
@@ -267,28 +266,33 @@ def _cmd_evaluate(args) -> int:
             return 2
         session = _session(args, backend=LocalZooBackend([model]))
         name = model.name
+    elif args.ft:
+        print("error: --ft only applies to the zoo backend")
+        return 2
     else:
         session = _session(args)
-        if args.ft:
-            print("error: --ft only applies to the zoo backend")
-            return 2
-        served = session.models()
-        if args.model in served:
-            name = args.model
-        elif args.model == _DEFAULT_EVAL_MODEL:
-            # the zoo-oriented default isn't served here; fall back visibly
-            name = served[0]
-            print(f"-- evaluating {name} (backend {args.backend!r} default)")
-        else:
-            print(f"error: backend {args.backend!r} does not serve "
-                  f"{args.model!r}; serves: {served}")
-            return 2
-    result = session.evaluate_model(
-        name,
-        temperature=args.temperature,
-        n=args.n,
-        levels=(PromptLevel.MEDIUM,),
-    )
+        name = None
+    with session:
+        if name is None:
+            served = session.models()
+            if args.model in served:
+                name = args.model
+            elif args.model == _DEFAULT_EVAL_MODEL:
+                # the zoo-oriented default isn't served here; fall back
+                # visibly
+                name = served[0]
+                print(f"-- evaluating {name} "
+                      f"(backend {args.backend!r} default)")
+            else:
+                print(f"error: backend {args.backend!r} does not serve "
+                      f"{args.model!r}; serves: {served}")
+                return 2
+        result = session.evaluate_model(
+            name,
+            temperature=args.temperature,
+            n=args.n,
+            levels=(PromptLevel.MEDIUM,),
+        )
     total_pass = total = 0
     by_problem: dict[int, list] = {}
     for record in result.sweep.records:
@@ -472,7 +476,6 @@ def _cmd_sweep(args) -> int:
             print(f"error: --export must end in .json or .csv, "
                   f"got {args.export!r}")
             return 2
-    session = _session(args)
     config = _build_sweep_config(args)
     if config is None:
         return 2
@@ -483,27 +486,28 @@ def _cmd_sweep(args) -> int:
         print("error: --shards needs --shard-index (run one shard per call)")
         return 2
     models = args.models.split(",") if args.models else None
-    try:
-        plan = session.plan(config, models=models)
-    except BackendError as exc:
-        print(f"error: {exc}")
-        return 2
-    print(
-        f"planned {len(plan.jobs)} jobs "
-        f"({plan.completions_planned} completions), "
-        f"{len(plan.skipped)} skipped"
-    )
-    shard = None
-    if shard_mode:
-        from .service import ShardPlanner
-
-        shard = ShardPlanner(args.shards).split(plan)[args.shard_index]
-        plan = shard.plan
+    with _session(args) as session:
+        try:
+            plan = session.plan(config, models=models)
+        except BackendError as exc:
+            print(f"error: {exc}")
+            return 2
         print(
-            f"shard {shard.shard_index + 1}/{shard.num_shards}: "
-            f"{len(plan.jobs)} jobs, {len(plan.skipped)} skips"
+            f"planned {len(plan.jobs)} jobs "
+            f"({plan.completions_planned} completions), "
+            f"{len(plan.skipped)} skipped"
         )
-    result = session.run_plan(plan)
+        shard = None
+        if shard_mode:
+            from .service import ShardPlanner
+
+            shard = ShardPlanner(args.shards).split(plan)[args.shard_index]
+            plan = shard.plan
+            print(
+                f"shard {shard.shard_index + 1}/{shard.num_shards}: "
+                f"{len(plan.jobs)} jobs, {len(plan.skipped)} skips"
+            )
+        result = session.run_plan(plan)
     for skip in result.skipped:
         print(
             f"  skipped {skip.model} P{skip.problem} {skip.level} "
@@ -556,12 +560,12 @@ def _cmd_repair(args) -> int:
         print(f"error: --export must end in .json or .csv, "
               f"got {args.export!r}")
         return 2
-    session = _session(args)
     models = args.models.split(",") if args.models else None
     try:
-        out = session.repair_curve(
-            budgets=budgets, config=config, models=models, k=args.k
-        )
+        with _session(args) as session:
+            out = session.repair_curve(
+                budgets=budgets, config=config, models=models, k=args.k
+            )
     except BackendError as exc:
         print(f"error: {exc}")
         return 2
@@ -622,20 +626,20 @@ def _cmd_serve(args) -> int:
 
     from .service import AsyncEvalService
 
-    session = _session(args)
-    service = AsyncEvalService(session, host=args.host, port=args.port)
-    # the daemon-thread loop resolves port 0 and keeps this thread free
-    # to catch Ctrl-C; streaming routes are live immediately
-    url = service.start()
-    print(f"eval service on {url} (backend={session.backend.name}, "
-          f"workers={args.workers}, +/sweep/stream) — Ctrl-C to stop")
-    try:
-        while True:
-            _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\nstopped")
-    finally:
-        service.stop()
+    with _session(args) as session:
+        service = AsyncEvalService(session, host=args.host, port=args.port)
+        # the daemon-thread loop resolves port 0 and keeps this thread
+        # free to catch Ctrl-C; streaming routes are live immediately
+        url = service.start()
+        print(f"eval service on {url} (backend={session.backend.name}, "
+              f"workers={args.workers}, +/sweep/stream) — Ctrl-C to stop")
+        try:
+            while True:
+                _time.sleep(3600)
+        except KeyboardInterrupt:
+            print("\nstopped")
+        finally:
+            service.stop()
     return 0
 
 
@@ -754,13 +758,13 @@ def _cmd_work(args) -> int:
     from .backends import BackendError
 
     try:
-        session = _make_session(args, args.backend)
-        summary = session.work(
-            url=args.url,
-            worker_id=args.worker_id,
-            poll_seconds=args.poll_seconds,
-            max_idle_polls=args.max_idle_polls,
-        )
+        with _make_session(args, args.backend) as session:
+            summary = session.work(
+                url=args.url,
+                worker_id=args.worker_id,
+                poll_seconds=args.poll_seconds,
+                max_idle_polls=args.max_idle_polls,
+            )
     except BackendError as exc:
         print(f"error: {exc}")
         return 2
@@ -785,8 +789,8 @@ def _cmd_tables(args) -> int:
         table4,
     )
 
-    session = _session(args)
-    result = session.run_sweep()
+    with _session(args) as session:
+        result = session.run_sweep()
     sweep = result.sweep
     print(render_table3(table3(sweep)))
     print()
@@ -825,15 +829,12 @@ def _cmd_store(args) -> int:
         stats = store.stats()
         print(f"compacted {store.pack_path}: dropped {removed} dead "
               f"line(s) ({stats['packed']} packed entries remain)")
-    elif args.action == "unpack":
-        restored = store.unpack()
-        print(f"unpacked {restored} verdict(s) back into {store.path} "
-              f"({len(store)} entries total)")
     else:  # info
         stats = store.stats()
         print(f"store {store.path}: {stats['entries']} entries "
-              f"({stats['files']} files, {stats['segments']} segments, "
+              f"({stats['segments']} segments, "
               f"{stats['packed']} packed)")
+    store.close()
     return 0
 
 
@@ -1222,15 +1223,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "store",
-        help="manage an on-disk verdict store (pack/compact/unpack/info)",
+        help="manage an on-disk verdict store (pack/compact/info)",
     )
-    p.add_argument("action", choices=("pack", "compact", "unpack", "info"),
+    p.add_argument("action", choices=("pack", "compact", "info"),
                    help="pack: fold the segments of finished writers "
-                        "(and any per-verdict files) into one JSONL, safe "
-                        "on a live store; compact: rewrite the pack "
-                        "without shadowed duplicate lines; unpack: the "
-                        "pack back into per-verdict files; info: entry "
-                        "counts and files by form")
+                        "into one JSONL, safe on a live store; compact: "
+                        "rewrite the pack without shadowed duplicate "
+                        "lines; info: entry counts by form")
     p.add_argument("dir", help="verdict store directory (from --store)")
 
     p = sub.add_parser("tables", help="run the full sweep; print Tables III/IV")

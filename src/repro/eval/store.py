@@ -11,8 +11,8 @@ coordinator worker — skips the compile and simulation entirely.
 
 The store is a :class:`KeyedJsonStore` — a directory-backed
 ``key -> JSON payload`` map — holding full
-:class:`~repro.eval.report.CompletionEvaluation` codecs, in three
-forms; the first two hold one JSON line per entry,
+:class:`~repro.eval.report.CompletionEvaluation` codecs, in two forms,
+both one JSON line per entry,
 ``{"key": <key>, <payload field>: <payload>}``:
 
 * **segments** (``seg-<pid>-<token>.jsonl``): each writing store
@@ -22,13 +22,13 @@ forms; the first two hold one JSON line per entry,
   microseconds where creating a file costs hundreds, and a sweep leaves
   one file per writer instead of one per verdict;
 * **the pack** (``pack.jsonl``), which :meth:`KeyedJsonStore.pack`
-  folds finished segments into (later lines win);
-* **legacy entry files** (``<key>.json``, the payload alone), which
-  older versions wrote per put and :meth:`KeyedJsonStore.unpack`
-  still writes.  Filenames must match the store's key pattern, so
-  foreign ``.json`` files and subdirectories (such as the ``simcache/``
-  directory older versions left behind) are never counted, packed, or
-  deleted.
+  folds finished segments into (later lines win).
+
+Every other file in the directory is foreign: a stray ``notes.json``,
+the one-file-per-verdict ``<key>.json`` files older versions wrote, or
+a ``simcache/`` subdirectory is never read, counted, packed, or
+deleted.  A verdict only such a file holds is a cache miss, and the
+miss re-evaluates to the same verdict.
 
 Concurrency model: a writer holds an exclusive ``flock`` on its segment
 for as long as the segment is open, so "the lock can be taken" means
@@ -36,26 +36,25 @@ for as long as the segment is open, so "the lock can be taken" means
 inherited through ``fork`` opens a new segment in the child, and a
 writer whose segment was unlinked by :meth:`KeyedJsonStore.clear`
 opens a new one on its next put.  Readers index entry locations, not
-payloads: the index is rebuilt from the pack, the segments and the
-legacy files, and kept current cheaply — the directory is listed again
-only when its mtime moved, and a miss reads just the new,
-newline-terminated bytes of segments whose writer is still alive, so a
-torn last line stays invisible until it is complete.  Two processes
+payloads: the index is rebuilt from the pack and the segments, and
+kept current cheaply — the directory is listed again only when its
+mtime moved, and a miss reads just the new, newline-terminated bytes of
+segments whose writer is still alive, so a torn last line stays
+invisible until it is complete.  Two processes
 racing on the same uncached key may both evaluate and both write;
 evaluation is pure, so the duplicate work is bounded and both lines
-carry the same verdict.  Corrupt lines or files read as misses.
+carry the same verdict.  Corrupt lines read as misses.
 
 Maintenance: :meth:`KeyedJsonStore.pack` closes the store's own
-segment, then folds the segments whose writer is gone and the legacy
-files into the pack and deletes them; live segments are skipped, so
-packing is safe on a live store — run it again any time to fold more.
+segment, then folds the segments whose writer is gone into the pack
+and deletes them; live segments are skipped, so packing is safe on a
+live store — run it again any time to fold more.
 Because packing only appends, repeated cycles can leave shadowed
 duplicate lines behind — :meth:`KeyedJsonStore.compact` rewrites the
 pack with one line per live key (atomic replace, idempotent; safe
 against readers and writers, but do not run it while another process is
-packing the same store).  :meth:`KeyedJsonStore.unpack` turns the pack
-back into legacy entry files.  The CLI drives all three —
-``python -m repro store {pack,compact,unpack} DIR``.
+packing the same store).  The CLI drives both —
+``python -m repro store {pack,compact} DIR``.
 
 The store is picklable (it carries only its path), so
 :class:`~repro.service.process.ProcessPoolSweepExecutor` ships it to
@@ -80,23 +79,15 @@ from .export import evaluation_from_dict, evaluation_to_dict
 
 PACK_FILENAME = "pack.jsonl"
 
-#: verdict entry filenames: p<problem>_<16-hex-digit completion hash>
-_ENTRY_RE = re.compile(r"^p\d{2,}_[0-9a-f]{16,}\.json$")
-
-#: compiled-sim plan entry filenames: s_<16-hex-digit source hash>
-_SIM_ENTRY_RE = re.compile(r"^s_[0-9a-f]{16,}\.json$")
-
 #: segment filenames: seg-<writer pid>-<random token>.jsonl
 _SEGMENT_RE = re.compile(r"^seg-\d+-[0-9a-f]+\.jsonl$")
 
 #: every line the store writes starts with its key: ``{"key": "<key>"``
 _KEY_PREFIX = b'{"key": "'
 
-#: an index location is ``file number << _OFFSET_BITS | line offset``,
-#: or ``_LEGACY`` for an entry in its own ``<key>.json`` file
+#: an index location is ``file number << _OFFSET_BITS | line offset``
 _OFFSET_BITS = 40
 _OFFSET_MASK = (1 << _OFFSET_BITS) - 1
-_LEGACY = -1
 
 #: a directory whose mtime is this recent may change again within the
 #: same timestamp tick, so its listing is not trusted to stay current
@@ -138,15 +129,12 @@ class _Segment:
 class KeyedJsonStore:
     """Directory-backed ``key -> JSON payload`` map with pack support.
 
-    Subclasses pin down the key shape (:data:`ENTRY_RE`), the payload
-    field name of a line (:data:`PAYLOAD_FIELD`) and, optionally, a
-    payload codec (:meth:`_encode_payload` / :meth:`_decode_payload`
-    both default to identity on plain JSON objects).
+    Subclasses pin down the payload field name of a line
+    (:data:`PAYLOAD_FIELD`) and, optionally, a payload codec
+    (:meth:`_encode_payload` / :meth:`_decode_payload` both default to
+    identity on plain JSON objects).
     """
 
-    #: legacy entry filenames that belong to this store (everything
-    #: else is foreign)
-    ENTRY_RE: "re.Pattern[str]" = re.compile(r"^[A-Za-z0-9_]+\.json$")
     #: line field carrying the payload (kept per-store for backward
     #: compatibility with packs written before the refactor)
     PAYLOAD_FIELD = "payload"
@@ -175,7 +163,6 @@ class KeyedJsonStore:
         self._segments: dict[str, _Segment] = {}
         #: foreign segments whose writer was alive when last looked at
         self._live: list[_Segment] = []
-        self._legacy: set[str] = set()
         self._pack_signature = None
         self._packed = 0
         #: directory mtime the index is current with (None: relist)
@@ -207,9 +194,6 @@ class KeyedJsonStore:
         return dict(row)
 
     # ------------------------------------------------------------------
-    def _path_for(self, key: str) -> str:
-        return os.path.join(self.path, f"{key}.json")
-
     @property
     def pack_path(self) -> str:
         return os.path.join(self.path, PACK_FILENAME)
@@ -377,24 +361,17 @@ class KeyedJsonStore:
             self._reset_index()
             return
         segments = [n for n in names if _SEGMENT_RE.match(n)]
-        legacy = [n for n in names if self.ENTRY_RE.match(n)]
         try:
             stat = os.stat(self.pack_path)
             signature = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
         except OSError:
             signature = None
         if (signature != self._pack_signature
-                or not self._segments.keys() <= set(segments)
-                or not self._legacy <= set(legacy)):
-            # something was packed, compacted or deleted: rebuild, with
-            # pack < legacy files < segments in precedence
+                or not self._segments.keys() <= set(segments)):
+            # something was packed, compacted or deleted: rebuild
             self._reset_index()
             self._pack_signature = signature
             self._read_pack()
-        for name in legacy:
-            if name not in self._legacy:
-                self._legacy.add(name)
-                self._index[name[: -len(".json")]] = _LEGACY
         for name in segments:
             if name not in self._segments:
                 self._add_segment(name)
@@ -416,14 +393,6 @@ class KeyedJsonStore:
         Raises ``LookupError`` when the location went stale (its file
         was packed, compacted or deleted since it was indexed).
         """
-        if location == _LEGACY:
-            try:
-                with open(self._path_for(key), encoding="utf-8") as handle:
-                    return json.load(handle)
-            except FileNotFoundError:
-                raise LookupError(key) from None
-            except (OSError, ValueError):
-                return None
         try:
             with open(self._paths[location >> _OFFSET_BITS], "rb") as handle:
                 handle.seek(location & _OFFSET_MASK)
@@ -468,11 +437,12 @@ class KeyedJsonStore:
     # ------------------------------------------------------------------
     # Packing (one file per finished writer, then one for the store)
     # ------------------------------------------------------------------
-    def _names(self, pattern: "re.Pattern[str]") -> list[str]:
-        """The directory's filenames that match ``pattern``: foreign
-        files are invisible — never counted, packed, or deleted."""
+    def _segment_names(self) -> list[str]:
+        """The directory's segment filenames: foreign files are
+        invisible — never counted, packed, or deleted."""
         try:
-            return sorted(n for n in os.listdir(self.path) if pattern.match(n))
+            return sorted(n for n in os.listdir(self.path)
+                          if _SEGMENT_RE.match(n))
         except OSError:
             return []
 
@@ -515,40 +485,22 @@ class KeyedJsonStore:
         return folded
 
     def pack(self) -> int:
-        """Fold finished segments and legacy files into the pack; return
-        how many entries were folded.
+        """Fold finished segments into the pack; return how many entries
+        were folded.
 
         Closes this store's own segment first (a later put opens a new
         one), so what it wrote is folded too.  Appends to an existing
         pack (later lines win on read), then deletes each folded source
         — crash-safe in that order: a death between append and unlink
         leaves both copies, which agree.  Segments whose writer is alive
-        are skipped; only lines and files that decode as payloads are
-        folded, and torn or foreign files are left exactly where they
-        are.
+        are skipped, and only lines that decode as payloads are folded.
         """
         packed = 0
         with self._locked():
             self._close_writer()
             with open(self.pack_path, "ab") as out:
-                for name in self._names(_SEGMENT_RE):
+                for name in self._segment_names():
                     packed += self._fold_segment(name, out)
-                for name in self._names(self.ENTRY_RE):
-                    entry = os.path.join(self.path, name)
-                    try:
-                        with open(entry, encoding="utf-8") as source:
-                            row = json.load(source)
-                        self._decode_payload(row)  # must decode
-                    except (OSError, ValueError, KeyError, TypeError,
-                            AttributeError):
-                        continue  # torn or foreign: leave the file alone
-                    out.write(self._line(name[: -len(".json")], row))
-                    out.flush()
-                    try:
-                        os.unlink(entry)
-                    except OSError:
-                        pass
-                    packed += 1
             self._reset_index()
         return packed
 
@@ -615,43 +567,9 @@ class KeyedJsonStore:
             raise
         return removed
 
-    def unpack(self) -> int:
-        """Materialize packed entries back into files; return count.
-
-        Existing files win (they are newer); the pack is removed only
-        once every entry has a file again — a partial restore (disk
-        full, permissions) keeps the pack, so no entry is ever lost to
-        an interrupted unpack.  Segments stay as they are.
-        """
-        index = self._packed_index()
-        restored = 0
-        failed = 0
-        for key, row in index.items():
-            target = self._path_for(key)
-            if os.path.exists(target):
-                continue
-            temp = f"{target}.tmp-{os.getpid()}"
-            try:
-                with open(temp, "w", encoding="utf-8") as handle:
-                    json.dump(row, handle)
-                os.replace(temp, target)
-                restored += 1
-            except OSError:
-                failed += 1
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-        if failed == 0:
-            try:
-                os.unlink(self.pack_path)
-            except OSError:
-                pass
-        return restored
-
     # ------------------------------------------------------------------
     def keys(self) -> set[str]:
-        """Every distinct entry key (all three forms combined)."""
+        """Every distinct entry key (both forms combined)."""
         with self._locked():
             self._refresh()
             self._tail_live()
@@ -667,7 +585,6 @@ class KeyedJsonStore:
             self._tail_live()
             return {
                 "entries": len(self._index),
-                "files": len(self._legacy),
                 "packed": self._packed,
                 "segments": len(self._segments),
                 "pack_file": self.pack_path if self._packed else None,
@@ -678,15 +595,15 @@ class KeyedJsonStore:
 
         Live writers' segments go too: each writer opens a new segment
         on its next put.  The count reflects what actually disappeared:
-        a key that survives — its file would not unlink, or it lives in
-        a pack that would not unlink — is not counted as removed.
+        a key that survives — its segment or the pack would not unlink
+        — is not counted as removed.
         """
         with self._locked():
             self._close_writer()
             self._refresh()
             self._tail_live()
             before = set(self._index)
-            for name in self._names(_SEGMENT_RE) + self._names(self.ENTRY_RE):
+            for name in self._segment_names():
                 try:
                     os.unlink(os.path.join(self.path, name))
                 except OSError:
@@ -707,7 +624,6 @@ class KeyedJsonStore:
 class CompileSimCache(KeyedJsonStore):
     """Retired ``source hash -> compiled-sim plan`` cache (``simcache/``)."""
 
-    ENTRY_RE = _SIM_ENTRY_RE
     PAYLOAD_FIELD = "plan"
 
     @staticmethod
@@ -724,7 +640,6 @@ class CompileSimCache(KeyedJsonStore):
 class VerdictStore(KeyedJsonStore):
     """Directory-backed map of ``(problem, completion-hash) -> verdict``."""
 
-    ENTRY_RE = _ENTRY_RE
     PAYLOAD_FIELD = "verdict"
 
     @staticmethod
@@ -739,13 +654,6 @@ class VerdictStore(KeyedJsonStore):
     @staticmethod
     def _key(problem: int, completion_hash: int) -> str:
         return f"p{problem:02d}_{completion_hash:016x}"
-
-    @classmethod
-    def _filename(cls, problem: int, completion_hash: int) -> str:
-        return f"{cls._key(problem, completion_hash)}.json"
-
-    def _entry_path(self, problem: int, completion_hash: int) -> str:
-        return os.path.join(self.path, self._filename(problem, completion_hash))
 
     def get(self, problem: int, completion_hash: int):
         return self.get_key(self._key(problem, completion_hash))

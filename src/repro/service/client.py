@@ -156,8 +156,9 @@ def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
     Each thread that calls it keeps one connection open and sends its
     requests over it in turn, so executor threads sharing one
     :class:`ServiceBackend` never share a socket.  ``call.close()``
-    closes the calling thread's connection (the next call opens a new
-    one).
+    closes every connection the transport opened, whichever thread
+    opened it (a later call reconnects); a connection whose thread has
+    ended is closed when the next thread connects.
 
     Failure classes stay distinct: an unreachable server — or one that
     cuts the response short — reports "cannot reach"/"interrupted" as
@@ -167,12 +168,19 @@ def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
     port answering with HTML must not masquerade as a connection
     problem.
     """
-    local = threading.local()
+    #: thread -> its connection; written only under ``lock``
+    connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+    lock = threading.Lock()
 
     def call(method: str, path: str, payload: dict | None = None) -> dict:
-        connection = getattr(local, "connection", None)
+        thread = threading.current_thread()
+        connection = connections.get(thread)
         if connection is None:
-            connection = local.connection = _connect(base_url, timeout)
+            connection = _connect(base_url, timeout)
+            with lock:
+                for ended in [t for t in connections if not t.is_alive()]:
+                    connections.pop(ended).close()
+                connections[thread] = connection
         response = _request(connection, base_url, method, path, payload)
         body = _read(connection, response, base_url, path, response.read)
         try:
@@ -185,9 +193,9 @@ def http_transport(base_url: str, timeout: float = 30.0) -> Transport:
             ) from None
 
     def close() -> None:
-        connection = getattr(local, "connection", None)
-        if connection is not None:
-            connection.close()
+        with lock:
+            for connection in connections.values():
+                connection.close()
 
     call.close = close
     return call
@@ -222,6 +230,12 @@ class ServiceBackend(Backend):
         self.url = url
         self._transport = transport or http_transport(url, timeout)
         self._described: dict[str, dict] = {}
+
+    def close(self) -> None:
+        """Close the transport's connections (a later call reconnects)."""
+        close = getattr(self._transport, "close", None)
+        if close is not None:
+            close()
 
     # ------------------------------------------------------------------
     def health(self) -> dict:

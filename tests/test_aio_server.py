@@ -598,6 +598,38 @@ class TestKeptAliveConnections:
             remote = Session(backend=backend, workers=2).run_sweep(SMALL)
         assert remote.sweep.records == local.run_sweep(SMALL).sweep.records
 
+    def test_close_closes_every_threads_connection(self):
+        with _Counting(Session(backend="stub-canonical"), port=0) as svc:
+            backend = ServiceBackend(url=svc.url)
+            called, release = threading.Barrier(3), threading.Event()
+
+            def health():
+                backend.health()
+                called.wait(timeout=5)
+                release.wait(timeout=5)
+
+            threads = [threading.Thread(target=health) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            called.wait(timeout=5)
+            assert svc.accepts == 2 and svc.open == 2
+            # closed from a thread that opened neither, while both live,
+            # through the repair wrapper a session puts around it
+            Session(backend=backend, repair_budget=1).close()
+            assert _wait_for(lambda: svc.open == 0)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            # an ended thread's connection closes when the next connects
+            ended = threading.Thread(target=backend.health)
+            ended.start()
+            ended.join(timeout=10)
+            assert svc.accepts == 3
+            assert backend.health()["status"] == "ok"  # reconnects
+            assert svc.accepts == 4 and _wait_for(lambda: svc.open == 1)
+            backend.close()
+            assert _wait_for(lambda: svc.open == 0)
+
     def test_next_call_after_a_server_restart_succeeds(self):
         session = Session(backend="stub-canonical")
         first = _Counting(session, port=0)

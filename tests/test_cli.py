@@ -1,5 +1,7 @@
 """Tests for the command-line front end (repro.cli)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -326,7 +328,7 @@ class TestSweepCommand:
         assert main(base + ["--export", serial]) == 0
         import json
 
-        assert json.load(open(merged)) == json.load(open(serial))
+        assert json.loads(Path(merged).read_text()) == json.loads(Path(serial).read_text())
 
     def test_merge_full_export(self, capsys, tmp_path):
         path = str(tmp_path / "shard0.json")
@@ -340,14 +342,14 @@ class TestSweepCommand:
         assert main(["merge", path, "--export", full, "--full"]) == 0
         import json
 
-        payload = json.load(open(full))
+        payload = json.loads(Path(full).read_text())
         assert set(payload) == {"records", "skipped", "errors", "stats"}
         from repro.eval.export import RUN_COLUMNS
 
         # the full export holds job runs, as the shard file did
         assert payload["records"]["columns"] == list(RUN_COLUMNS)
         assert payload["records"]["runs"] == (
-            json.load(open(path))["result"]["records"]["runs"]
+            json.loads(Path(path).read_text())["result"]["records"]["runs"]
         )
 
     def test_merge_refuses_a_row_layout_shard_file(self, capsys, tmp_path):
@@ -564,7 +566,7 @@ class TestCoordinateAndWorkCommands:
 
 class TestStreamingAndStoreCLI:
     """Streaming and store surfaces: sweep --stream, coordinate
-    --checkpoint, and the store pack/unpack command."""
+    --checkpoint, and the store pack/compact/info command."""
 
     def test_new_flags_parse(self):
         args = build_parser().parse_args(
@@ -635,7 +637,7 @@ class TestStreamingAndStoreCLI:
             "--n", "2", "--levels", "L",
             "--export", str(serial_path),
         ]) == 0
-        assert json.load(open(streamed_path)) == json.load(open(serial_path))
+        assert json.loads(Path(streamed_path).read_text()) == json.loads(Path(serial_path).read_text())
 
     def test_coordinate_resumes_from_complete_checkpoint(
         self, capsys, tmp_path
@@ -683,7 +685,7 @@ class TestStreamingAndStoreCLI:
         serial = session.run_sweep(config)
         from repro.eval.export import sweep_to_json
 
-        assert json.load(open(merged_path)) == json.loads(
+        assert json.loads(Path(merged_path).read_text()) == json.loads(
             sweep_to_json(serial.sweep)
         )
 
@@ -762,28 +764,30 @@ class TestStreamingAndStoreCLI:
         out = capsys.readouterr().out
         assert "unreadable checkpoint" in out and "lease_jobs" in out
 
-    def test_store_pack_unpack_info(self, capsys, tmp_path):
+    def test_store_pack_info(self, capsys, tmp_path):
         store_dir = tmp_path / "verdicts"
-        assert main([
+        sweep = [
             "sweep", "--backend", "stub-canonical", "--problems", "1",
             "--temperatures", "0.1", "--n", "2", "--levels", "L",
             "--store", str(store_dir),
-        ]) == 0
+        ]
+        assert main(sweep) == 0
         capsys.readouterr()
         assert main(["store", "info", str(store_dir)]) == 0
-        assert "entries" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.strip().endswith("entries (1 segments, 0 packed)")
         assert main(["store", "pack", str(store_dir)]) == 0
         assert "packed" in capsys.readouterr().out
-        assert not list(store_dir.glob("*.json"))  # files folded away
+        # the sweep closed its segment, so the pack folded it
+        assert [p.name for p in store_dir.iterdir()] == ["pack.jsonl"]
+        assert main(["store", "info", str(store_dir)]) == 0
+        assert "(0 segments, " in capsys.readouterr().out
         # a packed store still serves a warm start
-        assert main([
-            "sweep", "--backend", "stub-canonical", "--problems", "1",
-            "--temperatures", "0.1", "--n", "2", "--levels", "L",
-            "--store", str(store_dir),
-        ]) == 0
-        assert main(["store", "unpack", str(store_dir)]) == 0
-        capsys.readouterr()
-        assert list(store_dir.glob("*.json"))
+        assert main(sweep) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "unpack", str(store_dir)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'unpack'" in capsys.readouterr().err
 
     def test_store_missing_dir_exits_two(self, capsys, tmp_path):
         code = main(["store", "pack", str(tmp_path / "absent")])

@@ -2,6 +2,7 @@
 expiry/re-serve, streaming merge parity, worker loop, HTTP smoke."""
 
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -538,7 +539,7 @@ class TestCheckpointPersistence:
         coordinator = ShardCoordinator(shards)
         index = self._complete_one(coordinator)
         save_checkpoint(coordinator, checkpoint)
-        completed = json.load(open(checkpoint))["completed"]
+        completed = json.loads(Path(checkpoint).read_text())["completed"]
         runs = completed[str(index)]["records"]
         assert runs["columns"] == list(RUN_COLUMNS)
         assert len(runs["runs"]) == len(shards[index].plan.jobs)
@@ -559,7 +560,7 @@ class TestCheckpointPersistence:
         _, shards = make_split(2)
         coordinator = ShardCoordinator(shards)
         save_checkpoint(coordinator, checkpoint)
-        assert json.load(open(checkpoint))["shards"]
+        assert json.loads(Path(checkpoint).read_text())["shards"]
         assert not [
             name for name in os.listdir(tmp_path) if ".tmp-" in name
         ], "temp file left behind"

@@ -281,16 +281,20 @@ class TestEvalServiceHTTP:
             local = Session(backend="zoo").run_sweep(
                 SMALL, models=["codegen-6b-ft"]
             )
-            remote = Session(backend=backend).run_sweep(
-                SMALL, models=["codegen-6b-ft"]
-            )
+            with Session(backend=backend) as remote_session:  # closes it
+                remote = remote_session.run_sweep(
+                    SMALL, models=["codegen-6b-ft"]
+                )
         assert remote.sweep.records == local.sweep.records
 
     def test_http_error_status(self):
         with AsyncEvalService(Session(backend="zoo"), port=0) as service:
             backend = ServiceBackend(url=service.url)
-            with pytest.raises(BackendError, match="400"):
-                backend.capabilities("gpt-9")
+            try:
+                with pytest.raises(BackendError, match="400"):
+                    backend.capabilities("gpt-9")
+            finally:
+                backend.close()
 
     @pytest.mark.parametrize("body", [b"[1, 2]", b'"model"', b"7"])
     def test_non_object_body_400_over_http(self, body):
@@ -383,7 +387,9 @@ class TestSessionServiceEntrypoints:
         url = service.start()
         try:
             assert url.startswith("http://127.0.0.1:")
-            assert ServiceBackend(url=url).health()["status"] == "ok"
+            backend = ServiceBackend(url=url)
+            assert backend.health()["status"] == "ok"
+            backend.close()
         finally:
             service.stop()
 
@@ -432,7 +438,8 @@ class TestProcessPoolCacheStats:
 
         store_dir = str(tmp_path / "verdicts")
         # warm the shared store with one serial run
-        Session(backend="stub-canonical", store=store_dir).run_sweep(SMALL)
+        with Session(backend="stub-canonical", store=store_dir) as warm:
+            warm.run_sweep(SMALL)
 
         worker_session = Session(
             backend="stub-canonical",

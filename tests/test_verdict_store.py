@@ -60,9 +60,11 @@ class TestVerdictStore:
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = VerdictStore(str(tmp_path))
         store.put(1, 7, CompletionEvaluation(compiled=True, passed=True))
-        with open(store._entry_path(1, 7), "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+        (segment,) = tmp_path.glob("seg-*.jsonl")
+        size = segment.stat().st_size  # same length: offsets stay valid
+        segment.write_bytes(b"{not json".ljust(size - 1) + b"\n")
         assert store.get(1, 7) is None
+        assert VerdictStore(str(tmp_path)).get(1, 7) is None
 
     def test_vanished_directory_degrades_not_raises(self, tmp_path):
         store = VerdictStore(str(tmp_path / "gone"))
@@ -191,6 +193,18 @@ class TestSessionIntegration:
         assert evaluator.store is session.store
         assert session.store.path == str(tmp_path)
 
+    def test_closing_the_session_closes_its_segment(self, tmp_path):
+        path = str(tmp_path / "verdicts")
+        with Session(backend="stub-canonical", store=path) as session:
+            session.run_sweep(SMALL)
+        written = len(VerdictStore(path))
+        assert written > 0
+        assert VerdictStore(path).pack() == written  # its writer is gone
+        session.close()  # idempotent
+        session.store.put(9, 1, _verdict(1))  # a later put: a new segment
+        session.close()
+        assert VerdictStore(path).pack() == 1
+
     def test_session_process_executor_gets_store(self, tmp_path):
         session = Session(
             backend="zoo", executor="process", workers=2, store=str(tmp_path)
@@ -200,8 +214,8 @@ class TestSessionIntegration:
 
 
 class TestPackedFormat:
-    """Satellite: fold the one-file-per-verdict directory into a single
-    append-friendly JSONL the store reads through (inode hygiene)."""
+    """pack() folds finished segments into one append-only JSONL the
+    store reads through."""
 
     @staticmethod
     def _seed(store, count=6, problem=1):
@@ -222,7 +236,7 @@ class TestPackedFormat:
         packed = store.pack()
         assert packed == 6
         names = os.listdir(store.path)
-        assert names == ["pack.jsonl"]  # every entry file folded in
+        assert names == ["pack.jsonl"]  # the segment folded in
         assert len(store) == 6
         for index, verdict in verdicts.items():
             assert store.get(1, index) == verdict
@@ -233,24 +247,11 @@ class TestPackedFormat:
         self._seed(store, count=3)
         store.pack()
         newer = CompletionEvaluation(compiled=False, passed=False)
-        store.put(1, 0, newer)  # individual file again: strictly newer
+        store.put(1, 0, newer)  # a new segment line: strictly newer
         assert store.get(1, 0) == newer
         assert len(store) == 3  # same key, counted once
-        assert store.pack() == 1  # folds the fresh file back in
+        assert store.pack() == 1  # folds the fresh segment in
         assert store.get(1, 0) == newer  # later pack lines win
-
-    def test_unpack_restores_files_and_removes_pack(self, tmp_path):
-        import os
-
-        store = VerdictStore(str(tmp_path / "verdicts"))
-        verdicts = self._seed(store, count=4)
-        store.pack()
-        restored = store.unpack()
-        assert restored == 4
-        assert "pack.jsonl" not in os.listdir(store.path)
-        assert len(store) == 4
-        for index, verdict in verdicts.items():
-            assert store.get(1, index) == verdict
 
     def test_corrupt_pack_lines_read_as_misses(self, tmp_path):
         store = VerdictStore(str(tmp_path / "verdicts"))
@@ -269,7 +270,7 @@ class TestPackedFormat:
         writer = VerdictStore(path)
         reader = VerdictStore(path)
         self._seed(writer, count=2)
-        assert reader.get(1, 0) is not None  # via the entry file
+        assert reader.get(1, 0) is not None  # via the writer's segment
         writer.pack()
         assert reader.get(1, 1) is not None  # via the (new) pack file
 
@@ -299,7 +300,6 @@ class TestPackedFormat:
         stats = store.stats()
         assert stats == {
             "entries": 4,
-            "files": 0,
             "packed": 3,
             "segments": 1,
             "pack_file": store.pack_path,
@@ -345,33 +345,10 @@ class TestPackedFormat:
             out = capsys.readouterr().out
             assert out.splitlines() == [
                 f"store {store.path}: 2 entries "
-                "(0 files, 0 segments, 2 packed)"
+                "(0 segments, 2 packed)"
             ]
             assert store.clear() == 2  # verdicts only
             assert os.path.exists(foreign)
-
-    def test_unpack_keeps_pack_on_partial_failure(self, tmp_path, monkeypatch):
-        import os
-
-        store = VerdictStore(str(tmp_path / "verdicts"))
-        self._seed(store, count=3)
-        store.pack()
-        real_replace = os.replace
-        calls = {"n": 0}
-
-        def flaky_replace(src, dst):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise OSError("disk full")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", flaky_replace)
-        assert store.unpack() == 2  # one restore failed
-        monkeypatch.undo()
-        assert os.path.exists(store.pack_path)  # verdicts not lost
-        assert len(store) == 3
-        assert store.unpack() == 1  # second attempt finishes the job
-        assert not os.path.exists(store.pack_path)
 
 
 class TestPackCompaction:
@@ -408,7 +385,7 @@ class TestPackCompaction:
         store = VerdictStore(str(tmp_path))
         assert store.compact() == 0
         store.put(1, 1, CompletionEvaluation(compiled=True, passed=True))
-        assert store.compact() == 0  # files only, still no pack
+        assert store.compact() == 0  # a segment only, still no pack
 
     def test_compact_drops_corrupt_lines(self, tmp_path):
         store = VerdictStore(str(tmp_path))
@@ -479,7 +456,7 @@ class TestClearAccounting:
 
         monkeypatch.setattr(os, "unlink", stubborn_pack)
         removed = store.clear()
-        assert removed == 1  # only the un-packed file actually went away
+        assert removed == 1  # only the segment's entry went away
         assert len(store) == 3  # packed verdicts still readable
         assert store.get(1, 0) is not None
 
@@ -587,29 +564,43 @@ class TestSegmentLog:
             assert reader.pack() == 0  # the writer is alive: not folded
         assert reader.pack() == 2
 
-    def test_reads_and_packs_a_store_of_entry_files(self, tmp_path):
+    def test_stray_entry_files_are_foreign(self, tmp_path):
         from repro.eval.export import evaluation_to_dict
 
-        path = str(tmp_path / "verdicts")
-        os.makedirs(path)
-        for key in range(3):  # one file per verdict, as older writers did
-            name = VerdictStore._filename(1, key)
-            with open(os.path.join(path, name), "w") as handle:
-                json.dump(evaluation_to_dict(_verdict(key)), handle)
-        with open(os.path.join(path, "pack.jsonl"), "wb") as handle:
-            for key in range(3, 6):
-                handle.write(_segment_line(VerdictStore._key(1, key),
-                                           _verdict(key)))
-        store = VerdictStore(path)
-        assert all(store.get(1, k) == _verdict(k) for k in range(6))
+        with Session(backend="stub-canonical",
+                     store=str(tmp_path / "cold")) as session:
+            cold = session.run_sweep(SMALL)
+        keys = VerdictStore(str(tmp_path / "cold")).keys()
+        assert keys
+        path = tmp_path / "verdicts"
+        path.mkdir()
+        # one file per verdict, as older writers did; every one is wrong,
+        # so reading any of them would change the sweep below
+        wrong = json.dumps(evaluation_to_dict(
+            CompletionEvaluation(compiled=False, passed=False)))
+        stray = {f"{key}.json" for key in keys}
+        for name in stray:
+            (path / name).write_text(wrong)
+        writer = VerdictStore(str(path))
+        writer.put(9, 1, _verdict(1))
+        writer.close()
+
+        store = VerdictStore(str(path))
+        assert store.keys() == {VerdictStore._key(9, 1)}
+        assert len(store) == 1
+        assert all(store.get_key(key) is None for key in keys)
         assert store.stats() == {
-            "entries": 6, "files": 3, "packed": 3, "segments": 0,
-            "pack_file": store.pack_path,
+            "entries": 1, "packed": 0, "segments": 1, "pack_file": None,
         }
-        assert store.pack() == 3
-        assert os.listdir(path) == ["pack.jsonl"]
-        assert all(store.get(1, k) == _verdict(k) for k in range(6))
-        assert VerdictStore(path).stats()["packed"] == 6
+        with Session(backend="stub-canonical", store=str(path)) as session:
+            warm = session.run_sweep(SMALL)
+            assert session.evaluator.store_hits == 0
+        assert warm.sweep.records == cold.sweep.records
+        assert store.pack() == 1 + len(keys)
+        assert set(os.listdir(path)) == stray | {"pack.jsonl"}
+        assert store.clear() == 1 + len(keys)
+        assert set(os.listdir(path)) == stray
+        assert all((path / name).read_text() == wrong for name in stray)
 
     def test_writing_while_another_store_packs_loses_nothing(self, tmp_path):
         import threading
