@@ -294,8 +294,8 @@ class Session:
     # ------------------------------------------------------------------
     def serve(self, host: str = "127.0.0.1", port: int = 8076):
         """An :class:`~repro.service.aio.server.AsyncEvalService` over
-        this session: the JSON routes plus the NDJSON streaming ones
-        (``POST /sweep/stream``, ``GET /shard/status/stream``).  Not
+        this session: the JSON routes plus the NDJSON sweep stream
+        (``POST /sweep/stream``, read by :meth:`stream_sweep`).  Not
         yet listening — use ``start()``/``stop()`` (daemon thread) or
         ``start_async()`` inside an event loop.
         """

@@ -28,7 +28,7 @@ Commands:
   files into one serial-order result;
 * ``serve [--backend B] [--host H] [--port P] [--workers W]`` — expose
   the session over HTTP (the eval service, JSON routes plus the NDJSON
-  streaming ones); point other machines at it with
+  sweep stream); point other machines at it with
   ``--backend service --url http://host:port``;
 * ``coordinate --shards K [--lease-jobs N] [--lease-seconds S]
   [--checkpoint FILE [--checkpoint-every N]] [--export PATH]
@@ -629,7 +629,7 @@ def _cmd_serve(args) -> int:
     with _session(args) as session:
         service = AsyncEvalService(session, host=args.host, port=args.port)
         # the daemon-thread loop resolves port 0 and keeps this thread
-        # free to catch Ctrl-C; streaming routes are live immediately
+        # free to catch Ctrl-C; the sweep stream is live immediately
         url = service.start()
         print(f"eval service on {url} (backend={session.backend.name}, "
               f"workers={args.workers}, +/sweep/stream) — Ctrl-C to stop")
@@ -682,25 +682,24 @@ def _cmd_coordinate(args) -> int:
               f"merged ({restored['records_merged']} records) — the "
               f"checkpointed units win over --shards/--lease-jobs")
     if coordinator is None:
-        from .service import ShardCoordinator, ShardPlanner, job_ranges
-
-        plan = session.plan(config, models=models)
-        coordinator = ShardCoordinator(
-            job_ranges(plan, args.lease_jobs) if args.lease_jobs is not None
-            else ShardPlanner(args.shards).split(plan),
-            lease_seconds=args.lease_seconds,
+        service = session.coordinate(
+            args.shards, config, models=models, host=args.host,
+            port=args.port, lease_seconds=args.lease_seconds,
+            lease_jobs=args.lease_jobs,
         )
-    from .service import AsyncEvalService
+        coordinator = service.coordinator
+    else:
+        from .service import AsyncEvalService
 
-    service = AsyncEvalService(
-        session, host=args.host, port=args.port, coordinator=coordinator
-    )
+        service = AsyncEvalService(
+            session, host=args.host, port=args.port, coordinator=coordinator
+        )
     service.start()  # daemon-thread loop; resolves port 0
     print(f"shard coordinator on {service.url}: "
           f"{coordinator.num_units} units, "
           f"lease {coordinator.lease_seconds:.0f}s — point workers at it with "
           f"`python -m repro work --url {service.url}` (live status: "
-          "GET /shard/status/stream)")
+          f"python -m repro top --url {service.url})")
     checkpoint_last = coordinator.status()["done"]
     if args.checkpoint and not _os.path.exists(args.checkpoint):
         save_checkpoint(coordinator, args.checkpoint)  # resumable from t=0
@@ -973,7 +972,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         help="endpoint for the service/http backends "
              "(e.g. http://host:8076 from `repro serve`)",
     )
-    _add_executor_flag(parser)
     parser.add_argument(
         "--retries", type=_non_negative_int, default=0,
         help="retry transient backend errors this many times per job",
@@ -1098,6 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--temperature", type=float, default=0.1)
     _add_service_flags(p)
+    _add_executor_flag(p)
 
     p = sub.add_parser("sweep", help="run a configurable sweep via the job service")
     _add_sweep_config_flags(p)
@@ -1118,6 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(p)
     _add_profile_flag(p)
     _add_service_flags(p)
+    _add_executor_flag(p)
 
     p = sub.add_parser(
         "repair",
@@ -1135,6 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(p)
     _add_profile_flag(p)
     _add_service_flags(p)
+    _add_executor_flag(p)
 
     p = sub.add_parser("merge", help="merge executed shard-result files")
     p.add_argument("files", nargs="+",
@@ -1234,6 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="run the full sweep; print Tables III/IV")
     _add_service_flags(p)
+    _add_executor_flag(p)
 
     p = sub.add_parser(
         "stats",

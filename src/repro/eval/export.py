@@ -207,6 +207,10 @@ def config_to_dict(config: SweepConfig) -> dict:
 
 
 def config_from_dict(row: dict) -> SweepConfig:
+    if not isinstance(row, dict):
+        raise ValueError(
+            f"a sweep config is a JSON object, got {type(row).__name__}"
+        )
     defaults = SweepConfig()
     return SweepConfig(
         temperatures=tuple(

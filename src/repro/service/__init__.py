@@ -9,8 +9,7 @@ The subsystem that takes the job-based sweep stack of
   :class:`ServiceBackend`, the registered ``"service"`` backend that
   makes a remote server look local, with an injectable transport
   (:func:`in_process_transport` for offline tests), and the streaming
-  consumers :func:`iter_sweep_events`/:func:`stream_sweep`/
-  :func:`iter_status_events`;
+  consumers :func:`iter_sweep_events`/:func:`stream_sweep`;
 * :mod:`repro.service.sharding` — :class:`ShardPlanner` /
   :func:`job_ranges` / :func:`merge_shard_results`: partition a plan
   across machines (strided shards or contiguous job ranges) and
@@ -25,8 +24,8 @@ The subsystem that takes the job-based sweep stack of
   :class:`~repro.eval.store.VerdictStore` to pool verdicts on disk);
 * :mod:`repro.service.aio` — the asyncio half:
   :class:`AsyncEvalService`, the one HTTP server (``ServiceApp``'s JSON
-  routes plus the NDJSON streaming routes ``POST /sweep/stream`` and
-  ``GET /shard/status/stream``; a streamed sweep runs on the thread
+  routes plus the NDJSON streaming route ``POST /sweep/stream``, the
+  one route that runs a whole sweep server-side, on the thread
   :class:`~repro.eval.jobs.SweepExecutor`) and the event-frame codec.
 """
 
@@ -43,7 +42,6 @@ from .client import (
     default_worker_id,
     http_transport,
     in_process_transport,
-    iter_status_events,
     iter_sweep_events,
     run_worker,
     stream_sweep,
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_URL",
     "StreamProtocolError",
     "assemble_stream_result",
-    "iter_status_events",
     "iter_sweep_events",
     "stream_sweep",
     "PlanShard",

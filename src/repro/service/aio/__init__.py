@@ -12,8 +12,8 @@ guarantees as the blocking pieces of :mod:`repro.service`:
   frames;
 * :mod:`~repro.service.aio.server` — :class:`AsyncEvalService`, the
   eval service's one HTTP server: ``ServiceApp`` routing over
-  ``asyncio.start_server`` plus the streaming routes
-  ``POST /sweep/stream`` and ``GET /shard/status/stream``.
+  ``asyncio.start_server`` plus the streaming route
+  ``POST /sweep/stream``.
 
 The client of those routes is the ``http.client`` one in
 :mod:`repro.service.client` (:func:`~repro.service.client.stream_sweep`

@@ -28,10 +28,6 @@ lossless record/skip/error schema the shard service ships), and every
 stream into a :class:`~repro.eval.jobs.SweepResult` whose records are
 byte-identical (via export) to a serial run of the same plan.
 
-``status`` frames are the second mini-protocol on this codec: the
-``GET /shard/status/stream`` route emits coordinator status snapshots
-with the same framing, terminated by a ``done`` frame.
-
 Anything that is not one well-formed frame per line — broken JSON, a
 known event missing required fields, a stream that ends without its
 terminal frame, or terminal counts that disagree with the frames seen —
@@ -86,7 +82,6 @@ FRAME_EVENTS: dict[str, tuple[str, ...]] = {
     "metric": ("metrics",),
     "span": ("name", "dur"),
     "done": ("jobs", "records", "errors", "skipped", "stats"),
-    "status": (),
 }
 
 
@@ -159,10 +154,6 @@ def done_frame(result: SweepResult) -> dict:
         "skipped": len(result.skipped),
         "stats": dict(result.stats),
     }
-
-
-def status_frame(status: dict) -> dict:
-    return {"event": "status", **status}
 
 
 def emit_sweep(plan: SweepPlan, emit, backend, **options) -> SweepResult:
@@ -324,8 +315,8 @@ def assemble_stream_result(frames: Iterable[dict]) -> SweepResult:
             skips[int(frame["skip_index"])] = skip_from_dict(frame["skip"])
         elif event == "done":
             terminal = frame
-        # job_started / attempt / progress / metric / span / status (and
-        # any event this client predates) are observational only
+        # job_started / attempt / progress / metric / span (and any
+        # event this client predates) are observational only
     if terminal is None:
         raise StreamProtocolError(
             "stream ended without a terminal done frame (connection cut?)"
@@ -405,5 +396,4 @@ __all__ = [
     "record_frame",
     "skip_frame",
     "span_frame",
-    "status_frame",
 ]

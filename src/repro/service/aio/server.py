@@ -5,24 +5,21 @@
 every JSON route (``/health`` … ``/shard/status``) are
 :class:`~repro.service.server.ServiceApp`'s; blocking handlers run on
 the loop's thread pool so one process keeps answering health checks
-mid-sweep.  Two routes need a connection that stays open and are
-served here directly:
-
-* ``POST /sweep/stream``        — plan server-side, run the plan on a
-  :class:`~repro.eval.jobs.SweepExecutor` in a worker thread, and emit
-  :mod:`~repro.service.aio.events` frames as NDJSON while jobs run.
-  Frames cross to the loop through a bounded hand-off, so a slow
-  reader stalls the executor.  Once the client hangs up no further job
-  starts; jobs already in flight finish and are discarded.
-* ``GET /shard/status/stream``  — live coordinator observation: a
-  ``status`` frame whenever progress changes, a ``done`` frame when the
-  sweep is fully merged (404-equivalent error if no coordinator).
+mid-sweep.  One route needs a connection that stays open and is served
+here directly: ``POST /sweep/stream`` plans server-side, runs the plan
+on a :class:`~repro.eval.jobs.SweepExecutor` in a worker thread, and
+emits :mod:`~repro.service.aio.events` frames as NDJSON while jobs run.
+Frames cross to the loop through a bounded hand-off, so a slow reader
+stalls the executor.  Once the client hangs up no further job starts;
+jobs already in flight finish and are discarded.  Coordinator progress
+is the polled ``GET /shard/status`` (what ``repro top`` and
+``/dashboard`` read).
 
 The HTTP dialect is deliberately minimal.  JSON responses carry
 ``Content-Length``, and the connection stays open for the next request
 (HTTP/1.1 persistence) unless the request asked for
-``Connection: close`` or came as HTTP/1.0.  Streamed responses are
-close-delimited ``application/x-ndjson``; they, raw-text responses and
+``Connection: close`` or came as HTTP/1.0.  The streamed response is
+close-delimited ``application/x-ndjson``; it, raw-text responses and
 answers to malformed requests close the connection.  ``stop()`` closes
 the connections that wait idle for their next request.  The client of
 :mod:`repro.service.client` keeps one connection per thread open.
@@ -41,19 +38,14 @@ import contextlib
 import json
 import math
 import threading
-from urllib.parse import parse_qs
 
 from ..server import RAW_TEXT_KEY, ServiceApp
 from ...backends.base import BackendError
 from ...eval.export import config_from_dict
-from .events import emit_sweep, encode_frame, metric_frame, status_frame
+from .events import emit_sweep, encode_frame
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
              500: "Internal Server Error"}
-
-#: default seconds between ``/shard/status/stream`` polls (``?poll=``
-#: overrides it per request)
-STATUS_POLL_SECONDS = 0.2
 
 #: per-line buffer limit for request reads (asyncio's default 64 KiB
 #: readline limit would reject a large request line or header)
@@ -211,15 +203,11 @@ class AsyncEvalService:
                     del self._idle[writer]
                 if request is None:
                     return
-                method, path, query, payload, keep_alive = request
-                route = (method, path.rstrip("/") or "/")
-                if route == ("POST", "/sweep/stream"):
+                method, path, payload, keep_alive = request
+                if (method, path.rstrip("/")) == ("POST", "/sweep/stream"):
                     await self._stream_sweep(reader, writer, payload or {})
                     return
-                if route == ("GET", "/shard/status/stream"):
-                    await self._stream_status(reader, writer, query)
-                    return
-                # ServiceApp handlers can block for a whole sweep; keep
+                # ServiceApp handlers block (generation, merges); keep
                 # the loop free to answer health checks and streams
                 status, body = await asyncio.get_running_loop(
                 ).run_in_executor(None, self.app.handle, method, path, payload)
@@ -284,18 +272,14 @@ class AsyncEvalService:
                     "the JSON body must be an object, "
                     f"not {type(payload).__name__}"
                 )
-        path, _, query_text = target.partition("?")
-        query = {
-            key: values[-1]
-            for key, values in parse_qs(query_text).items()
-        }
+        path = target.partition("?")[0]
         connection = headers.get("connection", "").lower()
         keep_alive = (
             "keep-alive" in connection
             if version.strip() == "HTTP/1.0"
             else "close" not in connection
         )
-        return method.upper(), path, query, payload, keep_alive
+        return method.upper(), path, payload, keep_alive
 
     @staticmethod
     async def _respond_json(
@@ -403,7 +387,7 @@ class AsyncEvalService:
                         await task
 
     # ------------------------------------------------------------------
-    # Streaming routes
+    # The streaming route
     # ------------------------------------------------------------------
     async def _stream_sweep(
         self,
@@ -416,6 +400,15 @@ class AsyncEvalService:
             payload, "concurrency", max(session.workers, 1),
             MAX_STREAM_CONCURRENCY,
         )
+        models = payload.get("models")
+        if models is not None and not (
+            isinstance(models, list)
+            and all(isinstance(name, str) for name in models)
+        ):
+            raise _BadRequest(
+                "bad sweep request: models must be a list of model names, "
+                f"got {json.dumps(models):.80}"
+            )
         try:
             config = (
                 config_from_dict(payload["config"])
@@ -425,7 +418,7 @@ class AsyncEvalService:
             # planning interrogates backend.models()/capabilities() —
             # blocking I/O on remote backends, so off the loop it goes
             plan = await asyncio.get_running_loop().run_in_executor(
-                None, session.plan, config, payload.get("models")
+                None, session.plan, config, models
             )
         except (BackendError, KeyError, TypeError, ValueError) as exc:
             raise _BadRequest(f"bad sweep request: {exc}") from None
@@ -469,65 +462,6 @@ class AsyncEvalService:
                 yield frame
         finally:
             handoff.close()
-
-    async def _status_frames(self, coordinator, poll: float):
-        last = None
-        merged_last = None
-        while True:
-            status = coordinator.status()
-            # leases carry live expiry countdowns; only re-emit when the
-            # actual progress shape changes
-            key = (status["pending"], status["leased"], status["done"],
-                   status["records_merged"], status.get("store_hits", 0))
-            if key != last:
-                last = key
-                # observational companion frame: per-worker throughput
-                # aggregates, emitted when a new merge landed.  It goes
-                # *before* the status frame so the complete=true status
-                # stays the terminal frame; old clients skip unknown
-                # events (decode_stream is lenient), and record/merge
-                # parity is untouched.
-                merged = status["records_merged"]
-                workers = status.get("workers") or []
-                if workers and merged != merged_last:
-                    merged_last = merged
-                    yield metric_frame({
-                        "records_merged": merged,
-                        "store_hits": status.get("store_hits", 0),
-                        "workers": workers,
-                    })
-                yield status_frame(status)
-            if status["complete"]:
-                return  # the complete=true status frame is the terminal
-            await asyncio.sleep(poll)
-
-    async def _stream_status(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        query: dict,
-    ) -> None:
-        coordinator = self.app.coordinator
-        if coordinator is None:
-            raise _BadRequest(
-                "no shard coordinator attached to this service "
-                "(start one with Session.coordinate / `repro coordinate`)"
-            )
-        try:
-            poll = float(query.get("poll") or STATUS_POLL_SECONDS)
-        except ValueError:
-            poll = math.nan
-        # nan passes through min/max unclamped and would busy-spin
-        if not math.isfinite(poll):
-            raise _BadRequest(f"bad poll value {query.get('poll')!r}")
-        poll = min(max(poll, 0.02), 10.0)
-        await self._start_ndjson(writer)
-        frames = self._status_frames(coordinator, poll)
-        try:
-            await self._pump_frames(reader, writer, frames)
-        finally:
-            with contextlib.suppress(RuntimeError):
-                await frames.aclose()
 
 
 class _BadRequest(ValueError):

@@ -21,18 +21,17 @@ that loops ``/shard/next`` → execute locally → ``/shard/result``
 against a :class:`~repro.service.coordinator.ShardCoordinator` until
 the coordinator reports the whole sweep merged.
 
-:func:`iter_sweep_events` / :func:`stream_sweep` and
-:func:`iter_status_events` consume the NDJSON streaming routes
-(``POST /sweep/stream``, ``GET /shard/status/stream``) line by line as
-the server writes them.  A plain ``for`` loop observes a sweep live;
-abandoning the generator closes the connection, which the server takes
-as the signal to cancel every in-flight job.
+:func:`iter_sweep_events` / :func:`stream_sweep` run a whole sweep
+server-side: they consume the NDJSON route ``POST /sweep/stream`` line
+by line as the server writes it.  A plain ``for`` loop observes a sweep
+live; abandoning the generator closes the connection, which the server
+takes as the signal to cancel every in-flight job.
 
 Every request — JSON round trip, event stream, and the ``repro top``
-poll — goes through one ``http.client`` helper, so all of them fail the
-same way (see :func:`http_transport`).  JSON calls keep one connection
-per thread open across requests; each event stream opens its own and
-closes it when the stream ends.
+poll of ``GET /shard/status`` — goes through one ``http.client``
+helper, so all of them fail the same way (see :func:`http_transport`).
+JSON calls keep one connection per thread open across requests; each
+event stream opens its own and closes it when the stream ends.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import socket
 import threading
 import time
 import urllib.parse
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from ..models.base import Completion, GenerationConfig
 from ..backends.base import Backend, BackendError, ModelCapabilities
@@ -294,29 +293,6 @@ class ServiceBackend(Backend):
         )
         return [self._completion(c) for c in response["completions"]]
 
-    def run_remote_sweep(
-        self,
-        config=None,
-        models: Sequence[str] | None = None,
-    ):
-        """Execute a whole sweep server-side via POST /sweep.
-
-        Unlike :meth:`generate` (per-job traffic planned client-side),
-        this ships the config across and deserializes the full
-        :class:`~repro.eval.jobs.SweepResult` — one request, the
-        server's worker pool does the fan-out.
-        """
-        from ..eval.export import config_to_dict, sweep_result_from_dict
-
-        payload: dict = {}
-        if config is not None:
-            payload["config"] = config_to_dict(config)
-        if models is not None:
-            payload["models"] = list(models)
-        return sweep_result_from_dict(
-            self._transport("POST", "/sweep", payload)
-        )
-
 
 # ----------------------------------------------------------------------
 # Pull-based shard worker (the client half of the coordinator)
@@ -476,7 +452,7 @@ def run_worker(
 
 
 # ----------------------------------------------------------------------
-# Streaming sweep/status client (NDJSON event frames)
+# Streaming sweep client (NDJSON event frames)
 # ----------------------------------------------------------------------
 def _sweep_payload(
     config=None,
@@ -560,19 +536,3 @@ def stream_sweep(
             on_event(frame)
         frames.append(frame)
     return assemble_stream_result(frames)
-
-
-def iter_status_events(
-    url: str,
-    poll: "float | None" = None,
-    timeout: float = 300.0,
-) -> Iterator[dict]:
-    """Yield coordinator status frames from ``GET /shard/status/stream``.
-
-    One frame per progress change; the frame with ``complete == true``
-    is the terminal — the server closes the stream after it.
-    """
-    path = "/shard/status/stream"
-    if poll is not None:
-        path += f"?poll={float(poll)}"
-    yield from _iter_frames(url, "GET", path, None, timeout)

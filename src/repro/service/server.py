@@ -7,8 +7,6 @@ routes:
 * ``GET  /models``          — served model variants;
 * ``POST /capabilities``    — capability claims + identity for one model;
 * ``POST /generate``        — completions for one (model, prompt, config);
-* ``POST /sweep``           — plan + execute a whole sweep server-side,
-  returning the full record/skip/error result;
 * ``GET  /metrics``         — the process :mod:`repro.obs` registry as
   JSON (plus coordinator throughput when one is attached);
 * ``GET  /metrics/prom``    — the same registry in Prometheus text
@@ -27,17 +25,13 @@ body)`` — so tests (and
 :func:`~repro.service.client.in_process_transport`) drive the exact
 routing/validation/serialization code without opening a socket.
 :class:`~repro.service.aio.server.AsyncEvalService` serves it over
-HTTP, adding the NDJSON streaming routes.
-
-The wire schema reuses the job/skip/error codecs of
-:mod:`repro.eval.export`, so a remote sweep result deserializes
-record-for-record identical to a local run.
+HTTP, adding ``POST /sweep/stream``, which runs a whole sweep
+server-side.
 """
 
 from __future__ import annotations
 
 from ..backends.base import BackendError
-from ..eval.export import config_from_dict, sweep_result_to_dict
 from ..models.base import GenerationConfig
 from ..obs import REGISTRY
 from ..obs.collect import TelemetryHub, render_fleet_prometheus
@@ -77,7 +71,6 @@ class ServiceApp:
             ("POST", "/telemetry"): self._telemetry,
             ("POST", "/capabilities"): self._capabilities,
             ("POST", "/generate"): self._generate,
-            ("POST", "/sweep"): self._sweep,
             ("POST", "/shard/next"): self._shard_next,
             ("POST", "/shard/result"): self._shard_result,
             ("GET", "/shard/status"): self._shard_status,
@@ -186,15 +179,6 @@ class ServiceApp:
         return {
             "completions": [self._completion_row(c) for c in completions]
         }
-
-    def _sweep(self, payload: dict) -> dict:
-        config = (
-            config_from_dict(payload["config"])
-            if payload.get("config") is not None
-            else None
-        )
-        result = self.session.run_sweep(config, models=payload.get("models"))
-        return sweep_result_to_dict(result)
 
     # ------------------------------------------------------------------
     # Shard-coordination routes (Session.coordinate / ShardCoordinator)

@@ -1,7 +1,9 @@
 """Socket-level tests for the asyncio eval service: plain routes,
-NDJSON sweep streaming, live status streams, stopping on disconnect."""
+NDJSON sweep streaming, polled coordinator status, stopping on
+disconnect."""
 
 import asyncio
+import contextlib
 import json
 import threading
 import time
@@ -24,7 +26,6 @@ from repro.service import (
     ServiceBackend,
     ShardCoordinator,
     http_transport,
-    iter_status_events,
     iter_sweep_events,
     job_ranges,
     run_worker,
@@ -48,31 +49,44 @@ def service():
         yield svc
 
 
-class TestPlainRoutesOverAsyncServer:
-    def test_health_and_models(self, service):
-        backend = ServiceBackend(url=service.url)
-        assert backend.health()["status"] == "ok"
-        assert backend.models() == ["stub"]
+@pytest.fixture()
+def client(service):
+    with contextlib.closing(ServiceBackend(url=service.url)) as backend:
+        yield backend
 
-    def test_generate_roundtrip(self, service):
-        backend = ServiceBackend(url=service.url)
-        completions = backend.generate(
+
+class TestPlainRoutesOverAsyncServer:
+    def test_health_and_models(self, client):
+        assert client.health()["status"] == "ok"
+        assert client.models() == ["stub"]
+
+    def test_generate_roundtrip(self, client):
+        completions = client.generate(
             "stub", "module m;", GenerationConfig(temperature=0.1, n=3)
         )
         assert len(completions) == 3
 
-    def test_unknown_route_404(self, service):
+    def test_unknown_route_404(self, client):
         with pytest.raises(BackendError, match="404"):
-            ServiceBackend(url=service.url)._transport("GET", "/teapot", None)
+            client._transport("GET", "/teapot", None)
 
-    def test_generate_batch_is_an_unknown_route(self, service):
+    def test_generate_batch_is_an_unknown_route(self, client):
         # the batch route is gone; every job is one POST /generate
         payload = {"model": "stub", "requests": [{"prompt": "module m;"}]}
         with pytest.raises(BackendError, match="404") as excinfo:
-            ServiceBackend(url=service.url)._transport(
-                "POST", "/generate_batch", payload
-            )
+            client._transport("POST", "/generate_batch", payload)
         assert "no route POST /generate_batch" in str(excinfo.value)
+
+    @pytest.mark.parametrize("method, path, payload", [
+        ("POST", "/sweep", {}), ("GET", "/shard/status/stream", None),
+    ])
+    def test_removed_routes_are_unknown(self, client, method, path, payload):
+        # a remote sweep is POST /sweep/stream, coordinator status the
+        # polled GET /shard/status
+        with pytest.raises(BackendError, match="404") as excinfo:
+            client._transport(method, path, payload)
+        assert f"no route {method} {path}" in str(excinfo.value)
+        assert client.health()["status"] == "ok"
 
     def test_bad_json_body_400(self, service):
         request = urllib.request.Request(
@@ -83,6 +97,7 @@ class TestPlainRoutesOverAsyncServer:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
 
@@ -188,6 +203,34 @@ class TestSweepStream:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
         assert "bad sweep request" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("body", [{"config": 5}, {"config": [1]}])
+    def test_non_object_config_is_400(self, client, body):
+        with pytest.raises(BackendError, match="400") as excinfo:
+            client._transport("POST", "/sweep/stream", body)
+        assert "bad sweep request: a sweep config is a JSON object" in str(
+            excinfo.value
+        )
+        assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("models", ["abc", 5, [1]])
+    def test_models_must_be_a_list_of_names(self, client, models):
+        with pytest.raises(BackendError, match="400") as excinfo:
+            client._transport(
+                "POST", "/sweep/stream",
+                {"config": config_to_dict(SMALL), "models": models},
+            )
+        assert "bad sweep request: models must be a list" in str(
+            excinfo.value
+        )
+        assert client.health()["status"] == "ok"
+
+    def test_malformed_stream_lines_raise_protocol_error(self):
+        from repro.service import StreamProtocolError
+        from repro.service.aio import decode_stream
+
+        with pytest.raises(StreamProtocolError):
+            list(decode_stream([b'{"event": "record"}']))
 
     def test_unknown_model_streams_job_errors_not_half_a_stream(self, service):
         # stub capabilities are permissive, so an unknown model plans
@@ -334,22 +377,16 @@ class TestFrameHandoff:
 
 
 class TestStatusStream:
-    @staticmethod
-    def _coordinated_service(num_shards=3):
-        session = Session(backend="stub-canonical")
-        coordinator = ShardCoordinator(
-            session.plan_shards(num_shards, SMALL), lease_seconds=60
-        )
-        return session, AsyncEvalService(
-            session, port=0, coordinator=coordinator
-        )
+    """Coordinator status, polled over ``GET /shard/status``."""
 
     def test_enriched_status_route(self):
-        session, svc = self._coordinated_service()
-        with svc:
-            status = ServiceBackend(url=svc.url)._transport(
-                "GET", "/shard/status", None
-            )
+        session = Session(backend="stub-canonical")
+        coordinator = ShardCoordinator(
+            session.plan_shards(3, SMALL), lease_seconds=60
+        )
+        svc = AsyncEvalService(session, port=0, coordinator=coordinator)
+        with svc, contextlib.closing(http_transport(svc.url)) as call:
+            status = call("GET", "/shard/status", None)
             assert status["jobs_total"] == sum(
                 row["jobs"] for row in status["shards"]
             )
@@ -363,78 +400,13 @@ class TestStatusStream:
             payload = sweep_result_to_dict(result)
             payload["stats"]["evaluator_cache"] = {"store_hits": 7}
             svc.coordinator.submit_result(lease["lease_id"], payload)
-            status = ServiceBackend(url=svc.url)._transport(
-                "GET", "/shard/status", None
-            )
+            status = call("GET", "/shard/status", None)
             row = status["shards"][shard.shard_index]
             assert row["state"] == "done"
             assert row["records"] == len(result.sweep)
             assert row["worker_id"] == "w1"
             assert status["store_hits"] == 7
             assert status["jobs_done"] == len(shard.plan.jobs)
-
-    def test_status_stream_observes_progress_to_done(self):
-        session, svc = self._coordinated_service(num_shards=2)
-        frames = []
-        with svc:
-            consumer_error = []
-            first_frame = threading.Event()
-
-            def consume():
-                try:
-                    for frame in iter_status_events(svc.url, poll=0.02):
-                        frames.append(frame)
-                        first_frame.set()
-                except Exception as exc:  # noqa: BLE001 — assert later
-                    consumer_error.append(exc)
-                    first_frame.set()
-
-            thread = threading.Thread(target=consume)
-            thread.start()
-            # observe the idle coordinator before any work lands, so the
-            # stream provably captures the progression, not just the end
-            assert first_frame.wait(timeout=10)
-            summary = session.work(url=svc.url, worker_id="streamer")
-            thread.join(timeout=10)
-            assert not thread.is_alive(), "status stream never terminated"
-        assert not consumer_error
-        assert summary["shards"] == 2
-        assert frames and frames[-1]["event"] == "status"
-        assert frames[-1]["complete"] is True
-        assert frames[-1]["done"] == 2
-        assert frames[0]["done"] < 2  # we watched it progress
-        status_frames = [f for f in frames if f["event"] == "status"]
-        assert all("shards" in f for f in status_frames)
-        # merges interleave observational metric frames (worker
-        # throughput aggregates) between status frames
-        metric_frames = [f for f in frames if f["event"] == "metric"]
-        assert metric_frames, "no metric frame observed after merges"
-        workers = metric_frames[-1]["metrics"]["workers"]
-        assert workers and workers[0]["worker_id"] == "streamer"
-        assert workers[0]["jobs"] > 0
-
-    def test_non_finite_poll_is_400(self):
-        # nan slips through min/max clamps; the server must refuse it
-        # rather than re-poll the coordinator in a busy loop
-        _session, svc = self._coordinated_service()
-        with svc:
-            for poll in ("nan", "inf"):
-                with pytest.raises(BackendError, match="400.*bad poll"):
-                    next(iter_status_events(svc.url, poll=float(poll)))
-            frames = iter_status_events(svc.url, poll=0.02)
-            assert next(frames)["event"] == "status"
-            frames.close()
-
-    def test_status_stream_without_coordinator_is_400(self, service):
-        with pytest.raises(BackendError, match="no shard coordinator"):
-            list(iter_status_events(service.url))
-
-    def test_malformed_stream_lines_raise_protocol_error(self, service):
-        from repro.service import StreamProtocolError
-        from repro.service.aio import decode_stream
-
-        with pytest.raises(StreamProtocolError):
-            list(decode_stream([b'{"event": "record"}']))
 
 
 class TestRequestHygiene:
@@ -595,7 +567,8 @@ class TestKeptAliveConnections:
                 [c.text for c in local.backend.generate("stub", p, config)]
                 for p in prompts
             ]
-            remote = Session(backend=backend, workers=2).run_sweep(SMALL)
+            with Session(backend=backend, workers=2) as remote_session:
+                remote = remote_session.run_sweep(SMALL)
         assert remote.sweep.records == local.run_sweep(SMALL).sweep.records
 
     def test_close_closes_every_threads_connection(self):

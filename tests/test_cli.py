@@ -80,6 +80,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    def test_serve_takes_no_executor(self, capsys):
+        # /sweep/stream runs its own thread executor; a served session
+        # never builds one, so the flag would be silently ignored
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--executor", "process"])
+        assert excinfo.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["sweep"], ["repair"], ["tables"],
+        ["work", "--url", "http://h:1"],
+    ])
+    def test_executor_flag_on_commands_that_run_sweeps(self, command):
+        args = build_parser().parse_args(command + ["--executor", "process"])
+        assert args.executor == "process"
+
     def test_executor_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--executor", "psychic"])
@@ -372,6 +388,23 @@ class TestSweepCommand:
         assert main(["merge", str(path)]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: result records are not job runs")
+
+    def test_merge_refuses_a_non_object_config(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "shard0.json"
+        assert main([
+            "sweep", "--backend", "stub", "--problems", "1",
+            "--temperatures", "0.1", "--n", "1", "--levels", "L",
+            "--shards", "1", "--shard-index", "0", "--export", str(path),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        payload["manifest"]["config"] = 5
+        path.write_text(json.dumps(payload))
+        assert main(["merge", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: a sweep config is a JSON object, got int")
 
     def test_merge_bad_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -73,25 +73,6 @@ class TestServiceApp:
         assert len(body["completions"]) == 3
         assert all("text" in c for c in body["completions"])
 
-    def test_sweep_route_matches_local_run(self, app):
-        from repro.eval.export import config_to_dict, sweep_result_from_dict
-
-        status, body = app.handle(
-            "POST",
-            "/sweep",
-            {"config": config_to_dict(SMALL), "models": ["codegen-6b-ft"]},
-        )
-        assert status == 200
-        remote = sweep_result_from_dict(body)
-        local = Session(backend="zoo").run_sweep(
-            SMALL, models=["codegen-6b-ft"]
-        )
-        # wire floats are rounded to 6 digits; compare serialized forms
-        from repro.eval.export import sweep_result_to_dict
-
-        assert body["records"] == sweep_result_to_dict(local)["records"]
-        assert len(remote.sweep) == len(local.sweep)
-
     def test_unknown_route_404(self, app):
         status, body = app.handle("GET", "/teapot")
         assert status == 404
@@ -265,11 +246,6 @@ class TestServiceBackend:
         assert [e.split(":")[0] for e in view["errors"]] == [
             "/metrics", "/shard/status"
         ]
-
-    def test_run_remote_sweep(self, client):
-        result = client.run_remote_sweep(SMALL, models=["codegen-6b-ft"])
-        assert len(result.sweep) == 2 * 2 * 2  # problems x temps x n
-        assert result.stats["backend"] == "zoo"
 
 
 class TestEvalServiceHTTP:
