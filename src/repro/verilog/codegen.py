@@ -12,7 +12,13 @@ lowers each process to Python closures:
   concat splits precomputed (mirroring ``store_to_lvalue``);
 * sensitivity lists become persistent ``_SenseEntry`` objects with the
   waiter-registration signal list and a fast re-eval closure attached,
-  so suspension no longer re-runs ``collect_reads`` + scope resolution.
+  so suspension no longer re-runs ``collect_reads`` + scope resolution;
+* a port forward (:attr:`~repro.verilog.elaborate.ProcessSpec.forward`)
+  is not lowered at all: its process commits ``source.value`` into the
+  target and re-arms with a ``("forward", source, (wake, None))``
+  request, one pre-built waiter that ``Simulator.commit`` fires on any
+  change without a sense evaluation.  It still takes one delta and one
+  step per copy, exactly as the continuous assign the interpreter runs.
 
 Compiled processes are plain generators speaking the interpreter's
 suspension protocol (``("delay", ticks)`` / ``("wait", entries)``), so
@@ -50,7 +56,7 @@ from .eval import (
     collect_reads,
     eval_expr,
 )
-from .sim import _FinishSim, _SenseEntry, render_value
+from .sim import _FinishSim, _SenseEntry, _Wake, render_value
 from .values import Vec
 
 __all__ = ["CompiledEngine"]
@@ -1234,6 +1240,8 @@ class _ProcessCompiler:
     # -- processes -----------------------------------------------------
     def compile_process(self, spec: ProcessSpec):
         """Lower one process to a generator factory ``factory(sim)``."""
+        if spec.forward is not None:
+            return _forward(*spec.forward)
         if spec.kind == "assign":
             return self._compile_assign_process(spec)
         if spec.kind == "always":
@@ -1328,6 +1336,21 @@ class _ProcessCompiler:
             yield  # pragma: no cover - marks this as a generator
 
         return gen
+
+
+def _forward(source: Signal, target: Signal):
+    """A port forward: copy ``source`` into ``target`` now and after
+    every change of ``source``, re-armed by one pre-built waiter."""
+    width, signed = target.width, target.signed
+
+    def gen(sim):
+        commit = sim.commit
+        request = ("forward", source, (_Wake(), None))
+        while True:
+            commit(target, source.value.resize(width, signed))
+            yield request
+
+    return gen
 
 
 def _signal_reader(signal: Signal):

@@ -7,6 +7,13 @@ and collects the processes (always/initial/continuous assigns) that the
 simulator will run.  Errors raised here are what the evaluation pipeline
 counts as compile failures beyond pure syntax.
 
+A port connection that is a plain identifier naming a non-memory signal
+of the port's width and signedness is marked as a *forward*
+(``ProcessSpec.forward = (source, target)``): its assign only ever
+copies one signal's value into the other, which the compiled engine
+runs without lowering an expression.  The spec stays an ``"assign"``, so
+the interpreter, time-0 order and profiler keys do not change.
+
 A test bench is fixed while the design under it changes, so its top
 module can be elaborated once as a :class:`BenchTemplate` with its
 instances deferred; ``elaborate(unit, top, bench=template)`` then
@@ -111,6 +118,9 @@ class ProcessSpec:
     value: ast.Expr | None = None  # for assign
     target_scope: Scope | None = None  # assign may straddle scopes (ports)
     line: int = 0
+    #: (source, target) signals of a port connection that copies one
+    #: same-width, same-signedness signal into the other; None otherwise
+    forward: tuple[Signal, Signal] | None = None
 
 
 @dataclass
@@ -341,6 +351,8 @@ class Elaborator:
         undeclared identifiers are compile errors, not runtime x's.
         """
         for spec in processes:
+            if spec.forward is not None:
+                continue  # both ends were resolved when it was made
             names: set[str] = set()
             if spec.kind == "assign":
                 collect_reads(spec.value, names)
@@ -445,7 +457,10 @@ class Elaborator:
                 if expr is None:
                     continue
                 child_signal_expr = ast.Identifier(name=port.name, line=port.line)
+                port_signal = scope.signals[port.name]
+                peer = _forward_peer(expr, parent_scope, port_signal)
                 if port.direction == "output":
+                    forward = peer and (port_signal, peer)
                     self.design.processes.append(
                         ProcessSpec(
                             kind="assign",
@@ -454,9 +469,11 @@ class Elaborator:
                             value=child_signal_expr,
                             target_scope=parent_scope,
                             line=port.line,
+                            forward=forward,
                         )
                     )
                 else:  # input / inout: drive child from parent expression
+                    forward = peer and (peer, port_signal)
                     self.design.processes.append(
                         ProcessSpec(
                             kind="assign",
@@ -465,6 +482,7 @@ class Elaborator:
                             value=expr,
                             target_scope=scope,
                             line=port.line,
+                            forward=forward,
                         )
                     )
 
@@ -532,17 +550,33 @@ class Elaborator:
                     )
                 overrides[settable[position].name] = value
 
-        # Port bindings.
+        # Port bindings: all named or all positional, each port at most
+        # once, as Icarus requires.
         bindings: list[tuple[ast.Port, ast.Expr | None, Scope]] = []
-        if instance.connections and instance.connections[0].name is not None:
+        named = [conn.name is not None for conn in instance.connections]
+        if any(named) and not all(named):
+            raise ElaborationError(
+                f"instance {instance.instance_name!r} mixes named and "
+                f"positional port connections",
+                instance.line,
+            )
+        if any(named):
             by_name = {port.name: port for port in child.ports}
+            connected: set[str] = set()
             for conn in instance.connections:
-                port = by_name.get(conn.name or "")
+                port = by_name.get(conn.name)
                 if port is None:
                     raise ElaborationError(
                         f"module {child.name!r} has no port {conn.name!r}",
                         instance.line,
                     )
+                if port.name in connected:
+                    raise ElaborationError(
+                        f"port {port.name!r} of instance "
+                        f"{instance.instance_name!r} connected more than once",
+                        instance.line,
+                    )
+                connected.add(port.name)
                 bindings.append((port, conn.expr, parent_scope))
         else:
             if len(instance.connections) > len(child.ports):
@@ -590,6 +624,21 @@ class Elaborator:
             array_bounds = (lo, hi)
         flat_name = f"{path}.{name}" if path else name
         return Signal(flat_name, width, signed, kind, msb, lsb, array_bounds)
+
+
+def _forward_peer(
+    expr: ast.Expr, scope: Scope, port: Signal
+) -> Signal | None:
+    """The signal a port connection ``expr`` names in ``scope`` when the
+    connection is a forward: a plain identifier naming a non-memory
+    signal with ``port``'s width and signedness."""
+    if not isinstance(expr, ast.Identifier):
+        return None
+    signal = scope.signals.get(expr.name)
+    if (signal is None or signal.memory is not None
+            or signal.width != port.width or signal.signed != port.signed):
+        return None
+    return signal
 
 
 class BenchTemplate:

@@ -7,6 +7,13 @@ active region drains, and a time wheel for ``#delay`` controls.  Processes
 are Python generators that yield suspension requests; sensitivity is
 re-evaluated on every commit so arbitrary ``@(posedge expr)`` forms work.
 
+A third request, ``("forward", source, (wake, None))``, is how the
+compiled engine runs a port forward: one pre-built waiter on ``source``
+that :meth:`Simulator.commit` fires on any change without a sense
+evaluation, and that :meth:`Simulator._resume` re-files without a
+:class:`_Suspension`.  Each copy still takes one delta, one active-queue
+slot and one ``max_steps`` step, as the continuous assign it replaces.
+
 System tasks supported: ``$display``/``$write``/``$strobe``, ``$monitor``,
 ``$finish``/``$stop``, ``$time``, ``$random`` (deterministic LCG).
 Output lines are collected on :attr:`Simulator.output` — the functional
@@ -73,6 +80,27 @@ class _Suspension:
         self.process = process
         self.entries = entries
         self.done = False
+
+
+class _Wake:
+    """The waiter token of a forward (a port connection the compiled
+    engine copies without lowering; see
+    :attr:`~repro.verilog.elaborate.ProcessSpec.forward`).
+
+    A forward suspends by yielding ``("forward", source, (wake, None))``
+    and :meth:`Simulator._resume` files that pre-built pair on
+    ``source`` as it is, with no :class:`_Suspension`.  A source is
+    never a memory, and a commit reaches a non-memory signal's waiters
+    only when its value changed, so :meth:`Simulator.commit` fires a
+    waiter whose entry is ``None`` without a sense evaluation.  The
+    pair waits on one signal and leaves its list when it fires, so it
+    needs no ``done`` flag.
+    """
+
+    __slots__ = ("process",)
+
+    def __init__(self) -> None:
+        self.process: "_Process | None" = None
 
 
 class _Process:
@@ -241,6 +269,11 @@ class Simulator:
                 process.alive = False
                 return
             kind = request[0]
+            if kind == "forward":
+                waiter = request[2]
+                waiter[0].process = process
+                request[1].waiters.append(waiter)
+                return
             if kind == "delay":
                 self._schedule_at(request[1], process)
                 return
@@ -342,6 +375,9 @@ class Simulator:
         signal.waiters = []
         survivors = []
         for suspension, entry in pending:
+            if entry is None:  # a forward's wake: any change fires it
+                self._schedule(suspension.process)
+                continue
             if suspension.done:
                 continue
             if self._sense_fires(entry, force=memory_write):

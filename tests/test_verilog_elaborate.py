@@ -175,6 +175,39 @@ class TestHierarchyErrors:
         """
         assert not compile_design(source, top="top").ok
 
+    _CHILD = "module m(input a, input b, output y); assign y = a & b; endmodule\n"
+
+    def _rejected(self, instance: str):
+        source = (
+            self._CHILD
+            + "module top;\nwire x, z, w, y;\n" + instance + "\nendmodule\n"
+        )
+        report = compile_design(source, top="top")
+        assert not report.ok and report.stage == "elaborate"
+        assert report.line == 4  # the instance's line
+        return report
+
+    def test_port_connected_twice_by_name(self):
+        report = self._rejected("m u(.a(x), .a(z), .y(w));")
+        assert "port 'a' of instance 'u' connected more than once" in \
+            report.error_text
+
+    def test_positional_then_named_connection(self):
+        report = self._rejected("m u(x, .a(w));")
+        assert "instance 'u' mixes named and positional" in report.error_text
+
+    def test_named_then_positional_connection(self):
+        report = self._rejected("m u(.a(x), w);")
+        assert "instance 'u' mixes named and positional" in report.error_text
+        assert "None" not in report.error_text
+
+    def test_unconnected_named_port_is_not_a_second_binding(self):
+        source = (
+            self._CHILD
+            + "module top; wire x, y; m u(.a(x), .b(), .y(y)); endmodule\n"
+        )
+        assert compile_design(source, top="top").ok
+
     def test_recursive_instantiation_caught(self):
         source = "module a; a child(); endmodule"
         report = compile_design(source, top="a")
