@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from . import ast
 from .elaborate import Design, ProcessSpec, Scope, Signal, lvalue_width
 from .errors import AnalysisError, VerilogError
-from .eval import collect_reads, eval_expr
+from .eval import collect_reads, collect_target_index_reads, eval_expr
 
 #: finding code -> (severity, one-line description); the README table
 #: and docs render from this, so keep descriptions short.
@@ -184,23 +184,6 @@ def _params_only(expr: ast.Expr, scope: Scope) -> bool:
     return True
 
 
-def _target_index_reads(target: ast.Expr | None, into: set) -> None:
-    if isinstance(target, ast.BitSelect):
-        _target_index_reads(target.base, into)
-        collect_reads(target.index, into)
-    elif isinstance(target, ast.PartSelect):
-        _target_index_reads(target.base, into)
-        collect_reads(target.msb, into)
-        collect_reads(target.lsb, into)
-    elif isinstance(target, ast.IndexedPartSelect):
-        _target_index_reads(target.base, into)
-        collect_reads(target.start, into)
-        collect_reads(target.width, into)
-    elif isinstance(target, ast.Concat):
-        for part in target.parts:
-            _target_index_reads(part, into)
-
-
 def _target_spans(
     target: ast.Expr | None, scope: Scope
 ) -> list[tuple[Signal, tuple[int, int] | None]]:
@@ -264,7 +247,7 @@ def _extract_proc(spec: ProcessSpec) -> _Proc:
         dep_names: set[str] = set()
         collect_reads(spec.value, dep_names)
         index_names: set[str] = set()
-        _target_index_reads(spec.target, index_names)
+        collect_target_index_reads(spec.target, index_names)
         deps = _resolve_signals(dep_names, scope)
         deps |= _resolve_signals(index_names, tscope)
         proc.assignments.append(_Assignment(
@@ -293,7 +276,7 @@ def _extract_proc(spec: ProcessSpec) -> _Proc:
         elif isinstance(stmt, ast.Assign):
             dep_names = set(controls)
             collect_reads(stmt.value, dep_names)
-            _target_index_reads(stmt.target, dep_names)
+            collect_target_index_reads(stmt.target, dep_names)
             proc.assignments.append(_Assignment(
                 targets=_target_spans(stmt.target, scope),
                 deps=_resolve_signals(dep_names, scope),
@@ -740,36 +723,6 @@ def _enum_consts(expr: ast.Expr | None, scope: Scope) -> set[int] | None:
     return None if value is None else {value}
 
 
-def _case_assign_ids(case: ast.Case) -> set[int]:
-    ids: set[int] = set()
-
-    def walk(stmt: ast.Stmt | None) -> None:
-        if stmt is None:
-            return
-        if isinstance(stmt, ast.Assign):
-            ids.add(id(stmt))
-        elif isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk(child)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then_stmt)
-            walk(stmt.else_stmt)
-        elif isinstance(stmt, ast.Case):
-            for item in stmt.items:
-                walk(item.body)
-        elif isinstance(stmt, ast.For):
-            walk(stmt.init)
-            walk(stmt.step)
-            walk(stmt.body)
-        elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever,
-                               ast.DelayStmt, ast.EventControl, ast.Wait)):
-            walk(stmt.body)
-
-    for item in case.items:
-        walk(item.body)
-    return ids
-
-
 def _arm_successors(
     body: ast.Stmt | None, next_signal: Signal, scope: Scope
 ) -> set[int] | None:
@@ -779,64 +732,16 @@ def _arm_successors(
     an empty set when the arm never assigns it (state holds).
     """
     successors: set[int] = set()
-    opaque = False
-
-    def walk(stmt: ast.Stmt | None) -> None:
-        nonlocal opaque
-        if stmt is None or opaque:
-            return
-        if isinstance(stmt, ast.Assign):
-            if (isinstance(stmt.target, ast.Identifier)):
-                resolved = scope.resolve(stmt.target.name)
-                if (resolved is not None and resolved[0] == "signal"
-                        and resolved[1] is next_signal):
-                    consts = _enum_consts(stmt.value, scope)
-                    if consts is None:
-                        opaque = True
-                    else:
-                        successors.update(consts)
-        elif isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk(child)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then_stmt)
-            walk(stmt.else_stmt)
-        elif isinstance(stmt, ast.Case):
-            for item in stmt.items:
-                walk(item.body)
-        elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever,
-                               ast.DelayStmt, ast.EventControl, ast.Wait)):
-            walk(stmt.body)
-        elif isinstance(stmt, ast.For):
-            walk(stmt.init)
-            walk(stmt.step)
-            walk(stmt.body)
-
-    walk(body)
-    return None if opaque else successors
-
-
-def _find_cases(stmt: ast.Stmt | None):
-    if stmt is None:
-        return
-    if isinstance(stmt, ast.Case):
-        yield stmt
-    if isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            yield from _find_cases(child)
-    elif isinstance(stmt, ast.If):
-        yield from _find_cases(stmt.then_stmt)
-        yield from _find_cases(stmt.else_stmt)
-    elif isinstance(stmt, ast.Case):
-        for item in stmt.items:
-            yield from _find_cases(item.body)
-    elif isinstance(stmt, ast.For):
-        yield from _find_cases(stmt.init)
-        yield from _find_cases(stmt.step)
-        yield from _find_cases(stmt.body)
-    elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever,
-                           ast.DelayStmt, ast.EventControl, ast.Wait)):
-        yield from _find_cases(stmt.body)
+    for stmt in ast.walk_stmts(body):
+        if type(stmt) is ast.Assign and type(stmt.target) is ast.Identifier:
+            resolved = scope.resolve(stmt.target.name)
+            if (resolved is not None and resolved[0] == "signal"
+                    and resolved[1] is next_signal):
+                consts = _enum_consts(stmt.value, scope)
+                if consts is None:
+                    return None
+                successors.update(consts)
+    return successors
 
 
 def _check_fsms(graph: DataflowGraph) -> list[Finding]:
@@ -847,8 +752,8 @@ def _check_fsms(graph: DataflowGraph) -> list[Finding]:
         if proc.cls not in ("comb", "seq"):
             continue
         scope = proc.spec.scope
-        for case in _find_cases(proc.spec.body):
-            if case.kind != "case":
+        for case in ast.walk_stmts(proc.spec.body):
+            if type(case) is not ast.Case or case.kind != "case":
                 continue
             subject = case.subject
             if not isinstance(subject, ast.Identifier):
@@ -887,7 +792,8 @@ def _analyze_fsm(
     # Identify the next-state variable.  One-process FSM: the case sits
     # in the sequential block and assigns ``state`` directly.  Two-
     # process: a sequential assignment ``state <= next`` links them.
-    in_case = _case_assign_ids(case)
+    in_case = {id(stmt) for stmt in ast.walk_stmts(case)
+               if type(stmt) is ast.Assign}
     next_signal: Signal | None = None
     if proc.cls == "seq":
         next_signal = state
@@ -1011,72 +917,21 @@ def _branch_conditions(proc: _Proc):
     """(cond expr, line) for every If/Ternary condition in a process."""
 
     def exprs_of(expr: ast.Expr | None):
-        if expr is None:
-            return
-        if isinstance(expr, ast.Ternary):
+        if type(expr) is ast.Ternary:
             yield (expr.cond, expr.line)
-        for child in _child_exprs(expr):
+        for child in ast.child_exprs(expr):
             yield from exprs_of(child)
-
-    def walk(stmt: ast.Stmt | None):
-        if stmt is None:
-            return
-        if isinstance(stmt, ast.If):
-            yield (stmt.cond, stmt.line)
-            yield from exprs_of(stmt.cond)
-            yield from walk(stmt.then_stmt)
-            yield from walk(stmt.else_stmt)
-        elif isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                yield from walk(child)
-        elif isinstance(stmt, ast.Assign):
-            yield from exprs_of(stmt.value)
-        elif isinstance(stmt, ast.Case):
-            for item in stmt.items:
-                yield from walk(item.body)
-        elif isinstance(stmt, ast.For):
-            yield from walk(stmt.init)
-            yield from walk(stmt.step)
-            yield from walk(stmt.body)
-        elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever,
-                               ast.DelayStmt, ast.EventControl, ast.Wait)):
-            yield from walk(stmt.body)
 
     spec = proc.spec
     if spec.kind == "assign":
         yield from exprs_of(spec.value)
-    else:
-        yield from walk(spec.body)
-
-
-def _child_exprs(expr: ast.Expr):
-    if isinstance(expr, ast.Unary):
-        yield expr.operand
-    elif isinstance(expr, ast.Binary):
-        yield expr.lhs
-        yield expr.rhs
-    elif isinstance(expr, ast.Ternary):
-        yield expr.cond
-        yield expr.if_true
-        yield expr.if_false
-    elif isinstance(expr, (ast.Concat,)):
-        yield from expr.parts
-    elif isinstance(expr, ast.Replicate):
-        yield expr.count
-        yield expr.value
-    elif isinstance(expr, ast.BitSelect):
-        yield expr.base
-        yield expr.index
-    elif isinstance(expr, ast.PartSelect):
-        yield expr.base
-        yield expr.msb
-        yield expr.lsb
-    elif isinstance(expr, ast.IndexedPartSelect):
-        yield expr.base
-        yield expr.start
-        yield expr.width
-    elif isinstance(expr, (ast.FunctionCall, ast.SystemCall)):
-        yield from expr.args
+        return
+    for stmt in ast.walk_stmts(spec.body):
+        if type(stmt) is ast.If:
+            yield (stmt.cond, stmt.line)
+            yield from exprs_of(stmt.cond)
+        elif type(stmt) is ast.Assign:
+            yield from exprs_of(stmt.value)
 
 
 def _check_const_branches(graph: DataflowGraph) -> list[Finding]:

@@ -1,12 +1,23 @@
-"""AST node definitions for the Verilog subset.
+"""AST node definitions for the Verilog subset, and their traversal.
 
 Nodes are plain dataclasses; the parser builds them and the elaborator /
 simulator consume them.  Every node carries a source line for diagnostics.
 They are slotted: an evaluator keeps many parsed test benches alive.
+
+This module is also the one place that knows which fields of a node
+hold child expressions and statements: :func:`child_exprs`,
+:func:`child_stmts` and :func:`walk_stmts` serve every pass that only
+needs to visit the tree (name collection, case and branch discovery,
+lint), and :func:`lvalue_names` / :func:`assigned_names` the ones that
+need assignment targets.  A node kind added here is added to those
+functions too; ``tests/test_ast_walk.py`` fails until it is.  Passes
+that do different work per node kind (the simulator, the closure
+compiler, the writer) keep their own dispatch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -349,3 +360,114 @@ class SourceUnit:
             if mod.name == name:
                 return mod
         return None
+
+
+# ----------------------------------------------------------------------
+# Traversal
+# ----------------------------------------------------------------------
+def child_exprs(node) -> Sequence[Expr]:
+    """Direct sub-expressions of an expression or statement, in source
+    (field declaration) order.
+
+    A statement's are the expressions it holds itself: an ``Assign``'s
+    target, value and intra-assignment delay, a ``Case``'s subject and
+    item labels, an ``EventControl``'s sense expressions; not those of
+    its child statements.  Leaves, unknown objects and ``None`` have
+    none.  The result may be the node's own list: do not mutate it.
+    """
+    t = type(node)
+    if t is Identifier or t is Number:  # most nodes are leaves
+        return ()
+    if t is Binary:
+        return (node.lhs, node.rhs)
+    if t is BitSelect:
+        return (node.base, node.index)
+    if t is Unary:
+        return (node.operand,)
+    if t is Ternary:
+        return (node.cond, node.if_true, node.if_false)
+    if t is Concat:
+        return node.parts
+    if t is PartSelect:
+        return (node.base, node.msb, node.lsb)
+    if t is IndexedPartSelect:
+        return (node.base, node.start, node.width)
+    if t is Replicate:
+        return (node.count, node.value)
+    if t is SystemCall or t is FunctionCall:
+        return node.args
+    if t is Assign:
+        if node.delay is None:
+            return (node.target, node.value)
+        return (node.target, node.value, node.delay)
+    if t is If or t is For or t is While or t is Wait:
+        return (node.cond,)
+    if t is Case:
+        return [node.subject] + [
+            expr for item in node.items for expr in item.exprs
+        ]
+    if t is EventControl:
+        return [sense.expr for sense in node.senses]
+    if t is SysTaskCall or t is TaskCall:
+        return node.args
+    if t is DelayStmt:
+        return (node.delay,)
+    if t is Repeat:
+        return (node.count,)
+    return ()
+
+
+def child_stmts(node) -> Sequence[Stmt]:
+    """Direct child statements of a statement, in source order (a
+    ``Case``'s are its item bodies; an ``If`` without ``else`` has one).
+    The result may be the node's own list: do not mutate it."""
+    t = type(node)
+    if t is Block:
+        return node.stmts
+    if t is If:
+        if node.else_stmt is None:
+            return (node.then_stmt,)
+        return (node.then_stmt, node.else_stmt)
+    if t is Case:
+        return [item.body for item in node.items]
+    if t is For:
+        return (node.init, node.step, node.body)
+    if (t is EventControl or t is DelayStmt or t is Forever or t is While
+            or t is Repeat or t is Wait):
+        return (node.body,)
+    return ()
+
+
+def walk_stmts(stmt: Stmt | None) -> Iterator[Stmt]:
+    """``stmt`` and every statement under it, pre-order (a statement
+    before its children, children in source order); ``None`` yields
+    nothing."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        yield node
+        stack.extend(reversed(child_stmts(node)))
+
+
+def lvalue_names(target: Expr | None, into: set[str]) -> None:
+    """Add the names an lvalue writes to ``into``: the base identifier
+    of each selected or concatenated part (not its index names)."""
+    t = type(target)
+    if t is Identifier:
+        into.add(target.name)
+    elif t is BitSelect or t is PartSelect or t is IndexedPartSelect:
+        lvalue_names(target.base, into)
+    elif t is Concat:
+        for part in target.parts:
+            lvalue_names(part, into)
+
+
+def assigned_names(stmt: Stmt | None) -> set[str]:
+    """Names any procedural assignment in ``stmt``'s tree writes."""
+    names: set[str] = set()
+    for node in walk_stmts(stmt):
+        if type(node) is Assign:
+            lvalue_names(node.target, names)
+    return names

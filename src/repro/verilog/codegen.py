@@ -51,6 +51,7 @@ from .eval import (
     _CONTEXT_UNARY,
     _SHIFT_OPS,
     _UNARY_FUNCS,
+    _signal_of,
     _string_to_vec,
     case_matches,
     collect_reads,
@@ -78,35 +79,13 @@ def _is_param_const(expr: ast.Expr, scope: Scope) -> bool:
     """
     if isinstance(expr, (ast.SystemCall, ast.FunctionCall)):
         return False
-    for child in _children_of(expr):
+    for child in ast.child_exprs(expr):
         if not _is_param_const(child, scope):
             return False
     if isinstance(expr, ast.Identifier):
         resolved = scope.resolve(expr.name)
         return resolved is not None and resolved[0] == "param"
     return True
-
-
-def _children_of(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.Unary):
-        return [expr.operand]
-    if isinstance(expr, ast.Binary):
-        return [expr.lhs, expr.rhs]
-    if isinstance(expr, ast.Ternary):
-        return [expr.cond, expr.if_true, expr.if_false]
-    if isinstance(expr, ast.Concat):
-        return list(expr.parts)
-    if isinstance(expr, ast.Replicate):
-        return [expr.count, expr.value]
-    if isinstance(expr, ast.BitSelect):
-        return [expr.base, expr.index]
-    if isinstance(expr, ast.PartSelect):
-        return [expr.base, expr.msb, expr.lsb]
-    if isinstance(expr, ast.IndexedPartSelect):
-        return [expr.base, expr.start, expr.width]
-    if isinstance(expr, (ast.SystemCall, ast.FunctionCall)):
-        return list(expr.args)
-    return []
 
 
 def _static_const(expr: ast.Expr, scope: Scope) -> int:
@@ -178,14 +157,6 @@ def _static_size(expr: ast.Expr, scope: Scope) -> int:
         return abs(_static_const(func.range.msb, scope)
                    - _static_const(func.range.lsb, scope)) + 1
     raise _Unsupported(f"cannot size {type(expr).__name__}")
-
-
-def _signal_of(base: ast.Expr, scope: Scope) -> Signal | None:
-    if isinstance(base, ast.Identifier):
-        resolved = scope.resolve(base.name)
-        if resolved and resolved[0] == "signal":
-            return resolved[1]
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import ast, values
 from .errors import ElaborationError
-from .eval import collect_reads, eval_const, eval_expr, eval_sized
+from .eval import collect_reads, eval_const, eval_expr
 from .values import Vec
 
 
@@ -359,13 +359,18 @@ class Elaborator:
                 target_scope = spec.target_scope or spec.scope
                 self._check_names(names, spec.scope, spec.line)
                 lvalues: set[str] = set()
-                _collect_lvalue_names(spec.target, lvalues)
+                ast.lvalue_names(spec.target, lvalues)
                 self._check_names(lvalues, target_scope, spec.line)
             else:
                 collect_reads(spec.body, names)
-                lvalues = set()
-                _collect_lvalue_stmt_names(spec.body, lvalues)
-                self._check_names(names | lvalues, spec.scope, spec.line)
+                for stmt in ast.walk_stmts(spec.body):
+                    if type(stmt) is ast.Assign:
+                        ast.lvalue_names(stmt.target, names)
+                        if stmt.delay is not None:
+                            # no read to collect_reads (not sensitivity),
+                            # but its names must resolve all the same
+                            collect_reads(stmt.delay, names)
+                self._check_names(names, spec.scope, spec.line)
 
     @staticmethod
     def _check_names(names: set[str], scope: Scope, line: int) -> None:
@@ -419,32 +424,35 @@ class Elaborator:
             )
             declared_ports[port.name] = port
         for decl in module.decls:
-            existing = scope.signals.get(decl.name)
-            if existing is not None:
-                if decl.name in declared_ports:
-                    # body re-declaration of a port (non-ANSI style):
-                    # upgrade kind/signedness, check width agreement
-                    redecl = self._make_signal(
-                        decl.name, decl.range, decl.array, decl.signed,
-                        decl.kind, scope, path,
+            signal = scope.signals.get(decl.name)
+            if signal is None:
+                signal = scope.signals[decl.name] = self._make_signal(
+                    decl.name, decl.range, decl.array, decl.signed,
+                    decl.kind, scope, path,
+                )
+            elif decl.name in declared_ports:
+                # body re-declaration of a port (non-ANSI style):
+                # upgrade kind/signedness, check width agreement.  The
+                # port is signed when either declaration is (IEEE
+                # 1364-2005 12.3.3), and so is the value it holds.
+                redecl = self._make_signal(
+                    decl.name, decl.range, decl.array, decl.signed,
+                    decl.kind, scope, path,
+                )
+                if redecl.width != signal.width:
+                    raise ElaborationError(
+                        f"port {decl.name!r} redeclared with different width",
+                        decl.line,
                     )
-                    if redecl.width != existing.width:
-                        raise ElaborationError(
-                            f"port {decl.name!r} redeclared with different width",
-                            decl.line,
-                        )
-                    existing.kind = decl.kind
-                    existing.signed = existing.signed or decl.signed
-                    continue
+                signal.kind = decl.kind
+                if decl.signed and not signal.signed:
+                    signal.signed = True
+                    signal.value = signal.value.resize(signal.width, True)
+            else:
                 raise ElaborationError(
                     f"duplicate declaration of {decl.name!r}", decl.line
                 )
-            scope.signals[decl.name] = self._make_signal(
-                decl.name, decl.range, decl.array, decl.signed,
-                decl.kind, scope, path,
-            )
             if decl.init is not None:
-                signal = scope.signals[decl.name]
                 signal.value = eval_expr(decl.init, scope).resize(
                     signal.width, signal.signed
                 )
@@ -704,39 +712,3 @@ __all__ = [
     "make_function_scope",
     "store_to_lvalue",
 ]
-
-
-def _collect_lvalue_names(target: ast.Expr | None, into: set[str]) -> None:
-    """Base identifier names of an lvalue expression."""
-    if isinstance(target, ast.Identifier):
-        into.add(target.name)
-    elif isinstance(target, (ast.BitSelect, ast.PartSelect, ast.IndexedPartSelect)):
-        _collect_lvalue_names(target.base, into)
-    elif isinstance(target, ast.Concat):
-        for part in target.parts:
-            _collect_lvalue_names(part, into)
-
-
-def _collect_lvalue_stmt_names(stmt: ast.Stmt | None, into: set[str]) -> None:
-    """Assignment-target names reachable in a statement tree."""
-    if stmt is None:
-        return
-    if isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            _collect_lvalue_stmt_names(child, into)
-    elif isinstance(stmt, ast.Assign):
-        _collect_lvalue_names(stmt.target, into)
-    elif isinstance(stmt, ast.If):
-        _collect_lvalue_stmt_names(stmt.then_stmt, into)
-        _collect_lvalue_stmt_names(stmt.else_stmt, into)
-    elif isinstance(stmt, ast.Case):
-        for item in stmt.items:
-            _collect_lvalue_stmt_names(item.body, into)
-    elif isinstance(stmt, ast.For):
-        _collect_lvalue_stmt_names(stmt.init, into)
-        _collect_lvalue_stmt_names(stmt.step, into)
-        _collect_lvalue_stmt_names(stmt.body, into)
-    elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever)):
-        _collect_lvalue_stmt_names(stmt.body, into)
-    elif isinstance(stmt, (ast.DelayStmt, ast.EventControl, ast.Wait)):
-        _collect_lvalue_stmt_names(stmt.body, into)

@@ -474,107 +474,40 @@ def collect_reads(node, into: set[str] | None = None) -> set[str]:
 
     For statements, assignment *targets* are excluded but their index
     expressions are included, matching LRM implicit-sensitivity rules.
+    An intra-assignment delay (``a = #d b``) is not a read either: it
+    is evaluated when the statement runs, not watched.
     """
     reads: set[str] = set() if into is None else into
-
-    def walk_expr(expr: ast.Expr | None) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.Identifier):
-            reads.add(expr.name)
-        elif isinstance(expr, ast.Unary):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.Binary):
-            walk_expr(expr.lhs)
-            walk_expr(expr.rhs)
-        elif isinstance(expr, ast.Ternary):
-            walk_expr(expr.cond)
-            walk_expr(expr.if_true)
-            walk_expr(expr.if_false)
-        elif isinstance(expr, ast.Concat):
-            for part in expr.parts:
-                walk_expr(part)
-        elif isinstance(expr, ast.Replicate):
-            walk_expr(expr.count)
-            walk_expr(expr.value)
-        elif isinstance(expr, ast.BitSelect):
-            walk_expr(expr.base)
-            walk_expr(expr.index)
-        elif isinstance(expr, ast.PartSelect):
-            walk_expr(expr.base)
-            walk_expr(expr.msb)
-            walk_expr(expr.lsb)
-        elif isinstance(expr, ast.IndexedPartSelect):
-            walk_expr(expr.base)
-            walk_expr(expr.start)
-            walk_expr(expr.width)
-        elif isinstance(expr, (ast.SystemCall, ast.FunctionCall)):
-            for arg in expr.args:
-                walk_expr(arg)
-
-    def walk_target_indices(expr: ast.Expr | None) -> None:
-        if isinstance(expr, ast.BitSelect):
-            walk_target_indices(expr.base)
-            walk_expr(expr.index)
-        elif isinstance(expr, ast.PartSelect):
-            walk_target_indices(expr.base)
-            walk_expr(expr.msb)
-            walk_expr(expr.lsb)
-        elif isinstance(expr, ast.IndexedPartSelect):
-            walk_target_indices(expr.base)
-            walk_expr(expr.start)
-            walk_expr(expr.width)
-        elif isinstance(expr, ast.Concat):
-            for part in expr.parts:
-                walk_target_indices(part)
-
-    def walk_stmt(stmt: ast.Stmt | None) -> None:
-        if stmt is None:
-            return
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk_stmt(child)
-        elif isinstance(stmt, ast.Assign):
-            walk_expr(stmt.value)
-            walk_target_indices(stmt.target)
-        elif isinstance(stmt, ast.If):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.then_stmt)
-            walk_stmt(stmt.else_stmt)
-        elif isinstance(stmt, ast.Case):
-            walk_expr(stmt.subject)
-            for item in stmt.items:
-                for expr in item.exprs:
-                    walk_expr(expr)
-                walk_stmt(item.body)
-        elif isinstance(stmt, ast.For):
-            walk_stmt(stmt.init)
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.step)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.While):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.Repeat):
-            walk_expr(stmt.count)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.EventControl):
-            for sense in stmt.senses:
-                walk_expr(sense.expr)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, (ast.Forever, ast.DelayStmt)):
-            if isinstance(stmt, ast.DelayStmt):
-                walk_expr(stmt.delay)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.Wait):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, (ast.SysTaskCall, ast.TaskCall)):
-            for arg in stmt.args:
-                walk_expr(arg)
-
     if isinstance(node, ast.Stmt):
-        walk_stmt(node)
+        for stmt in ast.walk_stmts(node):
+            if type(stmt) is ast.Assign:
+                _expr_reads(stmt.value, reads)
+                collect_target_index_reads(stmt.target, reads)
+            else:
+                for expr in ast.child_exprs(stmt):
+                    _expr_reads(expr, reads)
     else:
-        walk_expr(node)
+        _expr_reads(node, reads)
     return reads
+
+
+def _expr_reads(expr: ast.Expr | None, reads: set[str]) -> None:
+    if type(expr) is ast.Identifier:
+        reads.add(expr.name)
+    else:
+        for child in ast.child_exprs(expr):
+            _expr_reads(child, reads)
+
+
+def collect_target_index_reads(target: ast.Expr | None, into: set[str]) -> None:
+    """Add the names an lvalue's index and bound expressions read to
+    ``into`` (its base names are written, not read)."""
+    t = type(target)
+    if t is ast.BitSelect or t is ast.PartSelect or t is ast.IndexedPartSelect:
+        base, *indices = ast.child_exprs(target)
+        collect_target_index_reads(base, into)
+        for index in indices:
+            _expr_reads(index, into)
+    elif t is ast.Concat:
+        for part in target.parts:
+            collect_target_index_reads(part, into)

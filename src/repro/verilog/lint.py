@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
-from .eval import collect_reads
+from .eval import collect_reads, collect_target_index_reads
 
 
 @dataclass(frozen=True)
@@ -80,50 +80,6 @@ def _is_combinational(block: ast.AlwaysBlock) -> bool:
     )
 
 
-def _walk_statements(stmt: ast.Stmt | None):
-    """Yield every statement in a tree (pre-order)."""
-    if stmt is None:
-        return
-    yield stmt
-    if isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            yield from _walk_statements(child)
-    elif isinstance(stmt, ast.If):
-        yield from _walk_statements(stmt.then_stmt)
-        yield from _walk_statements(stmt.else_stmt)
-    elif isinstance(stmt, ast.Case):
-        for item in stmt.items:
-            yield from _walk_statements(item.body)
-    elif isinstance(stmt, ast.For):
-        yield from _walk_statements(stmt.init)
-        yield from _walk_statements(stmt.step)
-        yield from _walk_statements(stmt.body)
-    elif isinstance(stmt, (ast.While, ast.Repeat, ast.Forever)):
-        yield from _walk_statements(stmt.body)
-    elif isinstance(stmt, (ast.DelayStmt, ast.EventControl, ast.Wait)):
-        yield from _walk_statements(stmt.body)
-
-
-def _assigned_names(stmt: ast.Stmt | None) -> set[str]:
-    names: set[str] = set()
-    for node in _walk_statements(stmt):
-        if isinstance(node, ast.Assign):
-            _lvalue_names(node.target, names)
-    return names
-
-
-def _lvalue_names(target: ast.Expr | None, into: set[str]) -> None:
-    if isinstance(target, ast.Identifier):
-        into.add(target.name)
-    elif isinstance(
-        target, (ast.BitSelect, ast.PartSelect, ast.IndexedPartSelect)
-    ):
-        _lvalue_names(target.base, into)
-    elif isinstance(target, ast.Concat):
-        for part in target.parts:
-            _lvalue_names(part, into)
-
-
 # ----------------------------------------------------------------------
 # Checks
 # ----------------------------------------------------------------------
@@ -139,7 +95,7 @@ def _check_case_defaults(module: ast.Module) -> list[LintWarning]:
     for block in module.always_blocks:
         if not _is_combinational(block):
             continue
-        for node in _walk_statements(block.body):
+        for node in ast.walk_stmts(block.body):
             if isinstance(node, ast.Case) and not any(
                 not item.exprs for item in node.items
             ):
@@ -209,7 +165,7 @@ def _check_latch_risk(module: ast.Module) -> list[LintWarning]:
             continue
         body = block.body.body if isinstance(block.body, ast.EventControl) else block.body
         always_set = _always_assigned(body)
-        ever_set = _assigned_names(body)
+        ever_set = ast.assigned_names(body)
         latchy = sorted(ever_set - always_set)
         if latchy:
             warnings.append(
@@ -233,7 +189,7 @@ def _always_assigned(stmt: ast.Stmt | None) -> set[str]:
         return names
     if isinstance(stmt, ast.Assign):
         names = set()
-        _lvalue_names(stmt.target, names)
+        ast.lvalue_names(stmt.target, names)
         return names
     if isinstance(stmt, ast.If):
         if stmt.else_stmt is None:
@@ -258,7 +214,7 @@ def _check_assign_styles(module: ast.Module) -> list[LintWarning]:
     for block in module.always_blocks:
         sequential = _is_sequential(block)
         combinational = _is_combinational(block)
-        for node in _walk_statements(block.body):
+        for node in ast.walk_stmts(block.body):
             if not isinstance(node, ast.Assign):
                 continue
             if combinational and node.nonblocking:
@@ -271,7 +227,7 @@ def _check_assign_styles(module: ast.Module) -> list[LintWarning]:
                 )
             if sequential and not node.nonblocking:
                 targets: set[str] = set()
-                _lvalue_names(node.target, targets)
+                ast.lvalue_names(node.target, targets)
                 warnings.append(
                     LintWarning(
                         "blocking-in-seq",
@@ -288,11 +244,9 @@ def _module_reads(module: ast.Module) -> set[str]:
     reads: set[str] = set()
     for cont in module.assigns:
         # target index expressions count as reads of the index nets
-        # (``assign mem[addr] = x`` reads ``addr``); wrapping in a
-        # procedural Assign reuses collect_reads' target-index walk
-        collect_reads(
-            ast.Assign(target=cont.target, value=cont.value), reads
-        )
+        # (``assign mem[addr] = x`` reads ``addr``)
+        collect_reads(cont.value, reads)
+        collect_target_index_reads(cont.target, reads)
     for block in module.always_blocks:
         collect_reads(block.body, reads)
     for block in module.initial_blocks:
@@ -307,11 +261,11 @@ def _module_reads(module: ast.Module) -> set[str]:
 def _module_writes(module: ast.Module) -> set[str]:
     writes: set[str] = set()
     for cont in module.assigns:
-        _lvalue_names(cont.target, writes)
+        ast.lvalue_names(cont.target, writes)
     for block in module.always_blocks:
-        writes |= _assigned_names(block.body)
+        writes |= ast.assigned_names(block.body)
     for block in module.initial_blocks:
-        writes |= _assigned_names(block.body)
+        writes |= ast.assigned_names(block.body)
     for instance in module.instances:
         # outputs of children drive the connected expressions; without
         # child direction info, any connected identifier counts as driven
@@ -319,7 +273,7 @@ def _module_writes(module: ast.Module) -> set[str]:
             if isinstance(conn.expr, ast.Identifier):
                 writes.add(conn.expr.name)
             elif isinstance(conn.expr, ast.Concat):
-                _lvalue_names(conn.expr, writes)
+                ast.lvalue_names(conn.expr, writes)
     return writes
 
 
@@ -355,11 +309,11 @@ def _check_multiple_drivers(module: ast.Module) -> list[LintWarning]:
     warnings = []
     driver_blocks: dict[str, int] = {}
     for block in module.always_blocks:
-        for name in _assigned_names(block.body):
+        for name in ast.assigned_names(block.body):
             driver_blocks[name] = driver_blocks.get(name, 0) + 1
     assign_targets: set[str] = set()
     for cont in module.assigns:
-        _lvalue_names(cont.target, assign_targets)
+        ast.lvalue_names(cont.target, assign_targets)
     for name, count in sorted(driver_blocks.items()):
         if count > 1:
             warnings.append(
@@ -409,7 +363,7 @@ def _check_width_truncation(module: ast.Module) -> list[LintWarning]:
     for cont in module.assigns:
         check(cont.target, cont.value, cont.line)
     for block in module.always_blocks + module.initial_blocks:
-        for node in _walk_statements(block.body):
+        for node in ast.walk_stmts(block.body):
             if isinstance(node, ast.Assign):
                 check(node.target, node.value, node.line)
     return warnings

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.problems import get_problem
+from repro.eval.pipeline import Evaluator
+from repro.problems import PromptLevel, get_problem
 from repro.verilog import (
     ElaborationError,
     check_syntax,
@@ -302,3 +303,141 @@ class TestConstantErrors:
     def test_parameter_without_value(self):
         report = check_syntax("module m; parameter K; endmodule")
         assert not report.ok
+
+
+ENGINES = pytest.mark.parametrize(
+    "compile_sim", [False, True], ids=["interpreter", "compiled"])
+
+
+def _display(source: str, compile_sim: bool) -> list[str]:
+    report, sim = run_simulation(source, compile_sim=compile_sim)
+    assert report.ok, report.errors
+    return sim.text.split()
+
+
+class TestPortRedeclarationValues:
+    """A port redeclared in the body (``output q; reg q;``) holds the
+    value a plain declaration of the second kind would."""
+
+    @ENGINES
+    def test_signed_redeclaration_reads_signed(self, compile_sim):
+        # IEEE 1364-2005 12.3.3: a port is signed when either of its
+        # declarations is; a part-select write keeps the stored sign
+        source = """
+        module m(q);
+          output [3:0] q;
+          reg signed [3:0] q;
+          reg signed [7:0] w;
+          initial begin
+            q[3:0] = 4'b1110;
+            w = q;
+            $display("%d %d", q, w);
+          end
+        endmodule
+        """
+        assert _display(source, compile_sim) == ["-2", "-2"]
+
+    @ENGINES
+    def test_signed_port_keeps_sign_under_unsigned_redeclaration(
+            self, compile_sim):
+        source = """
+        module m(q);
+          output signed [3:0] q;
+          reg [3:0] q;
+          reg signed [7:0] w;
+          initial begin
+            q[3:0] = 4'b1110;
+            w = q;
+            $display("%d %d", q, w);
+          end
+        endmodule
+        """
+        assert _display(source, compile_sim) == ["-2", "-2"]
+
+    @ENGINES
+    def test_redeclaration_keeps_its_initializer(self, compile_sim):
+        source = """
+        module m(q);
+          output [3:0] q;
+          reg [3:0] q = 4'd5;
+          reg [3:0] r = 4'd5;
+          initial $display("%d %d", q, r);
+        endmodule
+        """
+        assert _display(source, compile_sim) == ["5", "5"]
+
+    @ENGINES
+    def test_signed_redeclaration_initializer_is_signed(self, compile_sim):
+        source = """
+        module m(q);
+          output [3:0] q;
+          reg signed [3:0] q = -3;
+          initial $display("%d", q);
+        endmodule
+        """
+        assert _display(source, compile_sim) == ["-3"]
+
+
+class TestIntraAssignmentDelayNames:
+    """``q = #d v`` names in ``d`` are checked at elaboration, as those
+    of ``#d q = v`` are."""
+
+    SOURCE = """module m(q);
+  output [3:0] q;
+  reg [3:0] q;
+  initial
+    {stmt}
+endmodule
+"""
+
+    def test_undeclared_delay_name_is_an_elaborate_error(self):
+        for stmt in ("q = #nope 4'd3;", "#nope q = 4'd3;"):
+            report = compile_design(self.SOURCE.format(stmt=stmt))
+            assert not report.ok
+            assert report.stage == "elaborate"
+            assert report.line == 4
+            assert report.errors == ["line 4:0: undeclared identifier 'nope'"]
+
+    def test_declared_delay_name_compiles(self):
+        source = self.SOURCE.format(stmt="q = #q 4'd3;")
+        assert compile_design(source).ok
+
+    @ENGINES
+    def test_evaluator_rejects_at_elaborate_on_both_engines(self, compile_sim):
+        problem = get_problem(1)
+        verdicts = [
+            Evaluator(compile_sim=compile_sim).evaluate(
+                problem,
+                f"  reg r;\n  initial\n    {stmt}\n"
+                "  assign out = in;\nendmodule\n",
+                PromptLevel.LOW,
+            )
+            for stmt in ("r = #nope 1'b0;", "#nope r = 1'b0;")
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert not verdicts[0].compiled
+        assert verdicts[0].stage == "elaborate"
+        assert verdicts[0].error_line == 4
+        assert "undeclared identifier 'nope'" in verdicts[0].compile_errors[0]
+
+    @ENGINES
+    def test_delay_names_stay_out_of_implicit_sensitivity(self, compile_sim):
+        # ``@*`` watches what the body reads; the delay is not a read,
+        # so a change of ``d`` alone does not re-run the block
+        source = """
+        module m;
+          reg [3:0] a, d, q;
+          integer runs;
+          initial runs = 0;
+          always @* begin
+            runs = runs + 1;
+            q = #d a;
+          end
+          initial begin
+            a = 1; d = 1;
+            #5 d = 2;
+            #5 $display("%0d", runs);
+          end
+        endmodule
+        """
+        assert _display(source, compile_sim) == ["1"]
