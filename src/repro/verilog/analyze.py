@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from . import ast
 from .elaborate import Design, ProcessSpec, Scope, Signal, lvalue_width
 from .errors import AnalysisError, VerilogError
-from .eval import collect_reads, collect_target_index_reads, eval_expr
+from .eval import (
+    collect_reads, collect_target_index_reads, eval_const, eval_expr,
+)
 
 #: finding code -> (severity, one-line description); the README table
 #: and docs render from this, so keep descriptions short.
@@ -648,7 +650,7 @@ def _check_port_widths(graph: DataflowGraph) -> list[Finding]:
         if spec.target_scope is None:
             continue
         try:
-            lhs = lvalue_width(spec.target, spec.target_scope)
+            lhs = lvalue_width(spec.target, spec.target_scope, eval_const)
         except VerilogError:
             continue
         rhs = _static_expr_width(spec.value, spec.scope)

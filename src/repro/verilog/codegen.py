@@ -5,11 +5,12 @@ lowers each process to Python closures:
 
 * expression trees become width-resolved callables ``fn(sim) -> Vec``
   with context widths, resizes and constant subtrees folded at compile
-  time (:func:`_compile4` mirrors :func:`repro.verilog.eval.eval_expr`
-  exactly — same widths, same x/z semantics, same error messages);
+  time (:func:`_compile4` lowers what
+  :func:`repro.verilog.eval.eval_expr` evaluates — same x/z semantics,
+  same error messages);
 * blocking/nonblocking stores are pre-bound to their target
   :class:`~repro.verilog.elaborate.Signal` with part-select offsets and
-  concat splits precomputed (mirroring ``store_to_lvalue``);
+  concat splits precomputed (the lowering of ``store_to_lvalue``);
 * sensitivity lists become persistent ``_SenseEntry`` objects with the
   waiter-registration signal list and a fast re-eval closure attached,
   so suspension no longer re-runs ``collect_reads`` + scope resolution;
@@ -19,6 +20,20 @@ lowers each process to Python closures:
   request, one pre-built waiter that ``Simulator.commit`` fires on any
   change without a sense evaluation.  It still takes one delta and one
   step per copy, exactly as the continuous assign the interpreter runs.
+* ``$display``-style tasks render the pieces
+  :func:`~repro.verilog.sim.format_pieces` parses, each conversion a
+  compiled closure.
+
+The static rules are the interpreter's own, called at build time:
+expression and lvalue widths are :func:`~repro.verilog.eval.size_of`
+and :func:`~repro.verilog.elaborate.lvalue_width` with
+:func:`_static_const` as their constant folder, ``$display`` text is
+:func:`~repro.verilog.sim.format_pieces` and
+:func:`~repro.verilog.sim.render_value`, case labels match by
+:func:`~repro.verilog.eval.case_matches` and ``$clog2`` is
+:func:`~repro.verilog.values.clog2`.  A size that depends on a signal's
+value (``a[i+1:i]``, ``{i{1'b1}}``) is not static, and its process falls
+back to the interpreter.
 
 Compiled processes are plain generators speaking the interpreter's
 suspension protocol (``("delay", ticks)`` / ``("wait", entries)``), so
@@ -42,7 +57,14 @@ each run's engine, which lowers only the grafted design's processes.
 from __future__ import annotations
 
 from . import ast, values
-from .elaborate import Design, ProcessSpec, Scope, Signal
+from .elaborate import (
+    Design,
+    ProcessSpec,
+    Scope,
+    Signal,
+    _lvalue_signal,
+    lvalue_width,
+)
 from .errors import ElaborationError, SimulationError
 from .eval import (
     _BINARY_FUNCS,
@@ -55,9 +77,18 @@ from .eval import (
     _string_to_vec,
     case_matches,
     collect_reads,
+    eval_const,
     eval_expr,
+    size_of,
+    sole_arg,
 )
-from .sim import _FinishSim, _SenseEntry, _Wake, render_value
+from .sim import (
+    _FinishSim,
+    _SenseEntry,
+    _Wake,
+    format_pieces,
+    render_value,
+)
 from .values import Vec
 
 __all__ = ["CompiledEngine"]
@@ -89,74 +120,16 @@ def _is_param_const(expr: ast.Expr, scope: Scope) -> bool:
 
 
 def _static_const(expr: ast.Expr, scope: Scope) -> int:
-    """Fold a compile-time constant, or raise :class:`_Unsupported`."""
+    """Fold a compile-time constant, or raise :class:`_Unsupported`.
+
+    The constant folder the compiled engine hands the shared width
+    rules (:func:`~repro.verilog.eval.size_of`,
+    :func:`~repro.verilog.elaborate.lvalue_width`): a width that
+    depends on a signal's value is left to the interpreter.
+    """
     if expr is None or not _is_param_const(expr, scope):
         raise _Unsupported("non-constant expression in sized position")
-    value = eval_expr(expr, scope).to_int()
-    if value is None:
-        raise ElaborationError("constant expression has x/z bits", expr.line)
-    return value
-
-
-def _static_size(expr: ast.Expr, scope: Scope) -> int:
-    """Mirror of :func:`repro.verilog.eval.size_of` that refuses to read
-    runtime state (raises :class:`_Unsupported` instead)."""
-    if isinstance(expr, ast.Number):
-        return expr.width
-    if isinstance(expr, ast.StringLit):
-        return max(8, 8 * len(expr.text))
-    if isinstance(expr, ast.Identifier):
-        resolved = scope.resolve(expr.name)
-        if resolved is None or resolved[0] not in ("param", "signal"):
-            raise _Unsupported(f"cannot size identifier {expr.name!r}")
-        return resolved[1].width
-    if isinstance(expr, ast.BitSelect):
-        signal = _signal_of(expr.base, scope)
-        if signal is not None and signal.memory is not None:
-            return signal.width
-        return 1
-    if isinstance(expr, ast.PartSelect):
-        return abs(_static_const(expr.msb, scope)
-                   - _static_const(expr.lsb, scope)) + 1
-    if isinstance(expr, ast.IndexedPartSelect):
-        return _static_const(expr.width, scope)
-    if isinstance(expr, ast.Unary):
-        if expr.op in _CONTEXT_UNARY:
-            return _static_size(expr.operand, scope)
-        return 1
-    if isinstance(expr, ast.Binary):
-        if expr.op in _CONTEXT_OPS:
-            return max(_static_size(expr.lhs, scope),
-                       _static_size(expr.rhs, scope))
-        if expr.op in _SHIFT_OPS:
-            return _static_size(expr.lhs, scope)
-        return 1
-    if isinstance(expr, ast.Ternary):
-        return max(_static_size(expr.if_true, scope),
-                   _static_size(expr.if_false, scope))
-    if isinstance(expr, ast.Concat):
-        return sum(_static_size(part, scope) for part in expr.parts)
-    if isinstance(expr, ast.Replicate):
-        return (_static_const(expr.count, scope)
-                * _static_size(expr.value, scope))
-    if isinstance(expr, ast.SystemCall):
-        if expr.name in ("$signed", "$unsigned"):
-            if not expr.args:
-                raise _Unsupported(f"{expr.name} without arguments")
-            return _static_size(expr.args[0], scope)
-        if expr.name in ("$time", "$stime", "$realtime"):
-            return 64
-        return 32
-    if isinstance(expr, ast.FunctionCall):
-        resolved = scope.resolve(expr.name)
-        if resolved is None or resolved[0] != "func":
-            raise _Unsupported(f"unknown function {expr.name!r}")
-        func = resolved[1]
-        if func.range is None:
-            return 1
-        return abs(_static_const(func.range.msb, scope)
-                   - _static_const(func.range.lsb, scope)) + 1
-    raise _Unsupported(f"cannot size {type(expr).__name__}")
+    return eval_const(expr, scope)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +204,7 @@ def _compile4_unary(expr: ast.Unary, scope: Scope, width: int | None):
     if func is None:
         raise _Unsupported(f"unary operator {expr.op!r}")
     if expr.op in _CONTEXT_UNARY:
-        inner = max(width or 0, _static_size(expr.operand, scope))
+        inner = max(width or 0, size_of(expr.operand, scope, _static_const))
         operand = _fit(*_compile4(expr.operand, scope, inner), inner)
         return (lambda sim: func(operand(sim))), inner
     operand, _ = _compile4(expr.operand, scope, None)
@@ -244,19 +217,20 @@ def _compile4_binary(expr: ast.Binary, scope: Scope, width: int | None):
     if func is None:
         raise _Unsupported(f"binary operator {op!r}")
     if op in _CONTEXT_OPS:
-        context = max(width or 0, _static_size(expr.lhs, scope),
-                      _static_size(expr.rhs, scope))
+        context = max(width or 0,
+                      size_of(expr.lhs, scope, _static_const),
+                      size_of(expr.rhs, scope, _static_const))
         lhs = _fit(*_compile4(expr.lhs, scope, context), context)
         rhs = _fit(*_compile4(expr.rhs, scope, context), context)
         return (lambda sim: func(lhs(sim), rhs(sim))), context
     if op in _COMPARE_OPS:
-        context = max(_static_size(expr.lhs, scope),
-                      _static_size(expr.rhs, scope))
+        context = max(size_of(expr.lhs, scope, _static_const),
+                      size_of(expr.rhs, scope, _static_const))
         lhs = _fit(*_compile4(expr.lhs, scope, context), context)
         rhs = _fit(*_compile4(expr.rhs, scope, context), context)
         return (lambda sim: func(lhs(sim), rhs(sim))), 1
     if op in _SHIFT_OPS:
-        context = max(width or 0, _static_size(expr.lhs, scope))
+        context = max(width or 0, size_of(expr.lhs, scope, _static_const))
         lhs = _fit(*_compile4(expr.lhs, scope, context), context)
         rhs, rhs_w = _compile4(expr.rhs, scope, None)
         if op == "**":
@@ -273,8 +247,9 @@ def _compile4_binary(expr: ast.Binary, scope: Scope, width: int | None):
 
 
 def _compile4_ternary(expr: ast.Ternary, scope: Scope, width: int | None):
-    context = max(width or 0, _static_size(expr.if_true, scope),
-                  _static_size(expr.if_false, scope))
+    context = max(width or 0,
+                  size_of(expr.if_true, scope, _static_const),
+                  size_of(expr.if_false, scope, _static_const))
     cond, _ = _compile4(expr.cond, scope, None)
     true_fn = _fit(*_compile4(expr.if_true, scope, context), context)
     false_fn = _fit(*_compile4(expr.if_false, scope, context), context)
@@ -454,27 +429,14 @@ def _compile4_indexed(expr: ast.IndexedPartSelect, scope: Scope):
 def _compile4_system_call(expr: ast.SystemCall, scope: Scope):
     name = expr.name
     if name in ("$signed", "$unsigned"):
-        if not expr.args:
-            raise _Unsupported(f"{name} without arguments")
-        arg_fn, arg_w = _compile4(expr.args[0], scope, None)
+        arg_fn, arg_w = _compile4(sole_arg(expr), scope, None)
         if name == "$signed":
             return (lambda sim: arg_fn(sim).as_signed()), arg_w
         return (lambda sim: arg_fn(sim).as_unsigned()), arg_w
     if name == "$clog2":
-        if not expr.args:
-            raise _Unsupported("$clog2 without arguments")
-        arg_fn, _ = _compile4(expr.args[0], scope, None)
-
-        def run_clog2(sim):
-            operand = arg_fn(sim).to_unsigned()
-            if operand is None:
-                return Vec.unknown(32)
-            bits = 0
-            while (1 << bits) < operand:
-                bits += 1
-            return Vec.from_int(bits, 32, True)
-
-        return run_clog2, 32
+        arg_fn, _ = _compile4(sole_arg(expr), scope, None)
+        clog2 = values.clog2
+        return (lambda sim: clog2(arg_fn(sim))), 32
     if name in ("$time", "$stime", "$realtime"):
         from_int = Vec.from_int
         return (lambda sim: from_int(sim.now, 64)), 64
@@ -491,13 +453,8 @@ def _compile4_function_call(expr: ast.FunctionCall, scope: Scope):
     func = resolved[1]
     if len(expr.args) != len(func.inputs):
         raise _Unsupported(f"bad arity for function {expr.name!r}")
-    natural = None
     try:
-        if func.range is None:
-            natural = 1
-        else:
-            natural = abs(_static_const(func.range.msb, scope)
-                          - _static_const(func.range.lsb, scope)) + 1
+        natural = size_of(expr, scope, _static_const)
     except _Unsupported:
         natural = None
     # Delegate to the interpreter's evaluator: function bodies execute a
@@ -538,35 +495,11 @@ class _ProcessCompiler:
         return run
 
     # -- lvalues -------------------------------------------------------
-    def lvalue_width(self, target: ast.Expr, scope: Scope) -> int:
-        """Static mirror of ``elaborate.lvalue_width``."""
-        if isinstance(target, ast.Identifier):
-            return self._lvalue_signal(target, scope).width
-        if isinstance(target, ast.BitSelect):
-            return 1
-        if isinstance(target, ast.PartSelect):
-            return abs(_static_const(target.msb, scope)
-                       - _static_const(target.lsb, scope)) + 1
-        if isinstance(target, ast.IndexedPartSelect):
-            return _static_const(target.width, scope)
-        if isinstance(target, ast.Concat):
-            return sum(self.lvalue_width(part, scope)
-                       for part in target.parts)
-        raise _Unsupported(f"bad lvalue {type(target).__name__}")
-
-    def _lvalue_signal(self, base: ast.Expr, scope: Scope) -> Signal:
-        if not isinstance(base, ast.Identifier):
-            raise _Unsupported("nested lvalue selects")
-        resolved = scope.resolve(base.name)
-        if resolved is None or resolved[0] != "signal":
-            raise _Unsupported(f"cannot assign to {base.name!r}")
-        return resolved[1]
-
     def store_fn(self, target: ast.Expr, scope: Scope):
         """``fn(sim, value)`` mirroring ``store_to_lvalue`` with the
         target resolution and static offsets precomputed."""
         if isinstance(target, ast.Identifier):
-            signal = self._lvalue_signal(target, scope)
+            signal = _lvalue_signal(target, scope)
             if signal.memory is not None:
                 raise _Unsupported("assignment to whole memory")
             sig_w, sig_s = signal.width, signal.signed
@@ -578,7 +511,7 @@ class _ProcessCompiler:
         if isinstance(target, ast.BitSelect):
             return self._store_bit_select(target, scope)
         if isinstance(target, ast.PartSelect):
-            signal = self._lvalue_signal(target.base, scope)
+            signal = _lvalue_signal(target.base, scope)
             msb = _static_const(target.msb, scope)
             lsb = _static_const(target.lsb, scope)
             hi, lo = signal.bit_offset(msb), signal.bit_offset(lsb)
@@ -595,7 +528,7 @@ class _ProcessCompiler:
         if isinstance(target, ast.IndexedPartSelect):
             return self._store_indexed(target, scope)
         if isinstance(target, ast.Concat):
-            widths = [self.lvalue_width(part, scope)
+            widths = [lvalue_width(part, scope, _static_const)
                       for part in target.parts]
             total = sum(widths)
             subs = [self.store_fn(part, scope) for part in target.parts]
@@ -615,7 +548,7 @@ class _ProcessCompiler:
         raise _Unsupported(f"unsupported lvalue {type(target).__name__}")
 
     def _store_bit_select(self, target: ast.BitSelect, scope: Scope):
-        signal = self._lvalue_signal(target.base, scope)
+        signal = _lvalue_signal(target.base, scope)
         index_const = _is_param_const(target.index, scope)
         if not index_const:
             index_fn, _ = _compile4(target.index, scope, None)
@@ -665,7 +598,7 @@ class _ProcessCompiler:
         return store_bit
 
     def _store_indexed(self, target: ast.IndexedPartSelect, scope: Scope):
-        signal = self._lvalue_signal(target.base, scope)
+        signal = _lvalue_signal(target.base, scope)
         width = _static_const(target.width, scope)
         start_fn, _ = _compile4(target.start, scope, None)
         ascending = target.ascending
@@ -751,8 +684,8 @@ class _ProcessCompiler:
         return "gen", gen
 
     def _compile_assign(self, stmt: ast.Assign, scope: Scope, bump):
-        target_width = self.lvalue_width(stmt.target, scope)
-        context = max(target_width, _static_size(stmt.value, scope))
+        context = max(lvalue_width(stmt.target, scope, _static_const),
+                      size_of(stmt.value, scope, _static_const))
         value_fn, _ = _compile4(stmt.value, scope, context)
         store = self.store_fn(stmt.target, scope)
         if stmt.nonblocking:
@@ -844,7 +777,8 @@ class _ProcessCompiler:
         items = tuple(items)
 
         def select(sim) -> int:
-            """Index of the body to run, or -1 (mirrors _exec_case)."""
+            """Index of the body to run, or -1: the arm ``case_arm``
+            picks in the interpreter."""
             subject = subject_fn(sim)
             for label_fns, body_index in items:
                 for label_fn in label_fns:
@@ -1030,28 +964,7 @@ class _ProcessCompiler:
                 prep.append((entry, fn))
         else:
             # @* — implicit sensitivity on everything the body reads
-            for name in sorted(collect_reads(stmt.body)):
-                resolved = scope.resolve(name)
-                if not resolved or resolved[0] != "signal":
-                    continue
-                signal = resolved[1]
-                if signal.memory is not None:
-                    entries.append(
-                        _SenseEntry(
-                            expr=None, scope=scope, edge=None,
-                            last=Vec.unknown(1), memory_signal=signal,
-                            signals=[signal],
-                        )
-                    )
-                    continue
-                fn = _signal_reader(signal)
-                entry = _SenseEntry(
-                    expr=ast.Identifier(name=name), scope=scope,
-                    edge=None, last=Vec.unknown(1), signals=[signal],
-                    compiled=fn,
-                )
-                entries.append(entry)
-                prep.append((entry, fn))
+            _change_entries(stmt.body, scope, entries, prep)
         prep = tuple(prep)
         body_item = self.stmt_item(stmt.body, scope)
         body_sync = body_item[0] == "sync"
@@ -1130,83 +1043,21 @@ class _ProcessCompiler:
         return "sync", run_delegate
 
     def _format_fn(self, args: list[ast.Expr], scope: Scope):
-        """Compile-time mirror of ``Simulator._format_args``."""
-        if not args:
-            return lambda sim: ""
-        if isinstance(args[0], ast.StringLit):
-            ops = self._format_ops(args[0].text, args[1:], scope)
-            if len(ops) == 1:
-                return ops[0]
-            return lambda sim: "".join(op(sim) for op in ops)
-        arg_fns = [_compile4(arg, scope, None)[0] for arg in args]
-        render = render_value
-        return lambda sim: " ".join(
-            render(fn(sim), "d") for fn in arg_fns
-        )
-
-    def _format_ops(self, fmt: str, args: list[ast.Expr], scope: Scope):
-        """Parse a format string once, mirroring ``_format_string``."""
-        top = self.design.top
+        """``fn(sim) -> str`` rendering ``args`` as
+        ``Simulator._format_args`` does, from the same
+        :func:`~repro.verilog.sim.format_pieces`."""
         render = render_value
         ops = []
-        literal: list[str] = []
-
-        def flush() -> None:
-            if literal:
-                text = "".join(literal)
-                literal.clear()
-                ops.append(lambda sim, text=text: text)
-
-        arg_iter = iter(args)
-        index = 0
-        while index < len(fmt):
-            ch = fmt[index]
-            if ch == "\\" and index + 1 < len(fmt):
-                escape = fmt[index + 1]
-                literal.append(
-                    {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(
-                        escape, escape
-                    )
-                )
-                index += 2
+        for piece in format_pieces(args, scope.path or self.design.top):
+            if type(piece) is str:
+                ops.append(lambda sim, text=piece: text)
                 continue
-            if ch != "%":
-                literal.append(ch)
-                index += 1
-                continue
-            index += 1
-            if index >= len(fmt):
-                break
-            while index < len(fmt) and fmt[index].isdigit():
-                index += 1  # field width is parsed and ignored
-            conv = fmt[index] if index < len(fmt) else "d"
-            index += 1
-            if conv == "%":
-                literal.append("%")
-                continue
-            if conv == "m":
-                literal.append(scope.path or top)
-                continue
-            try:
-                arg = next(arg_iter)
-            except StopIteration:
-                literal.append("%" + conv)
-                continue
+            conv, arg = piece
             fn, _ = _compile4(arg, scope, None)
-            flush()
-            if conv == "t":
-                ops.append(
-                    lambda sim, fn=fn: str(fn(sim).to_unsigned() or 0)
-                )
-            else:
-                ops.append(
-                    lambda sim, fn=fn, conv=conv.lower():
-                    render(fn(sim), conv)
-                )
-        flush()
-        if not ops:
-            return [lambda sim: ""]
-        return ops
+            ops.append(lambda sim, fn=fn, conv=conv: render(fn(sim), conv))
+        if len(ops) == 1:
+            return ops[0]
+        return lambda sim: "".join(op(sim) for op in ops)
 
     # -- processes -----------------------------------------------------
     def compile_process(self, spec: ProcessSpec):
@@ -1222,35 +1073,13 @@ class _ProcessCompiler:
     def _compile_assign_process(self, spec: ProcessSpec):
         assert spec.value is not None and spec.target is not None
         target_scope = spec.target_scope or spec.scope
-        target_width = self.lvalue_width(spec.target, target_scope)
-        context = max(target_width, _static_size(spec.value, spec.scope))
+        context = max(lvalue_width(spec.target, target_scope, _static_const),
+                      size_of(spec.value, spec.scope, _static_const))
         value_fn, _ = _compile4(spec.value, spec.scope, context)
         store = self.store_fn(spec.target, target_scope)
         entries: list[_SenseEntry] = []
         refresh = []
-        for name in sorted(collect_reads(spec.value)):
-            resolved = spec.scope.resolve(name)
-            if not resolved or resolved[0] != "signal":
-                continue
-            signal = resolved[1]
-            if signal.memory is not None:
-                entries.append(
-                    _SenseEntry(
-                        expr=None, scope=spec.scope, edge=None,
-                        last=Vec.unknown(1), memory_signal=signal,
-                        signals=[signal],
-                    )
-                )
-                continue
-            fn = _signal_reader(signal)
-            entries.append(
-                _SenseEntry(
-                    expr=ast.Identifier(name=name), scope=spec.scope,
-                    edge=None, last=Vec.unknown(1), signals=[signal],
-                    compiled=fn,
-                )
-            )
-            refresh.append((entries[-1], fn))
+        _change_entries(spec.value, spec.scope, entries, refresh)
         refresh = tuple(refresh)
 
         def gen(sim):
@@ -1326,6 +1155,31 @@ def _forward(source: Signal, target: Signal):
 
 def _signal_reader(signal: Signal):
     return lambda sim: signal.value
+
+
+def _change_entries(node, scope: Scope, entries: list, refresh: list):
+    """Append to ``entries`` an any-change sense entry for each signal
+    ``node`` reads, in name order: the implicit sensitivity of ``@*``
+    and of a continuous assign.  Each entry that is not a whole-memory
+    watch also goes to ``refresh`` as ``(entry, reader)``."""
+    for name in sorted(collect_reads(node)):
+        resolved = scope.resolve(name)
+        if not resolved or resolved[0] != "signal":
+            continue
+        signal = resolved[1]
+        if signal.memory is not None:
+            entries.append(_SenseEntry(
+                expr=None, scope=scope, edge=None, last=Vec.unknown(1),
+                memory_signal=signal, signals=[signal],
+            ))
+            continue
+        fn = _signal_reader(signal)
+        entry = _SenseEntry(
+            expr=ast.Identifier(name=name), scope=scope, edge=None,
+            last=Vec.unknown(1), signals=[signal], compiled=fn,
+        )
+        entries.append(entry)
+        refresh.append((entry, fn))
 
 
 def _bump_for(line: int):

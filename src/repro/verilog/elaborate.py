@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 from . import ast, values
 from .errors import ElaborationError
-from .eval import collect_reads, eval_const, eval_expr
+from .eval import (
+    ONE_ARG_CALLS, collect_reads, eval_const, eval_expr, sole_arg,
+)
 from .values import Vec
 
 
@@ -209,7 +211,8 @@ def store_to_lvalue(
         apply(signal, values.insert_part(signal.value, lo + width - 1, lo, value))
         return
     if isinstance(target, ast.Concat):
-        widths = [lvalue_width(part, scope) for part in target.parts]
+        widths = [lvalue_width(part, scope, eval_const)
+                  for part in target.parts]
         total = sum(widths)
         value = value.resize(total)
         offset = total
@@ -232,19 +235,24 @@ def _lvalue_signal(base: ast.Expr, scope: Scope) -> Signal:
     return resolved[1]
 
 
-def lvalue_width(target: ast.Expr, scope: Scope) -> int:
+def lvalue_width(target: ast.Expr, scope: Scope, const) -> int:
+    """Bit width of a procedural or continuous-assign lvalue.
+
+    ``const`` folds part-select bounds and indexed widths, as in
+    :func:`~repro.verilog.eval.size_of`: :func:`eval_const` for the
+    interpreter, a folder that refuses to read signals for the
+    compiled engine.
+    """
     if isinstance(target, ast.Identifier):
         return _lvalue_signal(target, scope).width
     if isinstance(target, ast.BitSelect):
         return 1
     if isinstance(target, ast.PartSelect):
-        msb = eval_const(target.msb, scope)
-        lsb = eval_const(target.lsb, scope)
-        return abs(msb - lsb) + 1
+        return abs(const(target.msb, scope) - const(target.lsb, scope)) + 1
     if isinstance(target, ast.IndexedPartSelect):
-        return eval_const(target.width, scope)
+        return const(target.width, scope)
     if isinstance(target, ast.Concat):
-        return sum(lvalue_width(part, scope) for part in target.parts)
+        return sum(lvalue_width(part, scope, const) for part in target.parts)
     raise ElaborationError(f"bad lvalue {type(target).__name__}", target.line)
 
 
@@ -348,7 +356,9 @@ class Elaborator:
         """Static name check: every referenced identifier must resolve.
 
         Matches Icarus behaviour (``default_nettype none`` flavour):
-        undeclared identifiers are compile errors, not runtime x's.
+        undeclared identifiers are compile errors, not runtime x's.  So
+        is a ``$signed``/``$unsigned``/``$clog2`` call without exactly
+        one argument, at the call's line.
         """
         for spec in processes:
             if spec.forward is not None:
@@ -361,9 +371,13 @@ class Elaborator:
                 lvalues: set[str] = set()
                 ast.lvalue_names(spec.target, lvalues)
                 self._check_names(lvalues, target_scope, spec.line)
+                _check_calls(spec.target)
+                _check_calls(spec.value)
             else:
                 collect_reads(spec.body, names)
                 for stmt in ast.walk_stmts(spec.body):
+                    for expr in ast.child_exprs(stmt):
+                        _check_calls(expr)
                     if type(stmt) is ast.Assign:
                         ast.lvalue_names(stmt.target, names)
                         if stmt.delay is not None:
@@ -399,6 +413,7 @@ class Elaborator:
         scope = Scope(path=path)
         self.design.scopes[path] = scope
         for func in module.functions:
+            _check_function_calls(func)
             scope.functions[func.name] = func
 
         # Parameters first (they may size ports and nets).
@@ -632,6 +647,30 @@ class Elaborator:
             array_bounds = (lo, hi)
         flat_name = f"{path}.{name}" if path else name
         return Signal(flat_name, width, signed, kind, msb, lsb, array_bounds)
+
+
+def _check_calls(expr: ast.Expr | None) -> None:
+    """Raise at the call's line for a call of one of
+    :data:`~repro.verilog.eval.ONE_ARG_CALLS` in ``expr`` that has
+    another number of arguments."""
+    if type(expr) is ast.SystemCall and expr.name in ONE_ARG_CALLS:
+        sole_arg(expr)
+    for child in ast.child_exprs(expr):
+        _check_calls(child)
+
+
+def _check_function_calls(func: ast.FunctionDecl) -> None:
+    """:func:`_check_calls` over a function's ranges and body, which
+    are otherwise evaluated only when the function is called."""
+    ranges = [func.range] + [port.range for port in func.inputs]
+    ranges += [decl.range for decl in func.decls]
+    for rng in ranges:
+        if rng is not None:
+            _check_calls(rng.msb)
+            _check_calls(rng.lsb)
+    for stmt in ast.walk_stmts(func.body):
+        for expr in ast.child_exprs(stmt):
+            _check_calls(expr)
 
 
 def _forward_peer(

@@ -90,8 +90,15 @@ def _string_to_vec(text: str) -> Vec:
 # ----------------------------------------------------------------------
 # Self-determined sizes (LRM table 5-22)
 # ----------------------------------------------------------------------
-def size_of(expr: ast.Expr, scope: "Scope") -> int:
-    """Self-determined bit size of an expression."""
+def size_of(expr: ast.Expr, scope: "Scope", const) -> int:
+    """Self-determined bit size of an expression.
+
+    ``const(expr, scope) -> int`` folds the select bounds, replication
+    counts and function ranges a size depends on.  The interpreter
+    passes :func:`eval_const`; the compiled engine passes a folder that
+    refuses to read signals, so a size that depends on one is left to
+    the interpreter at run time.
+    """
     if isinstance(expr, ast.Number):
         return expr.width
     if isinstance(expr, ast.StringLit):
@@ -114,30 +121,30 @@ def size_of(expr: ast.Expr, scope: "Scope") -> int:
             return signal.width
         return 1
     if isinstance(expr, ast.PartSelect):
-        msb = eval_const(expr.msb, scope)
-        lsb = eval_const(expr.lsb, scope)
-        return abs(msb - lsb) + 1
+        return abs(const(expr.msb, scope) - const(expr.lsb, scope)) + 1
     if isinstance(expr, ast.IndexedPartSelect):
-        return eval_const(expr.width, scope)
+        return const(expr.width, scope)
     if isinstance(expr, ast.Unary):
         if expr.op in _CONTEXT_UNARY:
-            return size_of(expr.operand, scope)
+            return size_of(expr.operand, scope, const)
         return 1
     if isinstance(expr, ast.Binary):
         if expr.op in _CONTEXT_OPS:
-            return max(size_of(expr.lhs, scope), size_of(expr.rhs, scope))
+            return max(size_of(expr.lhs, scope, const),
+                       size_of(expr.rhs, scope, const))
         if expr.op in _SHIFT_OPS:
-            return size_of(expr.lhs, scope)
+            return size_of(expr.lhs, scope, const)
         return 1  # comparisons and logical ops
     if isinstance(expr, ast.Ternary):
-        return max(size_of(expr.if_true, scope), size_of(expr.if_false, scope))
+        return max(size_of(expr.if_true, scope, const),
+                   size_of(expr.if_false, scope, const))
     if isinstance(expr, ast.Concat):
-        return sum(size_of(part, scope) for part in expr.parts)
+        return sum(size_of(part, scope, const) for part in expr.parts)
     if isinstance(expr, ast.Replicate):
-        return eval_const(expr.count, scope) * size_of(expr.value, scope)
+        return const(expr.count, scope) * size_of(expr.value, scope, const)
     if isinstance(expr, ast.SystemCall):
         if expr.name in ("$signed", "$unsigned"):
-            return size_of(expr.args[0], scope)
+            return size_of(sole_arg(expr), scope, const)
         if expr.name in ("$time", "$stime", "$realtime"):
             return 64
         return 32
@@ -148,10 +155,28 @@ def size_of(expr: ast.Expr, scope: "Scope") -> int:
         func = resolved[1]
         if func.range is None:
             return 1
-        msb = eval_const(func.range.msb, scope)
-        lsb = eval_const(func.range.lsb, scope)
-        return abs(msb - lsb) + 1
+        return abs(const(func.range.msb, scope)
+                   - const(func.range.lsb, scope)) + 1
     raise ElaborationError(f"cannot size {type(expr).__name__}", expr.line)
+
+
+#: System functions that take exactly one argument (see :func:`sole_arg`)
+ONE_ARG_CALLS = frozenset(["$signed", "$unsigned", "$clog2"])
+
+
+def sole_arg(call: ast.SystemCall) -> ast.Expr:
+    """The argument of a call to one of :data:`ONE_ARG_CALLS`.
+
+    Any other argument count is an elaboration error at the call's
+    line.  Elaboration checks every process and function up front, so
+    a design that reaches simulation has no such call.
+    """
+    if len(call.args) != 1:
+        raise ElaborationError(
+            f"{call.name} takes one argument, got {len(call.args)}",
+            call.line,
+        )
+    return call.args[0]
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +206,7 @@ def eval_expr(
         return _eval_identifier(expr, scope)
     if isinstance(expr, ast.Unary):
         if expr.op in _CONTEXT_UNARY:
-            inner = max(width or 0, size_of(expr.operand, scope))
+            inner = max(width or 0, size_of(expr.operand, scope, eval_const))
             operand = eval_expr(expr.operand, scope, ctx, inner).resize(inner)
             return _UNARY_FUNCS[expr.op](operand)
         return _UNARY_FUNCS[expr.op](eval_expr(expr.operand, scope, ctx))
@@ -211,7 +236,7 @@ def eval_expr(
 
 def eval_sized(expr: ast.Expr, scope: "Scope", ctx, target_width: int) -> Vec:
     """Evaluate an assignment RHS in the context of an lvalue width."""
-    context = max(target_width, size_of(expr, scope))
+    context = max(target_width, size_of(expr, scope, eval_const))
     return eval_expr(expr, scope, ctx, context)
 
 
@@ -229,19 +254,19 @@ def _eval_binary(
     op = expr.op
     func = _BINARY_FUNCS[op]
     if op in _CONTEXT_OPS:
-        context = max(
-            width or 0, size_of(expr.lhs, scope), size_of(expr.rhs, scope)
-        )
+        context = max(width or 0, size_of(expr.lhs, scope, eval_const),
+                      size_of(expr.rhs, scope, eval_const))
         lhs = eval_expr(expr.lhs, scope, ctx, context).resize(context)
         rhs = eval_expr(expr.rhs, scope, ctx, context).resize(context)
         return func(lhs, rhs)
     if op in _COMPARE_OPS:
-        context = max(size_of(expr.lhs, scope), size_of(expr.rhs, scope))
+        context = max(size_of(expr.lhs, scope, eval_const),
+                      size_of(expr.rhs, scope, eval_const))
         lhs = eval_expr(expr.lhs, scope, ctx, context).resize(context)
         rhs = eval_expr(expr.rhs, scope, ctx, context).resize(context)
         return func(lhs, rhs)
     if op in _SHIFT_OPS:
-        context = max(width or 0, size_of(expr.lhs, scope))
+        context = max(width or 0, size_of(expr.lhs, scope, eval_const))
         lhs = eval_expr(expr.lhs, scope, ctx, context).resize(context)
         rhs = eval_expr(expr.rhs, scope, ctx)
         return func(lhs, rhs)
@@ -272,8 +297,8 @@ def _eval_ternary(expr: ast.Ternary, scope: "Scope", ctx, width: int | None) -> 
     cond = eval_expr(expr.cond, scope, ctx)
     context = max(
         width or 0,
-        size_of(expr.if_true, scope),
-        size_of(expr.if_false, scope),
+        size_of(expr.if_true, scope, eval_const),
+        size_of(expr.if_false, scope, eval_const),
     )
     # the result is always `context` wide, even when the chosen arm is
     # narrower (a ternary's width is static: max of both arms, LRM 5.4.1)
@@ -351,17 +376,11 @@ def _eval_indexed_part_select(
 def _eval_system_call(expr: ast.SystemCall, scope: "Scope", ctx) -> Vec:
     name = expr.name
     if name == "$signed":
-        return eval_expr(expr.args[0], scope, ctx).as_signed()
+        return eval_expr(sole_arg(expr), scope, ctx).as_signed()
     if name == "$unsigned":
-        return eval_expr(expr.args[0], scope, ctx).as_unsigned()
+        return eval_expr(sole_arg(expr), scope, ctx).as_unsigned()
     if name == "$clog2":
-        operand = eval_expr(expr.args[0], scope, ctx).to_unsigned()
-        if operand is None:
-            return Vec.unknown(32)
-        bits = 0
-        while (1 << bits) < operand:
-            bits += 1
-        return Vec.from_int(bits, 32, True)
+        return values.clog2(eval_expr(sole_arg(expr), scope, ctx))
     if name in ("$time", "$stime", "$realtime"):
         if ctx is None:
             raise ElaborationError("$time in constant context", expr.line)
@@ -405,7 +424,8 @@ def _exec_function_body(stmt: ast.Stmt, scope: "Scope", ctx) -> None:
             raise ElaborationError("nonblocking assign in function", stmt.line)
         from .elaborate import lvalue_width, store_to_lvalue
 
-        value = eval_sized(stmt.value, scope, ctx, lvalue_width(stmt.target, scope))
+        value = eval_sized(stmt.value, scope, ctx,
+                           lvalue_width(stmt.target, scope, eval_const))
         store_to_lvalue(stmt.target, value, scope, ctx)
     elif isinstance(stmt, ast.If):
         if eval_expr(stmt.cond, scope, ctx).truthy():
@@ -413,7 +433,9 @@ def _exec_function_body(stmt: ast.Stmt, scope: "Scope", ctx) -> None:
         elif stmt.else_stmt is not None:
             _exec_function_body(stmt.else_stmt, scope, ctx)
     elif isinstance(stmt, ast.Case):
-        _exec_function_case(stmt, scope, ctx)
+        body = case_arm(stmt, scope, ctx)
+        if body is not None:
+            _exec_function_body(body, scope, ctx)
     elif isinstance(stmt, ast.For):
         _exec_function_body(stmt.init, scope, ctx)
         guard = 0
@@ -453,7 +475,10 @@ def case_matches(kind: str, subject: Vec, label: Vec) -> bool:
     return (a.aval & care) == (b.aval & care) and (a.bval & care) == (b.bval & care)
 
 
-def _exec_function_case(stmt: ast.Case, scope: "Scope", ctx) -> None:
+def case_arm(stmt: ast.Case, scope: "Scope", ctx) -> ast.Stmt | None:
+    """The body a case statement runs: the first item with a label that
+    matches the subject, else the default's; None when neither exists.
+    Labels are evaluated in source order and only up to the match."""
     subject = eval_expr(stmt.subject, scope, ctx)
     default = None
     for item in stmt.items:
@@ -463,10 +488,8 @@ def _exec_function_case(stmt: ast.Case, scope: "Scope", ctx) -> None:
         for label_expr in item.exprs:
             label = eval_expr(label_expr, scope, ctx)
             if case_matches(stmt.kind, subject, label):
-                _exec_function_body(item.body, scope, ctx)
-                return
-    if default is not None:
-        _exec_function_body(default.body, scope, ctx)
+                return item.body
+    return None if default is None else default.body
 
 
 def collect_reads(node, into: set[str] | None = None) -> set[str]:

@@ -36,7 +36,7 @@ from .elaborate import (
     store_to_lvalue,
 )
 from .errors import SimulationError
-from .eval import case_matches, collect_reads, eval_expr, eval_sized
+from .eval import case_arm, collect_reads, eval_const, eval_expr, eval_sized
 from .values import Vec, edge_kind
 from .vcd import VcdRecorder
 
@@ -453,7 +453,7 @@ class Simulator:
                         last=Vec.unknown(1),
                     )
                 )
-        target_width = lvalue_width(spec.target, target_scope)
+        target_width = lvalue_width(spec.target, target_scope, eval_const)
         while True:
             value = eval_sized(spec.value, spec.scope, self, target_width)
             store_to_lvalue(
@@ -500,7 +500,10 @@ class Simulator:
                 return (yield from self._exec(stmt.else_stmt, scope))
             return False
         if isinstance(stmt, ast.Case):
-            return (yield from self._exec_case(stmt, scope))
+            body = case_arm(stmt, scope, self)
+            if body is None:
+                return False
+            return (yield from self._exec(body, scope))
         if isinstance(stmt, ast.For):
             return (yield from self._exec_for(stmt, scope))
         if isinstance(stmt, ast.While):
@@ -560,7 +563,8 @@ class Simulator:
         )
 
     def _exec_assign(self, stmt: ast.Assign, scope: Scope):
-        value = eval_sized(stmt.value, scope, self, lvalue_width(stmt.target, scope))
+        value = eval_sized(stmt.value, scope, self,
+                           lvalue_width(stmt.target, scope, eval_const))
         if stmt.nonblocking:
             delay = self._eval_delay(stmt.delay, scope) if stmt.delay else 0
             target, captured = stmt.target, value
@@ -581,21 +585,6 @@ class Simulator:
             store_to_lvalue(stmt.target, value, scope, self, commit=self.commit)
             return True
         store_to_lvalue(stmt.target, value, scope, self, commit=self.commit)
-        return False
-
-    def _exec_case(self, stmt: ast.Case, scope: Scope):
-        subject = eval_expr(stmt.subject, scope, self)
-        default = None
-        for item in stmt.items:
-            if not item.exprs:
-                default = item
-                continue
-            for label_expr in item.exprs:
-                label = eval_expr(label_expr, scope, self)
-                if case_matches(stmt.kind, subject, label):
-                    return (yield from self._exec(item.body, scope))
-        if default is not None:
-            return (yield from self._exec(default.body, scope))
         return False
 
     def _exec_for(self, stmt: ast.For, scope: Scope):
@@ -716,94 +705,116 @@ class Simulator:
                 self.output.append(text)
 
     def _format_args(self, args: list[ast.Expr], scope: Scope) -> str:
-        if not args:
-            return ""
-        if isinstance(args[0], ast.StringLit):
-            return self._format_string(args[0].text, args[1:], scope)
-        rendered = []
+        return "".join(
+            piece if type(piece) is str
+            else render_value(eval_expr(piece[1], scope, self), piece[0])
+            for piece in format_pieces(args, scope.path or self.design.top)
+        )
+
+
+# ----------------------------------------------------------------------
+# $display formatting (shared with the compiled engine)
+# ----------------------------------------------------------------------
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+
+
+def format_pieces(
+    args: list[ast.Expr], module_path: str
+) -> "list[str | tuple[str, ast.Expr]]":
+    """Parse the arguments of ``$display``/``$write``/``$monitor`` (and
+    their kin) into output pieces, in order: literal text as ``str``
+    and each conversion as ``(conversion, argument)``.
+
+    With a string literal first, its escapes are decoded, ``%%`` is a
+    percent sign, ``%m`` is ``module_path``, field-width digits are
+    skipped, and each other conversion takes the next argument; one
+    with no argument left stays literal text, arguments left over are
+    never evaluated, and a trailing ``%`` ends the text.  Otherwise
+    every argument is a ``%d`` conversion, separated by spaces.  The
+    caller renders each conversion with :func:`render_value`, in order.
+    """
+    if not args:
+        return []
+    if not isinstance(args[0], ast.StringLit):
+        pieces: list = []
         for arg in args:
-            value = eval_expr(arg, scope, self)
-            rendered.append(self._render(value, "d"))
-        return " ".join(rendered)
-
-    def _format_string(
-        self, fmt: str, args: list[ast.Expr], scope: Scope
-    ) -> str:
-        out: list[str] = []
-        arg_iter = iter(args)
-        index = 0
-        while index < len(fmt):
-            ch = fmt[index]
-            if ch == "\\" and index + 1 < len(fmt):
-                escape = fmt[index + 1]
-                out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(escape, escape))
-                index += 2
-                continue
-            if ch != "%":
-                out.append(ch)
-                index += 1
-                continue
+            if pieces:
+                pieces.append(" ")
+            pieces.append(("d", arg))
+        return pieces
+    fmt = args[0].text
+    arg_iter = iter(args[1:])
+    pieces = []
+    literal: list[str] = []
+    index = 0
+    while index < len(fmt):
+        ch = fmt[index]
+        if ch == "\\" and index + 1 < len(fmt):
+            escape = fmt[index + 1]
+            literal.append(_ESCAPES.get(escape, escape))
+            index += 2
+            continue
+        if ch != "%":
+            literal.append(ch)
             index += 1
-            if index >= len(fmt):
-                break
-            spec = ""
-            while index < len(fmt) and fmt[index].isdigit():
-                spec += fmt[index]
-                index += 1
-            conv = fmt[index] if index < len(fmt) else "d"
-            index += 1
-            if conv == "%":
-                out.append("%")
-                continue
-            if conv == "m":
-                out.append(scope.path or self.design.top)
-                continue
-            try:
-                value = eval_expr(next(arg_iter), scope, self)
-            except StopIteration:
-                out.append("%" + conv)
-                continue
-            if conv == "t":
-                out.append(str(value.to_unsigned() or 0))
-            else:
-                out.append(self._render(value, conv.lower()))
-        return "".join(out)
-
-    @staticmethod
-    def _render(value: Vec, conv: str) -> str:
-        if conv in ("d", "0"):
-            number = value.to_int()
-            return "x" if number is None else str(number)
-        if conv == "b":
-            return value.bits()
-        if conv in ("h", "x"):
-            if value.is_fully_known:
-                return format(value.aval, "x")
-            return "".join(
-                "x" if any(value.bit(i) in "xz" for i in range(lo, min(lo + 4, value.width)))
-                else format((value.aval >> lo) & 0xF, "x")
-                for lo in range((value.width - 1) // 4 * 4, -1, -4)
-            )
-        if conv == "o":
-            number = value.to_unsigned()
-            return "x" if number is None else format(number, "o")
-        if conv == "c":
-            number = value.to_unsigned()
-            return "?" if number is None else chr(number & 0xFF)
-        if conv == "s":
-            number = value.to_unsigned()
-            if number is None:
-                return "?"
-            raw = number.to_bytes((value.width + 7) // 8, "big")
-            return raw.lstrip(b"\x00").decode("latin-1")
-        number = value.to_int()
-        return "x" if number is None else str(number)
+            continue
+        index += 1
+        if index >= len(fmt):
+            break
+        while index < len(fmt) and fmt[index].isdigit():
+            index += 1  # field width is parsed and ignored
+        conv = fmt[index] if index < len(fmt) else "d"
+        index += 1
+        if conv == "%":
+            literal.append("%")
+            continue
+        if conv == "m":
+            literal.append(module_path)
+            continue
+        arg = next(arg_iter, None)
+        if arg is None:
+            literal.append("%" + conv)
+            continue
+        if literal:
+            pieces.append("".join(literal))
+            literal.clear()
+        pieces.append((conv, arg))
+    if literal:
+        pieces.append("".join(literal))
+    return pieces
 
 
-#: Module-level rendering hook shared with the compiled engine
-#: (:mod:`repro.verilog.codegen`) so ``$display`` conversions have one
-#: source of truth.
-render_value = Simulator._render
+def render_value(value: Vec, conv: str) -> str:
+    """``value`` as one ``$display`` conversion; ``conv`` is the
+    conversion character as written (``%t`` is the one case-sensitive
+    one: ``%T`` renders as ``%d``)."""
+    if conv == "t":
+        return str(value.to_unsigned() or 0)
+    conv = conv.lower()
+    if conv == "b":
+        return value.bits()
+    if conv in ("h", "x"):
+        if value.is_fully_known:
+            return format(value.aval, "x")
+        return "".join(
+            "x" if any(value.bit(i) in "xz" for i in range(lo, min(lo + 4, value.width)))
+            else format((value.aval >> lo) & 0xF, "x")
+            for lo in range((value.width - 1) // 4 * 4, -1, -4)
+        )
+    if conv == "o":
+        number = value.to_unsigned()
+        return "x" if number is None else format(number, "o")
+    if conv == "c":
+        number = value.to_unsigned()
+        return "?" if number is None else chr(number & 0xFF)
+    if conv == "s":
+        number = value.to_unsigned()
+        if number is None:
+            return "?"
+        raw = number.to_bytes((value.width + 7) // 8, "big")
+        return raw.lstrip(b"\x00").decode("latin-1")
+    number = value.to_int()  # %d and any other conversion
+    return "x" if number is None else str(number)
 
 
 def simulate(

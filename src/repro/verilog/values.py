@@ -455,6 +455,15 @@ def power(lhs: Vec, rhs: Vec) -> Vec:
     return Vec.from_int(pow(a, b), width, signed)
 
 
+def clog2(operand: Vec) -> Vec:
+    """``$clog2``: the 32-bit signed ceiling of log2 of the unsigned
+    operand (0 for 0 and 1); all x when the operand has x/z bits."""
+    value = operand.to_unsigned()
+    if value is None:
+        return Vec.unknown(32)
+    return Vec.from_int(max(value - 1, 0).bit_length(), 32, True)
+
+
 def negate(operand: Vec) -> Vec:
     if operand.bval:
         return Vec.unknown(operand.width)
