@@ -12,12 +12,28 @@ work, exactly like memoizing ``iverilog`` runs on identical files.  The
 prompt level stays out of the key: the MEDIUM and HIGH prompts are the
 LOW prompt plus comment lines, so the verdict is the same and only the
 source lines past the prompt move.  Cached and stored evaluations keep
-LOW-prompt line numbers, and :meth:`Evaluator.evaluate` shifts them to
-the requested level's numbering on the way out.
+LOW-prompt line numbers; :meth:`Evaluator.evaluate` shifts one to a
+level's numbering the first time that level asks for it and keeps the
+shifted verdict beside the LOW one, so a repeat hit does no shifting.
 
 Each prompt is lexed and parsed once per evaluator
 (:func:`~repro.verilog.parser.prompt_prefix`); a fresh evaluation lexes
 and parses only the completion, from the line after the prompt's.
+
+Completions that differ only in comments or blank space past their
+last token are still different texts.  So a completion that misses the
+text cache and the store is lexed once, and its tokens are looked up in
+a token memo: the key is the problem and a 64-bit digest of every
+token's kind, text, LOW-prompt line and column, EOF included.  Because
+the positions are in the key, a memo hit has the same error text and
+lines as a fresh run would.  The memo keeps only verdicts the front
+end decides (stage ``parse``, ``elaborate`` or ``analysis``), never a
+simulated one.  It lives in the evaluator and is never persisted.  A
+prompt without a prefix, or a completion that does not lex, bypasses
+it.  On a miss, the parser takes the same tokens, so no completion is
+lexed twice.  A memo hit is counted as ``token_hits``, fills the text
+cache and is written to the store under its text key, like a fresh
+verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from ..problems import PASS_MARKER, Problem, PromptLevel
 from ..problems.spec import completion_source
 from ..verilog import (
     Finding,
+    LexError,
     SourceUnit,
     analyze_design,
     compile_design,
@@ -43,7 +60,8 @@ from ..verilog import (
 )
 from ..verilog.compile import prepare_bench
 from ..verilog.elaborate import BenchTemplate
-from ..verilog.parser import PromptPrefix, prompt_prefix
+from ..verilog.lexer import Token
+from ..verilog.parser import PromptPrefix, lex, prompt_prefix
 from .truncate import truncate_completion
 
 
@@ -123,6 +141,19 @@ def _shift_lines(evaluation: CompletionEvaluation, after: int,
     )
 
 
+#: the stages of the verdicts the token memo keeps: decided by the
+#: front end and the static analysis, before any simulation
+_MEMO_STAGES = frozenset(("parse", "elaborate", "analysis"))
+
+
+def _token_digest(tokens: list[Token], delta: int) -> int:
+    """64-bit digest of every token's kind, text, LOW-prompt line
+    (``delta`` fewer) and column, the EOF token's included.  Python's
+    ``hash`` is salted per process, which is as long as a memo lives."""
+    return hash(tuple([(token.kind, token.text, token.line - delta,
+                        token.column) for token in tokens]))
+
+
 def _moved_report(report, after: int, delta: int):
     """``report`` with its line and the ``line N`` of each error moved
     by ``delta`` when past ``after``."""
@@ -148,11 +179,14 @@ class _Prompt:
 class Evaluator:
     """Caching compile+simulate evaluator.
 
-    Thread-safe: the cache is guarded by a lock so one instance can be
-    shared across a :class:`~repro.eval.jobs.SweepExecutor` worker pool.
-    Two workers racing on the same uncached key may both evaluate it
-    (evaluation is pure, so both compute the identical verdict); the
-    lock only protects the cache dict and the hit/miss counters.  Each
+    Thread-safe: the cache and the token memo are guarded by a lock so
+    one instance can be shared across a
+    :class:`~repro.eval.jobs.SweepExecutor` worker pool.  Two workers
+    racing on the same uncached key may both evaluate it (evaluation is
+    pure, so both compute the identical verdict); the lock only protects
+    the cache and memo dicts and the counters.  ``cache_misses`` counts
+    the evaluations that ran; a text-cache hit, a store hit and a memo
+    hit count as ``cache_hits``, ``store_hits`` and ``token_hits``.  Each
     problem's test bench is parsed, elaborated and lowered once into a
     template that one simulation uses at a time (see
     :meth:`_run_bench`).  Idle templates wait in a per-problem pool: a
@@ -160,7 +194,7 @@ class Evaluator:
     are in use, so concurrent workers never share one.
 
     ``store`` is an optional :class:`~repro.eval.store.VerdictStore`
-    consulted between the in-memory cache and a real compile+simulate:
+    consulted between the in-memory cache and the token memo:
     a hit there costs one small file read instead of a simulation, and
     every fresh verdict is written back, so evaluators in other
     processes (process-pool workers, coordinator workers, later runs)
@@ -187,7 +221,14 @@ class Evaluator:
         #: simulation; error findings reject the design at
         #: stage="analysis" without ever starting the bench
         self.analysis = analysis
-        self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
+        #: (problem, text hash) -> verdict by prompt level; the LOW
+        #: verdict is always there, the others are shifted from it on
+        #: first use
+        self._cache: dict[tuple[int, int],
+                          dict[PromptLevel, CompletionEvaluation]] = {}
+        #: (problem, token digest) -> LOW verdict of a parse, elaborate
+        #: or analysis stage failure; see :meth:`_evaluate_uncached`
+        self._memo: dict[tuple[int, int], CompletionEvaluation] = {}
         #: per prompt text; see :meth:`_prompt`
         self._prompts: dict[str, _Prompt] = {}
         #: idle test bench templates by problem number; see
@@ -196,6 +237,7 @@ class Evaluator:
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
+        self.token_hits = 0
         self.store_hits = 0
 
     def evaluate(
@@ -209,46 +251,119 @@ class Evaluator:
         ``level`` selects the prompt the completion is appended to, and
         the returned line numbers are those of that level's
         ``problem.full_source``.  The cache key ignores the level: the
-        three prompts differ only in comments, so cached evaluations
-        keep LOW-prompt line numbers and are shifted per level.
+        three prompts differ only in comments, so a cached evaluation is
+        kept with LOW-prompt line numbers and shifted once per level,
+        the first time that level asks for it.
         """
         truncated = truncate_completion(completion)
         key = (problem.number, stable_hash(truncated))
-        low_lines = self._prompt(problem, PromptLevel.LOW).lines
-        delta = self._prompt(problem, level).lines - low_lines
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
+            levels = self._cache.get(key)
+            if levels is not None:
                 self.cache_hits += 1
-                REGISTRY.inc("evaluator_cache", result="hit")
-                return _shift_lines(cached, low_lines, delta)
+        if levels is not None:
+            REGISTRY.inc("evaluator_cache", result="hit")
+            return self._at_level(levels, problem, level)
         if self.store is not None:
             stored = self.store.get(*key)
             if stored is not None:
                 with self._lock:
                     self.store_hits += 1
-                    self._cache[key] = stored
+                    levels = self._cache.setdefault(
+                        key, {PromptLevel.LOW: stored})
                 REGISTRY.inc("evaluator_cache", result="store_hit")
-                return _shift_lines(stored, low_lines, delta)
-        with self._lock:
-            self.cache_misses += 1
-        REGISTRY.inc("evaluator_cache", result="miss")
+                return self._at_level(levels, problem, level)
         result = self._evaluate_uncached(problem, truncated, level)
+        low_lines, delta = self._line_delta(problem, level)
         low = _shift_lines(result, low_lines + delta, -delta)
         with self._lock:
-            self._cache[key] = low
+            self._cache[key] = {PromptLevel.LOW: low, level: result}
         if self.store is not None:
             self.store.put(*key, low)
         return result
 
+    def _at_level(self, levels: dict, problem: Problem,
+                  level: PromptLevel) -> CompletionEvaluation:
+        """The cached verdict of ``levels`` at ``level``: the LOW verdict
+        shifted to that level's lines, kept for the next hit."""
+        cached = levels.get(level)
+        if cached is None:
+            low_lines, delta = self._line_delta(problem, level)
+            shifted = _shift_lines(levels[PromptLevel.LOW], low_lines, delta)
+            with self._lock:
+                cached = levels.setdefault(level, shifted)
+        return cached
+
+    def _line_delta(self, problem: Problem,
+                    level: PromptLevel) -> tuple[int, int]:
+        """The LOW prompt's line count, and how many lines ``level``'s
+        prompt has more."""
+        low_lines = self._prompt(problem, PromptLevel.LOW).lines
+        return low_lines, self._prompt(problem, level).lines - low_lines
+
     def _evaluate_uncached(
         self, problem: Problem, truncated: str, level: PromptLevel
     ) -> CompletionEvaluation:
+        """The verdict of a completion that neither the text cache nor
+        the store holds.
+
+        The completion is lexed once.  When the token memo holds a
+        front-end verdict of the same tokens at the same LOW-prompt
+        positions, that verdict answers it; otherwise the tokens are
+        parsed, and the design elaborated, analyzed and simulated.  A
+        prompt without a prefix, or a completion that does not lex,
+        bypasses the memo.
+        """
         prefix = self._prompt(problem, level).prefix
-        source = (problem.full_source(truncated, level) if prefix is None
-                  else completion_source(truncated))
+        if prefix is None:
+            self._count_miss()
+            return self._run(problem, problem.full_source(truncated, level),
+                             None)
+        started = time.perf_counter()
+        try:
+            tokens = lex(completion_source(truncated), prefix=prefix)
+        except LexError as exc:
+            observe_stage("parse", time.perf_counter() - started,
+                          problem=problem.number)
+            self._count_miss()
+            return CompletionEvaluation(
+                compiled=False, passed=False, compile_errors=(str(exc),),
+                stage="parse", error_line=exc.line,
+            )
+        lexed = time.perf_counter() - started
+        low_lines, delta = self._line_delta(problem, level)
+        memo_key = (problem.number, _token_digest(tokens, delta))
+        with self._lock:
+            memo = self._memo.get(memo_key)
+            if memo is not None:
+                self.token_hits += 1
+        if memo is not None:
+            REGISTRY.inc("evaluator_cache", result="token_hit")
+            observe_stage("parse", lexed, problem=problem.number)
+            return _shift_lines(memo, low_lines, delta)
+        self._count_miss()
+        result = self._run(problem, tokens, prefix, lexed)
+        if result.stage in _MEMO_STAGES:
+            low = _shift_lines(result, low_lines + delta, -delta)
+            with self._lock:
+                self._memo.setdefault(memo_key, low)
+        return result
+
+    def _count_miss(self) -> None:
+        """Count one evaluation that runs."""
+        with self._lock:
+            self.cache_misses += 1
+        REGISTRY.inc("evaluator_cache", result="miss")
+
+    def _run(self, problem: Problem, source: str | list[Token],
+             prefix: PromptPrefix | None,
+             lexed: float = 0.0) -> CompletionEvaluation:
+        """Compile ``source`` (text, or tokens that took ``lexed``
+        seconds to lex) after ``prefix`` and, when it compiles, analyze
+        and simulate it."""
         report = compile_design(source, top=problem.module_name,
                                 prefix=prefix)
+        report.parse_seconds += lexed
         self._observe_report(problem, report, design=True)
         if not report.ok:
             return CompletionEvaluation(
@@ -434,6 +549,7 @@ class Evaluator:
         info = {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
+            "token_hits": self.token_hits,
             "entries": len(self._cache),
         }
         if self.store is not None:

@@ -217,10 +217,13 @@ def render_dashboard(view: dict, width: int = 78) -> str:
         float(row.get("jobs", 0)) for row in workers
     ) if workers else 0.0
     rejections = sum(analysis.values())
+    # every answer that did not run an evaluation
+    answered = sum(cache.get(result, 0.0)
+                   for result in ("hit", "store_hit", "token_hit"))
     if evaluations or rejections or job_errors:
         tail.append(
             f"evaluations: {int(evaluations)} "
-            f"(cache hit {_fmt_rate(cache.get('hit', 0.0) + cache.get('store_hit', 0.0), evaluations)}) — "
+            f"(cache hit {_fmt_rate(answered, evaluations)}) — "
             f"analysis findings: {int(rejections)} — "
             f"job errors: {_fmt_rate(job_errors, jobs_done_total)}"
         )

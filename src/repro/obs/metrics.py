@@ -28,6 +28,12 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict) -> LabelKey:
+    # zero or one label, as most series have: nothing to sort
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

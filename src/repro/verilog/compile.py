@@ -5,7 +5,8 @@ succeeds, simulates it against a test bench.  This module provides the
 same two entry points over our own frontend:
 
 * :func:`check_syntax` — lex + parse only (fast structural gate), of a
-  whole source or of the text after a prompt parsed once;
+  whole source or of the text after a prompt parsed once; given tokens
+  the caller lexed already, parse only;
 * :func:`compile_design` — lex + parse + elaborate a top module;
 * :func:`run_simulation` — compile and simulate, returning printed output;
 * :func:`simulate_unit` — the same from an already parsed unit, so a
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from .ast import SourceUnit
 from .elaborate import BenchTemplate, Design, elaborate
 from .errors import VerilogError
+from .lexer import Token
 from .parser import PromptPrefix, parse
 from .sim import SimResult, simulate
 
@@ -69,13 +71,14 @@ class CompileReport:
         return "\n".join(self.errors)
 
 
-def check_syntax(source: str, first_line: int = 1,
+def check_syntax(source: str | list[Token], first_line: int = 1,
                  prefix: PromptPrefix | None = None) -> CompileReport:
     """Parse-only check, the cheapest 'does it compile' gate.
 
     ``first_line`` numbers the source's first line (see
     :func:`~repro.verilog.lexer.tokenize`).  With ``prefix``,
-    ``source`` is the text after a prompt parsed once (see
+    ``source`` is the text after a prompt parsed once.  ``source`` may
+    also be tokens the caller lexed already (see
     :func:`~repro.verilog.parser.parse`).
     """
     started = time.perf_counter()
@@ -96,13 +99,14 @@ def check_syntax(source: str, first_line: int = 1,
     )
 
 
-def compile_design(source: str, top: str | None = None,
+def compile_design(source: str | list[Token], top: str | None = None,
                    prefix: PromptPrefix | None = None) -> CompileReport:
     """Full compile: parse and elaborate ``top`` (default: last module).
 
     Elaboration catches the class of errors Icarus reports beyond syntax:
     undeclared identifiers, bad port connections, width-less parameters,
-    unknown modules.  ``prefix`` is passed to :func:`check_syntax`.
+    unknown modules.  ``source`` and ``prefix`` are passed to
+    :func:`check_syntax`.
     """
     report = check_syntax(source, prefix=prefix)
     if not report.ok:

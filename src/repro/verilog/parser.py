@@ -989,7 +989,16 @@ def prompt_prefix(prompt: str) -> PromptPrefix | None:
     return PromptPrefix(module, tuple(header_names), tokens[-1].line)
 
 
-def parse(source: str, first_line: int = 1,
+def lex(source: str, first_line: int = 1,
+        prefix: PromptPrefix | None = None) -> list[Token]:
+    """``source``'s tokens, numbered as :func:`parse` numbers them:
+    from ``first_line``, or with ``prefix`` from the prompt's next line.
+    """
+    return tokenize(source, first_line if prefix is None
+                    else prefix.next_line)
+
+
+def parse(source: str | list[Token], first_line: int = 1,
           prefix: PromptPrefix | None = None) -> ast.SourceUnit:
     """Parse Verilog source text into an AST (lex + parse).
 
@@ -997,8 +1006,10 @@ def parse(source: str, first_line: int = 1,
     :func:`~repro.verilog.lexer.tokenize`).  With ``prefix`` (see
     :func:`prompt_prefix`), ``source`` is the text that follows the
     prompt: only it is lexed, from the prompt's next line, and the unit
-    is the one the prompt and ``source`` parse to together.
+    is the one the prompt and ``source`` parse to together.  A caller
+    that lexed ``source`` already passes its tokens from :func:`lex`
+    instead, with the same ``prefix``.
     """
-    if prefix is None:
-        return Parser(tokenize(source, first_line)).parse()
-    return Parser(tokenize(source, prefix.next_line)).parse(prefix)
+    tokens = (source if isinstance(source, list)
+              else lex(source, first_line, prefix))
+    return Parser(tokens).parse(prefix)

@@ -174,7 +174,9 @@ class Simulator:
         self._sequence = 0
         self._steps = 0
         self._work = 0
-        self._monitors: list[_Monitor] = []
+        #: the active ``$monitor``: a new call replaces the last one
+        #: (IEEE 1364-2005 17.1.3)
+        self._monitor: _Monitor | None = None
         self._finished = False
         self._rand_state = random_seed & 0xFFFFFFFF
         self._vcd: VcdRecorder | None = None
@@ -341,7 +343,7 @@ class Simulator:
         return timed_apply
 
     def _profiled_check_monitors(self) -> None:
-        if not self._monitors:
+        if self._monitor is None:
             return
         counter = self._profile_evals
         evals_before = counter[0]
@@ -664,7 +666,7 @@ class Simulator:
             self.output.append(text)
             return
         if name == "$monitor":
-            self._monitors.append(_Monitor(fmt_args=list(stmt.args), scope=scope))
+            self._monitor = _Monitor(fmt_args=list(stmt.args), scope=scope)
             return
         if name in ("$finish", "$stop"):
             raise _FinishSim()
@@ -698,11 +700,13 @@ class Simulator:
                 )
 
     def _check_monitors(self) -> None:
-        for monitor in self._monitors:
-            text = self._format_args(monitor.fmt_args, monitor.scope)
-            if text != monitor.last_text:
-                monitor.last_text = text
-                self.output.append(text)
+        monitor = self._monitor
+        if monitor is None:
+            return
+        text = self._format_args(monitor.fmt_args, monitor.scope)
+        if text != monitor.last_text:
+            monitor.last_text = text
+            self.output.append(text)
 
     def _format_args(self, args: list[ast.Expr], scope: Scope) -> str:
         return "".join(

@@ -190,7 +190,8 @@ class TestExecutor:
         assert stats["workers"] == 3
         assert stats["jobs"] == 1
         assert stats["records"] == 2
-        assert set(stats["evaluator_cache"]) == {"hits", "misses", "entries"}
+        assert set(stats["evaluator_cache"]) == {
+            "hits", "misses", "token_hits", "entries"}
         assert stats["elapsed_seconds"] >= 0
 
     def test_workers_validated(self):

@@ -158,6 +158,54 @@ class TestPrometheusRendering:
         lines = render_prometheus(reg).splitlines()
         assert lines[1] == 'c{worker="a"} 1.0'
 
+    def test_snapshot_and_exposition_of_zero_one_and_two_labels(self):
+        """Series of zero, one and two labels (non-string values, given
+        in either order) land in one key each, pinned as text."""
+        reg = MetricsRegistry()
+        reg.inc("hits")
+        reg.inc("hits", 2)
+        reg.inc("cache", result="hit")
+        reg.inc("cache", 2, result="hit")
+        reg.inc("cache", result="token_hit")
+        reg.set_gauge("workers", 3, pool=7)
+        reg.observe("stage_seconds", 0.5, stage="parse", problem=3)
+        reg.observe("stage_seconds", 0.5, problem=3, stage="parse")
+        assert reg.counter_value("cache", result="hit") == 3.0
+        assert reg.counter_value("hits") == 3.0
+        assert reg.snapshot() == {
+            "counters": [
+                {"name": "cache", "labels": {"result": "hit"},
+                 "value": 3.0},
+                {"name": "cache", "labels": {"result": "token_hit"},
+                 "value": 1.0},
+                {"name": "hits", "labels": {}, "value": 3.0},
+            ],
+            "gauges": [
+                {"name": "workers", "labels": {"pool": "7"}, "value": 3.0},
+            ],
+            "histograms": [
+                {"name": "stage_seconds",
+                 "labels": {"problem": "3", "stage": "parse"},
+                 "count": 2, "sum": 1.0, "min": 0.5, "max": 0.5,
+                 "p50": 0.5, "p95": 0.5, "p99": 0.5},
+            ],
+        }
+        assert render_prometheus(reg) == (
+            "# TYPE cache counter\n"
+            'cache{result="hit"} 3.0\n'
+            'cache{result="token_hit"} 1.0\n'
+            "# TYPE hits counter\n"
+            "hits 3.0\n"
+            "# TYPE workers gauge\n"
+            'workers{pool="7"} 3.0\n'
+            "# TYPE stage_seconds summary\n"
+            'stage_seconds{problem="3",quantile="0.5",stage="parse"} 0.5\n'
+            'stage_seconds{problem="3",quantile="0.95",stage="parse"} 0.5\n'
+            'stage_seconds{problem="3",quantile="0.99",stage="parse"} 0.5\n'
+            'stage_seconds_count{problem="3",stage="parse"} 2\n'
+            'stage_seconds_sum{problem="3",stage="parse"} 1.0\n'
+        )
+
     def test_defaults_to_process_registry(self):
         REGISTRY.inc("process_wide_counter")
         assert "process_wide_counter 1.0" in render_prometheus()
@@ -1437,6 +1485,16 @@ class TestDashboardRender:
         assert "lift 75.0%" in page  # 3 pass / 4 attempts
         assert "cache hit 50.0%" in page
         assert "job errors: 16.7%" in page  # 1 error / 6 jobs
+
+    def test_token_memo_hits_count_as_cache_hits(self):
+        from repro.obs.dashboard import render_dashboard
+
+        view = self._view()
+        view["metrics"]["metrics"]["counters"].append(
+            {"name": "evaluator_cache", "labels": {"result": "token_hit"},
+             "value": 10.0})
+        page = render_dashboard(view)
+        assert "evaluations: 20 (cache hit 75.0%)" in page
 
     def test_no_coordinator_view(self):
         from repro.obs.dashboard import render_dashboard

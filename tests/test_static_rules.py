@@ -149,7 +149,9 @@ FORMATS = [
 
 
 def format_bench(task: str) -> str:
-    calls = "".join(f"    {task}({args});\n" for args, _ in FORMATS)
+    # one call per time step: a ``$monitor`` replaces the one before it,
+    # and each prints once, at the end of the step it starts in
+    calls = "".join(f"    {task}({args}); #1;\n" for args, _ in FORMATS)
     return (
         "module tb;\n"
         "  reg [7:0] xv;\n"
@@ -158,11 +160,11 @@ def format_bench(task: str) -> str:
         "    xv = 8'b1010xxzz;\n"
         "    #10;\n"
         f"{calls}"
-        "    #20 $finish;\n"
+        "    #40 $finish;\n"
         "  end\n"
         "endmodule\n"
         "module dut;\n"
-        f"  initial #20 {task}(\"in %m\");\n"
+        f"  initial #40 {task}(\"in %m\");\n"
         "endmodule\n"
     )
 

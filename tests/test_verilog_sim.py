@@ -315,6 +315,35 @@ class TestDisplayFormatting:
         )
         assert result.output == ["v=0", "v=1", "v=2"]
 
+    @pytest.mark.parametrize("compile_sim", [False, True],
+                             ids=["interpreter", "compiled"])
+    def test_a_new_monitor_replaces_the_last(self, compile_sim):
+        # IEEE 1364-2005 17.1.3: only one monitor list is active
+        result = sim(
+            "module tb; reg [3:0] m;\n"
+            "initial begin\n"
+            '  $monitor("first %0d", m);\n'
+            '  $monitor("second %0d", m);\n'
+            "  #1 m = 1; #1 $finish;\n"
+            "end\nendmodule",
+            compile_sim=compile_sim,
+        )
+        assert result.output == ["second x", "second 1"]
+
+    @pytest.mark.parametrize("compile_sim", [False, True],
+                             ids=["interpreter", "compiled"])
+    def test_a_later_monitor_takes_over_from_the_first(self, compile_sim):
+        result = sim(
+            "module tb; reg [3:0] a, b;\n"
+            "initial begin\n"
+            '  a = 0; b = 0; $monitor("a=%0d", a);\n'
+            '  #1 a = 1; #1 $monitor("b=%0d", b);\n'
+            "  #1 a = 2; b = 3; #1 $finish;\n"
+            "end\nendmodule",
+            compile_sim=compile_sim,
+        )
+        assert result.output == ["a=0", "a=1", "b=0", "b=3"]
+
     def test_signed_display(self):
         result = sim(
             "module tb; reg signed [7:0] v;\n"
