@@ -11,12 +11,12 @@ per prompt are requested", so the cache collapses most of the sweep's
 work, exactly like memoizing ``iverilog`` runs on identical files.  The
 prompt level stays out of the key: the MEDIUM and HIGH prompts are the
 LOW prompt plus comment lines, so the verdict is the same and only the
-source lines past the prompt move.  Cached and stored evaluations keep
-LOW-prompt line numbers; :meth:`Evaluator.evaluate` shifts one to a
-level's numbering the first time that level asks for it and keeps the
-shifted verdict beside the LOW one, so a repeat hit does no shifting.
+source lines past the prompt move.  Every completion is therefore
+evaluated after the LOW prompt, every kept verdict has LOW-prompt line
+numbers, and :meth:`Evaluator.evaluate` moves the lines past that
+prompt on the way out when MEDIUM or HIGH asked.
 
-Each prompt is lexed and parsed once per evaluator
+The LOW prompt is lexed and parsed once per evaluator
 (:func:`~repro.verilog.parser.prompt_prefix`); a fresh evaluation lexes
 and parses only the completion, from the line after the prompt's.
 
@@ -24,10 +24,10 @@ Completions that differ only in comments or blank space past their
 last token are still different texts.  So a completion that misses the
 text cache and the store is lexed once, and its tokens are looked up in
 a token memo: the key is the problem and a 64-bit digest of every
-token's kind, text, LOW-prompt line and column, EOF included.  Because
-the positions are in the key, a memo hit has the same error text and
-lines as a fresh run would.  The memo keeps only verdicts the front
-end decides (stage ``parse``, ``elaborate`` or ``analysis``), never a
+token's kind, text, line and column, EOF included.  Because the
+positions are in the key, a memo hit has the same error text and lines
+as a fresh run would.  The memo keeps only verdicts the front end
+decides (stage ``parse``, ``elaborate`` or ``analysis``), never a
 simulated one.  It lives in the evaluator and is never persisted.  A
 prompt without a prefix, or a completion that does not lex, bypasses
 it.  On a miss, the parser takes the same tokens, so no completion is
@@ -146,12 +146,12 @@ def _shift_lines(evaluation: CompletionEvaluation, after: int,
 _MEMO_STAGES = frozenset(("parse", "elaborate", "analysis"))
 
 
-def _token_digest(tokens: list[Token], delta: int) -> int:
-    """64-bit digest of every token's kind, text, LOW-prompt line
-    (``delta`` fewer) and column, the EOF token's included.  Python's
-    ``hash`` is salted per process, which is as long as a memo lives."""
-    return hash(tuple([(token.kind, token.text, token.line - delta,
-                        token.column) for token in tokens]))
+def _token_digest(tokens: list[Token]) -> int:
+    """64-bit digest of every token's kind, text, line and column, the
+    EOF token's included.  Python's ``hash`` is salted per process,
+    which is as long as a memo lives."""
+    return hash(tuple([(token.kind, token.text, token.line, token.column)
+                       for token in tokens]))
 
 
 def _moved_report(report, after: int, delta: int):
@@ -167,13 +167,15 @@ def _moved_report(report, after: int, delta: int):
 
 @dataclass(frozen=True, slots=True)
 class _Prompt:
-    """What an evaluator keeps per prompt text: how many source lines
-    the prompt takes in :meth:`Problem.full_source`, and the prompt
+    """What an evaluator keeps per problem: how many source lines the
+    LOW prompt takes in :meth:`Problem.full_source`, the LOW prompt
     parsed once for each completion's parse to continue from (None when
-    it cannot be; see :func:`~repro.verilog.parser.prompt_prefix`)."""
+    it cannot be; see :func:`~repro.verilog.parser.prompt_prefix`), and
+    how many lines more each level's prompt takes."""
 
     lines: int
     prefix: PromptPrefix | None
+    extra: dict[PromptLevel, int]
 
 
 class Evaluator:
@@ -193,8 +195,10 @@ class Evaluator:
     worker checks one out under the lock and builds another when all
     are in use, so concurrent workers never share one.
 
-    ``store`` is an optional :class:`~repro.eval.store.VerdictStore`
-    consulted between the in-memory cache and the token memo:
+    The cache, the store and the memo hold one verdict per completion,
+    with LOW-prompt line numbers (see :meth:`evaluate`).  ``store`` is
+    an optional :class:`~repro.eval.store.VerdictStore` consulted
+    between the in-memory cache and the token memo:
     a hit there costs one small file read instead of a simulation, and
     every fresh verdict is written back, so evaluators in other
     processes (process-pool workers, coordinator workers, later runs)
@@ -221,16 +225,13 @@ class Evaluator:
         #: simulation; error findings reject the design at
         #: stage="analysis" without ever starting the bench
         self.analysis = analysis
-        #: (problem, text hash) -> verdict by prompt level; the LOW
-        #: verdict is always there, the others are shifted from it on
-        #: first use
-        self._cache: dict[tuple[int, int],
-                          dict[PromptLevel, CompletionEvaluation]] = {}
+        #: (problem, text hash) -> LOW verdict
+        self._cache: dict[tuple[int, int], CompletionEvaluation] = {}
         #: (problem, token digest) -> LOW verdict of a parse, elaborate
         #: or analysis stage failure; see :meth:`_evaluate_uncached`
         self._memo: dict[tuple[int, int], CompletionEvaluation] = {}
-        #: per prompt text; see :meth:`_prompt`
-        self._prompts: dict[str, _Prompt] = {}
+        #: per problem number; see :meth:`_prompt`
+        self._prompts: dict[int, _Prompt] = {}
         #: idle test bench templates by problem number; see
         #: :meth:`_run_bench`
         self._templates: dict[int, list[BenchTemplate]] = {}
@@ -251,74 +252,50 @@ class Evaluator:
         ``level`` selects the prompt the completion is appended to, and
         the returned line numbers are those of that level's
         ``problem.full_source``.  The cache key ignores the level: the
-        three prompts differ only in comments, so a cached evaluation is
-        kept with LOW-prompt line numbers and shifted once per level,
-        the first time that level asks for it.
+        three prompts differ only in comment lines, so the verdict is
+        computed and kept after the LOW prompt and its lines past that
+        prompt are moved here, for MEDIUM and HIGH.
         """
         truncated = truncate_completion(completion)
         key = (problem.number, stable_hash(truncated))
         with self._lock:
-            levels = self._cache.get(key)
-            if levels is not None:
+            low = self._cache.get(key)
+            if low is not None:
                 self.cache_hits += 1
-        if levels is not None:
+        if low is not None:
             REGISTRY.inc("evaluator_cache", result="hit")
-            return self._at_level(levels, problem, level)
-        if self.store is not None:
-            stored = self.store.get(*key)
-            if stored is not None:
-                with self._lock:
-                    self.store_hits += 1
-                    levels = self._cache.setdefault(
-                        key, {PromptLevel.LOW: stored})
-                REGISTRY.inc("evaluator_cache", result="store_hit")
-                return self._at_level(levels, problem, level)
-        result = self._evaluate_uncached(problem, truncated, level)
-        low_lines, delta = self._line_delta(problem, level)
-        low = _shift_lines(result, low_lines + delta, -delta)
-        with self._lock:
-            self._cache[key] = {PromptLevel.LOW: low, level: result}
-        if self.store is not None:
-            self.store.put(*key, low)
-        return result
-
-    def _at_level(self, levels: dict, problem: Problem,
-                  level: PromptLevel) -> CompletionEvaluation:
-        """The cached verdict of ``levels`` at ``level``: the LOW verdict
-        shifted to that level's lines, kept for the next hit."""
-        cached = levels.get(level)
-        if cached is None:
-            low_lines, delta = self._line_delta(problem, level)
-            shifted = _shift_lines(levels[PromptLevel.LOW], low_lines, delta)
+        elif self.store is not None and (
+                low := self.store.get(*key)) is not None:
             with self._lock:
-                cached = levels.setdefault(level, shifted)
-        return cached
+                self.store_hits += 1
+                low = self._cache.setdefault(key, low)
+            REGISTRY.inc("evaluator_cache", result="store_hit")
+        else:
+            low = self._evaluate_uncached(problem, truncated)
+            with self._lock:
+                self._cache[key] = low
+            if self.store is not None:
+                self.store.put(*key, low)
+        if level is PromptLevel.LOW:
+            return low
+        prompt = self._prompt(problem)
+        return _shift_lines(low, prompt.lines, prompt.extra[level])
 
-    def _line_delta(self, problem: Problem,
-                    level: PromptLevel) -> tuple[int, int]:
-        """The LOW prompt's line count, and how many lines ``level``'s
-        prompt has more."""
-        low_lines = self._prompt(problem, PromptLevel.LOW).lines
-        return low_lines, self._prompt(problem, level).lines - low_lines
-
-    def _evaluate_uncached(
-        self, problem: Problem, truncated: str, level: PromptLevel
-    ) -> CompletionEvaluation:
-        """The verdict of a completion that neither the text cache nor
-        the store holds.
+    def _evaluate_uncached(self, problem: Problem,
+                           truncated: str) -> CompletionEvaluation:
+        """The LOW verdict of a completion that neither the text cache
+        nor the store holds.
 
         The completion is lexed once.  When the token memo holds a
-        front-end verdict of the same tokens at the same LOW-prompt
-        positions, that verdict answers it; otherwise the tokens are
-        parsed, and the design elaborated, analyzed and simulated.  A
-        prompt without a prefix, or a completion that does not lex,
-        bypasses the memo.
+        front-end verdict of the same tokens at the same positions,
+        that verdict answers it; otherwise the tokens are parsed, and
+        the design elaborated, analyzed and simulated.  A prompt without
+        a prefix, or a completion that does not lex, bypasses the memo.
         """
-        prefix = self._prompt(problem, level).prefix
+        prefix = self._prompt(problem).prefix
         if prefix is None:
             self._count_miss()
-            return self._run(problem, problem.full_source(truncated, level),
-                             None)
+            return self._run(problem, problem.full_source(truncated), None)
         started = time.perf_counter()
         try:
             tokens = lex(completion_source(truncated), prefix=prefix)
@@ -331,8 +308,7 @@ class Evaluator:
                 stage="parse", error_line=exc.line,
             )
         lexed = time.perf_counter() - started
-        low_lines, delta = self._line_delta(problem, level)
-        memo_key = (problem.number, _token_digest(tokens, delta))
+        memo_key = (problem.number, _token_digest(tokens))
         with self._lock:
             memo = self._memo.get(memo_key)
             if memo is not None:
@@ -340,13 +316,12 @@ class Evaluator:
         if memo is not None:
             REGISTRY.inc("evaluator_cache", result="token_hit")
             observe_stage("parse", lexed, problem=problem.number)
-            return _shift_lines(memo, low_lines, delta)
+            return memo
         self._count_miss()
         result = self._run(problem, tokens, prefix, lexed)
         if result.stage in _MEMO_STAGES:
-            low = _shift_lines(result, low_lines + delta, -delta)
             with self._lock:
-                self._memo.setdefault(memo_key, low)
+                self._memo.setdefault(memo_key, result)
         return result
 
     def _count_miss(self) -> None:
@@ -419,24 +394,26 @@ class Evaluator:
             findings=findings,
         )
 
-    def _prompt(self, problem: Problem, level: PromptLevel) -> _Prompt:
-        """The entry of ``level``'s prompt, built on first use.
+    def _prompt(self, problem: Problem) -> _Prompt:
+        """The entry of ``problem``'s prompts, built on first use.
 
-        Building one lexes and parses the prompt; that time is observed
-        as the ``parse`` stage of the evaluation that built it.  Two
-        workers racing on a new prompt may both build it (the entries
-        are equal); the first one stored is kept.
+        Building one lexes and parses the LOW prompt; that time is
+        observed as the ``parse`` stage of the evaluation that built it.
+        Two workers racing on a new problem may both build it (the
+        entries are equal); the first one stored is kept.
         """
-        text = problem.prompts[level]
-        entry = self._prompts.get(text)
+        entry = self._prompts.get(problem.number)
         if entry is None:
             started = time.perf_counter()
-            source = problem.prompt_source(level)
-            built = _Prompt(source.count("\n"), prompt_prefix(source))
+            source = problem.prompt_source(PromptLevel.LOW)
+            lines = source.count("\n")
+            built = _Prompt(lines, prompt_prefix(source), {
+                level: problem.prompt_source(level).count("\n") - lines
+                for level in PromptLevel})
             observe_stage("parse", time.perf_counter() - started,
                           problem=problem.number)
             with self._lock:
-                entry = self._prompts.setdefault(text, built)
+                entry = self._prompts.setdefault(problem.number, built)
         return entry
 
     def _run_bench(self, problem: Problem, unit: SourceUnit, profiler):

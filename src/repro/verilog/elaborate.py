@@ -412,8 +412,9 @@ class Elaborator:
         assert self.design is not None
         scope = Scope(path=path)
         self.design.scopes[path] = scope
+        function_identifiers = []
         for func in module.functions:
-            _check_function_calls(func)
+            function_identifiers.append((func, _check_function_calls(func)))
             scope.functions[func.name] = func
 
         # Parameters first (they may size ports and nets).
@@ -473,6 +474,8 @@ class Elaborator:
                 )
 
         self.design.signals.extend(scope.signals.values())
+        for func, identifiers in function_identifiers:
+            _check_function_names(func, identifiers, scope)
 
         # Port bindings from the parent instance become continuous assigns.
         if port_bindings:
@@ -649,28 +652,57 @@ class Elaborator:
         return Signal(flat_name, width, signed, kind, msb, lsb, array_bounds)
 
 
-def _check_calls(expr: ast.Expr | None) -> None:
+def _check_calls(expr: ast.Expr | None,
+                 identifiers: list[ast.Identifier] | None = None) -> None:
     """Raise at the call's line for a call of one of
     :data:`~repro.verilog.eval.ONE_ARG_CALLS` in ``expr`` that has
-    another number of arguments."""
-    if type(expr) is ast.SystemCall and expr.name in ONE_ARG_CALLS:
+    another number of arguments; append ``expr``'s identifiers to
+    ``identifiers`` when given."""
+    t = type(expr)
+    if t is ast.Identifier:
+        if identifiers is not None:
+            identifiers.append(expr)
+        return
+    if t is ast.SystemCall and expr.name in ONE_ARG_CALLS:
         sole_arg(expr)
     for child in ast.child_exprs(expr):
-        _check_calls(child)
+        _check_calls(child, identifiers)
 
 
-def _check_function_calls(func: ast.FunctionDecl) -> None:
+def _check_function_calls(func: ast.FunctionDecl) -> list[ast.Identifier]:
     """:func:`_check_calls` over a function's ranges and body, which
-    are otherwise evaluated only when the function is called."""
+    are otherwise evaluated only when the function is called; returns
+    the body's identifiers in source order, for
+    :func:`_check_function_names`."""
     ranges = [func.range] + [port.range for port in func.inputs]
     ranges += [decl.range for decl in func.decls]
     for rng in ranges:
         if rng is not None:
             _check_calls(rng.msb)
             _check_calls(rng.lsb)
+    identifiers: list[ast.Identifier] = []
     for stmt in ast.walk_stmts(func.body):
         for expr in ast.child_exprs(stmt):
-            _check_calls(expr)
+            _check_calls(expr, identifiers)
+    return identifiers
+
+
+def _check_function_names(func: ast.FunctionDecl,
+                          identifiers: list[ast.Identifier],
+                          scope: Scope) -> None:
+    """Raise at its line for the first of ``func``'s body
+    ``identifiers`` that is not the function's own name, one of its
+    inputs or locals, or declared in its module's ``scope``: a static
+    check, as for processes, whether the function is called or not."""
+    local = {func.name}
+    local.update(port.name for port in func.inputs)
+    local.update(decl.name for decl in func.decls)
+    for identifier in identifiers:
+        name = identifier.name
+        if name not in local and scope.resolve(name) is None:
+            raise ElaborationError(
+                f"undeclared identifier {name!r}", identifier.line
+            )
 
 
 def _forward_peer(

@@ -788,6 +788,32 @@ def format_pieces(
     return pieces
 
 
+def _unknown_digit(a: int, b: int, full: int) -> str:
+    """A digit, or a whole ``%d`` value, of bits ``full`` with unknown
+    bits ``b`` (x where ``a`` is set too, z where not), as IEEE
+    1364-2005 17.1.1.4 shows it: ``x`` or ``z`` when every bit is, else
+    ``X`` when some bit is x, else ``Z``."""
+    x = a & b
+    if x == full:
+        return "x"
+    if b == full and not x:
+        return "z"
+    return "X" if x else "Z"
+
+
+def _digits(value: Vec, bits: int, spec: str) -> str:
+    """``value`` in base ``1 << bits`` (``format`` ``spec``); with an
+    unknown bit, one digit per ``bits`` bits, MSB first."""
+    if value.is_fully_known:
+        return format(value.aval, spec)
+    digits = []
+    for lo in range((value.width - 1) // bits * bits, -1, -bits):
+        full = (1 << min(bits, value.width - lo)) - 1
+        a, b = value.aval >> lo & full, value.bval >> lo & full
+        digits.append(_unknown_digit(a, b, full) if b else format(a, spec))
+    return "".join(digits)
+
+
 def render_value(value: Vec, conv: str) -> str:
     """``value`` as one ``$display`` conversion; ``conv`` is the
     conversion character as written (``%t`` is the one case-sensitive
@@ -798,16 +824,9 @@ def render_value(value: Vec, conv: str) -> str:
     if conv == "b":
         return value.bits()
     if conv in ("h", "x"):
-        if value.is_fully_known:
-            return format(value.aval, "x")
-        return "".join(
-            "x" if any(value.bit(i) in "xz" for i in range(lo, min(lo + 4, value.width)))
-            else format((value.aval >> lo) & 0xF, "x")
-            for lo in range((value.width - 1) // 4 * 4, -1, -4)
-        )
+        return _digits(value, 4, "x")
     if conv == "o":
-        number = value.to_unsigned()
-        return "x" if number is None else format(number, "o")
+        return _digits(value, 3, "o")
     if conv == "c":
         number = value.to_unsigned()
         return "?" if number is None else chr(number & 0xFF)
@@ -817,8 +836,9 @@ def render_value(value: Vec, conv: str) -> str:
             return "?"
         raw = number.to_bytes((value.width + 7) // 8, "big")
         return raw.lstrip(b"\x00").decode("latin-1")
-    number = value.to_int()  # %d and any other conversion
-    return "x" if number is None else str(number)
+    if value.bval:  # %d and any other conversion
+        return _unknown_digit(value.aval, value.bval, (1 << value.width) - 1)
+    return str(value.to_int())
 
 
 def simulate(

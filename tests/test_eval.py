@@ -14,6 +14,7 @@ from repro.eval import (
     mean,
     pass_at_k,
     pass_fraction,
+    pipeline,
     truncate_completion,
 )
 from repro.eval.harness import CompletionRecord
@@ -243,6 +244,41 @@ class TestLevelLineNumbers:
             reader = Evaluator(store=store)
             assert reader.evaluate(problem, body, second) == fresh[second]
             assert reader.store_hits == 1
+
+    @pytest.mark.parametrize("number,body,marker", _LINE_CASES,
+                             ids=["parse", "analysis", "finding", "sim"])
+    def test_one_line_shift_per_answer_past_low(self, number, body, marker,
+                                                tmp_path, monkeypatch):
+        """Verdicts are kept with LOW lines and moved once, on the way
+        out: a fresh, repeat, token-memo or store answer at MEDIUM or
+        HIGH shifts once, and one at LOW never does."""
+        shifts = []
+        shift = pipeline._shift_lines
+
+        def counting(*args):
+            shifts.append(args)
+            return shift(*args)
+
+        monkeypatch.setattr(pipeline, "_shift_lines", counting)
+        problem = get_problem(number)
+        head, _, tail = body.partition("\n")
+        # the same tokens at the same places: a token-memo answer for
+        # the front-end stages, a fresh one for the others
+        commented = f"{head} // note\n{tail}"
+        for level in PromptLevel:
+            store = VerdictStore(str(tmp_path / level.name))
+            writer, reader = Evaluator(store=store), Evaluator(store=store)
+            answers = []
+            for evaluator, text in ((writer, body), (writer, body),
+                                    (writer, commented), (reader, body)):
+                shifts.clear()
+                answers.append(evaluator.evaluate(problem, text, level))
+                assert len(shifts) == (level is not PromptLevel.LOW), (
+                    level, text)
+            assert answers.count(answers[0]) == len(answers)
+            assert (writer.cache_misses, writer.cache_hits,
+                    reader.store_hits) == (
+                1 + (writer.token_hits == 0), 1, 1)
 
 
 def _record(**kw):

@@ -107,8 +107,9 @@ def test_grafted_design_equals_the_bench_source_elaboration(
     for problem, body in CASES:
         grafted.clear()
         evaluator.evaluate(problem, body, level)
-        design_unit = parse(problem.full_source(body, level))
-        whole = elaborate(parse(problem.bench_source(body, level)), "tb")
+        # every level's completion is compiled after the LOW prompt
+        design_unit = parse(problem.full_source(body))
+        whole = elaborate(parse(problem.bench_source(body)), "tb")
         # the design's own compile, then the graft into the template
         (none, _), (bench, shape) = grafted
         assert none is None and bench is not None
@@ -120,9 +121,9 @@ class BenchSourceEvaluator(Evaluator):
     """The evaluator with its bench run done the way it was before:
     ``run_simulation`` on the whole bench source."""
 
-    def _evaluate_uncached(self, problem, truncated, level):
-        self._bench_source = problem.bench_source(truncated, level)
-        return super()._evaluate_uncached(problem, truncated, level)
+    def _evaluate_uncached(self, problem, truncated):
+        self._bench_source = problem.bench_source(truncated)
+        return super()._evaluate_uncached(problem, truncated)
 
     def _run_bench(self, problem, unit, profiler):
         return run_simulation(
@@ -204,11 +205,9 @@ def test_one_bench_parse_and_template_per_problem(monkeypatch):
     assert len(built) == 2
     assert {number: len(pool) for number, pool
             in evaluator._templates.items()} == {1: 1, 6: 1}
-    # one prefix per prompt: two problems at three levels
-    assert sorted(prefixes) == sorted(
-        problem.prompt_source(level)
-        for problem in (get_problem(1), get_problem(6))
-        for level in PromptLevel)
+    # one prefix per problem, the LOW prompt's, whatever level asked
+    assert prefixes == [problem.prompt_source(PromptLevel.LOW)
+                        for problem in (get_problem(1), get_problem(6))]
 
 
 def test_threads_sharing_an_evaluator_get_serial_verdicts():

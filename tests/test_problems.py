@@ -23,6 +23,7 @@ from repro.problems import (
     problems_by_difficulty,
 )
 from repro.verilog import compile_design, run_simulation
+from repro.verilog.lexer import tokenize
 
 
 class TestTable2Shape:
@@ -81,6 +82,11 @@ class TestPrompts:
             high = problem.prompt(PromptLevel.HIGH)
             assert medium.startswith(low), problem.slug
             assert high.startswith(medium), problem.slug
+            # comments and blank lines only, so a verdict is the same at
+            # every level and only the lines past the LOW prompt move
+            for added in (medium[len(low):], high[len(medium):]):
+                assert [token.kind for token in tokenize(added)] == [
+                    "EOF"], (problem.slug, added)
 
     def test_prompt_contains_module_header(self):
         for problem in ALL_PROBLEMS:

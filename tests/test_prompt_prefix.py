@@ -1,8 +1,8 @@
-"""Each prompt is lexed and parsed once.
+"""Each problem's LOW prompt is lexed and parsed once.
 
-An evaluator parses each prompt once into a
-:class:`~repro.verilog.parser.PromptPrefix` and parses each completion
-from there.  These tests hold that path to the one it replaced, a parse
+An evaluator parses each problem's LOW prompt once into a
+:class:`~repro.verilog.parser.PromptPrefix` and parses each completion,
+whatever its level, from there.  These tests hold that path to the one it replaced, a parse
 of the whole ``problem.full_source``: the same unit or the same error
 (type, message, line and column), and the same evaluations.
 """
@@ -45,9 +45,8 @@ class FullSourceEvaluator(Evaluator):
     """The evaluator without prompt prefixes: every fresh evaluation
     parses the whole ``full_source``."""
 
-    def _prompt(self, problem, level):
-        return dataclasses.replace(super()._prompt(problem, level),
-                                   prefix=None)
+    def _prompt(self, problem):
+        return dataclasses.replace(super()._prompt(problem), prefix=None)
 
 
 def _prefix(problem, level):
@@ -224,10 +223,11 @@ def test_a_completion_cannot_change_the_prefix_for_the_next():
     body = problem.canonical_body
     for level in LEVELS:
         evaluator.evaluate(problem, grow, level)
-        prefix = evaluator._prompts[problem.prompts[level]].prefix
-        assert prefix.module == _prefix(problem, level).module
+        # every level's completion is parsed after the LOW prompt
+        prefix = evaluator._prompts[problem.number].prefix
+        assert prefix.module == _prefix(problem, PromptLevel.LOW).module
         assert (parse(completion_source(body), prefix=prefix)
-                == parse(problem.full_source(body, level)))
+                == parse(problem.full_source(body)))
         assert (evaluator.evaluate(problem, body, level)
                 == FullSourceEvaluator().evaluate(problem, body, level))
 

@@ -11,6 +11,9 @@ tests cannot see it; these tests check expected text instead:
 * a ``$signed``/``$unsigned``/``$clog2`` call without exactly one
   argument is an elaboration error at the call's line, on both engines,
   with and without analysis;
+* an identifier in a function body that names nothing declared is an
+  elaboration error at its line, whether the function is called or
+  not, on both engines, with and without analysis;
 * one table of format strings and their expected output, run on both
   engines through ``$display``, ``$write``, ``$error`` and ``$monitor``;
 * a sized position that reads a reg still makes its process fall back
@@ -118,6 +121,66 @@ class TestOneArgumentCalls:
 
 
 # ----------------------------------------------------------------------
+# Names in function bodies
+# ----------------------------------------------------------------------
+#: problem 1 bodies whose function names an undeclared ``ghost`` -> the
+#: line that names it
+FUNCTION_GHOSTS = {
+    "called": ("  function f;\n    input a;\n    f = ghost;\n"
+               "  endfunction\n  assign out = f(in);\nendmodule", 5),
+    # a function that is never called
+    "uncalled": ("  function f;\n    input a;\n    f = ghost;\n"
+                 "  endfunction\n  assign out = in;\nendmodule", 5),
+    "written": ("  function f;\n    input a;\n    begin\n      f = a;\n"
+                "      ghost = a;\n    end\n  endfunction\n"
+                "  assign out = f(in);\nendmodule", 7),
+    "continued-line": ("  function f;\n    input a;\n    f = a &\n"
+                       "      ghost;\n  endfunction\n"
+                       "  assign out = f(in);\nendmodule", 6),
+}
+
+#: a problem-1 body whose function names its own name, an input, a
+#: local, a localparam, another function and module signals, one of
+#: them declared after the function
+FUNCTION_NAMES = (
+    "  localparam K = 1;\n"
+    "  function g;\n    input b;\n    g = b;\n  endfunction\n"
+    "  function f;\n    input a;\n    reg t;\n    begin\n"
+    "      t = a & K;\n      f = g(t) & (in | late);\n    end\n"
+    "  endfunction\n"
+    "  reg late;\n"
+    "  assign out = f(in);\n"
+    "endmodule"
+)
+
+
+class TestFunctionNames:
+    @pytest.mark.parametrize("analysis", [False, True],
+                             ids=["plain", "analysis"])
+    @ENGINES
+    @pytest.mark.parametrize("case", list(FUNCTION_GHOSTS))
+    def test_undeclared_name_is_an_elaboration_error(self, case,
+                                                     compile_sim, analysis):
+        body, line = FUNCTION_GHOSTS[case]
+        evaluation = Evaluator(
+            compile_sim=compile_sim, analysis=analysis
+        ).evaluate(get_problem(1), body)
+        assert (evaluation.compiled, evaluation.stage,
+                evaluation.error_line, evaluation.compile_errors) == (
+            False, "elaborate", line,
+            (f"line {line}:0: undeclared identifier 'ghost'",))
+
+    @pytest.mark.parametrize("analysis", [False, True],
+                             ids=["plain", "analysis"])
+    @ENGINES
+    def test_declared_names_resolve(self, compile_sim, analysis):
+        evaluation = Evaluator(
+            compile_sim=compile_sim, analysis=analysis
+        ).evaluate(get_problem(1), FUNCTION_NAMES)
+        assert evaluation.passed, evaluation
+
+
+# ----------------------------------------------------------------------
 # The format grammar
 # ----------------------------------------------------------------------
 #: (arguments as written in the source, expected text); ``xv`` holds
@@ -130,10 +193,14 @@ FORMATS = [
     # field-width digits are skipped; %t is unsigned, 0 for x; %T is %d
     ("\"[%5d] [%03d] [%10b]\", 8'd7, 8'd7, 2'b10", "[7] [7] [10]"),
     ("\"%t|%t|%T\", 32'd10, xv, 8'shff", "10|0|-1"),
-    # x/z values
+    # x/z values (IEEE 1364-2005 17.1.1.4): a digit, or a whole %d, is
+    # x or z when all its bits are, else X when some bit is x, else Z
     ('"%b %h %x %o %c %s %d"'
-     + ", xv" * 7, "1010xxzz ax ax x ? ? x"),
-    ('"%B %H %X %O %D"' + ", xv" * 5, "1010xxzz ax ax x x"),
+     + ", xv" * 7, "1010xxzz aX aX 2XX ? ? X"),
+    ('"%B %H %X %O %D"' + ", xv" * 5, "1010xxzz aX aX 2XX X"),
+    ("\"%h %o %d %h\", 4'bzzzz, 4'bzzzz, 4'bzzzz, 8'b0zzz_1z00",
+     "z zz z ZZ"),
+    ("\"%h %o %d\", 8'bx, 8'bx, 8'bx", "xx xxx x"),
     ("\"%c%c %s %o %h %d\", 8'h48, 8'h69, \"ok\", 8'd8, 12'hab, 4'sb1110",
      "Hi ok 10 ab -2"),
     # more conversions than arguments, more arguments than conversions
@@ -143,7 +210,7 @@ FORMATS = [
     ('"50%"', "50"),
     ("\"n=%4\", 8'd3", "n=3"),
     # a non-string first argument: every argument as %d, space-separated
-    ("4'd3, 8'shff, xv", "3 -1 x"),
+    ("4'd3, 8'shff, xv", "3 -1 X"),
     ("", ""),
 ]
 

@@ -37,9 +37,9 @@ class CountingEvaluator(Evaluator):
         super().__init__(**kwargs)
         self.uncached_calls = 0
 
-    def _evaluate_uncached(self, problem, truncated, level):
+    def _evaluate_uncached(self, problem, truncated):
         self.uncached_calls += 1
-        return super()._evaluate_uncached(problem, truncated, level)
+        return super()._evaluate_uncached(problem, truncated)
 
 
 class TestVerdictStore:
