@@ -186,14 +186,17 @@ class Evaluator:
     :class:`~repro.eval.jobs.SweepExecutor` worker pool.  Two workers
     racing on the same uncached key may both evaluate it (evaluation is
     pure, so both compute the identical verdict); the lock only protects
-    the cache and memo dicts and the counters.  ``cache_misses`` counts
-    the evaluations that ran; a text-cache hit, a store hit and a memo
-    hit count as ``cache_hits``, ``store_hits`` and ``token_hits``.  Each
-    problem's test bench is parsed, elaborated and lowered once into a
-    template that one simulation uses at a time (see
-    :meth:`_run_bench`).  Idle templates wait in a per-problem pool: a
-    worker checks one out under the lock and builds another when all
-    are in use, so concurrent workers never share one.
+    the cache and memo dicts and the counters.  The lexer's line cache
+    (``_lines``, one per evaluator) is shared by the workers without
+    the lock: each lookup and store is one dict operation, and two
+    workers racing on a line store equal token tuples.
+    ``cache_misses`` counts the evaluations that ran; a text-cache hit,
+    a store hit and a memo hit count as ``cache_hits``, ``store_hits``
+    and ``token_hits``.  Each problem's test bench is parsed,
+    elaborated and lowered once into a template that one simulation
+    uses at a time (see :meth:`_run_bench`).  Idle templates wait in a
+    per-problem pool: a worker checks one out under the lock and builds
+    another when all are in use, so concurrent workers never share one.
 
     The cache, the store and the memo hold one verdict per completion,
     with LOW-prompt line numbers (see :meth:`evaluate`).  ``store`` is
@@ -230,6 +233,9 @@ class Evaluator:
         #: (problem, token digest) -> LOW verdict of a parse, elaborate
         #: or analysis stage failure; see :meth:`_evaluate_uncached`
         self._memo: dict[tuple[int, int], CompletionEvaluation] = {}
+        #: (line number, line text) -> that line's tokens; the lexer's
+        #: line cache (see :func:`~repro.verilog.lexer.tokenize`)
+        self._lines: dict[tuple[int, str], tuple[Token, ...]] = {}
         #: per problem number; see :meth:`_prompt`
         self._prompts: dict[int, _Prompt] = {}
         #: idle test bench templates by problem number; see
@@ -298,7 +304,8 @@ class Evaluator:
             return self._run(problem, problem.full_source(truncated), None)
         started = time.perf_counter()
         try:
-            tokens = lex(completion_source(truncated), prefix=prefix)
+            tokens = lex(completion_source(truncated), prefix=prefix,
+                         lines=self._lines)
         except LexError as exc:
             observe_stage("parse", time.perf_counter() - started,
                           problem=problem.number)

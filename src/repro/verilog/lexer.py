@@ -15,6 +15,11 @@ token streams and errors stay identical to its: a ``//`` comment or
 directive that runs to the end of the source leaves the EOF column
 where it started, and a backslash-escaped newline inside a string
 literal does not advance the line count.
+
+Sources that share lines (sampled completions of one prompt mostly do)
+can share a line cache: :func:`tokenize` then scans each distinct
+``(line number, line text)`` once and reuses its tokens, falling back
+to one whole scan when a line does not lex alone.
 """
 
 from __future__ import annotations
@@ -162,12 +167,44 @@ def _based_token(text: str, line: int, column: int) -> Token:
     return Token("BASED_NUMBER", text, line, column, meta)
 
 
-def tokenize(source: str, first_line: int = 1) -> list[Token]:
+def tokenize(source: str, first_line: int = 1,
+             lines: dict | None = None) -> list[Token]:
     """Tokenize Verilog source, raising :class:`LexError` on bad input.
 
     ``first_line`` numbers the source's first line, so a source that
     continues another one reports the lines of the whole.
+
+    ``lines`` is a cache of lexed lines, kept by the caller across
+    calls: it maps ``(line number, line text)`` of each ``\\n``-ended
+    line to that line's tokens, scanned alone, as a tuple.  A line it
+    holds is not scanned again, and its cached tokens (values, see
+    :class:`Token`) go into the result as they are; the line number is
+    in the key because a token carries it.  The text after the last
+    newline is scanned as usual and ends with the EOF token.  When any
+    line fails to lex alone (a block comment or an escaped newline in
+    a string that spans lines, or a real error), the whole source is
+    scanned instead, so the tokens or the error are always those of a
+    plain scan, and a line that failed is never stored.
     """
+    if lines is None:
+        return _scan(source, first_line)
+    tokens: list[Token] = []
+    *texts, tail = source.split("\n")
+    try:
+        for key in enumerate(texts, first_line):
+            cached = lines.get(key)
+            if cached is None:
+                line, text = key
+                cached = lines[key] = tuple(_scan(text + "\n", line)[:-1])
+            tokens += cached
+        tokens += _scan(tail, first_line + len(texts))
+    except LexError:
+        return _scan(source, first_line)
+    return tokens
+
+
+def _scan(source: str, first_line: int) -> list[Token]:
+    """``source``'s tokens by one pass of the master expression."""
     tokens: list[Token] = []
     append = tokens.append
     keywords = KEYWORDS

@@ -990,12 +990,17 @@ def prompt_prefix(prompt: str) -> PromptPrefix | None:
 
 
 def lex(source: str, first_line: int = 1,
-        prefix: PromptPrefix | None = None) -> list[Token]:
+        prefix: PromptPrefix | None = None,
+        lines: dict | None = None) -> list[Token]:
     """``source``'s tokens, numbered as :func:`parse` numbers them:
     from ``first_line``, or with ``prefix`` from the prompt's next line.
+
+    ``lines`` is a line cache the caller keeps across calls (see
+    :func:`~repro.verilog.lexer.tokenize`); the tokens are the same
+    with or without it.
     """
     return tokenize(source, first_line if prefix is None
-                    else prefix.next_line)
+                    else prefix.next_line, lines)
 
 
 def parse(source: str | list[Token], first_line: int = 1,

@@ -23,6 +23,7 @@ gate of the evaluation pipeline greps them for the test bench verdict.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -730,12 +731,13 @@ def format_pieces(
     and each conversion as ``(conversion, argument)``.
 
     With a string literal first, its escapes are decoded, ``%%`` is a
-    percent sign, ``%m`` is ``module_path``, field-width digits are
-    skipped, and each other conversion takes the next argument; one
-    with no argument left stays literal text, arguments left over are
-    never evaluated, and a trailing ``%`` ends the text.  Otherwise
-    every argument is a ``%d`` conversion, separated by spaces.  The
-    caller renders each conversion with :func:`render_value`, in order.
+    percent sign, ``%m`` is ``module_path``, and each other conversion
+    takes the next argument, as written: its field-width digits, if
+    any, then its character.  One with no argument left stays literal
+    text (without the digits), arguments left over are never
+    evaluated, and a trailing ``%`` ends the text.  Otherwise every
+    argument is a ``%d`` conversion, separated by spaces.  The caller
+    renders each conversion with :func:`render_value`, in order.
     """
     if not args:
         return []
@@ -765,8 +767,10 @@ def format_pieces(
         index += 1
         if index >= len(fmt):
             break
+        start = index
         while index < len(fmt) and fmt[index].isdigit():
-            index += 1  # field width is parsed and ignored
+            index += 1
+        width = fmt[start:index]
         conv = fmt[index] if index < len(fmt) else "d"
         index += 1
         if conv == "%":
@@ -782,7 +786,7 @@ def format_pieces(
         if literal:
             pieces.append("".join(literal))
             literal.clear()
-        pieces.append((conv, arg))
+        pieces.append((width + conv, arg))
     if literal:
         pieces.append("".join(literal))
     return pieces
@@ -816,8 +820,18 @@ def _digits(value: Vec, bits: int, spec: str) -> str:
 
 def render_value(value: Vec, conv: str) -> str:
     """``value`` as one ``$display`` conversion; ``conv`` is the
-    conversion character as written (``%t`` is the one case-sensitive
-    one: ``%T`` renders as ``%d``)."""
+    conversion as written: field-width digits, if any, then the
+    character (``%t`` is the one case-sensitive one: ``%T`` renders as
+    ``%d``, unpadded).
+
+    A ``%d`` without a field width is sized automatically (IEEE
+    1364-2005 17.1.1.3): right-aligned to the width of the largest
+    decimal value of ``value``'s width, its sign counted when signed,
+    x and z results too.  A written width, ``%0d`` among them, leaves
+    the value unpadded.
+    """
+    pad = conv == "d" or conv == "D"
+    conv = conv[-1]
     if conv == "t":
         return str(value.to_unsigned() or 0)
     conv = conv.lower()
@@ -837,8 +851,22 @@ def render_value(value: Vec, conv: str) -> str:
         raw = number.to_bytes((value.width + 7) // 8, "big")
         return raw.lstrip(b"\x00").decode("latin-1")
     if value.bval:  # %d and any other conversion
-        return _unknown_digit(value.aval, value.bval, (1 << value.width) - 1)
-    return str(value.to_int())
+        text = _unknown_digit(value.aval, value.bval, (1 << value.width) - 1)
+    else:
+        text = str(value.to_int())
+    return text.rjust(_decimal_width(value)) if pad else text
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _decimal_width(value: Vec) -> int:
+    """Characters in the widest decimal value of ``value``'s width and
+    signedness: the digits of ``2 ** width`` (of ``2 ** (width - 1)``
+    and a minus sign when signed), counted without building it."""
+    if value.signed:
+        return int((value.width - 1) * _LOG10_2) + 2
+    return int(value.width * _LOG10_2) + 1
 
 
 def simulate(

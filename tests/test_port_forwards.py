@@ -157,7 +157,7 @@ class TestShapes:
   initial begin in = 4'd3; #1 $display("out=%d", out); end
   dut d(.in(in), .out(out));
 """)
-        assert assert_parity(source)[4] == (False, 1, ("out=4",))
+        assert assert_parity(source)[4] == (False, 1, ("out= 4",))
         assert run_counted(source, True) == run_counted(source, False)
 
     def test_same_step_sampling(self):
@@ -207,7 +207,7 @@ endmodule
     in = 4'd7; #1 $display("%d", out);
   end
 """)
-        assert assert_parity(source)[4] == (False, 3, ("2", "9", "8"))
+        assert assert_parity(source)[4] == (False, 3, (" 2", " 9", " 8"))
 
     def test_inout(self):
         source = bench("""

@@ -190,27 +190,33 @@ FORMATS = [
     (r'"tab\there\nnew \\ \"q\" \q"', 'tab\there\nnew \\ "q" q'),
     ('"100%% done"', "100% done"),
     ('"in %m"', "in tb"),
-    # field-width digits are skipped; %t is unsigned, 0 for x; %T is %d
-    ("\"[%5d] [%03d] [%10b]\", 8'd7, 8'd7, 2'b10", "[7] [7] [10]"),
+    # a bare %d is right-aligned to its width's largest decimal value
+    # (IEEE 1364-2005 17.1.1.3), the sign counted when signed; a written
+    # field width leaves it unpadded; %t is unsigned, 0 for x; %T is an
+    # unpadded %d
+    ("\"[%d] [%0d] [%5d] [%03d] [%10b]\", 8'd7, 8'd7, 8'd7, 8'd7, 2'b10",
+     "[  7] [7] [7] [7] [10]"),
+    ("\"[%d] [%d] [%d] [%0d]\", 4'sd7, 8'sd200, 32'd5, 32'sd5",
+     "[ 7] [ -56] [         5] [5]"),
     ("\"%t|%t|%T\", 32'd10, xv, 8'shff", "10|0|-1"),
     # x/z values (IEEE 1364-2005 17.1.1.4): a digit, or a whole %d, is
     # x or z when all its bits are, else X when some bit is x, else Z
     ('"%b %h %x %o %c %s %d"'
-     + ", xv" * 7, "1010xxzz aX aX 2XX ? ? X"),
-    ('"%B %H %X %O %D"' + ", xv" * 5, "1010xxzz aX aX 2XX X"),
+     + ", xv" * 7, "1010xxzz aX aX 2XX ? ?   X"),
+    ('"%B %H %X %O %D"' + ", xv" * 5, "1010xxzz aX aX 2XX   X"),
     ("\"%h %o %d %h\", 4'bzzzz, 4'bzzzz, 4'bzzzz, 8'b0zzz_1z00",
-     "z zz z ZZ"),
-    ("\"%h %o %d\", 8'bx, 8'bx, 8'bx", "xx xxx x"),
+     "z zz  z ZZ"),
+    ("\"%h %o %d %0d\", 8'bx, 8'bx, 8'bx, 8'bx", "xx xxx   x x"),
     ("\"%c%c %s %o %h %d\", 8'h48, 8'h69, \"ok\", 8'd8, 12'hab, 4'sb1110",
      "Hi ok 10 ab -2"),
     # more conversions than arguments, more arguments than conversions
-    ("\"%d %d|%b\", 8'd1", "1 %d|%b"),
-    ("\"%d\", 8'd1, 8'd2", "1"),
+    ("\"%d %5d|%b\", 8'd1", "  1 %d|%b"),
+    ("\"%d\", 8'd1, 8'd2", "  1"),
     # a trailing %, and field digits at the very end (a %d)
     ('"50%"', "50"),
     ("\"n=%4\", 8'd3", "n=3"),
     # a non-string first argument: every argument as %d, space-separated
-    ("4'd3, 8'shff, xv", "3 -1 X"),
+    ("4'd3, 8'shff, xv", " 3   -1   X"),
     ("", ""),
 ]
 
@@ -245,6 +251,17 @@ class TestFormatGrammar:
         if compile_sim:
             assert report.sim_engine["fallbacks"] == []
         assert sim.output == [text for _, text in FORMATS] + ["in dut"]
+
+    @ENGINES
+    def test_monitor_pads_an_unsized_decimal(self, compile_sim):
+        source = (
+            "module tb;\n"
+            "  reg [3:0] m;\n"
+            "  initial begin $monitor(\"v %d\", m); #1 m = 1; end\n"
+            "endmodule\n"
+        )
+        _, sim = simulate(source, compile_sim)
+        assert sim.output == ["v  x", "v  1"]
 
     @ENGINES
     def test_arguments_evaluate_lazily_in_order(self, compile_sim):

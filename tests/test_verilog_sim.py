@@ -290,7 +290,7 @@ class TestDisplayFormatting:
             "module tb; reg [3:0] v;\n"
             'initial begin $display("%d %b", v, v); $finish; end\nendmodule'
         )
-        assert result.output == ["x xxxx"]
+        assert result.output == [" x xxxx"]
 
     def test_percent_escape_and_newline(self):
         result = sim(
@@ -303,7 +303,7 @@ class TestDisplayFormatting:
             "module tb; reg [3:0] a; initial begin a = 5; "
             "$display(a); $finish; end endmodule"
         )
-        assert result.output == ["5"]
+        assert result.output == [" 5"]
 
     def test_monitor_prints_on_change(self):
         result = sim(
