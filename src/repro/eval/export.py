@@ -169,9 +169,6 @@ def error_to_dict(error) -> dict:
         "attempts": error.attempts,
         "stage": error.stage,
         "exception": error.exception,
-        "line": error.line,
-        "code": error.code,
-        "path": error.path,
         "attempt_seconds": list(error.attempt_seconds),
         "backoff_seconds": error.backoff_seconds,
     }
@@ -186,9 +183,6 @@ def error_from_dict(row: dict):
         attempts=int(row.get("attempts", 1)),
         stage=str(row.get("stage", "")),
         exception=str(row.get("exception", "")),
-        line=int(row.get("line", 0)),
-        code=str(row.get("code", "")),
-        path=str(row.get("path", "")),
         attempt_seconds=tuple(
             float(s) for s in row.get("attempt_seconds", [])
         ),

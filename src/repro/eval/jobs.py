@@ -80,13 +80,11 @@ class JobError:
     giving up (1 unless a :class:`RetryPolicy` allowed retries).
 
     The structured fields classify the failure without string scraping:
-    ``stage`` names where it died (``"backend"``, ``"parse"``,
-    ``"elaborate"``, ``"analysis"``, ``"sim"``, ``"testbench"``, or
-    ``""`` when unclassified), ``exception`` is the raising exception's
-    class name, and ``line`` the source line when the Verilog frontend
-    knew one.  ``code``/``path`` carry the raising exception's ``code``
-    and ``path`` attributes (a netlist-analysis finding's code and
-    hierarchical signal path), empty otherwise.
+    ``stage`` is ``"backend"`` when generation failed and ``""``
+    otherwise, and ``exception`` is the raising exception's class name.
+    A completion that fails to compile or simulate is a verdict
+    (:class:`~repro.eval.pipeline.CompletionEvaluation`), never a job
+    error, so no Verilog stage or source line appears here.
 
     ``attempt_seconds`` is the per-attempt elapsed wall clock (one entry
     per attempt, in order) and ``backoff_seconds`` the total backoff the
@@ -102,9 +100,6 @@ class JobError:
     attempts: int = 1
     stage: str = ""
     exception: str = ""
-    line: int = 0
-    code: str = ""
-    path: str = ""
     attempt_seconds: tuple[float, ...] = field(default=(), compare=False)
     backoff_seconds: float = field(default=0.0, compare=False)
 
@@ -113,18 +108,14 @@ class JobError:
 class JobFailure:
     """Structured failure payload carried inside a :data:`JobOutcome`.
 
-    Executors build one via :func:`failure_from_exception` instead of a
-    bare message string, so :func:`assemble_result` can populate the
-    structured :class:`JobError` fields.  Plain strings still work (the
-    legacy outcome shape) and classify as stage ``""``.
+    Executors build one via :func:`failure_from_exception`, so
+    :func:`assemble_result` can populate the structured
+    :class:`JobError` fields.
     """
 
     message: str
     stage: str = ""
     exception: str = ""
-    line: int = 0
-    code: str = ""
-    path: str = ""
     attempt_seconds: tuple[float, ...] = field(default=(), compare=False)
     backoff_seconds: float = field(default=0.0, compare=False)
 
@@ -133,58 +124,28 @@ class JobFailure:
 
 
 def failure_from_exception(exc: BaseException) -> JobFailure:
-    """Classify an exception into a :class:`JobFailure`.
-
-    Backend trouble maps to stage ``"backend"``; the Verilog frontend's
-    exception hierarchy maps to its pipeline stage and carries the
-    source line (plus any ``code``/``path`` attributes it carries).
-    Anything else keeps stage ``""`` (unclassified).
-    """
-    from ..verilog.errors import (
-        ElaborationError,
-        LexError,
-        ParseError,
-        SimulationError,
-    )
-
-    if isinstance(exc, BackendError):
-        stage = "backend"
-    elif isinstance(exc, (LexError, ParseError)):
-        stage = "parse"
-    elif isinstance(exc, ElaborationError):
-        stage = "elaborate"
-    elif isinstance(exc, SimulationError):
-        stage = "sim"
-    else:
-        stage = ""
+    """Classify an exception into a :class:`JobFailure`: backend
+    trouble is stage ``"backend"``, anything else stage ``""``."""
     return JobFailure(
         message=f"{type(exc).__name__}: {exc}",
-        stage=stage,
+        stage="backend" if isinstance(exc, BackendError) else "",
         exception=type(exc).__name__,
-        line=int(getattr(exc, "line", 0) or 0),
-        code=str(getattr(exc, "code", "") or ""),
-        path=str(getattr(exc, "path", "") or ""),
     )
 
 
 def make_job_error(
-    job: GenerationJob, failure: "JobFailure | str", attempts: int
+    job: GenerationJob, failure: JobFailure, attempts: int
 ) -> JobError:
-    """A :class:`JobError` from either outcome failure shape."""
-    if isinstance(failure, JobFailure):
-        return JobError(
-            job=job,
-            error=failure.message,
-            attempts=attempts,
-            stage=failure.stage,
-            exception=failure.exception,
-            line=failure.line,
-            code=failure.code,
-            path=failure.path,
-            attempt_seconds=failure.attempt_seconds,
-            backoff_seconds=failure.backoff_seconds,
-        )
-    return JobError(job=job, error=str(failure), attempts=attempts)
+    """The :class:`JobError` of ``job`` failing with ``failure``."""
+    return JobError(
+        job=job,
+        error=failure.message,
+        attempts=attempts,
+        stage=failure.stage,
+        exception=failure.exception,
+        attempt_seconds=failure.attempt_seconds,
+        backoff_seconds=failure.backoff_seconds,
+    )
 
 
 @dataclass(frozen=True)
@@ -327,10 +288,9 @@ class SweepPlanner:
 
 ProgressCallback = Callable[[int, int, GenerationJob], None]
 
-#: (records, failure or None, attempts) for one executed job.  The
-#: failure slot holds a :class:`JobFailure` (structured) or a plain
-#: message string (legacy); ``None`` means the job succeeded.
-JobOutcome = tuple[list[CompletionRecord], "JobFailure | str | None", int]
+#: (records, failure or None, attempts) for one executed job;
+#: ``None`` in the failure slot means the job succeeded.
+JobOutcome = tuple[list[CompletionRecord], "JobFailure | None", int]
 
 #: ``observer(index, job, outcome, seconds)`` watches a
 #: :class:`SweepExecutor` run job by job; ``index`` is the job's plan

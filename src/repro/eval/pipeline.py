@@ -29,11 +29,15 @@ positions are in the key, a memo hit has the same error text and lines
 as a fresh run would.  The memo keeps only verdicts the front end
 decides (stage ``parse``, ``elaborate`` or ``analysis``), never a
 simulated one.  It lives in the evaluator and is never persisted.  A
-prompt without a prefix, or a completion that does not lex, bypasses
-it.  On a miss, the parser takes the same tokens, so no completion is
-lexed twice.  A memo hit is counted as ``token_hits``, fills the text
-cache and is written to the store under its text key, like a fresh
-verdict.
+completion that does not lex bypasses it.  On a miss, the parser takes
+the same tokens, so no completion is lexed twice.  A memo hit is
+counted as ``token_hits``, fills the text cache and is written to the
+store under its text key, like a fresh verdict.
+
+A completion that fails a gate gets a verdict naming the stage, not a
+job error.  Each front-end stage's failure becomes a report through
+:func:`~repro.verilog.compile.failed_report`, and a failed report
+becomes a verdict through :func:`_failed`.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from ..verilog import (
     lint_source_unit,  # noqa: F401 - unused; perfbench/tracing.py wraps it
     simulate_unit,
 )
-from ..verilog.compile import prepare_bench
+from ..verilog.compile import failed_report, prepare_bench
 from ..verilog.elaborate import BenchTemplate
 from ..verilog.lexer import Token
 from ..verilog.parser import PromptPrefix, lex, prompt_prefix
@@ -163,6 +167,23 @@ def _moved_report(report, after: int, delta: int):
     report.errors = [_LINE_PREFIX.sub(move, error, count=1)
                      for error in report.errors]
     return report
+
+
+def _failed(report, compiled: bool,
+            findings: tuple[Finding, ...] = ()) -> CompletionEvaluation:
+    """The verdict of a failed report: of the design's compile when not
+    ``compiled``, else of its test bench run.  A design that compiles
+    but dies inside the bench (a runaway loop, say) counts as compiled,
+    not passed, at stage ``sim``; any other bench failure is stage
+    ``testbench``."""
+    stage = report.stage
+    if compiled and stage != "sim":
+        stage = "testbench"
+    return CompletionEvaluation(
+        compiled=compiled, passed=False,
+        compile_errors=tuple(report.errors), stage=stage,
+        error_line=report.line, findings=findings,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,28 +313,25 @@ class Evaluator:
         """The LOW verdict of a completion that neither the text cache
         nor the store holds.
 
-        The completion is lexed once.  When the token memo holds a
-        front-end verdict of the same tokens at the same positions,
-        that verdict answers it; otherwise the tokens are parsed, and
-        the design elaborated, analyzed and simulated.  A prompt without
-        a prefix, or a completion that does not lex, bypasses the memo.
+        The completion is lexed once: after the LOW prompt's prefix, or
+        with the whole source from line 1 when the prompt has none.
+        When the token memo holds a front-end verdict of the same tokens
+        at the same positions, that verdict answers it; otherwise the
+        tokens are parsed, and the design elaborated, analyzed and
+        simulated.  A completion that does not lex bypasses the memo.
         """
         prefix = self._prompt(problem).prefix
-        if prefix is None:
-            self._count_miss()
-            return self._run(problem, problem.full_source(truncated), None)
+        source = (problem.full_source(truncated) if prefix is None
+                  else completion_source(truncated))
         started = time.perf_counter()
         try:
-            tokens = lex(completion_source(truncated), prefix=prefix,
-                         lines=self._lines)
+            tokens = lex(source, prefix=prefix, lines=self._lines)
         except LexError as exc:
-            observe_stage("parse", time.perf_counter() - started,
-                          problem=problem.number)
+            report = failed_report(
+                "parse", exc, parse_seconds=time.perf_counter() - started)
+            self._observe_report(problem, report, design=True)
             self._count_miss()
-            return CompletionEvaluation(
-                compiled=False, passed=False, compile_errors=(str(exc),),
-                stage="parse", error_line=exc.line,
-            )
+            return _failed(report, compiled=False)
         lexed = time.perf_counter() - started
         memo_key = (problem.number, _token_digest(tokens))
         with self._lock:
@@ -337,22 +355,18 @@ class Evaluator:
             self.cache_misses += 1
         REGISTRY.inc("evaluator_cache", result="miss")
 
-    def _run(self, problem: Problem, source: str | list[Token],
+    def _run(self, problem: Problem, tokens: list[Token],
              prefix: PromptPrefix | None,
-             lexed: float = 0.0) -> CompletionEvaluation:
-        """Compile ``source`` (text, or tokens that took ``lexed``
-        seconds to lex) after ``prefix`` and, when it compiles, analyze
-        and simulate it."""
-        report = compile_design(source, top=problem.module_name,
+             lexed: float) -> CompletionEvaluation:
+        """Compile ``tokens``, which took ``lexed`` seconds to lex, after
+        ``prefix`` and, when they compile, analyze and simulate the
+        design."""
+        report = compile_design(tokens, top=problem.module_name,
                                 prefix=prefix)
         report.parse_seconds += lexed
         self._observe_report(problem, report, design=True)
         if not report.ok:
-            return CompletionEvaluation(
-                compiled=False, passed=False,
-                compile_errors=tuple(report.errors),
-                stage=report.stage, error_line=report.line,
-            )
+            return _failed(report, compiled=False)
         findings: tuple[Finding, ...] = ()
         if self.analysis:
             findings = self._analyze(problem, report)
@@ -383,17 +397,8 @@ class Evaluator:
                 engine="compiled" if bench_report.sim_engine is not None
                 else "interpreter",
             )
-        if not bench_report.ok or sim is None:
-            # compiles standalone but dies inside the bench (e.g. runaway
-            # loop): counts as compiled, not passed
-            return CompletionEvaluation(
-                compiled=True, passed=False,
-                compile_errors=tuple(bench_report.errors),
-                stage=bench_report.stage if bench_report.stage == "sim"
-                else "testbench",
-                error_line=bench_report.line,
-                findings=findings,
-            )
+        if sim is None:  # the bench did not build, or the design died in it
+            return _failed(bench_report, compiled=True, findings=findings)
         passed = sim.finished and PASS_MARKER in sim.text
         return CompletionEvaluation(
             compiled=True, passed=passed, sim_finished=sim.finished,

@@ -17,7 +17,6 @@ from .analyze import (
     Finding,
     analyze_design,
     analyze_source,
-    check_design,
     error_findings,
     finding_from_dict,
     finding_to_dict,
@@ -33,7 +32,6 @@ from .compile import (
 )
 from .elaborate import Design, Scope, Signal, elaborate
 from .errors import (
-    AnalysisError,
     ElaborationError,
     LexError,
     ParseError,
@@ -50,7 +48,6 @@ from .vcd import VcdRecorder
 from .writer import write_expr, write_module, write_source_unit, write_stmt
 
 __all__ = [
-    "AnalysisError",
     "CompileReport",
     "Design",
     "ElaborationError",
@@ -71,7 +68,6 @@ __all__ = [
     "VerilogError",
     "analyze_design",
     "analyze_source",
-    "check_design",
     "check_syntax",
     "compile_design",
     "elaborate",

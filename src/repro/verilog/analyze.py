@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .elaborate import Design, ProcessSpec, Scope, Signal, lvalue_width
-from .errors import AnalysisError, VerilogError
+from .errors import VerilogError
 from .eval import (
     collect_reads, collect_target_index_reads, eval_const, eval_expr,
 )
@@ -1060,29 +1060,12 @@ def analyze_source(source: str, top: str | None = None):
     return report, analyze_design(report.design, report.unit)
 
 
-def check_design(design: Design, unit: ast.SourceUnit) -> list[Finding]:
-    """Gate entry point: raise :class:`AnalysisError` on error findings.
-
-    Returns the full finding list when the design passes the gate.
-    """
-    findings = analyze_design(design, unit)
-    errors = error_findings(findings)
-    if errors:
-        first = errors[0]
-        raise AnalysisError(
-            first.message, line=first.line, code=first.code,
-            path=first.path,
-        )
-    return findings
-
-
 __all__ = [
     "DataflowGraph",
     "FINDING_CODES",
     "Finding",
     "analyze_design",
     "analyze_source",
-    "check_design",
     "error_findings",
     "finding_from_dict",
     "finding_to_dict",

@@ -18,9 +18,10 @@ same two entry points over our own frontend:
 
 Failure reports carry the *stage* that rejected the design ("parse",
 "elaborate" or "sim") and the first diagnostic's source line, so
-downstream consumers (structured :class:`~repro.eval.jobs.JobError`
-fields, the agentic repair loop's re-prompts) never scrape the message
-strings.
+downstream consumers (the evaluator's verdicts, the agentic repair
+loop's re-prompts) never scrape the message strings.  A front-end stage
+turns its failure into a report in one place, :func:`failed_report`;
+no :class:`~repro.verilog.errors.VerilogError` leaves this module.
 
 Every report also carries per-stage wall clock (``parse_seconds``,
 ``elaborate_seconds``, ``engine_seconds``, ``sim_seconds``) measured
@@ -62,13 +63,30 @@ class CompileReport:
     engine_seconds: float = 0.0
     sim_seconds: float = 0.0
     #: Compiled-engine plan summary when ``run_simulation`` ran with
-    #: ``compile_sim=True`` and engine construction succeeded; None on
-    #: the pure-interpreter path.
+    #: ``compile_sim=True``; None on the pure-interpreter path.
     sim_engine: dict | None = None
 
     @property
     def error_text(self) -> str:
         return "\n".join(self.errors)
+
+
+#: what a stage reports when its input nests deeper than Python's stack
+_TOO_DEEP = {"parse": "expression nesting too deep",
+             "elaborate": "elaboration recursion limit"}
+
+
+def failed_report(stage: str, exc: VerilogError | RecursionError,
+                  **fields) -> CompileReport:
+    """The report of ``stage`` failing with ``exc``: a
+    :class:`~repro.verilog.errors.VerilogError`'s text and line, or the
+    stage's fixed message for a ``RecursionError``.  ``fields`` are the
+    report's other fields (its unit and stage timings)."""
+    if isinstance(exc, VerilogError):
+        return CompileReport(ok=False, errors=[str(exc)], stage=stage,
+                             line=exc.line, **fields)
+    return CompileReport(ok=False, errors=[_TOO_DEEP[stage]], stage=stage,
+                         **fields)
 
 
 def check_syntax(source: str | list[Token], first_line: int = 1,
@@ -84,16 +102,9 @@ def check_syntax(source: str | list[Token], first_line: int = 1,
     started = time.perf_counter()
     try:
         unit = parse(source, first_line, prefix=prefix)
-    except VerilogError as exc:
-        return CompileReport(
-            ok=False, errors=[str(exc)], stage="parse", line=exc.line,
-            parse_seconds=time.perf_counter() - started,
-        )
-    except RecursionError:
-        return CompileReport(
-            ok=False, errors=["expression nesting too deep"], stage="parse",
-            parse_seconds=time.perf_counter() - started,
-        )
+    except (VerilogError, RecursionError) as exc:
+        return failed_report("parse", exc,
+                             parse_seconds=time.perf_counter() - started)
     return CompileReport(
         ok=True, unit=unit, parse_seconds=time.perf_counter() - started
     )
@@ -124,23 +135,9 @@ def _elaborate_unit(
     started = time.perf_counter()
     try:
         design = elaborate(unit, top, bench=bench)
-    except VerilogError as exc:
-        return CompileReport(
-            ok=False,
-            errors=[str(exc)],
-            unit=unit,
-            stage="elaborate",
-            line=exc.line,
-            parse_seconds=parse_seconds,
-            elaborate_seconds=time.perf_counter() - started,
-        )
-    except RecursionError:
-        return CompileReport(
-            ok=False,
-            errors=["elaboration recursion limit"],
-            unit=unit,
-            stage="elaborate",
-            parse_seconds=parse_seconds,
+    except (VerilogError, RecursionError) as exc:
+        return failed_report(
+            "elaborate", exc, unit=unit, parse_seconds=parse_seconds,
             elaborate_seconds=time.perf_counter() - started,
         )
     return CompileReport(
@@ -201,11 +198,11 @@ def simulate_unit(
 
     ``compile_sim=True`` lowers the elaborated design to closures first
     (:class:`repro.verilog.codegen.CompiledEngine`, timed as
-    ``engine_seconds``) and runs the fast engine; processes the compiler
-    can't cover fall back per process to the interpreter, and any
-    engine-construction failure falls back to fully interpreted
-    execution — verdicts are identical either way.  The engine's plan
-    summary lands in ``report.sim_engine``.
+    ``engine_seconds``) and runs the fast engine; a process the compiler
+    can't cover, or whose lowering raises, falls back to the
+    interpreter on its own — verdicts are identical either way.  The
+    engine's plan summary, fallbacks included, lands in
+    ``report.sim_engine``.
     """
     try:
         report = _elaborate_unit(unit, top, parse_seconds, bench)
@@ -217,15 +214,11 @@ def simulate_unit(
             from .codegen import CompiledEngine
 
             started = time.perf_counter()
-            try:
-                engine = CompiledEngine(
-                    report.design,
-                    base=bench.engine if bench is not None else None,
-                )
-            except Exception:
-                engine = None  # fully interpreted run; behavior unchanged
-            else:
-                report.sim_engine = engine.plan()
+            engine = CompiledEngine(
+                report.design,
+                base=bench.engine if bench is not None else None,
+            )
+            report.sim_engine = engine.plan()
             report.engine_seconds = time.perf_counter() - started
         started = time.perf_counter()
         try:
@@ -278,9 +271,6 @@ def prepare_bench(
         from .codegen import CompiledEngine
 
         started = time.perf_counter()
-        try:
-            bench.engine = CompiledEngine(bench.design)
-        except Exception:
-            pass  # each run lowers every process itself
+        bench.engine = CompiledEngine(bench.design)
         report.engine_seconds = time.perf_counter() - started
     return report, bench

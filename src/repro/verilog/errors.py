@@ -45,21 +45,3 @@ class SimulationError(VerilogError):
     Examples: exceeding the simulation step limit (a zero-delay loop) or
     an out-of-range memory word select in a context we cannot x-out.
     """
-
-
-class AnalysisError(VerilogError):
-    """Raised by the strict netlist analysis gate for error findings.
-
-    Carries the structured finding coordinates so job-level failure
-    records (:class:`repro.eval.jobs.JobError`) report the machine code
-    and hierarchical path, not just the message: a combinational loop
-    becomes ``stage="analysis", code="comb-loop", path="dut.y"`` instead
-    of a simulator iteration-limit blowup minutes later.
-    """
-
-    def __init__(
-        self, message: str, line: int = 0, code: str = "", path: str = ""
-    ):
-        self.code = code
-        self.path = path
-        super().__init__(message, line)

@@ -38,7 +38,7 @@ from .elaborate import (
 )
 from .errors import SimulationError
 from .eval import case_arm, collect_reads, eval_const, eval_expr, eval_sized
-from .values import Vec, edge_kind
+from .values import MAX_WIDTH, Vec, edge_kind
 from .vcd import VcdRecorder
 
 
@@ -828,12 +828,19 @@ def render_value(value: Vec, conv: str) -> str:
     1364-2005 17.1.1.3): right-aligned to the width of the largest
     decimal value of ``value``'s width, its sign counted when signed,
     x and z results too.  A written width, ``%0d`` among them, leaves
-    the value unpadded.
+    the value unpadded.  A decimal conversion (``%d``, ``%t`` and any
+    other but ``%b``/``%h``/``%x``/``%o``/``%c``/``%s``) of a value
+    wider than :data:`~repro.verilog.values.MAX_WIDTH` bits raises
+    :class:`SimulationError`.
     """
     pad = conv == "d" or conv == "D"
     conv = conv[-1]
+    if value.width > MAX_WIDTH and conv.lower() not in "bhxocs":
+        raise SimulationError(
+            f"%{conv} of a {value.width}-bit value: decimal output is "
+            f"limited to {MAX_WIDTH} bits")
     if conv == "t":
-        return str(value.to_unsigned() or 0)
+        return _decimal(value.to_unsigned() or 0)
     conv = conv.lower()
     if conv == "b":
         return value.bits()
@@ -853,8 +860,29 @@ def render_value(value: Vec, conv: str) -> str:
     if value.bval:  # %d and any other conversion
         text = _unknown_digit(value.aval, value.bval, (1 << value.width) - 1)
     else:
-        text = str(value.to_int())
+        text = _decimal(value.to_int())
     return text.rjust(_decimal_width(value)) if pad else text
+
+
+#: the decimal digits :func:`_decimal` converts at a time, within the
+#: 4,300 that Python's ``str(int)`` converts by default
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(number: int) -> str:
+    """``str(number)`` for an int of any size: converted
+    :data:`_CHUNK_DIGITS` digits at a time, lowest first, by ``divmod``
+    by a power of ten, so the process-wide digit limit stays as it is."""
+    if -_CHUNK < number < _CHUNK:
+        return str(number)
+    sign, number = ("-", -number) if number < 0 else ("", number)
+    chunks = []
+    while number >= _CHUNK:
+        number, low = divmod(number, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(number))
+    return sign + "".join(reversed(chunks))
 
 
 _LOG10_2 = math.log10(2)

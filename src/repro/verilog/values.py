@@ -33,6 +33,10 @@ signed vectors, and LRM edge classification for ``posedge``/``negedge``.
 
 from __future__ import annotations
 
+#: the widest vector a design may use: IEEE 1364-2005 lets an
+#: implementation limit vector width, but to no fewer than 2**16 bits
+MAX_WIDTH = 1 << 16
+
 
 def _mask(width: int) -> int:
     return (1 << width) - 1

@@ -4,6 +4,8 @@ the RepairingBackend adapter, executor/shard/streaming parity, warm
 verdict-store chains, and the pass@k-vs-budget metrics."""
 
 
+from dataclasses import replace
+
 import pytest
 
 from repro.agentic import (
@@ -547,52 +549,42 @@ class TestAttemptStreaming:
 class TestStructuredJobErrors:
     def test_failure_classification(self):
         from repro.backends import BackendError
-        from repro.verilog.errors import (
-            ElaborationError,
-            ParseError,
-            SimulationError,
-        )
 
         cases = [
-            (BackendError("down"), "backend", 0),
-            (ParseError("bad token", line=7), "parse", 7),
-            (ElaborationError("unknown module", line=2), "elaborate", 2),
-            (SimulationError("step limit"), "sim", 0),
-            (RuntimeError("surprise"), "", 0),
+            (BackendError("down"), "backend"),
+            (RuntimeError("surprise"), ""),
+            (ValueError("bad config"), ""),
         ]
-        for exc, stage, line in cases:
+        for exc, stage in cases:
             failure = failure_from_exception(exc)
             assert failure.stage == stage
             assert failure.exception == type(exc).__name__
-            assert failure.line == line
             assert str(exc) in failure.message
 
-    def test_make_job_error_from_failure_and_string(self):
+    def test_make_job_error_from_failure(self):
         job = GenerationJob(
             model="m", base_model="m", fine_tuned=False, problem=1,
             level=PromptLevel.LOW, temperature=0.1, n=1, max_tokens=300,
         )
-        from repro.verilog.errors import ParseError
+        from repro.backends import BackendError
 
         structured = make_job_error(
-            job, failure_from_exception(ParseError("x", line=4)), attempts=2
+            job, failure_from_exception(BackendError("down")), attempts=2
         )
-        assert structured.stage == "parse"
-        assert structured.exception == "ParseError"
-        assert structured.line == 4
-        legacy = make_job_error(job, "BackendError: down", attempts=1)
-        assert legacy.stage == "" and legacy.exception == ""
+        assert structured.stage == "backend"
+        assert structured.exception == "BackendError"
+        assert structured.error == "BackendError: down"
+        assert structured.attempts == 2
 
     def test_error_codec_round_trip_is_lossless(self):
         job = GenerationJob(
             model="m", base_model="m", fine_tuned=False, problem=3,
             level=PromptLevel.HIGH, temperature=0.7, n=5, max_tokens=200,
         )
-        from repro.verilog.errors import ElaborationError
+        from repro.backends import BackendError
 
         error = make_job_error(
-            job, failure_from_exception(ElaborationError("boom", line=9)),
-            attempts=3,
+            job, failure_from_exception(BackendError("boom")), attempts=3,
         )
         assert error_from_dict(error_to_dict(error)) == error
 
@@ -601,27 +593,35 @@ class TestStructuredJobErrors:
             model="m", base_model="m", fine_tuned=False, problem=1,
             level=PromptLevel.LOW, temperature=0.1, n=1, max_tokens=300,
         )
-        row = error_to_dict(make_job_error(job, "old-style", attempts=1))
-        for key in ("stage", "exception", "line"):
-            row.pop(key)
-        decoded = error_from_dict(row)
-        assert decoded.error == "old-style"
-        assert decoded.stage == "" and decoded.line == 0
+        row = error_to_dict(make_job_error(
+            job, failure_from_exception(RuntimeError("old-style")),
+            attempts=1))
+        bare = dict(row)
+        for key in ("stage", "exception"):
+            bare.pop(key)
+        decoded = error_from_dict(bare)
+        assert decoded.error == "RuntimeError: old-style"
+        assert decoded.stage == "" and decoded.exception == ""
+        # rows written when job errors still carried Verilog fields
+        old = dict(row, stage="parse", line=5, code="comb-loop",
+                   path="dut.y")
+        assert error_from_dict(old) == replace(
+            error_from_dict(row), stage="parse")
 
     def test_failing_job_carries_stage_through_sweep(self):
-        class ParseBomb(LocalZooBackend):
+        class Down(LocalZooBackend):
             def generate(self, model, prompt, config):
-                from repro.verilog.errors import ParseError
+                from repro.backends import BackendError
 
-                raise ParseError("synthetic", line=5)
+                raise BackendError("synthetic")
 
-        backend = ParseBomb([make_model(MODEL)])
+        backend = Down([make_model(MODEL)])
         result = SweepExecutor(backend, evaluator=Evaluator()).run(
             SweepPlanner(backend).plan(SMALL)
         )
         assert result.errors
-        assert all(e.stage == "parse" and e.line == 5 for e in result.errors)
-        assert all(e.exception == "ParseError" for e in result.errors)
+        assert all(e.stage == "backend" for e in result.errors)
+        assert all(e.exception == "BackendError" for e in result.errors)
 
 
 # ----------------------------------------------------------------------

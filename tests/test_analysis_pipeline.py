@@ -13,9 +13,7 @@ from repro.eval import (
     render_analysis_report,
     targets_from_problems,
 )
-from repro.eval.export import error_from_dict, error_to_dict
-from repro.eval.jobs import GenerationJob, JobFailure, make_job_error
-from repro.problems import ALL_PROBLEMS, PromptLevel
+from repro.problems import ALL_PROBLEMS
 
 SIMPLE_WIRE = ALL_PROBLEMS[0]
 
@@ -60,22 +58,6 @@ class TestAnalysisGate:
             ungated.compiled, ungated.passed,
         )
         assert ungated.stage != "analysis"
-
-    def test_job_error_carries_code_and_path(self):
-        job = GenerationJob(
-            model="m", base_model="m", fine_tuned=False,
-            problem=SIMPLE_WIRE.number, level=PromptLevel.LOW,
-            temperature=0.1, n=1, max_tokens=100,
-        )
-        failure = JobFailure(
-            message="AnalysisError: combinational loop", stage="analysis",
-            exception="AnalysisError", line=3, code="comb-loop",
-            path="dut.loop",
-        )
-        error = make_job_error(job, failure, 1)
-        assert (error.stage, error.code, error.path) == (
-            "analysis", "comb-loop", "dut.loop")
-        assert error_from_dict(error_to_dict(error)) == error
 
 
 class TestEvaluationCodec:

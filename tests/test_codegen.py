@@ -20,7 +20,7 @@ from repro.eval.pipeline import Evaluator
 from repro.models import mutations
 from repro.obs.profile import SimProfiler, profile_frame
 from repro.problems import ALL_PROBLEMS, PromptLevel
-from repro.verilog import CompiledEngine, run_simulation
+from repro.verilog import CompiledEngine, codegen, run_simulation
 from repro.verilog.compile import compile_design
 
 
@@ -176,6 +176,38 @@ class TestEngine:
         if plan is not None:  # engine built: the disable process fell back
             assert plan["compiled"] < plan["processes"]
             assert any("Disable" in f["reason"] for f in plan["fallbacks"])
+
+    @pytest.mark.parametrize(
+        "problem", ALL_PROBLEMS[:6],
+        ids=[f"p{p.number:02d}" for p in ALL_PROBLEMS[:6]])
+    def test_a_raising_lowering_falls_back_for_that_process(
+            self, problem, monkeypatch):
+        """A process whose lowering raises runs on the interpreter; the
+        engine still builds, its plan names the exception, and the
+        verdict is the interpreter's."""
+        lower = codegen._ProcessCompiler.compile_process
+
+        def raise_on_first_dut_process(compiler, spec):
+            first = next(process for process in compiler.design.processes
+                         if process.scope.path == "dut")
+            if spec is first:
+                raise RuntimeError("lowering failed")
+            return lower(compiler, spec)
+
+        monkeypatch.setattr(codegen._ProcessCompiler, "compile_process",
+                            raise_on_first_dut_process)
+        source = problem.bench_source(problem.canonical_body)
+        engine = _engine_for(source)
+        fallbacks = engine.plan()["fallbacks"]
+        assert [f["reason"] for f in fallbacks] == [
+            "RuntimeError: lowering failed"]
+        assert engine.compiled_count == len(engine.design.processes) - 1
+        report = assert_parity(source, top="tb")
+        assert report.sim_engine["fallbacks"] == fallbacks
+        for body in [problem.canonical_body] + [
+                variant.body for variant in problem.wrong_variants[:2]]:
+            assert Evaluator(compile_sim=True).evaluate(problem, body) == \
+                Evaluator(compile_sim=False).evaluate(problem, body)
 
     def test_x_heavy_design_parity(self):
         source = (

@@ -16,6 +16,8 @@ tests cannot see it; these tests check expected text instead:
   not, on both engines, with and without analysis;
 * one table of format strings and their expected output, run on both
   engines through ``$display``, ``$write``, ``$error`` and ``$monitor``;
+* a decimal conversion prints a value past Python's ``str(int)`` digit
+  limit in full, and is a ``sim``-stage error past ``MAX_WIDTH`` bits;
 * a sized position that reads a reg still makes its process fall back
   to the interpreter in the compiled engine, with the interpreter's
   output.
@@ -29,7 +31,7 @@ from repro.eval.pipeline import Evaluator
 from repro.problems import get_problem
 from repro.verilog import run_simulation
 from repro.verilog.compile import compile_design
-from repro.verilog.values import Vec, clog2
+from repro.verilog.values import MAX_WIDTH, Vec, clog2
 
 ENGINES = pytest.mark.parametrize(
     "compile_sim", [False, True], ids=["interpreter", "compiled"]
@@ -278,6 +280,49 @@ class TestFormatGrammar:
         )
         _, sim = simulate(source, compile_sim)
         assert sim.output == ["1789648770", "-169273095 160001540 %d"]
+
+
+    @ENGINES
+    def test_a_decimal_past_the_str_int_digit_limit_prints_in_full(
+            self, compile_sim):
+        """6,001-digit values, past the 4,300 digits Python's ``str``
+        converts by default, in every decimal conversion."""
+        source = (
+            "module tb;\n"
+            "  reg [20000:0] r;\n"
+            "  reg signed [20000:0] s;\n"
+            "  initial begin\n"
+            "    r = 10 ** 6000;\n"
+            "    s = -r;\n"
+            "    $display(\"%0d\", r);\n"
+            "    $display(\"%0d\", s);\n"
+            "    $display(\"%0t\", r - 1);\n"
+            "    $display(\"%d\", r - 1);\n"
+            "  end\n"
+            "endmodule\n"
+        )
+        _, sim = simulate(source, compile_sim)
+        assert sim.output == [
+            "1" + "0" * 6000, "-1" + "0" * 6000, "9" * 6000,
+            ("9" * 6000).rjust(6021),
+        ]
+
+    @ENGINES
+    @pytest.mark.parametrize("conv", ["%d", "%0t", "%u"])
+    def test_a_decimal_wider_than_max_width_is_a_sim_error(
+            self, conv, compile_sim):
+        source = (
+            "module tb;\n"
+            f"  reg [{MAX_WIDTH}:0] r;\n"
+            f"  initial begin r = 1; $display(\"{conv}\", r); end\n"
+            "endmodule\n"
+        )
+        report, sim = run_simulation(source, top="tb",
+                                     compile_sim=compile_sim)
+        assert sim is None and report.stage == "sim"
+        assert report.errors == [
+            f"runtime: %{conv[-1]} of a {MAX_WIDTH + 1}-bit value: decimal "
+            f"output is limited to {MAX_WIDTH} bits"]
 
 
 # ----------------------------------------------------------------------

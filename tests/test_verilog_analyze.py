@@ -4,10 +4,9 @@ import pytest
 
 from repro.problems import ALL_PROBLEMS
 from repro.verilog import (
-    AnalysisError,
     Finding,
+    analyze_design,
     analyze_source,
-    check_design,
     compile_design,
     error_findings,
     finding_from_dict,
@@ -247,7 +246,7 @@ class TestEntryPoints:
         report, findings = analyze_source("module m(; endmodule")
         assert not report.ok and findings == []
 
-    def test_check_design_raises_on_error(self):
+    def test_error_findings_carry_code_and_path(self):
         report = compile_design("""
         module m(input a, output y);
           wire b;
@@ -256,10 +255,9 @@ class TestEntryPoints:
         endmodule
         """)
         assert report.ok
-        with pytest.raises(AnalysisError) as info:
-            check_design(report.design, report.unit)
-        assert info.value.code == "comb-loop"
-        assert info.value.path
+        gate = error_findings(analyze_design(report.design, report.unit))
+        assert gate and gate[0].code == "comb-loop"
+        assert gate[0].path
 
 
 class TestGoldenReferences:
