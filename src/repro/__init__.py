@@ -21,17 +21,24 @@ Subpackages:
   server, shard planner/merger, process-pool executor;
 * :mod:`repro.api` — the stable service facade (:class:`Session`);
 * :mod:`repro.core` — the end-to-end pipeline facade.
+
+This facade and those of ``verilog``, ``corpus``, ``tokenizer``,
+``models``, ``eval``, ``backends`` and ``obs`` are lazy
+(:mod:`repro._lazy`): a re-exported name such as ``repro.Session``
+imports its submodule on first use, so ``import repro.api`` loads the
+sweep path (compile → simulate → verdict, the zoo, jobs, the store) and
+nothing else.  Modules a sweep runs import what they need at module
+level, so no module loads inside a timed sweep; code no sweep runs
+(numpy, the trainable models, the corpus pipeline, reporting) loads
+only when used.
 """
 
-from .api import Session
-from .core import VGenConfig, VGenPipeline, VGenResult
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Session",
-    "VGenConfig",
-    "VGenPipeline",
-    "VGenResult",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".api": ("Session",),
+    ".core": ("VGenConfig", "VGenPipeline", "VGenResult"),
+})
+__all__.append("__version__")

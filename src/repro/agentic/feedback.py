@@ -15,6 +15,8 @@ from __future__ import annotations
 from ..eval.pipeline import CompletionEvaluation
 from ..models.base import REPAIR_FEEDBACK_MARKER
 from ..problems import Problem, PromptLevel
+from ..verilog.lint import lint_source_unit
+from ..verilog.parser import parse
 
 _STAGE_HEADLINES = {
     "parse": "the previous completion has a syntax error",
@@ -39,8 +41,6 @@ def lint_findings(
     linter itself trips — feedback quality degrades gracefully instead
     of failing the repair round.
     """
-    from ..verilog import lint_source_unit, parse
-
     try:
         unit = parse(problem.full_source(completion, level))
         warnings = lint_source_unit(unit)

@@ -39,6 +39,7 @@ from .eval.jobs import (
 from .eval.pipeline import Evaluator
 from .eval.store import resolve_store
 from .models.base import Completion, GenerationConfig
+from .obs import REGISTRY
 
 EXECUTORS = ("thread", "process")
 
@@ -450,8 +451,6 @@ class Session:
         same rows ``GET /metrics`` serves (stage timings, job latency,
         cache hit counters accumulate across everything this process
         ran, not just this session)."""
-        from .obs import REGISTRY
-
         return REGISTRY.snapshot()
 
     def __repr__(self) -> str:

@@ -16,26 +16,50 @@ Built-in registrations:
   adapter with an injectable transport;
 * ``"service"`` — :class:`~repro.service.client.ServiceBackend`, the
   client of the distributed eval service (``url=...`` points it at a
-  server; the import is lazy to keep the package layering acyclic).
+  server).
+
+The facade is lazy (:mod:`repro._lazy`): the registry and the local zoo
+load with it; ``http``, ``stub`` and ``service`` are registered as
+factories that import their module when a backend is created.
 """
 
-from .base import (
-    Backend,
-    BackendError,
-    ModelCapabilities,
-    available_backends,
-    create_backend,
-    register_backend,
-    resolve_backend,
-)
-from .http import (
-    HTTPChatBackend,
-    SYSTEM_PROMPT,
-    clean_chat_response,
-    extract_chat_text,
-)
+from .._lazy import lazy_exports
+from ..models.zoo import repairable_model_variants
+from .base import register_backend
 from .local import LocalZooBackend
-from .stub import DEFAULT_STUB_TEXT, StubBackend
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".base": (
+        "Backend",
+        "BackendError",
+        "ModelCapabilities",
+        "available_backends",
+        "create_backend",
+        "register_backend",
+        "resolve_backend",
+    ),
+    ".http": (
+        "HTTPChatBackend",
+        "SYSTEM_PROMPT",
+        "clean_chat_response",
+        "extract_chat_text",
+    ),
+    ".local": ("LocalZooBackend",),
+    ".stub": ("DEFAULT_STUB_TEXT", "StubBackend"),
+})
+
+
+def _http_backend(**kwargs):
+    from .http import HTTPChatBackend
+
+    return HTTPChatBackend(**kwargs)
+
+
+def _stub_backend(**kwargs):
+    from .stub import StubBackend
+
+    return StubBackend(**kwargs)
+
 
 def _service_backend(**kwargs):
     from ..service.client import ServiceBackend
@@ -44,8 +68,6 @@ def _service_backend(**kwargs):
 
 
 def _zoo_repair_backend(repair_rate: float = 0.5, seed: int = 0):
-    from ..models.zoo import repairable_model_variants
-
     backend = LocalZooBackend(
         repairable_model_variants(repair_rate=repair_rate, seed=seed)
     )
@@ -55,26 +77,9 @@ def _zoo_repair_backend(repair_rate: float = 0.5, seed: int = 0):
 
 register_backend("zoo", LocalZooBackend)
 register_backend("zoo-repair", _zoo_repair_backend)
-register_backend("stub", StubBackend)
+register_backend("stub", _stub_backend)
 register_backend(
-    "stub-canonical", lambda **kw: StubBackend(canonical=True, **kw)
+    "stub-canonical", lambda **kw: _stub_backend(canonical=True, **kw)
 )
-register_backend("http", HTTPChatBackend)
+register_backend("http", _http_backend)
 register_backend("service", _service_backend)
-
-__all__ = [
-    "Backend",
-    "BackendError",
-    "DEFAULT_STUB_TEXT",
-    "HTTPChatBackend",
-    "LocalZooBackend",
-    "ModelCapabilities",
-    "StubBackend",
-    "SYSTEM_PROMPT",
-    "available_backends",
-    "clean_chat_response",
-    "create_backend",
-    "extract_chat_text",
-    "register_backend",
-    "resolve_backend",
-]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..models.base import Completion, GenerationConfig, RecordedQuery
+from ..models.zoo import match_prompt_to_problem
 from .base import Backend, BackendError, ModelCapabilities
 
 DEFAULT_STUB_TEXT = "endmodule"  # empty body: compiles everywhere, passes nowhere
@@ -47,8 +48,6 @@ class StubBackend(Backend):
             )
         texts = self.completions
         if self.canonical:
-            from ..models.zoo import match_prompt_to_problem
-
             matched = match_prompt_to_problem(prompt)
             if matched is not None:
                 texts = (matched[0].canonical_body,)

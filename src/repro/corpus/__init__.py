@@ -3,54 +3,37 @@
 Reproduces paper Sec. III-A: a GitHub leg (BigQuery-style query, MinHash/
 Jaccard de-duplication, module-pair and size filters) and a textbook leg
 (cleaning, snippet validation, sliding-window examples).
+
+The facade is lazy (:mod:`repro._lazy`): the zoo's prompt matcher
+imports :mod:`~repro.corpus.filters` alone, and the pipeline loads only
+when one of its names is used.
 """
 
-from .documents import Corpus, SourceFile
-from .filters import MAX_FILE_CHARS, apply_filters, has_module_pair, strip_comments
-from .github import Repository, SyntheticGitHub, bigquery_verilog_query
-from .minhash import MinHasher, deduplicate, estimate_jaccard, exact_jaccard, shingles
-from .pipeline import (
-    CorpusConfig,
-    TrainingCorpus,
-    build_combined_corpus,
-    build_corpus,
-    build_github_corpus,
-)
-from .textbook import (
-    Textbook,
-    clean_textbook,
-    extract_snippets,
-    generate_library,
-    generate_textbook,
-    sliding_windows,
-    textbook_examples,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Corpus",
-    "CorpusConfig",
-    "MAX_FILE_CHARS",
-    "MinHasher",
-    "Repository",
-    "SourceFile",
-    "SyntheticGitHub",
-    "Textbook",
-    "TrainingCorpus",
-    "apply_filters",
-    "bigquery_verilog_query",
-    "build_combined_corpus",
-    "build_corpus",
-    "build_github_corpus",
-    "clean_textbook",
-    "deduplicate",
-    "estimate_jaccard",
-    "exact_jaccard",
-    "extract_snippets",
-    "generate_library",
-    "generate_textbook",
-    "has_module_pair",
-    "shingles",
-    "sliding_windows",
-    "strip_comments",
-    "textbook_examples",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".documents": ("Corpus", "SourceFile"),
+    ".filters": (
+        "MAX_FILE_CHARS", "apply_filters", "has_module_pair",
+        "strip_comments"),
+    ".github": ("Repository", "SyntheticGitHub", "bigquery_verilog_query"),
+    ".minhash": (
+        "MinHasher", "deduplicate", "estimate_jaccard", "exact_jaccard",
+        "shingles"),
+    ".pipeline": (
+        "CorpusConfig",
+        "TrainingCorpus",
+        "build_combined_corpus",
+        "build_corpus",
+        "build_github_corpus",
+    ),
+    ".textbook": (
+        "Textbook",
+        "clean_textbook",
+        "extract_snippets",
+        "generate_library",
+        "generate_textbook",
+        "sliding_windows",
+        "textbook_examples",
+    ),
+})

@@ -24,6 +24,8 @@ import json
 from ..problems import Difficulty, PromptLevel
 from ..verilog import finding_from_dict, finding_to_dict
 from .harness import CompletionRecord, Sweep, SweepConfig
+from .jobs import GenerationJob, JobError, SkippedJob, SweepResult
+from .pipeline import CompletionEvaluation
 
 _LEVEL_BY_VALUE = {str(level): level for level in PromptLevel}
 _DIFFICULTY_BY_VALUE = {str(d): d for d in Difficulty}
@@ -124,8 +126,6 @@ def job_to_dict(job) -> dict:
 
 
 def job_from_dict(row: dict):
-    from .jobs import GenerationJob
-
     return GenerationJob(
         model=row["model"],
         base_model=row["base_model"],
@@ -150,8 +150,6 @@ def skip_to_dict(skip) -> dict:
 
 
 def skip_from_dict(row: dict):
-    from .jobs import SkippedJob
-
     return SkippedJob(
         model=row["model"],
         problem=int(row["problem"]),
@@ -175,8 +173,6 @@ def error_to_dict(error) -> dict:
 
 
 def error_from_dict(row: dict):
-    from .jobs import JobError
-
     return JobError(
         job=job_from_dict(row["job"]),
         error=row["error"],
@@ -245,8 +241,6 @@ def evaluation_to_dict(evaluation) -> dict:
 
 
 def evaluation_from_dict(row: dict):
-    from .pipeline import CompletionEvaluation
-
     return CompletionEvaluation(
         compiled=bool(row["compiled"]),
         passed=bool(row["passed"]),
@@ -385,8 +379,6 @@ def sweep_result_to_dict(result) -> dict:
 def sweep_result_from_dict(row: dict):
     """Rebuild :func:`sweep_result_to_dict` output; ``ValueError`` when
     its records are not job runs (an old per-record row list)."""
-    from .jobs import SweepResult
-
     return SweepResult(
         sweep=Sweep(records=_records_from_runs(row["records"])),
         skipped=[skip_from_dict(s) for s in row.get("skipped", [])],

@@ -1,79 +1,51 @@
-"""LLM substrate: trainable LMs, sampling, and the calibrated model zoo."""
+"""LLM substrate: trainable LMs, sampling, and the calibrated model zoo.
 
-from .base import (
-    Completion,
-    GenerationConfig,
-    LanguageModel,
-    MODEL_SPECS,
-    MODEL_TABLE,
-    ModelSpec,
-    stable_hash,
-)
-from .calibration import (
-    COMPILE_RATES,
-    COMPLETIONS_PER_PROMPT,
-    FUNCTIONAL_RATES,
-    INFERENCE_SECONDS,
-    PROBLEM_HARDNESS,
-    TEMPERATURES,
-    RatePoint,
-    resolve_rates,
-    temperature_factor,
-)
-from .finetune import (
-    FineTuneReport,
-    finetune_ngram,
-    finetune_transformer,
-    finetune_zoo_model,
-    train_tokenizer,
-)
-from .mutations import SYNTAX_MUTATORS, break_syntax, cosmetic_variant
-from .ngram import NGramModel
-from .sampling import apply_temperature, nucleus_filter, sample_token, softmax
-from .transformer import TransformerConfig, TransformerLM
-from .zoo import (
-    SimulatedLLM,
-    make_model,
-    match_prompt_to_problem,
-    paper_model_variants,
-    repairable_model_variants,
-)
+The facade is lazy (:mod:`repro._lazy`): the zoo and its calibration
+load with the backends that serve them, while the trainable models
+(n-gram, transformer, fine-tuning, sampling) and numpy load only when
+one of their names is used.
+"""
 
-__all__ = [
-    "COMPILE_RATES",
-    "COMPLETIONS_PER_PROMPT",
-    "Completion",
-    "FUNCTIONAL_RATES",
-    "FineTuneReport",
-    "GenerationConfig",
-    "INFERENCE_SECONDS",
-    "LanguageModel",
-    "MODEL_SPECS",
-    "MODEL_TABLE",
-    "ModelSpec",
-    "NGramModel",
-    "PROBLEM_HARDNESS",
-    "RatePoint",
-    "SYNTAX_MUTATORS",
-    "SimulatedLLM",
-    "TEMPERATURES",
-    "TransformerConfig",
-    "TransformerLM",
-    "apply_temperature",
-    "break_syntax",
-    "cosmetic_variant",
-    "finetune_ngram",
-    "finetune_transformer",
-    "finetune_zoo_model",
-    "make_model",
-    "match_prompt_to_problem",
-    "nucleus_filter",
-    "paper_model_variants",
-    "repairable_model_variants",
-    "resolve_rates",
-    "sample_token",
-    "softmax",
-    "stable_hash",
-    "temperature_factor",
-    "train_tokenizer",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".base": (
+        "Completion",
+        "GenerationConfig",
+        "LanguageModel",
+        "MODEL_SPECS",
+        "MODEL_TABLE",
+        "ModelSpec",
+        "stable_hash",
+    ),
+    ".calibration": (
+        "COMPILE_RATES",
+        "COMPLETIONS_PER_PROMPT",
+        "FUNCTIONAL_RATES",
+        "INFERENCE_SECONDS",
+        "PROBLEM_HARDNESS",
+        "TEMPERATURES",
+        "RatePoint",
+        "resolve_rates",
+        "temperature_factor",
+    ),
+    ".finetune": (
+        "FineTuneReport",
+        "finetune_ngram",
+        "finetune_transformer",
+        "finetune_zoo_model",
+        "train_tokenizer",
+    ),
+    ".mutations": ("SYNTAX_MUTATORS", "break_syntax", "cosmetic_variant"),
+    ".ngram": ("NGramModel",),
+    ".sampling": (
+        "apply_temperature", "nucleus_filter", "sample_token", "softmax"),
+    ".transformer": ("TransformerConfig", "TransformerLM"),
+    ".zoo": (
+        "SimulatedLLM",
+        "make_model",
+        "match_prompt_to_problem",
+        "paper_model_variants",
+        "repairable_model_variants",
+    ),
+})

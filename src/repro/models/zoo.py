@@ -24,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
+from ..corpus.filters import strip_comments
 from ..problems import ALL_PROBLEMS, Problem, PromptLevel, problems_by_difficulty
 from .base import (
     Completion,
@@ -34,7 +35,7 @@ from .base import (
     REPAIR_FEEDBACK_MARKER,
     stable_hash,
 )
-from .calibration import RatePoint, resolve_rates
+from .calibration import INFERENCE_SECONDS, RatePoint, resolve_rates
 from .mutations import break_syntax, broken_completion, cosmetic_variant
 
 _MODULE_HEADER_RE = re.compile(r"\bmodule\s+([A-Za-z_][\w$]*)")
@@ -44,8 +45,6 @@ _PROBLEM_BY_MODULE = {p.module_name: p for p in ALL_PROBLEMS}
 
 def match_prompt_to_problem(prompt: str) -> tuple[Problem, PromptLevel] | None:
     """Identify the benchmark problem (and detail level) of a prompt."""
-    from ..corpus.filters import strip_comments
-
     header = _MODULE_HEADER_RE.search(strip_comments(prompt))
     if header is None:
         return None
@@ -187,8 +186,6 @@ class SimulatedLLM(LanguageModel):
         body = random_module(rng)
         if not self.fine_tuned and rng.random() < 0.7:
             body = break_syntax(body, rng)
-        from .calibration import INFERENCE_SECONDS
-
         seconds = INFERENCE_SECONDS[(self.spec.name, self.fine_tuned)]
         return Completion(
             text=body,

@@ -31,56 +31,61 @@ Stage timers (parse/elaborate/sim/testbench per problem) are always on
 and feed the registry; spans cost nothing unless a sink is installed
 (:func:`tracing_active` is a single list check on the hot path), and
 the simulator profiler is off unless both enabled and traced.
+
+The facade is lazy (:mod:`repro._lazy`): the registry and the span
+layer load with it, because every sweep records into them; the
+telemetry hub, the dashboard and the trace summarizers load on first
+use.
 """
 
-from .collect import (
-    TelemetryHub,
-    TelemetryPusher,
-    render_fleet_prometheus,
-)
-from .dashboard import (
-    dashboard_html,
-    fetch_view,
-    render_dashboard,
-    run_top,
-)
-from .metrics import (
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    append_snapshot_lines,
-    get_registry,
-    render_prometheus,
-    reset_registry,
-)
-from .profile import (
-    SimProfiler,
-    disable_profiling,
-    enable_profiling,
-    maybe_sim_profiler,
-    profiling,
-    profiling_enabled,
-    record_profile,
-)
-from .stats import (
-    TraceFormatError,
-    expand_trace_paths,
-    load_trace,
-    render_hotspots,
-    render_stats,
-    summarize_traces,
-)
-from .trace import (
-    TraceWriter,
-    add_sink,
-    current_tags,
-    job_tags,
-    record_frame,
-    record_span,
-    remove_sink,
-    span,
-    tracing_active,
-)
+from .._lazy import lazy_exports
+from .metrics import REGISTRY
+from .trace import record_span, tracing_active
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".collect": (
+        "TelemetryHub", "TelemetryPusher", "render_fleet_prometheus"),
+    ".dashboard": (
+        "dashboard_html", "fetch_view", "render_dashboard", "run_top"),
+    ".metrics": (
+        "Histogram",
+        "MetricsRegistry",
+        "REGISTRY",
+        "append_snapshot_lines",
+        "get_registry",
+        "render_prometheus",
+        "reset_registry",
+    ),
+    ".profile": (
+        "SimProfiler",
+        "disable_profiling",
+        "enable_profiling",
+        "maybe_sim_profiler",
+        "profiling",
+        "profiling_enabled",
+        "record_profile",
+    ),
+    ".stats": (
+        "TraceFormatError",
+        "expand_trace_paths",
+        "load_trace",
+        "render_hotspots",
+        "render_stats",
+        "summarize_traces",
+    ),
+    ".trace": (
+        "TraceWriter",
+        "add_sink",
+        "current_tags",
+        "job_tags",
+        "record_frame",
+        "record_span",
+        "remove_sink",
+        "span",
+        "tracing_active",
+    ),
+})
+__all__ += ["STAGES", "observe_stage"]
 
 STAGES = ("generate", "parse", "elaborate", "analysis", "sim", "testbench",
           "engine")
@@ -101,44 +106,3 @@ def observe_stage(stage: str, seconds: float, **tags) -> None:
     if tracing_active():
         record_span(stage, seconds, **tags)
 
-
-__all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "STAGES",
-    "SimProfiler",
-    "TelemetryHub",
-    "TelemetryPusher",
-    "TraceFormatError",
-    "TraceWriter",
-    "add_sink",
-    "append_snapshot_lines",
-    "current_tags",
-    "dashboard_html",
-    "disable_profiling",
-    "enable_profiling",
-    "expand_trace_paths",
-    "fetch_view",
-    "get_registry",
-    "job_tags",
-    "load_trace",
-    "maybe_sim_profiler",
-    "observe_stage",
-    "profiling",
-    "profiling_enabled",
-    "record_frame",
-    "record_profile",
-    "record_span",
-    "remove_sink",
-    "render_dashboard",
-    "render_fleet_prometheus",
-    "render_hotspots",
-    "render_prometheus",
-    "render_stats",
-    "reset_registry",
-    "run_top",
-    "span",
-    "summarize_traces",
-    "tracing_active",
-]

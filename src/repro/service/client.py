@@ -50,7 +50,9 @@ from ..backends.base import Backend, BackendError, ModelCapabilities
 from ..eval.export import config_to_dict
 from ..eval.jobs import SweepResult
 from ..obs import REGISTRY
+from ..obs.collect import TelemetryPusher
 from .aio.events import assemble_stream_result, decode_stream
+from .sharding import shard_from_dict
 
 Transport = Callable[[str, str, "dict | None"], dict]
 
@@ -356,9 +358,8 @@ def run_worker(
         from ..api import Session
 
         session = Session()
+    # looked up per call: perfbench/tracing.py wraps the encoder
     from ..eval.export import sweep_result_to_dict
-    from ..obs.collect import TelemetryPusher
-    from .sharding import shard_from_dict
 
     worker_id = worker_id or default_worker_id()
     pusher = None

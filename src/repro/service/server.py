@@ -31,11 +31,11 @@ server-side.
 
 from __future__ import annotations
 
+from .. import __version__
 from ..backends.base import BackendError
 from ..models.base import GenerationConfig
 from ..obs import REGISTRY
 from ..obs.collect import TelemetryHub, render_fleet_prometheus
-from ..obs.dashboard import dashboard_html
 
 #: reserved body key: the HTTP server serves this raw instead of as JSON
 RAW_TEXT_KEY = "_raw_text"
@@ -96,8 +96,6 @@ class ServiceApp:
 
     # ------------------------------------------------------------------
     def _health(self, _payload: dict) -> dict:
-        from .. import __version__
-
         return {
             "status": "ok",
             "backend": self.session.backend.name,
@@ -135,6 +133,9 @@ class ServiceApp:
         return self.telemetry.ingest(payload)
 
     def _dashboard(self, _payload: dict) -> dict:
+        # off the sweep path: the page loads its module on first request
+        from ..obs.dashboard import dashboard_html
+
         return {
             RAW_TEXT_KEY: dashboard_html(),
             "content_type": "text/html; charset=utf-8",

@@ -10,81 +10,49 @@ Quick example::
 
     report, result = run_simulation(source_with_testbench, top="tb")
     assert report.ok and "PASS" in result.text
+
+The facade is lazy (:mod:`repro._lazy`): a name loads its submodule on
+first use, so ``import repro.verilog.parser`` loads the compiler's own
+modules and nothing of the evaluator, backends or models.  The evaluator
+imports the compile → simulate stack it runs at module level; the
+writer loads only when asked for.
 """
 
-from .analyze import (
-    FINDING_CODES,
-    Finding,
-    analyze_design,
-    analyze_source,
-    error_findings,
-    finding_from_dict,
-    finding_to_dict,
-    infer_top,
-)
-from .ast import SourceUnit
-from .compile import (
-    CompileReport,
-    check_syntax,
-    compile_design,
-    run_simulation,
-    simulate_unit,
-)
-from .elaborate import Design, Scope, Signal, elaborate
-from .errors import (
-    ElaborationError,
-    LexError,
-    ParseError,
-    SimulationError,
-    VerilogError,
-)
-from .lexer import Token, tokenize
-from .parser import parse
-from .lint import LintWarning, lint_module, lint_source_unit
-from .codegen import CompiledEngine
-from .sim import SimResult, Simulator, simulate
-from .values import Vec
-from .vcd import VcdRecorder
-from .writer import write_expr, write_module, write_source_unit, write_stmt
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompileReport",
-    "Design",
-    "ElaborationError",
-    "FINDING_CODES",
-    "Finding",
-    "LexError",
-    "LintWarning",
-    "ParseError",
-    "Scope",
-    "SimResult",
-    "SimulationError",
-    "SourceUnit",
-    "Signal",
-    "Simulator",
-    "Token",
-    "Vec",
-    "VcdRecorder",
-    "VerilogError",
-    "analyze_design",
-    "analyze_source",
-    "check_syntax",
-    "compile_design",
-    "elaborate",
-    "error_findings",
-    "finding_from_dict",
-    "finding_to_dict",
-    "infer_top",
-    "parse",
-    "CompiledEngine",
-    "run_simulation",
-    "simulate_unit",
-    "lint_module",
-    "lint_source_unit",
-    "simulate",
-    "tokenize",
-    "write_expr",
-    "write_module",
-    "write_source_unit",
-    "write_stmt",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".analyze": (
+        "FINDING_CODES",
+        "Finding",
+        "analyze_design",
+        "analyze_source",
+        "error_findings",
+        "finding_from_dict",
+        "finding_to_dict",
+        "infer_top",
+    ),
+    ".ast": ("SourceUnit",),
+    ".compile": (
+        "CompileReport",
+        "check_syntax",
+        "compile_design",
+        "run_simulation",
+        "simulate_unit",
+    ),
+    ".elaborate": ("Design", "Scope", "Signal", "elaborate"),
+    ".errors": (
+        "ElaborationError",
+        "LexError",
+        "ParseError",
+        "SimulationError",
+        "VerilogError",
+    ),
+    ".lexer": ("Token", "tokenize"),
+    ".parser": ("parse",),
+    ".lint": ("LintWarning", "lint_module", "lint_source_unit"),
+    ".codegen": ("CompiledEngine",),
+    ".sim": ("SimResult", "Simulator", "simulate"),
+    ".values": ("Vec",),
+    ".vcd": ("VcdRecorder",),
+    ".writer": ("write_expr", "write_module", "write_source_unit", "write_stmt"),
+})

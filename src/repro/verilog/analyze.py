@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
+from .compile import _elaborate_unit, check_syntax
 from .elaborate import Design, ProcessSpec, Scope, Signal, lvalue_width
 from .errors import VerilogError
 from .eval import (
@@ -1046,8 +1047,6 @@ def analyze_source(source: str, top: str | None = None):
     Findings are empty when the design does not compile — the compile
     report's own stage/errors cover that case.
     """
-    from .compile import _elaborate_unit, check_syntax
-
     syntax = check_syntax(source)
     if not syntax.ok:
         return syntax, []

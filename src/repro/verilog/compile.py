@@ -35,6 +35,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+# CompiledEngine is looked up per call: perfbench/tracing.py wraps it
+from . import codegen
 from .ast import SourceUnit
 from .elaborate import BenchTemplate, Design, elaborate
 from .errors import VerilogError
@@ -211,10 +213,8 @@ def simulate_unit(
         assert report.design is not None
         engine = None
         if compile_sim:
-            from .codegen import CompiledEngine
-
             started = time.perf_counter()
-            engine = CompiledEngine(
+            engine = codegen.CompiledEngine(
                 report.design,
                 base=bench.engine if bench is not None else None,
             )
@@ -268,9 +268,7 @@ def prepare_bench(
     finally:
         report.elaborate_seconds = time.perf_counter() - started
     if compile_sim:
-        from .codegen import CompiledEngine
-
         started = time.perf_counter()
-        bench.engine = CompiledEngine(bench.design)
+        bench.engine = codegen.CompiledEngine(bench.design)
         report.engine_seconds = time.perf_counter() - started
     return report, bench

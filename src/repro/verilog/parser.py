@@ -86,10 +86,6 @@ class Parser:
     def current(self) -> Token:
         return self.tokens[self.pos]
 
-    def _peek(self, offset: int = 1) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
         if token.kind != "EOF":
