@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .backends import Backend, resolve_backend
-from .eval.harness import Sweep, SweepConfig
+from .eval.harness import EXECUTORS, Sweep, SweepConfig
 from .eval.jobs import (
     Executor,
     ProgressCallback,
@@ -40,8 +40,6 @@ from .eval.pipeline import Evaluator
 from .eval.store import resolve_store
 from .models.base import Completion, GenerationConfig
 from .obs import REGISTRY
-
-EXECUTORS = ("thread", "process")
 
 
 class Session:

@@ -946,7 +946,7 @@ def _positive_float(text: str) -> float:
 
 
 def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
-    from .api import EXECUTORS
+    from .eval.harness import EXECUTORS
 
     parser.add_argument(
         "--executor", choices=EXECUTORS, default="thread",

@@ -19,6 +19,11 @@ from ..models.calibration import TEMPERATURES
 from ..problems import ALL_PROBLEMS, Difficulty, Problem, PromptLevel
 from .metrics import mean, pass_fraction
 
+#: the executors a sweep can run on (``Session(executor=...)`` and the
+#: CLI's ``--executor``); defined here so the CLI parser names them
+#: without importing the sweep stack
+EXECUTORS = ("thread", "process")
+
 
 @dataclass(frozen=True, slots=True)
 class CompletionRecord:

@@ -19,9 +19,12 @@ otherwise serialize.  The job-level helpers (:func:`evaluate_job`,
 :func:`run_job_with_retry`) are module-level functions so process
 workers can share them with the thread pool.
 
-Job expansion and result assembly both follow the legacy loop's nesting
-order, so a parallel run produces byte-identical record lists to the old
-serial harness (the acceptance parity check).
+Job expansion follows the legacy loop's nesting order, and
+:func:`assemble_result` is the one builder of a :class:`SweepResult`:
+the thread and process executors, the shard merge, the coordinator and
+the streamed sweep all hand it outcomes keyed by plan position, so a
+parallel, sharded or streamed run produces byte-identical record lists
+to a serial one (the acceptance parity check).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..backends.base import Backend, BackendError
 from ..models.base import GenerationConfig
@@ -109,7 +112,7 @@ class JobFailure:
     """Structured failure payload carried inside a :data:`JobOutcome`.
 
     Executors build one via :func:`failure_from_exception`, so
-    :func:`assemble_result` can populate the structured
+    :func:`executor_result` can populate the structured
     :class:`JobError` fields.
     """
 
@@ -424,29 +427,53 @@ def _timed_failure(
 
 
 def assemble_result(
-    plan: SweepPlan, outcomes: Sequence[JobOutcome], stats: dict
+    jobs: Mapping[int, "list[CompletionRecord] | JobError"],
+    skipped: Mapping[int, SkippedJob],
+    stats: dict,
 ) -> SweepResult:
-    """Zip plan-ordered outcomes back into a :class:`SweepResult`."""
+    """Build a :class:`SweepResult` from outcomes keyed by plan position.
+
+    ``jobs`` maps job positions to records or a :class:`JobError`,
+    ``skipped`` skip positions to skips; both must run gap-free from 0
+    (``ValueError`` otherwise).  Records, errors and skips come out in
+    plan order, and ``stats`` gains the counts ``jobs``,
+    ``jobs_failed``, ``jobs_skipped`` and ``records``.
+    """
+    for name, slots in (("job", jobs), ("skip", skipped)):
+        if set(slots) != set(range(len(slots))):
+            missing = set(range(max(slots) + 1)) - set(slots)
+            raise ValueError(
+                f"incomplete result: {name} positions {sorted(missing)} "
+                f"missing (positions must run gap-free from 0)"
+            )
     sweep = Sweep()
     errors: list[JobError] = []
-    attempts_total = 0
-    for job, (records, failure, attempts) in zip(plan.jobs, outcomes):
-        attempts_total += attempts
-        if failure is not None:
-            errors.append(make_job_error(job, failure, attempts))
+    for index in range(len(jobs)):
+        outcome = jobs[index]
+        if isinstance(outcome, JobError):
+            errors.append(outcome)
         else:
-            sweep.extend(records)
+            sweep.extend(outcome)
     stats = dict(stats)
-    stats.update(
-        jobs=len(plan.jobs),
-        jobs_failed=len(errors),
-        jobs_skipped=len(plan.skipped),
-        records=len(sweep),
-        attempts=attempts_total,
-    )
-    return SweepResult(
-        sweep=sweep, skipped=list(plan.skipped), errors=errors, stats=stats
-    )
+    stats.update(jobs=len(jobs), jobs_failed=len(errors),
+                 jobs_skipped=len(skipped), records=len(sweep))
+    skips = [skipped[index] for index in range(len(skipped))]
+    return SweepResult(sweep=sweep, skipped=skips, errors=errors, stats=stats)
+
+
+def executor_result(
+    plan: SweepPlan, outcomes: Sequence[JobOutcome], stats: dict
+) -> SweepResult:
+    """Plan-ordered executor outcomes through :func:`assemble_result`,
+    plus the ``attempts`` total the executors report."""
+    result = assemble_result({
+        index: records if failure is None
+        else make_job_error(job, failure, attempts)
+        for index, (job, (records, failure, attempts))
+        in enumerate(zip(plan.jobs, outcomes))
+    }, dict(enumerate(plan.skipped)), stats)
+    result.stats["attempts"] = sum(outcome[2] for outcome in outcomes)
+    return result
 
 
 class Executor(abc.ABC):
@@ -527,7 +554,7 @@ class SweepExecutor(Executor):
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 outcomes = list(pool.map(attempt, range(total), plan.jobs))
 
-        return assemble_result(
+        return executor_result(
             plan,
             outcomes,
             stats={

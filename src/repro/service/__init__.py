@@ -13,7 +13,8 @@ The subsystem that takes the job-based sweep stack of
 * :mod:`repro.service.sharding` — :class:`ShardPlanner` /
   :func:`job_ranges` / :func:`merge_shard_results`: partition a plan
   across machines (strided shards or contiguous job ranges) and
-  recombine results record-for-record identical to a serial run;
+  recombine results record-for-record identical to a serial run; its
+  one partition check and one unit fill also serve the coordinator;
 * :mod:`repro.service.coordinator` — :class:`ShardCoordinator`: lease
   the units of one partition to pull-based workers (``/shard/next`` → ``/shard/result``)
   and merge results as they stream in, no index bookkeeping required;
@@ -27,6 +28,10 @@ The subsystem that takes the job-based sweep stack of
   routes plus the NDJSON streaming route ``POST /sweep/stream``, the
   one route that runs a whole sweep server-side, on the thread
   :class:`~repro.eval.jobs.SweepExecutor`) and the event-frame codec.
+
+Every result these pieces produce — merged, coordinated or streamed —
+is built by :func:`repro.eval.jobs.assemble_result`, as a serial run's
+is, so plan order and completeness are decided in one place.
 """
 
 from .aio import (
@@ -52,7 +57,6 @@ from .server import ServiceApp
 from .sharding import (
     PlanShard,
     ShardPlanner,
-    assemble_slots,
     job_ranges,
     load_shard_manifest,
     load_shard_result,
@@ -80,7 +84,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardPlanner",
     "Transport",
-    "assemble_slots",
     "default_worker_id",
     "http_transport",
     "in_process_transport",

@@ -24,9 +24,11 @@ streams still parse.
 The payload fields reuse the :mod:`repro.eval.export` codecs (the same
 lossless record/skip/error schema the shard service ships), and every
 ``record``/``job_error`` frame carries the job's *global plan index*, so
-:func:`assemble_stream_result` can reassemble an out-of-order concurrent
-stream into a :class:`~repro.eval.jobs.SweepResult` whose records are
-byte-identical (via export) to a serial run of the same plan.
+:func:`assemble_stream_result` can hand an out-of-order concurrent
+stream to :func:`~repro.eval.jobs.assemble_result`, the one assembler
+every sweep ends in, and get a :class:`~repro.eval.jobs.SweepResult`
+whose records are byte-identical (via export) to a serial run of the
+same plan.
 
 Anything that is not one well-formed frame per line — broken JSON, a
 known event missing required fields, a stream that ends without its
@@ -54,7 +56,6 @@ from ...eval.export import (
     skip_from_dict,
     skip_to_dict,
 )
-from ...eval.harness import Sweep
 from ...eval.jobs import (
     GenerationJob,
     JobError,
@@ -62,6 +63,7 @@ from ...eval.jobs import (
     SweepExecutor,
     SweepPlan,
     SweepResult,
+    assemble_result,
     make_job_error,
 )
 from ...obs import REGISTRY
@@ -290,12 +292,13 @@ def assemble_stream_result(frames: Iterable[dict]) -> SweepResult:
     """Rebuild a SweepResult from a complete sweep event stream.
 
     Frames may arrive with jobs interleaved in any order (the executor
-    runs them concurrently); reassembly orders outcomes by the global
-    ``job_index`` each frame carries, exactly like the shard merge, so
-    the result matches a serial run record-for-record.  The stream must
-    end with a ``done`` frame whose counts agree with the frames seen —
-    a cut or lossy stream raises :class:`StreamProtocolError` instead of
-    silently returning a partial result.
+    runs them concurrently); every outcome carries its global
+    ``job_index``, so :func:`~repro.eval.jobs.assemble_result` orders
+    them exactly as it does a serial run or a shard merge.  What is
+    checked here is the protocol: the stream ends with a ``done`` frame,
+    each job has at most one outcome, and the counts equal the ``done``
+    frame's — a cut or lossy stream raises :class:`StreamProtocolError`
+    instead of silently returning a partial result.
     """
     job_records: dict[int, list] = {}
     job_errors: dict[int, JobError] = {}
@@ -308,9 +311,12 @@ def assemble_stream_result(frames: Iterable[dict]) -> SweepResult:
                 record_from_dict(frame["record"])
             )
         elif event == "job_error":
-            job_errors[int(frame["job_index"])] = error_from_dict(
-                frame["error"]
-            )
+            index = int(frame["job_index"])
+            if index in job_errors:
+                raise StreamProtocolError(
+                    f"job index {index} carries two errors"
+                )
+            job_errors[index] = error_from_dict(frame["error"])
         elif event == "skip":
             skips[int(frame["skip_index"])] = skip_from_dict(frame["skip"])
         elif event == "done":
@@ -321,33 +327,22 @@ def assemble_stream_result(frames: Iterable[dict]) -> SweepResult:
         raise StreamProtocolError(
             "stream ended without a terminal done frame (connection cut?)"
         )
-
-    jobs_seen = set(job_records) | set(job_errors)
-    if set(job_records) & set(job_errors):
-        both = sorted(set(job_records) & set(job_errors))
+    both = sorted(set(job_records) & set(job_errors))
+    if both:
         raise StreamProtocolError(
             f"job index(es) {both} carry both records and an error"
         )
-    expected_jobs = int(terminal["jobs"])
-    if jobs_seen != set(range(expected_jobs)):
-        stray = sorted(jobs_seen - set(range(expected_jobs)))
-        missing = sorted(set(range(expected_jobs)) - jobs_seen)
-        raise StreamProtocolError(
-            f"stream covers {len(jobs_seen)} of {expected_jobs} jobs "
-            f"(missing {missing}, stray {stray})"
+    try:
+        result = assemble_result(
+            {**job_records, **job_errors}, skips, terminal["stats"]
         )
-    sweep = Sweep()
-    errors: list[JobError] = []
-    for index in sorted(jobs_seen):
-        if index in job_errors:
-            errors.append(job_errors[index])
-        else:
-            sweep.extend(job_records[index])
-
+    except ValueError as exc:
+        raise StreamProtocolError(f"lossy stream: {exc}") from None
     counts = {
-        "records": len(sweep),
-        "errors": len(errors),
-        "skipped": len(skips),
+        "jobs": result.stats["jobs"],
+        "records": len(result.sweep),
+        "errors": len(result.errors),
+        "skipped": len(result.skipped),
     }
     declared = {key: int(terminal[key]) for key in counts}
     if counts != declared:
@@ -355,14 +350,7 @@ def assemble_stream_result(frames: Iterable[dict]) -> SweepResult:
             f"terminal frame disagrees with stream: saw {counts}, "
             f"done frame declares {declared}"
         )
-    if sorted(skips) != list(range(len(skips))):
-        raise StreamProtocolError("skip indices are not contiguous from 0")
-    return SweepResult(
-        sweep=sweep,
-        skipped=[skips[i] for i in range(len(skips))],
-        errors=errors,
-        stats=dict(terminal["stats"]),
-    )
+    return result
 
 
 def decode_stream(lines: Iterable["bytes | str"]) -> Iterable[dict]:

@@ -20,23 +20,24 @@ at most N jobs, so one straggling worker holds at most N jobs hostage
 and an expired lease re-balances just that range.  Either way a unit is
 an ordinary manifest, so workers need no awareness of the cut.
 
-Results are merged *as they stream in*, using the exact semantics of
-:func:`~repro.service.sharding.merge_shard_results` (each submission is
-attributed back to global plan positions via
-:func:`~repro.service.sharding.split_result_by_job`; assembly goes
-through :func:`~repro.service.sharding.assemble_slots`), so the final
+Results are merged *as they stream in*, through the same pieces as
+:func:`~repro.service.sharding.merge_shard_results`: the unit set passes
+:func:`~repro.service.sharding.check_partition`, each submission is
+validated and keyed by plan position with
+:func:`~repro.service.sharding.unit_slots`, and :meth:`result` assembles
+through :func:`~repro.eval.jobs.assemble_result`, so the final
 :class:`~repro.eval.jobs.SweepResult` is record-for-record identical to
 a serial run — the shard-merge invariant, made incremental.
 
 Fault tolerance is lease-based: every handout carries a deadline; a
 worker that vanishes simply never submits, and once its lease expires
 the unit is re-served to the next ``/shard/next`` caller.  Submissions
-are validated against the plan before they are merged.  Lease records
-are pruned rather than kept forever: live leases plus a bounded tail of
-superseded (expired) ones are remembered exactly, and any other
-well-formed lease id naming an already-DONE unit is still acknowledged
-as a duplicate — a long-lived fleet's lease churn cannot grow the
-coordinator without bound.
+are validated against the unit's plan (records, errors and skips)
+before they are merged.  Lease records are pruned rather than kept
+forever: live leases plus a bounded tail of superseded (expired) ones
+are remembered exactly, and any other well-formed lease id naming an
+already-DONE unit is still acknowledged as a duplicate — a long-lived
+fleet's lease churn cannot grow the coordinator without bound.
 
 All methods speak wire-native dicts (the :mod:`repro.eval.export`
 codecs), so the HTTP layer stays a dumb JSON shim and in-process tests
@@ -52,14 +53,15 @@ import time
 from typing import Callable, Sequence
 
 from ..eval.export import sweep_result_from_dict, sweep_result_to_dict
-from ..eval.jobs import SweepResult
+from ..eval.jobs import SweepResult, assemble_result
 from ..obs import REGISTRY, record_span
 from .sharding import (
     PlanShard,
-    assemble_slots,
+    check_partition,
+    merged_stats,
     shard_from_dict,
     shard_to_dict,
-    split_result_by_job,
+    unit_slots,
 )
 
 PENDING = "pending"
@@ -98,31 +100,13 @@ class ShardCoordinator:
         lease_seconds: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if not shards:
-            raise ValueError("nothing to coordinate: empty shard set")
-        num_units = shards[0].num_shards
-        indices = {shard.shard_index for shard in shards}
-        jobs = sorted(i for shard in shards for i in shard.job_indices)
-        skips = sorted(i for shard in shards for i in shard.skip_indices)
-        if (
-            len(shards) != num_units
-            or {s.num_shards for s in shards} != {num_units}
-            or indices != set(range(num_units))
-            or jobs != list(range(len(jobs)))
-            or skips != list(range(len(skips)))
-        ):
-            raise ValueError(
-                "coordinator needs the complete shard set of one "
-                "partition, each job and skip position once "
-                f"(got {len(shards)} shards, indices {sorted(indices)}, "
-                f"num_shards={num_units})"
-            )
+        check_partition(shards)
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be > 0")
         self.lease_seconds = lease_seconds
         self.clock = clock
         self.units = {shard.shard_index: shard for shard in shards}
-        self.num_units = num_units
+        self.num_units = shards[0].num_shards
         self._lock = threading.Lock()
         self._job_slots: dict[int, object] = {}
         self._skip_slots: dict[int, object] = {}
@@ -207,7 +191,7 @@ class ShardCoordinator:
         # decode + validate outside the lock: this is CPU work
         # proportional to unit size, and holding the lock through it
         # would stall every /shard/next poll in the fleet
-        shard_result, outcomes = self._decode(index, result)
+        shard_result, slots = self._decode(index, result)
         with self._lock:
             if self._state[index] is DONE:  # raced a concurrent submit
                 return self._duplicate_locked(index)
@@ -215,7 +199,7 @@ class ShardCoordinator:
                 lease_id
             )
             worker_id = entry[1] if entry is not None else "unknown"
-            self._commit_locked(index, worker_id, shard_result, outcomes)
+            self._commit_locked(index, worker_id, shard_result, slots)
             return {
                 "accepted": True,
                 "duplicate": False,
@@ -225,24 +209,23 @@ class ShardCoordinator:
                 "remaining": self._remaining_locked(),
             }
 
-    def _decode(self, index: int, result: dict) -> tuple[SweepResult, list]:
-        """Unit ``index``'s submitted result and its per-job outcomes;
-        ``ValueError`` when the result does not match the unit's plan."""
+    def _decode(
+        self, index: int, result: dict
+    ) -> tuple[SweepResult, tuple[dict, dict]]:
+        """Unit ``index``'s submitted result and its position-keyed
+        :func:`~repro.service.sharding.unit_slots`; ``ValueError`` when
+        the result does not match the unit's plan."""
         shard_result = sweep_result_from_dict(result)
-        return shard_result, split_result_by_job(
-            self.units[index].plan, shard_result
-        )
+        return shard_result, unit_slots(self.units[index], shard_result)
 
     def _commit_locked(
         self, index: int, worker_id: str, shard_result: SweepResult,
-        outcomes: list,
+        slots: tuple[dict, dict],
     ) -> None:
         """Merge a validated result into the slots and mark unit DONE."""
-        unit = self.units[index]
-        for global_index, outcome in zip(unit.job_indices, outcomes):
-            self._job_slots[global_index] = outcome
-        for global_index, skip in zip(unit.skip_indices, shard_result.skipped):
-            self._skip_slots[global_index] = skip
+        jobs, skips = slots
+        self._job_slots.update(jobs)
+        self._skip_slots.update(skips)
         self._results[index] = shard_result
         self._submitted_by[index] = worker_id
         self._state[index] = DONE
@@ -363,16 +346,15 @@ class ShardCoordinator:
                     f"coordinator incomplete: {self._remaining_locked()} "
                     f"of {self.num_units} units outstanding"
                 )
-            shard_stats = [
-                dict(self._results[index].stats)
-                for index in sorted(self._results)
-            ]
-            merged = assemble_slots(
-                dict(self._job_slots),
-                dict(self._skip_slots),
-                shard_stats,
-                self.num_units,
-                executor="coordinated",
+            merged = assemble_result(
+                self._job_slots,
+                self._skip_slots,
+                merged_stats(
+                    [self._results[index].stats
+                     for index in sorted(self._results)],
+                    self.num_units,
+                    executor="coordinated",
+                ),
             )
             merged.stats["leases_reclaimed"] = self._reclaimed
             return merged
@@ -421,10 +403,10 @@ class ShardCoordinator:
         for index, result in sorted(
             state.get("completed", {}).items(), key=lambda kv: int(kv[0])
         ):
-            shard_result, outcomes = coordinator._decode(int(index), result)
+            shard_result, slots = coordinator._decode(int(index), result)
             with coordinator._lock:
                 coordinator._commit_locked(
-                    int(index), "restore", shard_result, outcomes
+                    int(index), "restore", shard_result, slots
                 )
         return coordinator
 

@@ -32,7 +32,7 @@ from ..eval.jobs import (
     RetryPolicy,
     SweepPlan,
     SweepResult,
-    assemble_result,
+    executor_result,
     run_job_with_retry,
 )
 from ..eval.pipeline import Evaluator
@@ -125,7 +125,7 @@ class ProcessPoolSweepExecutor(Executor):
                     worker_caches[pid] = cache_info
                     if self.progress is not None:
                         self.progress(index + 1, total, plan.jobs[index])
-        return assemble_result(
+        return executor_result(
             plan,
             outcomes,
             stats={

@@ -7,9 +7,13 @@ deals jobs (and skip records) round-robin into ``num_shards``
 differences that contiguous blocks would concentrate — while
 :func:`job_ranges` cuts contiguous ranges of a fixed job count for
 fine-grained leasing.  Each shard carries the original plan positions
-of its jobs, so
-:func:`merge_shard_results` can reassemble records, skips and errors in
-exact serial-plan order.  The invariant (and the acceptance check) is::
+of its jobs and skips.  The offline :func:`merge_shard_results` and the
+:class:`~repro.service.coordinator.ShardCoordinator` share one check,
+:func:`check_partition` (the complete shard set of one partition, each
+position claimed once), and one fill, :func:`unit_slots` (a unit's
+result checked against its plan and keyed by plan position), then build
+through :func:`~repro.eval.jobs.assemble_result`.  The invariant (and
+the acceptance check) is::
 
     merge(run(shard) for shard in split(plan)) == run(plan)
 
@@ -38,8 +42,7 @@ from ..eval.export import (
     sweep_result_from_dict,
     sweep_result_to_dict,
 )
-from ..eval.harness import Sweep
-from ..eval.jobs import JobError, SweepPlan, SweepResult
+from ..eval.jobs import JobError, SweepPlan, SweepResult, assemble_result
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,11 @@ def split_result_by_job(
 
     Relies on two executor invariants: records appear in plan order with
     exactly ``job.n`` records per successful job, and the error list
-    preserves plan order.
+    preserves plan order.  A result whose skips are not the plan's
+    (missing, extra or different) does not match the plan either.
     """
+    if list(result.skipped) != list(plan.skipped):
+        raise ValueError("result does not match plan: its skips differ")
     errors = list(result.errors)
     records = result.sweep.records
     position = 0
@@ -136,46 +142,66 @@ def split_result_by_job(
     return outcomes
 
 
+def check_partition(units: Sequence[PlanShard]) -> None:
+    """``ValueError`` unless ``units`` are the complete shard set of one
+    partition: one ``num_shards``, every index ``0..num_shards-1`` once,
+    and every job and skip position of the plan claimed by one unit."""
+    if not units:
+        raise ValueError("empty shard set: nothing to merge or coordinate")
+    num_units = units[0].num_shards
+    indices = sorted(unit.shard_index for unit in units)
+    jobs = sorted(i for unit in units for i in unit.job_indices)
+    skips = sorted(i for unit in units for i in unit.skip_indices)
+    if (
+        indices != list(range(num_units))
+        or any(unit.num_shards != num_units for unit in units)
+        or jobs != list(range(len(jobs)))
+        or skips != list(range(len(skips)))
+    ):
+        missing = sorted(set(range(num_units)) - set(indices))
+        raise ValueError(
+            f"incomplete shard set: {len(units)} units with indices "
+            f"{indices} of num_shards={num_units} (missing shard indices "
+            f"{missing}); the complete shard set of one partition must "
+            f"claim each job and skip position once"
+        )
+
+
+def unit_slots(unit: PlanShard, result: SweepResult) -> tuple[dict, dict]:
+    """``(jobs, skips)``: one unit's outcomes keyed by plan position, for
+    :func:`~repro.eval.jobs.assemble_result`; ``ValueError`` when the
+    result does not match the unit's plan (:func:`split_result_by_job`).
+    """
+    outcomes = split_result_by_job(unit.plan, result)
+    return (
+        dict(zip(unit.job_indices, outcomes)),
+        dict(zip(unit.skip_indices, result.skipped)),
+    )
+
+
 def merge_shard_results(
     shards: Sequence[PlanShard], results: Sequence[SweepResult]
 ) -> SweepResult:
     """Recombine shard results into one serial-order SweepResult.
 
     ``shards[i]`` must be the manifest that produced ``results[i]``.
-    The shard set must be complete (every original plan position covered
-    exactly once) so the merge is provably lossless.
+    The shard set must be complete (:func:`check_partition`: every
+    original plan position covered exactly once) so the merge is
+    provably lossless.
     """
     if len(shards) != len(results):
         raise ValueError(
             f"{len(shards)} shards but {len(results)} results"
         )
-    if not shards:
-        raise ValueError("nothing to merge")
-    num_shards = shards[0].num_shards
-    if {s.num_shards for s in shards} != {num_shards} or len(
-        {s.shard_index for s in shards}
-    ) != len(shards):
-        raise ValueError("shards disagree on the split or repeat an index")
-    if len(shards) != num_shards:
-        missing = sorted(
-            set(range(num_shards)) - {s.shard_index for s in shards}
-        )
-        raise ValueError(
-            f"incomplete shard set: {len(shards)} of {num_shards} shards "
-            f"provided (missing shard indices {missing})"
-        )
-
-    job_slots: dict[int, "list | JobError"] = {}
-    skip_slots: dict[int, object] = {}
+    check_partition(shards)
+    jobs, skips = {}, {}
     for shard, result in zip(shards, results):
-        outcomes = split_result_by_job(shard.plan, result)
-        for global_index, outcome in zip(shard.job_indices, outcomes):
-            job_slots[global_index] = outcome
-        for global_index, skip in zip(shard.skip_indices, result.skipped):
-            skip_slots[global_index] = skip
-
-    shard_stats = [dict(result.stats) for result in results]
-    return assemble_slots(job_slots, skip_slots, shard_stats, num_shards)
+        unit_jobs, unit_skips = unit_slots(shard, result)
+        jobs.update(unit_jobs)
+        skips.update(unit_skips)
+    return assemble_result(jobs, skips, merged_stats(
+        [result.stats for result in results], shards[0].num_shards
+    ))
 
 
 def merge_cache_counters(caches: "Sequence[dict] | Iterable[dict]") -> dict:
@@ -198,79 +224,37 @@ def merge_cache_counters(caches: "Sequence[dict] | Iterable[dict]") -> dict:
     return merged
 
 
-def _sum_cache_stats(shard_stats: Sequence[dict]) -> dict:
-    """Fleet-wide evaluator-cache totals across shard stats dicts."""
-    return merge_cache_counters(
-        stats.get("evaluator_cache") for stats in shard_stats
-    )
-
-
-def assemble_slots(
-    job_slots: dict,
-    skip_slots: dict,
-    shard_stats: Sequence[dict],
-    num_shards: int,
-    executor: str = "sharded",
-) -> SweepResult:
-    """Assemble position-keyed job/skip outcomes into one SweepResult.
-
-    This is the tail of :func:`merge_shard_results`, split out so the
-    shard coordinator can fill the slots incrementally (one shard at a
-    time as results stream in) and assemble with identical semantics:
-    positions must be gapless, records land in serial-plan order, and
-    :class:`JobError` outcomes become the merged error list.
-
-    The merged stats carry every key a single-executor result carries —
+def merged_stats(
+    shard_stats: Sequence[dict], num_shards: int, executor: str = "sharded"
+) -> dict:
+    """The stats of a result merged from units, before the counts: every
+    key a single-executor result carries —
     ``workers`` (the widest pool any shard ran with) and
     ``evaluator_cache`` (numeric totals across shards) included — so
     code that prints either never has to care whether a result was
     merged or ran in one process.
     """
-    for name, slots in (("job", job_slots), ("skip", skip_slots)):
-        if set(slots) != set(range(len(slots))):
-            raise ValueError(
-                f"incomplete shard set: {name} positions "
-                f"{sorted(set(range(max(slots, default=0) + 1)) - set(slots))} missing"
-            )
-
-    sweep = Sweep()
-    errors: list[JobError] = []
-    for index in range(len(job_slots)):
-        outcome = job_slots[index]
-        if isinstance(outcome, JobError):
-            errors.append(outcome)
-        else:
-            sweep.extend(outcome)
-    skipped = [skip_slots[i] for i in range(len(skip_slots))]
-
     shard_stats = [dict(stats) for stats in shard_stats]
-    return SweepResult(
-        sweep=sweep,
-        skipped=skipped,
-        errors=errors,
-        stats={
-            "backend": shard_stats[0].get("backend", "?") if shard_stats else "?",
-            "executor": executor,
-            "shards": num_shards,
-            "jobs": len(job_slots),
-            "jobs_failed": len(errors),
-            "jobs_skipped": len(skipped),
-            "records": len(sweep),
-            "workers": max(
-                (
-                    int(s.get("workers", 0))
-                    for s in shard_stats
-                    if isinstance(s.get("workers"), (int, float))
-                ),
-                default=0,
+    return {
+        "backend": shard_stats[0].get("backend", "?") if shard_stats else "?",
+        "executor": executor,
+        "shards": num_shards,
+        "workers": max(
+            (
+                int(s.get("workers", 0))
+                for s in shard_stats
+                if isinstance(s.get("workers"), (int, float))
             ),
-            "evaluator_cache": _sum_cache_stats(shard_stats),
-            "elapsed_seconds": sum(
-                s.get("elapsed_seconds", 0.0) for s in shard_stats
-            ),
-            "shard_stats": shard_stats,
-        },
-    )
+            default=0,
+        ),
+        "evaluator_cache": merge_cache_counters(
+            stats.get("evaluator_cache") for stats in shard_stats
+        ),
+        "elapsed_seconds": sum(
+            s.get("elapsed_seconds", 0.0) for s in shard_stats
+        ),
+        "shard_stats": shard_stats,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -346,16 +330,18 @@ def merge_shard_files(paths: Sequence[str]) -> SweepResult:
 __all__ = [
     "PlanShard",
     "ShardPlanner",
-    "assemble_slots",
+    "check_partition",
     "job_ranges",
     "load_shard_manifest",
     "load_shard_result",
     "merge_cache_counters",
     "merge_shard_files",
     "merge_shard_results",
+    "merged_stats",
     "save_shard_result",
     "shard_from_dict",
     "shard_manifest_to_json",
     "shard_to_dict",
     "split_result_by_job",
+    "unit_slots",
 ]

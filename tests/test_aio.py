@@ -201,6 +201,14 @@ class TestStreamProtocolErrors:
         with pytest.raises(StreamProtocolError, match="without a terminal"):
             assemble_stream_result(frames[:-1])
 
+    def test_assemble_rejects_a_job_error_reported_twice(self):
+        stub = FlakyStub(fail_first=1)
+        plan = SweepPlanner(stub).plan(SMALL)
+        frames = collect_stream(stub, plan)
+        error = next(f for f in frames if f["event"] == "job_error")
+        with pytest.raises(StreamProtocolError, match="two errors"):
+            assemble_stream_result([error] + frames)
+
     def test_assemble_rejects_count_mismatch(self):
         stub = StubBackend()
         plan = SweepPlanner(stub).plan(SMALL)

@@ -2,24 +2,30 @@
 expiry/re-serve, streaming merge parity, worker loop, HTTP smoke."""
 
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.api import Session
-from repro.backends import BackendError, StubBackend
+from repro.backends import BackendError, LocalZooBackend, StubBackend
 from repro.eval import SweepConfig, SweepExecutor, SweepPlanner
-from repro.eval.export import sweep_result_to_dict
+from repro.eval.export import sweep_result_to_dict, sweep_to_json
 from repro.problems import PromptLevel
 from repro.service import (
+    ProcessPoolSweepExecutor,
     ServiceApp,
     ServiceUnreachableError,
     ShardCoordinator,
     ShardPlanner,
+    assemble_stream_result,
     in_process_transport,
     job_ranges,
+    merge_shard_files,
     run_worker,
+    save_shard_result,
 )
+from repro.service.aio import decode_stream, emit_sweep, encode_frame
 
 CONFIG = SweepConfig(
     temperatures=(0.1, 0.5),
@@ -112,6 +118,40 @@ class TestCoordinatorUnit:
             )
         status = coordinator.status()
         assert status["leased"] == 1 and status["done"] == 0
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "different"])
+    def test_result_with_other_skips_rejected_and_unit_stays_leased(
+        self, change
+    ):
+        _, shards = make_split(1)
+        coordinator = ShardCoordinator(shards, lease_seconds=60)
+        lease = coordinator.next_shard("w")
+        result = run_shard(shards[0])
+        assert result.skipped
+        if change == "missing":
+            result.skipped.pop()
+        elif change == "extra":
+            result.skipped.append(result.skipped[0])
+        else:
+            result.skipped[-1] = replace(result.skipped[-1], reason="other")
+        with pytest.raises(ValueError, match="does not match"):
+            coordinator.submit_result(
+                lease["lease_id"], sweep_result_to_dict(result)
+            )
+        status = coordinator.status()
+        assert status["leased"] == 1 and status["done"] == 0
+
+    def test_checkpoint_with_a_lost_skip_is_refused(self):
+        _, shards = make_split(1)
+        coordinator = ShardCoordinator(shards)
+        lease = coordinator.next_shard("w")
+        coordinator.submit_result(
+            lease["lease_id"], sweep_result_to_dict(run_shard(shards[0]))
+        )
+        state = coordinator.state_to_dict()
+        state["completed"]["0"]["skipped"].pop()
+        with pytest.raises(ValueError, match="does not match"):
+            ShardCoordinator.from_state(state)
 
     def test_expired_lease_is_reserved_and_late_submit_ignored(self):
         clock = FakeClock()
@@ -312,6 +352,82 @@ class TestStreamingMergeParity:
         merged = coordinator.result()
         assert merged.errors == serial.errors
         assert merged.sweep.records == serial.sweep.records
+
+
+class FailingZoo(LocalZooBackend):
+    """The zoo, except one job fails: codegen-6b-ft on problem 2 at
+    t=0.5, n=2.  Decided per job, so every path fails the same one;
+    module-level, so it pickles into worker processes."""
+
+    def generate(self, model, prompt, config):
+        from repro.models import match_prompt_to_problem
+
+        matched = match_prompt_to_problem(prompt)
+        if (model, matched and matched[0].number, config.temperature,
+                config.n) == ("codegen-6b-ft", 2, 0.5, 2):
+            raise BackendError("injected failure")
+        return super().generate(model, prompt, config)
+
+
+def _serial(plan, tmp_path):
+    return SweepExecutor(FailingZoo()).run(plan)
+
+
+def _process(plan, tmp_path):
+    return ProcessPoolSweepExecutor(FailingZoo(), workers=2).run(plan)
+
+
+def _merged(plan, tmp_path):
+    paths = []
+    for shard in ShardPlanner(3).split(plan):
+        path = str(tmp_path / f"shard{shard.shard_index}.json")
+        save_shard_result(
+            shard, SweepExecutor(FailingZoo()).run(shard.plan), path
+        )
+        paths.append(path)
+    return merge_shard_files(paths)
+
+
+def _coordinated(plan, tmp_path):
+    coordinator = ShardCoordinator(job_ranges(plan, 4))
+    run_worker(
+        transport=in_process_transport(
+            ServiceApp(Session(backend=FailingZoo()), coordinator=coordinator)
+        ),
+        session=Session(backend=FailingZoo()),
+        max_idle_polls=3,
+    )
+    return coordinator.result()
+
+
+def _streamed(plan, tmp_path):
+    lines = []
+    emit_sweep(plan, lambda frame: lines.append(encode_frame(frame)),
+               FailingZoo(), workers=3)
+    return assemble_stream_result(decode_stream(lines))
+
+
+class TestFivePathParity:
+    @pytest.mark.parametrize(
+        "run", [_serial, _process, _merged, _coordinated, _streamed],
+        ids=["serial", "process", "merged", "coordinated", "streamed"],
+    )
+    def test_records_skips_and_errors_match_serial(self, run, tmp_path):
+        """Acceptance: a plan with planner skips and a failing job
+        gives the same records, skips and errors on every path."""
+        plan = SweepPlanner(FailingZoo()).plan(CONFIG, models=MODELS)
+        serial = _serial(plan, tmp_path)
+        assert len(serial.skipped) == 6  # j1-large at n=25
+        assert [e.job.problem for e in serial.errors] == [2]
+        result = run(plan, tmp_path)
+        # the wire rounds inference_seconds: compare exports
+        assert sweep_to_json(result.sweep) == sweep_to_json(serial.sweep)
+        assert result.skipped == serial.skipped
+        assert result.errors == serial.errors
+        counts = ("jobs", "jobs_failed", "jobs_skipped", "records")
+        assert [result.stats[key] for key in counts] == [
+            serial.stats[key] for key in counts
+        ]
 
 
 class TestWorkerLoop:

@@ -171,6 +171,24 @@ print(json.dumps(sorted(sys.modules)))
             if any(m == h or m.startswith(h + ".") for h in heavy)] == []
 
 
+def test_cli_parser_loads_no_sweep_stack():
+    # --help and quick commands pay for the parser only: it names the
+    # backends and executors without the evaluator, compiler or Session
+    result = run_child("""
+import contextlib, io, json, sys
+from repro.cli import build_parser, main
+heavy = ("repro.api", "repro.eval.pipeline", "repro.verilog")
+loaded = lambda: [m for m in sorted(sys.modules)
+                  if any(m == h or m.startswith(h + ".") for h in heavy)]
+build_parser()
+after_parser = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["problems"])
+print(json.dumps([after_parser, code, loaded()]))
+""")
+    assert result == [[], 0, []]
+
+
 #: plan the paper sweep, run its first jobs, then the rest: the modules
 #: loaded after plan() must be every module the sweep needs
 SERIAL = """

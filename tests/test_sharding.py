@@ -1,6 +1,8 @@
 """Tests for sharded sweeps (repro.service.sharding): split, merge,
 manifest round-trips, and the serial-parity invariant."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import LocalZooBackend, StubBackend
@@ -228,6 +230,50 @@ class TestMergeParity:
         results = [SweepExecutor(backend).run(s.plan) for s in shards]
         with pytest.raises(ValueError, match="incomplete"):
             merge_shard_results(shards[:1], results[:1])
+
+    def test_units_claiming_one_job_position_twice_rejected(self, tmp_path):
+        # user-supplied shard files: unit 1 claims job 2 as well as its
+        # own job 1, and nobody claims job 3
+        backend = StubBackend()
+        plan = SweepPlanner(backend).plan(
+            SweepConfig(
+                temperatures=(0.1,),
+                completions_per_prompt=(1,),
+                levels=(PromptLevel.LOW,),
+                problem_numbers=(1, 2, 3, 4),
+            )
+        )
+        first, second = ShardPlanner(2).split(plan)
+        assert (first.job_indices, second.job_indices) == ((0, 2), (1, 3))
+        overlapping = PlanShard(1, 2, (1, 2), (), plan.subset((1, 2)))
+        paths = []
+        for shard in (first, overlapping):
+            path = str(tmp_path / f"shard{shard.shard_index}.json")
+            save_shard_result(
+                shard, SweepExecutor(backend).run(shard.plan), path
+            )
+            paths.append(path)
+        with pytest.raises(ValueError, match="complete shard set"):
+            merge_shard_files(paths)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "different"])
+    def test_result_with_other_skips_rejected(self, change):
+        # the last skip sits at the last plan position, so losing it
+        # leaves no gap for the position check to see
+        plan = SweepPlanner(zoo()).plan(CONFIG)
+        shards = ShardPlanner(2).split(plan)
+        results = [SweepExecutor(zoo()).run(s.plan) for s in shards]
+        last = shards[-1]
+        assert last.skip_indices[-1] == len(plan.skipped) - 1
+        skipped = results[-1].skipped
+        if change == "missing":
+            skipped.pop()
+        elif change == "extra":
+            skipped.append(skipped[0])
+        else:
+            skipped[-1] = replace(skipped[-1], reason="other")
+        with pytest.raises(ValueError, match="does not match"):
+            merge_shard_results(shards, results)
 
     def test_result_not_matching_plan_rejected(self):
         backend = StubBackend()
